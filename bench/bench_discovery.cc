@@ -72,15 +72,14 @@ void BM_DiscoveryBruteForceLhs3(benchmark::State& state) {
 BENCHMARK(BM_DiscoveryBruteForceLhs3)->Arg(10000)
     ->Unit(benchmark::kMillisecond);
 
-// The engine against itself across cluster-storage modes: CSR arena vs the
-// vector-of-vectors reference, same lattice, same cache policy. Isolates
-// what the memory layout alone buys discovery's intersection sweeps.
-void RunEngineDiscoveryStorage(benchmark::State& state, bool reference) {
+// The engine traversal alone at |X| <= 3, without the core translation
+// layer: code-column-built single-attribute partitions, intersections
+// probed by the pinned code columns.
+void BM_DiscoveryArenaStorage(benchmark::State& state) {
   std::vector<Tuple> rows = MakeRows(static_cast<size_t>(state.range(0)), 9);
   AttrSet universe = UniverseOf(rows);
   EngineDiscoveryOptions options;
   options.max_lhs_size = 3;
-  options.reference_storage = reference;
   for (auto _ : state) {
     DependencySet deps = EngineDiscoverDependencies(rows, universe, options);
     benchmark::DoNotOptimize(deps);
@@ -88,17 +87,7 @@ void RunEngineDiscoveryStorage(benchmark::State& state, bool reference) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           state.range(0));
 }
-
-void BM_DiscoveryArenaStorage(benchmark::State& state) {
-  RunEngineDiscoveryStorage(state, /*reference=*/false);
-}
 BENCHMARK(BM_DiscoveryArenaStorage)->Arg(10000)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_DiscoveryReferenceStorage(benchmark::State& state) {
-  RunEngineDiscoveryStorage(state, /*reference=*/true);
-}
-BENCHMARK(BM_DiscoveryReferenceStorage)->Arg(10000)
     ->Unit(benchmark::kMillisecond);
 
 // The wide planted-FD shape hybrid discovery exists for: many attributes,
@@ -141,15 +130,13 @@ std::vector<Tuple> MakeWidePlanted(AttrId num_attrs, size_t num_rows,
 }
 
 void RunWidePlantedDiscovery(benchmark::State& state,
-                             DiscoveryStrategy strategy,
-                             bool use_codes = true) {
+                             DiscoveryStrategy strategy) {
   AttrSet universe;
   std::vector<Tuple> rows =
       MakeWidePlanted(static_cast<AttrId>(state.range(0)), 2048, &universe);
   EngineDiscoveryOptions options;
   options.max_lhs_size = 2;
   options.strategy = strategy;
-  options.use_codes = use_codes;
   for (auto _ : state) {
     DependencySet deps = EngineDiscoverDependencies(rows, universe, options);
     benchmark::DoNotOptimize(deps);
@@ -164,20 +151,8 @@ void BM_DiscoveryHybrid(benchmark::State& state) {
 BENCHMARK(BM_DiscoveryHybrid)->Arg(32)->Arg(64)
     ->Unit(benchmark::kMillisecond);
 
-// Hybrid on the value-keyed oracle (EngineDiscoveryOptions::use_codes =
-// false): sampled pairs merge sorted Value fields and single-attribute
-// partitions hash Values, where the default compares code cells and
-// counting-sorts. Same results by construction (engine_dictionary_test).
-void BM_DiscoveryHybridValueKeyed(benchmark::State& state) {
-  RunWidePlantedDiscovery(state, DiscoveryStrategy::kHybrid,
-                          /*use_codes=*/false);
-}
-BENCHMARK(BM_DiscoveryHybridValueKeyed)->Arg(32)->Arg(64)
-    ->Unit(benchmark::kMillisecond);
-
-// Level-wise on the identical wide instance (arena storage, the engine
-// default) — the exact-validation baseline the hybrid gate in
-// scripts/perf_smoke.py measures against.
+// Level-wise on the identical wide instance — the exact-validation
+// baseline the hybrid gate in scripts/perf_smoke.py measures against.
 void BM_DiscoveryArenaStorageWide(benchmark::State& state) {
   RunWidePlantedDiscovery(state, DiscoveryStrategy::kLevelWise);
 }

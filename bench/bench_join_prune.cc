@@ -193,14 +193,12 @@ std::pair<FlexibleRelation, FlexibleRelation> MakeJoinInputs(
   return {std::move(left), std::move(right)};
 }
 
-void RunPairJoin(benchmark::State& state, bool use_engine,
-                 bool use_codes = true) {
+void RunPairJoin(benchmark::State& state, bool use_engine) {
   auto [left, right] =
       MakeJoinInputs(static_cast<size_t>(state.range(0)), 1000);
   PlanPtr plan = Plan::NaturalJoin(Plan::Scan(&left), Plan::Scan(&right));
   EvalOptions options;
   options.use_engine = use_engine;
-  options.use_codes = use_codes;
   EvalStats total;
   size_t result_rows = 0;
   for (auto _ : state) {
@@ -229,20 +227,6 @@ void BM_PairJoinPli(benchmark::State& state) {
   RunPairJoin(state, /*use_engine=*/true);
 }
 BENCHMARK(BM_PairJoinPli)
-    ->Arg(1000)
-    ->Arg(10000)
-    ->Arg(50000)
-    ->Unit(benchmark::kMillisecond);
-
-// The hashed join on the value-keyed oracle (EvalOptions::use_codes =
-// false): identical signature grouping and probe counts, but sub-index
-// keys are Value projections hashed per probe where the default
-// (BM_PairJoinPli) compares per-join interned code spans. perf_smoke.py
-// gates coded ≤ value-keyed at 10000.
-void BM_PairJoinValueKeyed(benchmark::State& state) {
-  RunPairJoin(state, /*use_engine=*/true, /*use_codes=*/false);
-}
-BENCHMARK(BM_PairJoinValueKeyed)
     ->Arg(1000)
     ->Arg(10000)
     ->Arg(50000)

@@ -10,21 +10,10 @@ hard-fails on any inversion:
     rebuild-after-invalidate oracle at any swept mutation ratio;
   * the batched-adaptive flush slower than the pinned per-row reference at
     the 64-mutation burst size (the regime batching exists for);
-  * the CSR-arena cluster storage losing to the vector-of-vectors
-    reference, on either the discovery-shaped level sweep or the
-    64-mutation batched flush (PliCacheOptions::arena_storage);
   * the PLI-backed pair join slower than the naive nested-loop join;
-  * the coded value plane losing to its value-keyed oracle where the
-    codes are supposed to win (engine/dictionary.h): the counting-sort
-    partition build (BM_PliBuildSingleAttrCoded) slower than the hashed
-    value-keyed build, or the code-keyed hash join (BM_PairJoinPli, codes
-    on by default) slower than BM_PairJoinValueKeyed (EvalOptions::
-    use_codes = false). The two remaining coded-vs-oracle pairs — the
-    cold-cache level sweep (parity by design: BuildFor only exploits a
-    column that already exists, it never materializes one) and hybrid
-    discovery (validation-dominated, low single-digit margin) — are
-    recorded for the artifact and the trajectory gate but not
-    inversion-gated;
+  * the counting-sort partition build over a code column
+    (BM_PliBuildSingleAttrCoded, the cache's build) slower than the hashed
+    from-scratch build it replaces (BM_PliBuildSingleAttr);
   * hybrid (sample-then-validate) discovery losing to exact level-wise
     validation on the wide 64-attribute planted-FD instance — the shape
     hybrid exists for (engine/hybrid_discovery.h);
@@ -116,17 +105,17 @@ import sys
 RUNS = [
     (
         "bench_pli",
-        "BM_MutateThenQuery(Incremental|Batched|BatchedReference|PerRow"
-        "|Rebuild)/rows:10000/|BM_PliLevelSweep(Reference)?/10000$"
-        "|BM_CacheBatchedFlush(Reference)?/"
+        "BM_MutateThenQuery(Incremental|Batched|PerRow"
+        "|Rebuild)/rows:10000/|BM_PliLevelSweep/10000$"
+        "|BM_CacheBatchedFlush/"
         "|BM_PliBuildSingleAttr(Coded)?/10000$"
-        "|BM_PliCacheLevelSweep(ValueKeyed)?/10000$",
+        "|BM_PliCacheLevelSweep/10000$",
         "perf_smoke_pli.json",
         "perf_smoke_pli_metrics.json",
     ),
     (
         "bench_join_prune",
-        "BM_PairJoin(Naive|Pli|ValueKeyed)/10000$",
+        "BM_PairJoin(Naive|Pli)/10000$",
         "perf_smoke_join.json",
         "perf_smoke_join_metrics.json",
     ),
@@ -161,15 +150,6 @@ RUNS = [
         "BM_DiscoveryArenaStorageWide/",
         "perf_smoke_discovery_levelwise.json",
         "perf_smoke_discovery_levelwise_metrics.json",
-    ),
-    # The value-keyed hybrid oracle runs as its own invocation so the coded
-    # hybrid dump above stays single-mode and its frontier/level-wise
-    # counter comparisons are not doubled by the oracle's identical walk.
-    (
-        "bench_discovery",
-        "BM_DiscoveryHybridValueKeyed/",
-        "perf_smoke_discovery_hybrid_value.json",
-        "perf_smoke_discovery_hybrid_value_metrics.json",
     ),
 ]
 
@@ -518,39 +498,14 @@ def main():
         "BM_MutateThenQueryPerRow/rows:10000/muts:64",
         failures,
     )
-    print("CSR arena vs vector-of-vectors reference storage:")
-    expect_faster(
-        times,
-        "BM_PliLevelSweep/10000",
-        "BM_PliLevelSweepReference/10000",
-        failures,
-    )
-    expect_faster(
-        times,
-        "BM_CacheBatchedFlush/rows:10000/muts:64",
-        "BM_CacheBatchedFlushReference/rows:10000/muts:64",
-        failures,
-    )
-    expect_faster(
-        times,
-        "BM_MutateThenQueryBatched/rows:10000/muts:64",
-        "BM_MutateThenQueryBatchedReference/rows:10000/muts:64",
-        failures,
-    )
     print("PLI pair join vs naive:")
     expect_faster(times, "BM_PairJoinPli/10000", "BM_PairJoinNaive/10000",
                   failures)
-    print("coded value plane vs value-keyed oracle (engine/dictionary.h):")
+    print("counting-sort build over a code column vs hash build:")
     expect_faster(
         times,
         "BM_PliBuildSingleAttrCoded/10000",
         "BM_PliBuildSingleAttr/10000",
-        failures,
-    )
-    expect_faster(
-        times,
-        "BM_PairJoinPli/10000",
-        "BM_PairJoinValueKeyed/10000",
         failures,
     )
     print("hybrid sample-then-validate vs exact level-wise discovery "

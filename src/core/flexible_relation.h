@@ -160,26 +160,23 @@ class FlexibleRelation {
   ///
   /// Maintenance contract: all mutation entry points (single-row and
   /// batch) keep the attached cache alive and report their deltas to it —
-  /// PliCache buffers them and the next read (Get/IndexFor/ProbeFor, i.e.
-  /// any evaluator or validator access) flushes the buffer adaptively:
-  /// small bursts patch clusters row by row, larger ones are group-applied
-  /// in one sorted splice per affected structure, and burst sizes past
+  /// PliCache buffers them and the next read (Get/CodeColumnFor, i.e. any
+  /// evaluator or validator access) flushes the buffer adaptively: small
+  /// bursts patch clusters row by row, larger ones are group-applied in
+  /// one sorted splice per affected structure, and burst sizes past
   /// max(drop_threshold, rows/2) drop everything for one lazy rebuild
-  /// (engine/pli_cache.h). Partitions live in CSR-arena cluster storage by
-  /// default (pli_cache_options().arena_storage = false pins the
-  /// vector-of-vectors reference layout), and the per-attribute probe
-  /// tables are patched in place across flushes rather than rebuilt.
-  /// Partition/index/probe pointers obtained before a mutation must be
+  /// (engine/pli_cache.h). The per-attribute code columns — the cache's
+  /// only maintained per-attribute structure — are patched by the same
+  /// flush. Partition/column pointers obtained before a mutation must be
   /// treated as invalidated by it: until some reader flushes they observe
-  /// the pre-mutation instance, a probe's labels are patched in place by
-  /// that flush, and a partition the flush drops as cheaper-to-rebuild
-  /// leaves a held pointer on the unmaintained object. Re-Get after
-  /// mutations; copy a partition to freeze it. With
-  /// pli_cache_options().incremental == false the historical behavior is
-  /// restored: every mutation drops the cache wholesale and the next call
-  /// rebuilds it from scratch (the oracle the incremental path is
-  /// soak-tested against — tests/engine_incremental_test.cc, which also
-  /// runs a reference-storage twin through every flush arm).
+  /// the pre-mutation instance, in locked mode the flush patches them in
+  /// place, and a partition the flush drops as cheaper-to-rebuild leaves a
+  /// held pointer on the unmaintained object. Re-Get after mutations; copy
+  /// a partition to freeze it. With pli_cache_options().incremental ==
+  /// false the historical behavior is restored: every mutation drops the
+  /// cache wholesale and the next call rebuilds it from scratch (the
+  /// oracle the incremental path is soak-tested against —
+  /// tests/engine_incremental_test.cc).
   ///
   /// Concurrency (engine/README.md "Concurrency" for the full rules): in
   /// the default COW mode (pli_cache_options().cow_reads) cache reads the

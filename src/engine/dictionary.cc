@@ -52,25 +52,18 @@ CodeColumn CodeColumn::Build(const std::vector<Tuple>& rows, AttrId attr) {
   return column;
 }
 
-void CodeColumn::ApplyInsert(RowId row, const Value* value) {
-  if (row >= codes_.size()) {
-    codes_.resize(static_cast<size_t>(row) + 1, kMissingCode);
-  }
-  if (value == nullptr) return;  // codes_[row] stays kMissingCode
-  const Code code = Intern(*value);
-  codes_[row] = code;
-  std::vector<RowId>& bucket = buckets_[code];
-  if (bucket.empty()) ++live_codes_;
-  if (bucket.empty() || bucket.back() < row) {
-    bucket.push_back(row);  // appends (the flush replay order) stay O(1)
-  } else {
-    bucket.insert(std::lower_bound(bucket.begin(), bucket.end(), row), row);
-  }
-  ++defined_;
+const std::vector<CodeColumn::RowId>& CodeColumn::RowsOf(
+    const Value& value) const {
+  static const std::vector<RowId> kNone;
+  const Code code = CodeOf(value);
+  return code == kMissingCode ? kNone : buckets_[code];
 }
 
 void CodeColumn::ApplyUpdate(RowId row, const Value* value) {
-  const Code old_code = row < codes_.size() ? codes_[row] : kMissingCode;
+  if (row >= codes_.size()) {
+    codes_.resize(static_cast<size_t>(row) + 1, kMissingCode);
+  }
+  const Code old_code = codes_[row];
   const Code new_code = value == nullptr ? kMissingCode : Intern(*value);
   if (old_code == new_code) return;  // re-valued to what it held: no move
   if (old_code != kMissingCode) {
@@ -80,15 +73,78 @@ void CodeColumn::ApplyUpdate(RowId row, const Value* value) {
     if (bucket.empty()) --live_codes_;  // the code is dead until re-carried
     --defined_;
   }
-  if (row >= codes_.size()) {
-    codes_.resize(static_cast<size_t>(row) + 1, kMissingCode);
-  }
   codes_[row] = new_code;
   if (new_code == kMissingCode) return;
   std::vector<RowId>& bucket = buckets_[new_code];
   if (bucket.empty()) ++live_codes_;
+  // Appends (the flush replay order) land at the end: O(1).
   bucket.insert(std::lower_bound(bucket.begin(), bucket.end(), row), row);
   ++defined_;
+}
+
+std::vector<Pli::ClusterPatchView> CodeColumn::ApplyBatch(
+    size_t num_rows, const std::vector<Move>& moves) {
+  if (codes_.size() < num_rows) codes_.resize(num_rows, kMissingCode);
+  // Re-code every mover first (interning here is the only thing that can
+  // grow buckets_, so the views handed out below stay put), collecting the
+  // (code, row) pairs leaving and joining each bucket. Sorting them groups
+  // the burst by code with rows ascending, so each affected bucket is
+  // rebuilt by a single merge instead of one surgery per row.
+  std::vector<std::pair<Code, RowId>> leaving;
+  std::vector<std::pair<Code, RowId>> joining;
+  for (const Move& m : moves) {
+    const Code old_code = codes_[m.row];
+    const Code new_code = m.value == nullptr ? kMissingCode : Intern(*m.value);
+    if (old_code == new_code) continue;
+    if (old_code != kMissingCode) leaving.push_back({old_code, m.row});
+    if (new_code != kMissingCode) joining.push_back({new_code, m.row});
+    codes_[m.row] = new_code;
+  }
+  std::sort(leaving.begin(), leaving.end());
+  std::sort(joining.begin(), joining.end());
+  std::vector<Pli::ClusterPatchView> views;
+  std::vector<RowId> next;
+  size_t l = 0;
+  size_t j = 0;
+  while (l < leaving.size() || j < joining.size()) {
+    const Code code =
+        std::min(l < leaving.size() ? leaving[l].first : kMissingCode,
+                 j < joining.size() ? joining[j].first : kMissingCode);
+    std::vector<RowId>& bucket = buckets_[code];
+    const size_t old_size = bucket.size();
+    const RowId old_front = old_size == 0 ? 0 : bucket.front();
+    size_t joins = 0;
+    while (j + joins < joining.size() && joining[j + joins].first == code) {
+      ++joins;
+    }
+    next.clear();
+    next.reserve(old_size + joins);
+    for (RowId r : bucket) {
+      if (l < leaving.size() && leaving[l] == std::make_pair(code, r)) {
+        ++l;
+        continue;
+      }
+      while (j < joining.size() && joining[j].first == code &&
+             joining[j].second < r) {
+        next.push_back(joining[j++].second);
+      }
+      next.push_back(r);
+    }
+    while (j < joining.size() && joining[j].first == code) {
+      next.push_back(joining[j++].second);
+    }
+    bucket.swap(next);  // `next` keeps the old buffer for the next code
+    if (old_size == 0 && !bucket.empty()) ++live_codes_;
+    if (old_size != 0 && bucket.empty()) --live_codes_;
+    defined_ = defined_ + bucket.size() - old_size;
+    // Codes stripped before and after never surface in the partition.
+    if (old_size >= 2 || bucket.size() >= 2) {
+      views.push_back({old_front, old_size,
+                       bucket.empty() ? nullptr : bucket.data(),
+                       static_cast<uint32_t>(bucket.size())});
+    }
+  }
+  return views;
 }
 
 bool CodeColumn::MaybeReintern() {

@@ -1,17 +1,20 @@
 // Per-attribute dictionary codec: the columnar value plane.
 //
-// Every hot structure in the engine — stripped partitions, probe tables,
-// value indexes, hash-join signatures, agree-set samples — only ever needs
-// value *identity* per attribute, never the value itself. A CodeColumn
-// interns one attribute's values into dense uint32_t codes and holds the
-// relation's column of codes contiguously: partition construction becomes a
-// counting sort over plain integers (Pli::BuildFromCodes), equality
-// selections become one small-dictionary lookup plus an array-indexed
-// bucket read, and pair comparison in hybrid discovery's sampler becomes
-// two integer loads. The PliCache owns one CodeColumn per requested
-// attribute (CodeColumnFor) and patches it through the same mutation hooks
-// that patch every other cached structure, so the column is always exactly
-// as fresh as the partitions built from it.
+// Every hot structure in the engine — stripped partitions, intersection
+// probes, selections, hash-join signatures, agree-set samples — only ever
+// needs value *identity* per attribute, never the value itself. A CodeColumn
+// interns one attribute's values into dense uint32_t codes and holds both
+// directions of the mapping: row -> code (the column) and code -> ascending
+// rows (the buckets). That one structure serves every per-attribute need of
+// the engine: partition construction is a counting sort over the column
+// (Pli::BuildFromCodes); the column itself is the probe every intersection
+// refines by (label = code); equality selections are one small-dictionary
+// lookup plus a bucket read; the buckets are the unstripped partner lists
+// the cache's incremental patches consult; and pair comparison in hybrid
+// discovery's sampler is two integer loads. The PliCache owns one
+// CodeColumn per attribute any cached partition (or reader) touches
+// (CodeColumnFor) and patches it in the same flush that patches the
+// partitions, so the column is always exactly as fresh as they are.
 //
 // Code space. Code 0 is reserved for the explicit Value::Null (null equals
 // null under the paper's Kleene semantics, so nulls cluster — they need a
@@ -47,6 +50,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "engine/pli.h"
 #include "relational/tuple.h"
 #include "relational/value.h"
 
@@ -99,25 +103,43 @@ class CodeColumn {
     return it == interned_.end() ? kMissingCode : it->second;
   }
 
-  /// Ascending rows currently coded `code` — the dense code->cluster array
-  /// that replaces the value-hashed index lookup. `code` < code_bound();
-  /// empty for dead codes.
+  /// Ascending rows currently coded `code` — the unstripped cluster of the
+  /// code's value. `code` < code_bound(); empty for dead codes.
   const std::vector<RowId>& Bucket(Code code) const { return buckets_[code]; }
+
+  /// The bucket of `value`'s code, or an empty list when it was never
+  /// interned — the value -> rows lookup selections and partner scans use.
+  const std::vector<RowId>& RowsOf(const Value& value) const;
 
   // ------------------------------------------------------------------
   // Incremental maintenance, driven by the PliCache flush in lockstep
-  // with the partition/index/probe patches.
+  // with the partition patches.
   // ------------------------------------------------------------------
 
-  /// Row `row` was appended carrying `value` (null pointer: the row lacks
-  /// the attribute). Rows must arrive in ascending order, as the flush
-  /// replays them.
-  void ApplyInsert(RowId row, const Value* value);
-
-  /// Row `row` changed to `value` on this attribute (null pointer: the
-  /// attribute was removed — the footnote-3 type-change shape). The old
-  /// code is read off the column itself; fresh values intern append-only.
+  /// Row `row` now carries `value` on this attribute (null pointer: it
+  /// lacks the attribute — an append without it, or the footnote-3
+  /// type-change shape). A row past the end is an append: the column grows,
+  /// rows in between start absent. The old code is read off the column
+  /// itself; fresh values intern append-only.
   void ApplyUpdate(RowId row, const Value* value);
+
+  /// One row's final state in a batched splice: the value it now carries on
+  /// this attribute, or null when it lacks it.
+  struct Move {
+    RowId row;
+    const Value* value;
+  };
+
+  /// Batched ApplyUpdate: grows the column to `num_rows` (appended rows
+  /// start absent), re-codes every moved row, and splices each affected
+  /// bucket in one sorted merge. Returns one Pli::ClusterPatchView per
+  /// affected code whose bucket holds >= 2 rows before or after the splice
+  /// — its pre-splice anchor plus a borrowed span over the spliced bucket —
+  /// which Pli::ApplyBatch consumes to group-apply the same burst to the
+  /// attribute's stripped partition. The views stay valid until the column
+  /// is next modified.
+  std::vector<Pli::ClusterPatchView> ApplyBatch(size_t num_rows,
+                                                const std::vector<Move>& moves);
 
   /// Re-interns when value churn has left the dictionary 2x (plus slack)
   /// larger than its live codes: live values are recoded densely in old-

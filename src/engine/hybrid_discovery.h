@@ -68,11 +68,11 @@ struct PairEvidence {
   }
 };
 
-/// The evidence of one pair: a single merge over the two sorted field
-/// vectors, no hashing, no projection.
+/// The evidence of one pair over Values: a single merge over the two
+/// sorted field vectors. The reference ComparePairCoded is tested against.
 PairEvidence ComparePair(const Tuple& a, const Tuple& b);
 
-/// Coded twin of ComparePair: two array loads and an integer compare per
+/// The sampler's pair compare: two array loads and an integer compare per
 /// attribute instead of a sorted-field merge over Values. `matrix` is a
 /// row-major rows × attrs.size() code matrix (attrs ascending, one cell
 /// per (row, universe attribute), CodeColumn::kMissingCode for absence) —
@@ -81,10 +81,8 @@ PairEvidence ComparePair(const Tuple& a, const Tuple& b);
 /// the universe* — attributes outside it never appear in agree or
 /// presence_diff — which is exactly what CandidateFrontier consumes
 /// (bounds live inside the universe and Apply intersects the agree set
-/// with it), so frontier tightening is identical to the Value path's;
-/// only store dedup granularity and the derived efficiency stats can
-/// shift. Discovery results stay bit-identical either way
-/// (engine_dictionary_test soaks this).
+/// with it), so frontier tightening is identical to ComparePair's; only
+/// store dedup granularity and the derived efficiency stats would shift.
 PairEvidence ComparePairCoded(const CodeColumn::Code* matrix,
                               const std::vector<AttrId>& attrs,
                               CodeColumn::RowId a, CodeColumn::RowId b);
@@ -205,8 +203,7 @@ class ClusterPairSampler {
   const std::vector<Tuple>& rows_;
   std::vector<std::shared_ptr<const Pli>> plis_;  // one per universe attr
   // Row-major rows × universe code matrix, projected once from the cache's
-  // code columns when it runs the coded plane (PliCacheOptions::use_codes);
-  // empty otherwise, and rounds fall back to the Value-merging ComparePair.
+  // code columns.
   std::vector<CodeColumn::Code> code_matrix_;
   std::vector<AttrId> code_attrs_;  // matrix column order (ascending)
   std::vector<size_t> distance_;  // next window per attr

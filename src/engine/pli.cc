@@ -23,39 +23,6 @@ void SortByFirstRow(std::vector<Pli::Cluster>* clusters) {
 
 constexpr size_t kNoIndex = static_cast<size_t>(-1);
 
-// ---------------------------------------------------------------------------
-// kVectors helpers — the historical per-cluster-vector surgery, kept intact
-// as the reference mode's machinery.
-// ---------------------------------------------------------------------------
-
-// The canonical-order insertion point for a cluster fronted by `front`:
-// the single comparator behind every by-front search, so the canonical key
-// lives in one place.
-std::vector<Pli::Cluster>::iterator LowerBoundByFront(
-    std::vector<Pli::Cluster>* clusters, Pli::RowId front) {
-  return std::lower_bound(clusters->begin(), clusters->end(), front,
-                          [](const Pli::Cluster& c, Pli::RowId f) {
-                            return c.front() < f;
-                          });
-}
-
-// Index of the cluster whose front() equals `front`, or kNoIndex.
-size_t FindClusterByFront(std::vector<Pli::Cluster>* clusters,
-                          Pli::RowId front) {
-  auto it = LowerBoundByFront(clusters, front);
-  if (it == clusters->end() || it->front() != front) return kNoIndex;
-  return static_cast<size_t>(it - clusters->begin());
-}
-
-// Moves clusters[index], whose front row changed, back to its canonical
-// position.
-void RepositionCluster(std::vector<Pli::Cluster>* clusters, size_t index) {
-  Pli::Cluster moved = std::move((*clusters)[index]);
-  clusters->erase(clusters->begin() + static_cast<ptrdiff_t>(index));
-  clusters->insert(LowerBoundByFront(clusters, moved.front()),
-                   std::move(moved));
-}
-
 // First element of `agreeing` other than `row` — the front of the cluster
 // the partners currently form. Requires at least one such element.
 Pli::RowId PartnerFront(const Pli::Cluster& agreeing, Pli::RowId row,
@@ -77,7 +44,7 @@ std::ostream& operator<<(std::ostream& os, Pli::ClusterView view) {
 
 // ---------------------------------------------------------------------------
 // Arena primitives: binary search over cluster fronts and canonical-order
-// repositioning by rotation — the flat counterparts of the kVectors helpers.
+// repositioning by rotation.
 // ---------------------------------------------------------------------------
 
 size_t Pli::ArenaLowerBoundByFront(RowId front) const {
@@ -151,10 +118,6 @@ void Pli::AdoptClusters(std::vector<Cluster> clusters) {
   SortByFirstRow(&clusters);
   grouped_rows_ = 0;
   for (const Cluster& c : clusters) grouped_rows_ += c.size();
-  if (storage_ == Storage::kVectors) {
-    vclusters_ = std::move(clusters);
-    return;
-  }
   offsets_.clear();
   offsets_.reserve(clusters.size() + 1);
   offsets_.push_back(0);
@@ -169,9 +132,8 @@ void Pli::AdoptClusters(std::vector<Cluster> clusters) {
   }
 }
 
-Pli Pli::Build(const std::vector<Tuple>& rows, AttrId attr, Storage storage) {
+Pli Pli::Build(const std::vector<Tuple>& rows, AttrId attr) {
   Pli out;
-  out.storage_ = storage;
   out.num_rows_ = rows.size();
   std::unordered_map<Value, Cluster, ValueHash> groups;
   groups.reserve(rows.size());
@@ -190,10 +152,8 @@ Pli Pli::Build(const std::vector<Tuple>& rows, AttrId attr, Storage storage) {
   return out;
 }
 
-Pli Pli::Build(const std::vector<Tuple>& rows, const AttrSet& attrs,
-               Storage storage) {
+Pli Pli::Build(const std::vector<Tuple>& rows, const AttrSet& attrs) {
   Pli out;
-  out.storage_ = storage;
   out.num_rows_ = rows.size();
   std::unordered_map<Tuple, Cluster, TupleHash> groups;
   groups.reserve(rows.size());
@@ -212,9 +172,8 @@ Pli Pli::Build(const std::vector<Tuple>& rows, const AttrSet& attrs,
 }
 
 Pli Pli::BuildFromCodes(const std::vector<uint32_t>& codes,
-                        uint32_t code_bound, Storage storage) {
+                        uint32_t code_bound) {
   Pli out;
-  out.storage_ = storage;
   out.num_rows_ = codes.size();
   // Counting sort. Pass 1 counts carriers per code; pass 2 assigns cluster
   // slots to kept codes (count >= 2) in order of first appearance — rows
@@ -238,19 +197,6 @@ Pli Pli::BuildFromCodes(const std::vector<uint32_t>& codes,
     sizes.push_back(count[c]);
     out.grouped_rows_ += count[c];
   }
-  if (storage == Storage::kVectors) {
-    out.vclusters_.resize(sizes.size());
-    for (size_t k = 0; k < sizes.size(); ++k) {
-      out.vclusters_[k].reserve(sizes[k]);
-    }
-    for (size_t i = 0; i < codes.size(); ++i) {
-      const uint32_t c = codes[i];
-      if (c < code_bound && cluster_of[c] != kUnassigned) {
-        out.vclusters_[cluster_of[c]].push_back(static_cast<RowId>(i));
-      }
-    }
-    return out;
-  }
   out.offsets_.resize(sizes.size() + 1);
   out.offsets_[0] = 0;
   for (size_t k = 0; k < sizes.size(); ++k) {
@@ -272,23 +218,23 @@ PliProbe Pli::BuildProbe() const {
   PliProbe probe;
   probe.labels.assign(num_rows_, kNoCluster);
   const size_t n = num_clusters();
-  probe.label_bound = static_cast<int32_t>(n);
-  probe.label_baseline = probe.label_bound;
+  probe.label_bound = static_cast<uint32_t>(n);
   for (size_t c = 0; c < n; ++c) {
-    for (RowId row : cluster(c)) probe.labels[row] = static_cast<int32_t>(c);
+    for (RowId row : cluster(c)) probe.labels[row] = static_cast<uint32_t>(c);
   }
   return probe;
 }
 
 Pli Pli::Intersect(const Pli& other) const {
-  return IntersectWithProbe(other.BuildProbe());
+  const PliProbe probe = other.BuildProbe();
+  return IntersectWithProbe(probe.labels, probe.label_bound);
 }
 
-Pli Pli::IntersectWithProbe(const PliProbe& probe,
+Pli Pli::IntersectWithProbe(std::span<const uint32_t> labels,
+                            uint32_t label_bound,
                             IntersectScratch* scratch) const {
   FLEXREL_TELEMETRY_COUNT("engine.pli.intersections", 1);
   FLEXREL_TELEMETRY_LATENCY(intersect_timer, "engine.pli.intersect_ns");
-  if (storage_ == Storage::kVectors) return IntersectVectors(probe);
   if (scratch == nullptr) {
     // Per-thread fallback: every discovery worker and evaluator thread gets
     // steady-state zero-allocation intersections without plumbing a scratch
@@ -296,27 +242,31 @@ Pli Pli::IntersectWithProbe(const PliProbe& probe,
     static thread_local IntersectScratch tls_scratch;
     scratch = &tls_scratch;
   }
-  Pli out = IntersectArena(probe, scratch);
+  Pli out = IntersectArena(labels, label_bound, scratch);
   // High-watermark of the per-thread scratch footprint — the steady-state
   // memory an intersection-heavy worker pins.
   FLEXREL_TELEMETRY_GAUGE_MAX(
       "engine.pli.intersect_scratch_bytes",
       scratch->count.capacity() * sizeof(uint32_t) +
           scratch->offset.capacity() * sizeof(uint32_t) +
-          scratch->touched.capacity() * sizeof(int32_t) +
+          scratch->touched.capacity() * sizeof(uint32_t) +
           scratch->emitted.capacity() * sizeof(RowId) +
           scratch->descs.capacity() * sizeof(IntersectScratch::Desc));
   return out;
 }
 
-Pli Pli::IntersectArena(const PliProbe& probe, IntersectScratch* s) const {
+Pli Pli::IntersectArena(std::span<const uint32_t> labels,
+                        uint32_t label_bound, IntersectScratch* s) const {
   Pli out;
-  out.storage_ = Storage::kArena;
   out.num_rows_ = num_rows_;
   out.exact_defined_ = false;
-  // Refine each of our clusters by the other partition's cluster labels.
-  // Rows the other partition dropped (undefined or partnerless there) stay
-  // partnerless in the product and are dropped here too. Refinement is
+  // Refine each of our clusters by the other operand's labels. Rows outside
+  // the label range (undefined there) are dropped, and a label carried by a
+  // single row of the cluster — a stripped singleton, or a code held by one
+  // row only — forms a one-row sub-cluster that is dropped too. The scratch
+  // arrays are sized by the label bound (a code column's whole dictionary,
+  // singletons included) but only ever touched at the cluster rows' labels,
+  // so the per-cluster work stays O(cluster). Refinement is
   // three streaming passes per cluster over the scratch's flat count /
   // offset arrays indexed by label — count, prefix-offset, fill — emitting
   // surviving sub-clusters into the scratch arena with a (front, begin,
@@ -324,7 +274,7 @@ Pli Pli::IntersectArena(const PliProbe& probe, IntersectScratch* s) const {
   // clusters, so canonical order is restored by sorting the descriptors
   // and gathering once into the exact-size output arena — the only
   // allocations of the whole product.
-  const size_t bound = static_cast<size_t>(probe.label_bound);
+  const size_t bound = label_bound;
   if (s->count.size() < bound) s->count.resize(bound, 0);  // stays all-zero
   if (s->offset.size() < bound) s->offset.resize(bound);
   s->touched.clear();
@@ -334,29 +284,35 @@ Pli Pli::IntersectArena(const PliProbe& probe, IntersectScratch* s) const {
     const ClusterView cluster = this->cluster(c);
     s->touched.clear();
     for (RowId row : cluster) {
-      int32_t oc = probe.labels[row];
-      if (oc == kNoCluster) continue;
-      if (s->count[static_cast<size_t>(oc)]++ == 0) s->touched.push_back(oc);
+      const uint32_t oc = labels[row];
+      if (oc >= label_bound) continue;
+      if (s->count[oc]++ == 0) s->touched.push_back(oc);
     }
     const uint32_t base = static_cast<uint32_t>(s->emitted.size());
     uint32_t total = 0;
-    for (int32_t oc : s->touched) {
-      s->offset[static_cast<size_t>(oc)] = total;
-      total += s->count[static_cast<size_t>(oc)];
+    for (uint32_t oc : s->touched) {
+      s->offset[oc] = total;
+      total += s->count[oc];
+    }
+    if (total == s->touched.size()) {
+      // Every label is carried once: no sub-cluster survives. The common
+      // case against a high-cardinality operand, skipped without emitting.
+      for (uint32_t oc : s->touched) s->count[oc] = 0;
+      continue;
     }
     s->emitted.resize(base + total);  // capacity persists across calls
     for (RowId row : cluster) {
-      int32_t oc = probe.labels[row];
-      if (oc == kNoCluster) continue;
-      s->emitted[base + s->offset[static_cast<size_t>(oc)]++] = row;
+      const uint32_t oc = labels[row];
+      if (oc >= label_bound) continue;
+      s->emitted[base + s->offset[oc]++] = row;
     }
-    for (int32_t oc : s->touched) {
-      uint32_t n = s->count[static_cast<size_t>(oc)];
-      uint32_t end = base + s->offset[static_cast<size_t>(oc)];
+    for (uint32_t oc : s->touched) {
+      const uint32_t n = s->count[oc];
+      const uint32_t end = base + s->offset[oc];
       if (n >= 2) {
         s->descs.push_back({s->emitted[end - n], end - n, n});
       }
-      s->count[static_cast<size_t>(oc)] = 0;
+      s->count[oc] = 0;
     }
   }
   std::sort(s->descs.begin(), s->descs.end(),
@@ -379,53 +335,6 @@ Pli Pli::IntersectArena(const PliProbe& probe, IntersectScratch* s) const {
   out.grouped_rows_ = total;
   // Stripped singletons of the operands are unrecoverable here, so the
   // defined-row count degrades to the grouped-row lower bound.
-  out.defined_rows_ = out.grouped_rows_;
-  return out;
-}
-
-Pli Pli::IntersectVectors(const PliProbe& probe) const {
-  // The pre-arena reference body: per-call scratch, one exactly-sized heap
-  // vector per surviving sub-cluster, canonical order restored by sorting
-  // the cluster vectors. Kept verbatim so the reference mode benchmarks the
-  // historical allocation behavior, not a half-migrated one.
-  Pli out;
-  out.storage_ = Storage::kVectors;
-  out.num_rows_ = num_rows_;
-  out.exact_defined_ = false;
-  std::vector<uint32_t> count(static_cast<size_t>(probe.label_bound), 0);
-  std::vector<uint32_t> offset(static_cast<size_t>(probe.label_bound), 0);
-  std::vector<int32_t> touched;
-  std::vector<RowId> arena;
-  std::vector<Cluster> result;
-  for (size_t c = 0; c < num_clusters(); ++c) {
-    const ClusterView cluster = this->cluster(c);
-    touched.clear();
-    for (RowId row : cluster) {
-      int32_t oc = probe.labels[row];
-      if (oc == kNoCluster) continue;
-      if (count[static_cast<size_t>(oc)]++ == 0) touched.push_back(oc);
-    }
-    uint32_t total = 0;
-    for (int32_t oc : touched) {
-      offset[static_cast<size_t>(oc)] = total;
-      total += count[static_cast<size_t>(oc)];
-    }
-    arena.resize(total);  // capacity persists across clusters
-    for (RowId row : cluster) {
-      int32_t oc = probe.labels[row];
-      if (oc == kNoCluster) continue;
-      arena[offset[static_cast<size_t>(oc)]++] = row;
-    }
-    for (int32_t oc : touched) {
-      uint32_t n = count[static_cast<size_t>(oc)];
-      uint32_t end = offset[static_cast<size_t>(oc)];
-      if (n >= 2) {
-        result.emplace_back(arena.begin() + (end - n), arena.begin() + end);
-      }
-      count[static_cast<size_t>(oc)] = 0;
-    }
-  }
-  out.AdoptClusters(std::move(result));
   out.defined_rows_ = out.grouped_rows_;
   return out;
 }
@@ -453,64 +362,44 @@ bool Pli::ApplyInsertCore(RowId row, size_t others, RowId partner_front) {
     // Un-strip the lone partner: a fresh two-row cluster appears.
     const RowId lo = std::min(partner_front, row);
     const RowId hi = std::max(partner_front, row);
-    if (storage_ == Storage::kArena) {
-      if (offsets_.empty()) offsets_.push_back(0);
-      size_t idx = ArenaLowerBoundByFront(lo);
-      if (idx < num_clusters() && arena_[offsets_[idx]] == lo) return false;
-      const uint32_t pos = offsets_[idx];
-      arena_.insert(arena_.begin() + pos, {lo, hi});
-      offsets_.insert(offsets_.begin() + static_cast<ptrdiff_t>(idx), pos);
-      for (size_t j = idx + 1; j < offsets_.size(); ++j) offsets_[j] += 2;
-      sizes_.insert(sizes_.begin() + static_cast<ptrdiff_t>(idx), 2);
-    } else {
-      Cluster fresh = {lo, hi};
-      auto it = LowerBoundByFront(&vclusters_, lo);
-      if (it != vclusters_.end() && it->front() == lo) return false;
-      vclusters_.insert(it, std::move(fresh));
-    }
+    if (offsets_.empty()) offsets_.push_back(0);
+    size_t idx = ArenaLowerBoundByFront(lo);
+    if (idx < num_clusters() && arena_[offsets_[idx]] == lo) return false;
+    const uint32_t pos = offsets_[idx];
+    arena_.insert(arena_.begin() + pos, {lo, hi});
+    offsets_.insert(offsets_.begin() + static_cast<ptrdiff_t>(idx), pos);
+    for (size_t j = idx + 1; j < offsets_.size(); ++j) offsets_[j] += 2;
+    sizes_.insert(sizes_.begin() + static_cast<ptrdiff_t>(idx), 2);
     grouped_rows_ += 2;
   } else if (others >= 2) {
     // The partners already form a cluster; `row` joins it.
-    if (storage_ == Storage::kArena) {
-      size_t idx = ArenaFindClusterByFront(partner_front);
-      if (idx == kNoIndex) return false;
-      if (sizes_[idx] != others) return false;
-      const size_t rank = static_cast<size_t>(
-          std::lower_bound(arena_.begin() + offsets_[idx],
-                           arena_.begin() + offsets_[idx] + sizes_[idx], row) -
-          (arena_.begin() + offsets_[idx]));
-      if (rank < sizes_[idx] && arena_[offsets_[idx] + rank] == row) {
-        return false;
-      }
-      if (sizes_[idx] == offsets_[idx + 1] - offsets_[idx]) {
-        // Slot full: grow it by its own capacity (amortized doubling), so
-        // the O(arena-suffix) memmove happens O(log growth) times per
-        // cluster instead of once per appended row. The new headroom is
-        // dead slack until rows land in it; batched splices compact it
-        // away.
-        const uint32_t grow = offsets_[idx + 1] - offsets_[idx];
-        arena_.insert(arena_.begin() + offsets_[idx + 1], grow, RowId{0});
-        for (size_t j = idx + 1; j < offsets_.size(); ++j) offsets_[j] += grow;
-      }
-      // Shift only this cluster's suffix into the slot's slack — O(cluster).
-      auto pos = arena_.begin() + offsets_[idx] + rank;
-      std::move_backward(pos, arena_.begin() + offsets_[idx] + sizes_[idx],
-                         arena_.begin() + offsets_[idx] + sizes_[idx] + 1);
-      *pos = row;
-      ++sizes_[idx];
-      ++grouped_rows_;
-      if (row < partner_front) ArenaMaybeReposition(idx);
-    } else {
-      size_t index = FindClusterByFront(&vclusters_, partner_front);
-      if (index == kNoIndex) return false;
-      Cluster& cluster = vclusters_[index];
-      if (cluster.size() != others) return false;
-      auto pos = std::lower_bound(cluster.begin(), cluster.end(), row);
-      if (pos != cluster.end() && *pos == row) return false;
-      cluster.insert(pos, row);
-      ++grouped_rows_;
-      if (row < partner_front) RepositionCluster(&vclusters_, index);
+    size_t idx = ArenaFindClusterByFront(partner_front);
+    if (idx == kNoIndex) return false;
+    if (sizes_[idx] != others) return false;
+    const size_t rank = static_cast<size_t>(
+        std::lower_bound(arena_.begin() + offsets_[idx],
+                         arena_.begin() + offsets_[idx] + sizes_[idx], row) -
+        (arena_.begin() + offsets_[idx]));
+    if (rank < sizes_[idx] && arena_[offsets_[idx] + rank] == row) {
+      return false;
     }
+    if (sizes_[idx] == offsets_[idx + 1] - offsets_[idx]) {
+      // Slot full: grow it by its own capacity (amortized doubling), so the
+      // O(arena-suffix) memmove happens O(log growth) times per cluster
+      // instead of once per appended row. The new headroom is dead slack
+      // until rows land in it; batched splices compact it away.
+      const uint32_t grow = offsets_[idx + 1] - offsets_[idx];
+      arena_.insert(arena_.begin() + offsets_[idx + 1], grow, RowId{0});
+      for (size_t j = idx + 1; j < offsets_.size(); ++j) offsets_[j] += grow;
+    }
+    // Shift only this cluster's suffix into the slot's slack — O(cluster).
+    auto pos = arena_.begin() + offsets_[idx] + rank;
+    std::move_backward(pos, arena_.begin() + offsets_[idx] + sizes_[idx],
+                       arena_.begin() + offsets_[idx] + sizes_[idx] + 1);
+    *pos = row;
+    ++sizes_[idx];
+    ++grouped_rows_;
+    if (row < partner_front) ArenaMaybeReposition(idx);
   }
   // others == 0: partnerless — the stripped partition records nothing, and
   // intersection products do not even count the row as defined.
@@ -527,64 +416,45 @@ bool Pli::ApplyErase(RowId row, const Cluster& agreeing, bool includes_row) {
   if (others > 0) {
     RowId partner_front = PartnerFront(agreeing, row, includes_row);
     RowId front = std::min(partner_front, row);
-    if (storage_ == Storage::kArena) {
-      size_t idx = ArenaFindClusterByFront(front);
-      if (idx == kNoIndex) return false;
-      auto first = arena_.begin() + offsets_[idx];
-      auto last = first + sizes_[idx];
-      if (static_cast<size_t>(sizes_[idx]) != others + 1) return false;
-      if (others == 1) {
-        // The partner drops back to a stripped singleton; the cluster
-        // dissolves. The dead slot is absorbed as the neighbor's trailing
-        // slack instead of memmoving the arena suffix closed; batched
-        // splices compact it away.
-        if (*(last - 1) != std::max(partner_front, row)) return false;
-        if (num_clusters() == 1) {
-          arena_.clear();
-          offsets_.clear();
-          sizes_.clear();
-        } else if (idx > 0) {
-          // Merge the dead slot into the previous cluster's slack by
-          // dropping its start boundary.
-          offsets_.erase(offsets_.begin() + static_cast<ptrdiff_t>(idx));
-          sizes_.erase(sizes_.begin() + static_cast<ptrdiff_t>(idx));
-        } else {
-          // First cluster: slide the next cluster's live rows down to the
-          // arena start (a slot's rows must sit at its boundary), then
-          // drop the boundary between them — O(next cluster), not
-          // O(arena).
-          std::move(arena_.begin() + offsets_[1],
-                    arena_.begin() + offsets_[1] + sizes_[1], arena_.begin());
-          offsets_.erase(offsets_.begin() + 1);
-          sizes_.erase(sizes_.begin());
-        }
-        grouped_rows_ -= 2;
+    size_t idx = ArenaFindClusterByFront(front);
+    if (idx == kNoIndex) return false;
+    auto first = arena_.begin() + offsets_[idx];
+    auto last = first + sizes_[idx];
+    if (static_cast<size_t>(sizes_[idx]) != others + 1) return false;
+    if (others == 1) {
+      // The partner drops back to a stripped singleton; the cluster
+      // dissolves. The dead slot is absorbed as the neighbor's trailing
+      // slack instead of memmoving the arena suffix closed; batched splices
+      // compact it away.
+      if (*(last - 1) != std::max(partner_front, row)) return false;
+      if (num_clusters() == 1) {
+        arena_.clear();
+        offsets_.clear();
+        sizes_.clear();
+      } else if (idx > 0) {
+        // Merge the dead slot into the previous cluster's slack by dropping
+        // its start boundary.
+        offsets_.erase(offsets_.begin() + static_cast<ptrdiff_t>(idx));
+        sizes_.erase(sizes_.begin() + static_cast<ptrdiff_t>(idx));
       } else {
-        auto pos = std::lower_bound(first, last, row);
-        if (pos == last || *pos != row) return false;
-        // Close the gap within the slot only; the freed cell becomes
-        // trailing slack.
-        std::move(pos + 1, last, pos);
-        --sizes_[idx];
-        --grouped_rows_;
-        if (row == front) ArenaMaybeReposition(idx);
+        // First cluster: slide the next cluster's live rows down to the
+        // arena start (a slot's rows must sit at its boundary), then drop
+        // the boundary between them — O(next cluster), not O(arena).
+        std::move(arena_.begin() + offsets_[1],
+                  arena_.begin() + offsets_[1] + sizes_[1], arena_.begin());
+        offsets_.erase(offsets_.begin() + 1);
+        sizes_.erase(sizes_.begin());
       }
+      grouped_rows_ -= 2;
     } else {
-      size_t index = FindClusterByFront(&vclusters_, front);
-      if (index == kNoIndex) return false;
-      Cluster& cluster = vclusters_[index];
-      if (cluster.size() != others + 1) return false;
-      if (others == 1) {
-        if (cluster.back() != std::max(partner_front, row)) return false;
-        vclusters_.erase(vclusters_.begin() + static_cast<ptrdiff_t>(index));
-        grouped_rows_ -= 2;
-      } else {
-        auto pos = std::lower_bound(cluster.begin(), cluster.end(), row);
-        if (pos == cluster.end() || *pos != row) return false;
-        cluster.erase(pos);
-        --grouped_rows_;
-        if (row == front) RepositionCluster(&vclusters_, index);
-      }
+      auto pos = std::lower_bound(first, last, row);
+      if (pos == last || *pos != row) return false;
+      // Close the gap within the slot only; the freed cell becomes trailing
+      // slack.
+      std::move(pos + 1, last, pos);
+      --sizes_[idx];
+      --grouped_rows_;
+      if (row == front) ArenaMaybeReposition(idx);
     }
   }
   // others == 0: the row was a stripped singleton.
@@ -596,8 +466,10 @@ bool Pli::ApplyErase(RowId row, const Cluster& agreeing, bool includes_row) {
   return true;
 }
 
-std::vector<Pli::ClusterPatchView> Pli::MakePatchViews(
-    const std::vector<ClusterPatch>& patches) {
+bool Pli::ApplyBatch(const std::vector<ClusterPatch>& patches,
+                     ptrdiff_t defined_delta) {
+  // The arena lands replacement rows by copy either way, so the owning
+  // overload is the borrowing one over views of its own patches.
   std::vector<ClusterPatchView> views;
   views.reserve(patches.size());
   for (const ClusterPatch& p : patches) {
@@ -605,105 +477,24 @@ std::vector<Pli::ClusterPatchView> Pli::MakePatchViews(
                      p.new_rows.empty() ? nullptr : p.new_rows.data(),
                      static_cast<uint32_t>(p.new_rows.size())});
   }
-  return views;
+  return ApplyBatch(views, defined_delta);
 }
 
-bool Pli::ApplyBatch(std::vector<ClusterPatch> patches,
+bool Pli::ApplyBatch(const std::vector<ClusterPatchView>& patches,
                      ptrdiff_t defined_delta) {
-  if (storage_ == Storage::kArena) {
-    // The arena lands replacement rows by copy either way, so the owning
-    // overload is just the borrowing one with views over its own patches —
-    // one body to maintain. Only the kVectors path below keeps the owning
-    // form, for its move-into-slot semantics.
-    return ApplyBatch(MakePatchViews(patches), defined_delta);
-  }
-  // Pass 1: validate and locate every removal against the current
+  // Pass 1 validates and locates every removal against the current
   // structure before mutating anything, so a refusal leaves the partition
-  // untouched.
-  std::vector<size_t> located(patches.size(), kNoIndex);
-  ptrdiff_t grouped_delta = 0;
-  for (size_t p = 0; p < patches.size(); ++p) {
-    const ClusterPatch& patch = patches[p];
-    if (patch.old_size >= 2) {
-      size_t index = FindClusterByFront(&vclusters_, patch.old_front);
-      if (index == kNoIndex || cluster(index).size() != patch.old_size) {
-        return false;
-      }
-      located[p] = index;
-      grouped_delta -= static_cast<ptrdiff_t>(patch.old_size);
-    }
-    if (patch.new_rows.size() >= 2) {
-      grouped_delta += static_cast<ptrdiff_t>(patch.new_rows.size());
-    }
-  }
-  // Pass 2: a replacement that keeps its front row keeps its canonical
-  // position too — move it into its slot (the overwhelmingly common case
-  // for fat clusters, whose lowest row id rarely moves). Only patches that
-  // dissolve, appear, or change front go through the structural merge.
-  std::vector<size_t> removed;
-  std::vector<Cluster> additions;
-  for (size_t p = 0; p < patches.size(); ++p) {
-    ClusterPatch& patch = patches[p];
-    const bool has_new = patch.new_rows.size() >= 2;
-    if (located[p] != kNoIndex && has_new &&
-        patch.new_rows.front() == patch.old_front) {
-      vclusters_[located[p]] = std::move(patch.new_rows);
-    } else {
-      if (located[p] != kNoIndex) removed.push_back(located[p]);
-      if (has_new) additions.push_back(std::move(patch.new_rows));
-    }
-  }
-  if (!removed.empty() || !additions.empty()) {
-    // One sorted merge of the surviving clusters with the additions —
-    // this is what makes a 64-mutation flush one splice instead of 64
-    // cluster surgeries.
-    std::sort(removed.begin(), removed.end());
-    SortByFirstRow(&additions);
-    std::vector<Cluster> merged;
-    merged.reserve(vclusters_.size() + additions.size() - removed.size());
-    size_t next_removed = 0;  // index into `removed`
-    size_t next_add = 0;      // index into `additions`
-    for (size_t c = 0; c < vclusters_.size(); ++c) {
-      if (next_removed < removed.size() && removed[next_removed] == c) {
-        ++next_removed;
-        continue;
-      }
-      while (next_add < additions.size() &&
-             additions[next_add].front() < vclusters_[c].front()) {
-        merged.push_back(std::move(additions[next_add++]));
-      }
-      merged.push_back(std::move(vclusters_[c]));
-    }
-    while (next_add < additions.size()) {
-      merged.push_back(std::move(additions[next_add++]));
-    }
-    vclusters_ = std::move(merged);
-  }
-  grouped_rows_ = static_cast<size_t>(
-      static_cast<ptrdiff_t>(grouped_rows_) + grouped_delta);
-  if (exact_defined_) {
-    defined_rows_ = static_cast<size_t>(
-        static_cast<ptrdiff_t>(defined_rows_) + defined_delta);
-  } else {
-    defined_rows_ = grouped_rows_;
-  }
-  return true;
-}
-
-bool Pli::ApplyBatch(std::vector<ClusterPatchView> patches,
-                     ptrdiff_t defined_delta) {
-  // Mirrors the owning-rows overload above — validate-all-removals first,
-  // in-place swap for size-preserving front-keeping replacements, one
-  // sorted compaction pass for the rest — but the replacement rows are
-  // borrowed spans, so each lands in storage with exactly one copy.
+  // untouched. Pass 2 copies size-preserving front-keeping replacements in
+  // place (the common case for fat clusters, whose lowest row id rarely
+  // moves); everything structural — dissolved, appeared, resized or
+  // re-fronted clusters — lands in one sorted compaction pass, which is
+  // what makes a 64-mutation flush one splice instead of 64 surgeries.
   std::vector<size_t> located(patches.size(), kNoIndex);
   ptrdiff_t grouped_delta = 0;
   for (size_t p = 0; p < patches.size(); ++p) {
     const ClusterPatchView& patch = patches[p];
     if (patch.old_size >= 2) {
-      size_t index = storage_ == Storage::kArena
-                         ? ArenaFindClusterByFront(patch.old_front)
-                         : FindClusterByFront(&vclusters_, patch.old_front);
+      size_t index = ArenaFindClusterByFront(patch.old_front);
       if (index == kNoIndex || cluster(index).size() != patch.old_size) {
         return false;
       }
@@ -722,10 +513,8 @@ bool Pli::ApplyBatch(std::vector<ClusterPatchView> patches,
     const bool keeps_front = located[p] != kNoIndex && has_new &&
                              patch.new_rows[0] == patch.old_front;
     if (keeps_front && patch.new_size == patch.old_size) {
-      RowId* dst = storage_ == Storage::kArena
-                       ? arena_.data() + offsets_[located[p]]
-                       : vclusters_[located[p]].data();
-      std::copy(patch.new_rows, patch.new_rows + patch.new_size, dst);
+      std::copy(patch.new_rows, patch.new_rows + patch.new_size,
+                arena_.data() + offsets_[located[p]]);
     } else {
       if (located[p] != kNoIndex) removed.push_back(located[p]);
       if (has_new) additions.push_back(patch);
@@ -741,68 +530,44 @@ bool Pli::ApplyBatch(std::vector<ClusterPatchView> patches,
     for (const ClusterPatchView& a : additions) add_rows += a.new_size;
     size_t removed_rows = 0;
     for (size_t r : removed) removed_rows += cluster(r).size();
-    if (storage_ == Storage::kArena) {
-      // The merge rebuilds the arena tight (slot capacity == live size for
-      // every cluster), so a batched flush doubles as the compaction point
-      // for the slack the per-row patch primitives accumulate.
-      std::vector<RowId> merged_arena;
-      std::vector<uint32_t> merged_offsets;
-      std::vector<uint32_t> merged_sizes;
-      merged_arena.reserve(grouped_rows_ + add_rows - removed_rows);
-      merged_offsets.reserve(offsets_.size() + additions.size() -
-                             removed.size());
-      merged_sizes.reserve(sizes_.size() + additions.size() - removed.size());
-      merged_offsets.push_back(0);
-      auto append = [&](const RowId* begin, const RowId* end) {
-        merged_arena.insert(merged_arena.end(), begin, end);
-        merged_offsets.push_back(static_cast<uint32_t>(merged_arena.size()));
-        merged_sizes.push_back(static_cast<uint32_t>(end - begin));
-      };
-      size_t next_removed = 0;
-      size_t next_add = 0;
-      for (size_t c = 0; c < num_clusters(); ++c) {
-        if (next_removed < removed.size() && removed[next_removed] == c) {
-          ++next_removed;
-          continue;
-        }
-        const ClusterView view = cluster(c);
-        while (next_add < additions.size() &&
-               additions[next_add].new_rows[0] < view.front()) {
-          const ClusterPatchView& a = additions[next_add++];
-          append(a.new_rows, a.new_rows + a.new_size);
-        }
-        append(view.begin(), view.end());
+    // The merge rebuilds the arena tight (slot capacity == live size for
+    // every cluster), so a batched flush doubles as the compaction point
+    // for the slack the per-row patch primitives accumulate.
+    std::vector<RowId> merged_arena;
+    std::vector<uint32_t> merged_offsets;
+    std::vector<uint32_t> merged_sizes;
+    merged_arena.reserve(grouped_rows_ + add_rows - removed_rows);
+    merged_offsets.reserve(offsets_.size() + additions.size() -
+                           removed.size());
+    merged_sizes.reserve(sizes_.size() + additions.size() - removed.size());
+    merged_offsets.push_back(0);
+    auto append = [&](const RowId* begin, const RowId* end) {
+      merged_arena.insert(merged_arena.end(), begin, end);
+      merged_offsets.push_back(static_cast<uint32_t>(merged_arena.size()));
+      merged_sizes.push_back(static_cast<uint32_t>(end - begin));
+    };
+    size_t next_removed = 0;
+    size_t next_add = 0;
+    for (size_t c = 0; c < num_clusters(); ++c) {
+      if (next_removed < removed.size() && removed[next_removed] == c) {
+        ++next_removed;
+        continue;
       }
-      while (next_add < additions.size()) {
+      const ClusterView view = cluster(c);
+      while (next_add < additions.size() &&
+             additions[next_add].new_rows[0] < view.front()) {
         const ClusterPatchView& a = additions[next_add++];
         append(a.new_rows, a.new_rows + a.new_size);
       }
-      arena_ = std::move(merged_arena);
-      offsets_ = std::move(merged_offsets);
-      sizes_ = std::move(merged_sizes);
-    } else {
-      std::vector<Cluster> merged;
-      merged.reserve(vclusters_.size() + additions.size() - removed.size());
-      size_t next_removed = 0;
-      size_t next_add = 0;
-      for (size_t c = 0; c < vclusters_.size(); ++c) {
-        if (next_removed < removed.size() && removed[next_removed] == c) {
-          ++next_removed;
-          continue;
-        }
-        while (next_add < additions.size() &&
-               additions[next_add].new_rows[0] < vclusters_[c].front()) {
-          const ClusterPatchView& a = additions[next_add++];
-          merged.emplace_back(a.new_rows, a.new_rows + a.new_size);
-        }
-        merged.push_back(std::move(vclusters_[c]));
-      }
-      while (next_add < additions.size()) {
-        const ClusterPatchView& a = additions[next_add++];
-        merged.emplace_back(a.new_rows, a.new_rows + a.new_size);
-      }
-      vclusters_ = std::move(merged);
+      append(view.begin(), view.end());
     }
+    while (next_add < additions.size()) {
+      const ClusterPatchView& a = additions[next_add++];
+      append(a.new_rows, a.new_rows + a.new_size);
+    }
+    arena_ = std::move(merged_arena);
+    offsets_ = std::move(merged_offsets);
+    sizes_ = std::move(merged_sizes);
   }
   grouped_rows_ = static_cast<size_t>(
       static_cast<ptrdiff_t>(grouped_rows_) + grouped_delta);
@@ -817,8 +582,8 @@ bool Pli::ApplyBatch(std::vector<ClusterPatchView> patches,
 
 bool Pli::operator==(const Pli& other) const {
   // Cluster-wise comparison: equality is over the partition's live rows,
-  // never the storage layout, so two arenas with different slack (or an
-  // arena and a vector twin) compare by content.
+  // never the arena layout, so two arenas with different slack compare by
+  // content.
   if (num_rows_ != other.num_rows_) return false;
   const size_t n = num_clusters();
   if (n != other.num_clusters()) return false;
@@ -829,16 +594,9 @@ bool Pli::operator==(const Pli& other) const {
 }
 
 size_t Pli::MemoryBytes() const {
-  size_t bytes = sizeof(Pli);
-  if (storage_ == Storage::kArena) {
-    bytes += arena_.capacity() * sizeof(RowId) +
-             offsets_.capacity() * sizeof(uint32_t) +
-             sizes_.capacity() * sizeof(uint32_t);
-  } else {
-    bytes += vclusters_.capacity() * sizeof(Cluster);
-    for (const Cluster& c : vclusters_) bytes += c.capacity() * sizeof(RowId);
-  }
-  return bytes;
+  return sizeof(Pli) + arena_.capacity() * sizeof(RowId) +
+         offsets_.capacity() * sizeof(uint32_t) +
+         sizes_.capacity() * sizeof(uint32_t);
 }
 
 bool Pli::CheckInvariants(std::string* error) const {
@@ -847,33 +605,28 @@ bool Pli::CheckInvariants(std::string* error) const {
     return false;
   };
   const size_t n = num_clusters();
-  if (storage_ == Storage::kArena) {
-    if (!offsets_.empty() && offsets_.front() != 0) {
-      return fail("arena offsets must start at 0");
+  if (!offsets_.empty() && offsets_.front() != 0) {
+    return fail("arena offsets must start at 0");
+  }
+  if (sizes_.size() != n) {
+    return fail(StrCat("arena sizes count ", sizes_.size(),
+                       " != num_clusters ", n));
+  }
+  for (size_t c = 0; c < n; ++c) {
+    if (offsets_[c + 1] < offsets_[c] + 2) {
+      return fail(StrCat("slot boundaries not monotone with >=2-capacity "
+                         "slots at ",
+                         c, ": ", offsets_[c], " -> ", offsets_[c + 1]));
     }
-    if (sizes_.size() != n) {
-      return fail(StrCat("arena sizes count ", sizes_.size(),
-                         " != num_clusters ", n));
+    if (sizes_[c] > offsets_[c + 1] - offsets_[c]) {
+      return fail(StrCat("cluster ", c, " live size ", sizes_[c],
+                         " exceeds slot capacity ",
+                         offsets_[c + 1] - offsets_[c]));
     }
-    for (size_t c = 0; c < n; ++c) {
-      if (offsets_[c + 1] < offsets_[c] + 2) {
-        return fail(StrCat("slot boundaries not monotone with >=2-capacity "
-                           "slots at ",
-                           c, ": ", offsets_[c], " -> ", offsets_[c + 1]));
-      }
-      if (sizes_[c] > offsets_[c + 1] - offsets_[c]) {
-        return fail(StrCat("cluster ", c, " live size ", sizes_[c],
-                           " exceeds slot capacity ",
-                           offsets_[c + 1] - offsets_[c]));
-      }
-    }
-    if (!offsets_.empty() && offsets_.back() != arena_.size()) {
-      return fail(StrCat("arena size ", arena_.size(),
-                         " != last slot boundary ", offsets_.back()));
-    }
-    if (!vclusters_.empty()) return fail("arena mode carries vector clusters");
-  } else if (!arena_.empty() || !offsets_.empty() || !sizes_.empty()) {
-    return fail("vector mode carries arena storage");
+  }
+  if (!offsets_.empty() && offsets_.back() != arena_.size()) {
+    return fail(StrCat("arena size ", arena_.size(),
+                       " != last slot boundary ", offsets_.back()));
   }
   size_t grouped = 0;
   RowId prev_front = 0;

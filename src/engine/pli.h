@@ -27,15 +27,13 @@
 // insert shifts rows only within its own cluster's slot instead of
 // memmoving the whole arena suffix; a full slot grows by amortized
 // doubling, and batched splices rebuild the arena tight (compaction).
-// The historical vector-of-vectors representation is kept reachable as
-// Storage::kVectors, the reference mode the arena is benchmarked and
-// soak-tested against (PliCacheOptions::arena_storage pins a whole cache).
 
 #ifndef FLEXREL_ENGINE_PLI_H_
 #define FLEXREL_ENGINE_PLI_H_
 
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -44,46 +42,33 @@
 
 namespace flexrel {
 
-/// Inverse view of a partition: row index -> cluster *label*, kNoCluster
-/// (see Pli::kNoCluster) for stripped or undefined rows. Labels of a fresh
-/// Pli::BuildProbe are the canonical cluster indices; incremental probe
-/// maintenance (pli_cache.h) keeps labels *stable* instead of canonical, so
-/// after patches they are merely distinct per cluster and < label_bound.
-/// Intersection only needs distinctness and the bound (it sizes its scratch
-/// arrays by label_bound), which is what makes probes patchable in O(delta)
-/// instead of rebuilt in O(rows).
+/// Inverse view of a partition: row index -> cluster *label*, any label
+/// >= label_bound (Pli::kNoCluster from BuildProbe) for rows outside every
+/// cluster. Intersection needs only that rows agree iff their labels are
+/// equal and below the bound: labels of a fresh BuildProbe are the
+/// canonical cluster indices, and a dictionary code column
+/// (engine/dictionary.h) is a probe as it stands — label = code, bound =
+/// code_bound(), absent rows = kMissingCode. Singleton codes need no
+/// stripping: their sub-clusters have size 1 and drop out of any product.
 struct PliProbe {
-  std::vector<int32_t> labels;
-  int32_t label_bound = 0;  ///< every label is in [0, label_bound)
-  /// label_bound at (re)build time — the dense baseline the cache's bloat
-  /// check measures churn-driven growth against, so a probe that merely
-  /// *looks* sparse (clusters dissolved under it) is not re-dropped right
-  /// after a rebuild (PliCache::MaybeRetireBloatedProbeLocked).
-  int32_t label_baseline = 0;
+  std::vector<uint32_t> labels;
+  uint32_t label_bound = 0;  ///< labels below it name clusters
 };
 
 /// A stripped partition: clusters of row indices, each cluster the rows
 /// agreeing on the partition's attribute set, singleton clusters removed.
 /// Canonical form — rows ascending within a cluster, clusters ordered by
-/// their first row — so equal partitions compare equal (across storage
-/// modes too).
+/// their first row — so equal partitions compare equal.
 class Pli {
  public:
   using RowId = uint32_t;
   using Cluster = std::vector<RowId>;
 
-  /// Cluster storage layout. kArena is the default everywhere; kVectors is
-  /// the pre-arena representation, kept as the cross-validated performance
-  /// and correctness reference.
-  enum class Storage : uint8_t { kArena, kVectors };
-
   /// Marker for rows outside every cluster in PliProbe::labels.
-  static constexpr int32_t kNoCluster = -1;
+  static constexpr uint32_t kNoCluster = UINT32_MAX;
 
   /// A borrowed, read-only span over one cluster's ascending row ids.
-  /// Valid until the owning Pli is mutated or destroyed — exactly the
-  /// lifetime of the reference the vector-of-vectors accessor used to hand
-  /// out.
+  /// Valid until the owning Pli is mutated or destroyed.
   class ClusterView {
    public:
     using value_type = RowId;
@@ -113,8 +98,8 @@ class Pli {
     size_t size_ = 0;
   };
 
-  /// Random-access range of ClusterViews in canonical order, storage
-  /// agnostic — what `for (Pli::ClusterView c : pli.clusters())` iterates.
+  /// Random-access range of ClusterViews in canonical order — what
+  /// `for (Pli::ClusterView c : pli.clusters())` iterates.
   class ClusterRange {
    public:
     class iterator {
@@ -155,7 +140,7 @@ class Pli {
   struct IntersectScratch {
     std::vector<uint32_t> count;
     std::vector<uint32_t> offset;
-    std::vector<int32_t> touched;
+    std::vector<uint32_t> touched;
     std::vector<RowId> emitted;
     struct Desc {
       RowId front;
@@ -168,16 +153,13 @@ class Pli {
   Pli() = default;
 
   /// Partition by a single attribute: clusters rows carrying `attr` by its
-  /// value. The workhorse base case — higher partitions come from
-  /// Intersect.
-  static Pli Build(const std::vector<Tuple>& rows, AttrId attr,
-                   Storage storage = Storage::kArena);
+  /// value, by hashing. The from-scratch oracle for BuildFromCodes.
+  static Pli Build(const std::vector<Tuple>& rows, AttrId attr);
 
   /// Partition by an arbitrary attribute set, built directly by hashing
   /// X-projections. Reference implementation for tests and one-off callers;
   /// the cache assembles the same partition out of single-attribute PLIs.
-  static Pli Build(const std::vector<Tuple>& rows, const AttrSet& attrs,
-                   Storage storage = Storage::kArena);
+  static Pli Build(const std::vector<Tuple>& rows, const AttrSet& attrs);
 
   /// Single-attribute partition from a dictionary code column
   /// (engine/dictionary.h) via counting sort — no Value hashing at all.
@@ -186,22 +168,21 @@ class Pli {
   /// identical to Build(rows, attr) over the decoded values: canonical
   /// cluster order, singletons stripped, defined_rows exact.
   static Pli BuildFromCodes(const std::vector<uint32_t>& codes,
-                            uint32_t code_bound,
-                            Storage storage = Storage::kArena);
+                            uint32_t code_bound);
 
   /// The product partition: clusters of `this` refined by the clusters of
   /// `other`. Equals Build(rows, X ∪ Y) when the operands are the
-  /// partitions by X and Y over the same instance. The product inherits
-  /// this operand's storage mode.
+  /// partitions by X and Y over the same instance.
   Pli Intersect(const Pli& other) const;
 
-  /// Intersect against a precomputed probe (other.BuildProbe(), or the
-  /// cache's incrementally maintained one) — lets a caller that intersects
-  /// many partitions against the same operand skip the O(num_rows) rebuild
-  /// per call. Arena mode refines through `scratch` (thread-local default)
-  /// and allocates only the exact-size output; kVectors keeps the historic
-  /// per-call behavior as the benchmark reference.
-  Pli IntersectWithProbe(const PliProbe& probe,
+  /// Intersect against a precomputed label array (see PliProbe: a
+  /// BuildProbe() result, or a code column's codes with its code_bound())
+  /// — lets a caller that intersects many partitions against the same
+  /// operand skip the O(num_rows) probe build per call. Refines through
+  /// `scratch` (thread-local default, arrays sized by `label_bound`) and
+  /// allocates only the exact-size output.
+  Pli IntersectWithProbe(std::span<const uint32_t> labels,
+                         uint32_t label_bound,
                          IntersectScratch* scratch = nullptr) const;
 
   // ------------------------------------------------------------------
@@ -211,13 +192,13 @@ class Pli {
   // had one (stripped) carrier, the partition does not know *which* row to
   // un-strip. The cache therefore computes the `agreeing` list — the rows
   // currently agreeing with `row` on the partition attributes — from its
-  // unstripped value indexes and hands it down here.
+  // code columns' unstripped buckets and hands it down here.
   // ------------------------------------------------------------------
 
   /// Patches the partition for a row that is (newly) defined on the
   /// partition attributes and agrees with `agreeing` (ascending row ids;
   /// `includes_row` says whether `row` itself appears in the list, which
-  /// lets the cache pass value-index cluster vectors without copying them).
+  /// lets the cache pass code-column buckets without copying them).
   /// Canonical form and the defined_rows semantics (exact for Build
   /// output, grouped-rows lower bound for intersection products) are
   /// preserved. Returns false — leaving the partition untouched — when the
@@ -237,33 +218,25 @@ class Pli {
   /// One replacement in a batched group-apply: the cluster that held
   /// `old_size` rows and was fronted by `old_front` (ignored when
   /// old_size < 2 — a stripped value has no cluster) becomes `new_rows`
-  /// (ascending; dropped when it would be stripped). The cache derives one
-  /// patch per affected *value* from its value indexes, capturing the
-  /// cluster's pre-splice anchor and its post-splice rows.
+  /// (ascending; dropped when it would be stripped). Multi-attribute group
+  /// patches in the cache build these, one per affected cluster.
   struct ClusterPatch {
     RowId old_front = 0;
     size_t old_size = 0;
     Cluster new_rows;
   };
 
-  /// Zero-copy variant: the replacement rows are borrowed (a span into the
-  /// already-spliced value-index cluster) instead of copied. The pointed-to
-  /// rows must stay valid until ApplyBatch returns — the cache consumes a
-  /// splice's views before the next splice can touch them. This is the
-  /// arena fast path: one copy straight from the index into the arena,
-  /// instead of index -> patch -> arena.
+  /// Zero-copy variant: the replacement rows are borrowed (a span into an
+  /// already-spliced code-column bucket, CodeColumn::ApplyBatch) instead of
+  /// copied. The pointed-to rows must stay valid until ApplyBatch returns —
+  /// the cache consumes a splice's views before the next splice can touch
+  /// them, so each replacement lands with one copy, bucket -> arena.
   struct ClusterPatchView {
     RowId old_front = 0;
     size_t old_size = 0;
     const RowId* new_rows = nullptr;  ///< null iff new_size == 0
     uint32_t new_size = 0;
   };
-
-  /// Views over owning patches — the one place the span-extraction (and
-  /// its null-iff-empty convention) lives. The patches must outlive the
-  /// returned views.
-  static std::vector<ClusterPatchView> MakePatchViews(
-      const std::vector<ClusterPatch>& patches);
 
   /// Batched counterpart of ApplyInsert/ApplyErase: applies every patch in
   /// one pass — removals are validated first (front + size must match, so a
@@ -276,12 +249,11 @@ class Pli {
   /// grouped-rows lower bound). Returns false — a true no-op — when any
   /// removal contradicts the current cluster structure; the cache then
   /// drops the partition for a lazy rebuild.
-  bool ApplyBatch(std::vector<ClusterPatch> patches, ptrdiff_t defined_delta);
+  bool ApplyBatch(const std::vector<ClusterPatchView>& patches,
+                  ptrdiff_t defined_delta);
 
-  /// The borrowed-rows counterpart (same semantics, same refusal contract):
-  /// replacements are copied exactly once, from the views into this
-  /// partition's storage.
-  bool ApplyBatch(std::vector<ClusterPatchView> patches,
+  /// The owning-rows counterpart (same semantics, same refusal contract).
+  bool ApplyBatch(const std::vector<ClusterPatch>& patches,
                   ptrdiff_t defined_delta);
 
   /// Row-count bookkeeping for appends: BuildProbe sizing and operator==
@@ -294,23 +266,16 @@ class Pli {
   /// preserve the mode.
   bool exact_defined() const { return exact_defined_; }
 
-  Storage storage() const { return storage_; }
-
   /// The i-th cluster in canonical order, as a borrowed span. Live rows
   /// sit at the front of the cluster's arena slot; trailing slack (if any)
   /// is never exposed.
   ClusterView cluster(size_t i) const {
-    if (storage_ == Storage::kArena) {
-      return ClusterView(arena_.data() + offsets_[i], sizes_[i]);
-    }
-    return ClusterView(vclusters_[i].data(), vclusters_[i].size());
+    return ClusterView(arena_.data() + offsets_[i], sizes_[i]);
   }
 
   ClusterRange clusters() const { return ClusterRange(this); }
   size_t num_clusters() const {
-    return storage_ == Storage::kArena
-               ? (offsets_.empty() ? 0 : offsets_.size() - 1)
-               : vclusters_.size();
+    return offsets_.empty() ? 0 : offsets_.size() - 1;
   }
 
   /// Number of rows of the underlying instance (cluster ids index into it).
@@ -339,26 +304,23 @@ class Pli {
   /// Arena slots not currently holding a live row (dead headroom from
   /// per-cluster slack growth and dissolved clusters). Always 0 right
   /// after a build or a batched splice — ApplyBatch rebuilds tight — and
-  /// bounded between them by the amortized-doubling growth policy. 0 in
-  /// kVectors mode. Exposed for tests and the memory accounting bench.
-  size_t ArenaSlackRows() const {
-    return storage_ == Storage::kArena ? arena_.size() - grouped_rows_ : 0;
-  }
+  /// bounded between them by the amortized-doubling growth policy.
+  /// Exposed for tests and the memory accounting bench.
+  size_t ArenaSlackRows() const { return arena_.size() - grouped_rows_; }
 
   /// Inverse mapping with canonical labels (label == cluster index,
   /// label_bound == num_clusters). O(num_rows).
   PliProbe BuildProbe() const;
 
-  /// Approximate heap footprint — reported by bench_pli and the input to a
-  /// future byte-budgeted cache eviction policy (the cache currently bounds
-  /// entry count only; see ROADMAP).
+  /// Approximate heap footprint — reported by bench_pli and charged by the
+  /// cache's byte-budget accounting (PliCacheOptions::memory_budget_bytes).
   size_t MemoryBytes() const;
 
   /// Structural self-check for tests and debugging: monotone arena slot
   /// boundaries with every slot's live size in [2, capacity], arena size
   /// == last boundary, rows strictly ascending within clusters and
   /// < num_rows, canonical cluster order, and defined_rows consistent with
-  /// grouped_rows for the storage's defined mode. On failure fills `error`
+  /// grouped_rows for the partition's defined mode. On failure fills `error`
   /// (when non-null) and returns false.
   bool CheckInvariants(std::string* error = nullptr) const;
 
@@ -366,31 +328,29 @@ class Pli {
   bool operator!=(const Pli& other) const { return !(*this == other); }
 
  private:
-  /// Takes ownership of freshly built clusters (any order, each >= 2 rows,
-  /// rows ascending), canonicalizes, and stores them in `storage_` layout.
+  /// Takes freshly built clusters (any order, each >= 2 rows, rows
+  /// ascending), canonicalizes, and lays them out in the arena.
   void AdoptClusters(std::vector<Cluster> clusters);
 
   /// Shared patch body: `others` partners, their cluster fronted by
   /// `partner_front` (ignored when others == 0).
   bool ApplyInsertCore(RowId row, size_t others, RowId partner_front);
 
-  /// The two storage-specific refinement bodies behind IntersectWithProbe.
-  Pli IntersectArena(const PliProbe& probe, IntersectScratch* scratch) const;
-  Pli IntersectVectors(const PliProbe& probe) const;
+  /// The refinement body behind IntersectWithProbe.
+  Pli IntersectArena(std::span<const uint32_t> labels, uint32_t label_bound,
+                     IntersectScratch* scratch) const;
 
-  // Arena primitives (storage_ == kArena; see pli.cc).
+  // Arena primitives (see pli.cc).
   size_t ArenaLowerBoundByFront(RowId front) const;
   size_t ArenaFindClusterByFront(RowId front) const;
   void ArenaRepositionCluster(size_t index, size_t target);
   void ArenaMaybeReposition(size_t index);
 
-  Storage storage_ = Storage::kArena;
-  std::vector<RowId> arena_;       // kArena: cluster slots (rows + slack)
-  std::vector<uint32_t> offsets_;  // kArena: num_clusters + 1 monotone slot
+  std::vector<RowId> arena_;       // cluster slots (rows + slack)
+  std::vector<uint32_t> offsets_;  // num_clusters + 1 monotone slot
                                    // boundaries; slot i capacity is
                                    // offsets_[i+1] - offsets_[i]
-  std::vector<uint32_t> sizes_;    // kArena: live rows in slot i (<= cap)
-  std::vector<Cluster> vclusters_;  // kVectors: the historical layout
+  std::vector<uint32_t> sizes_;    // live rows in slot i (<= capacity)
   size_t num_rows_ = 0;
   size_t grouped_rows_ = 0;
   size_t defined_rows_ = 0;

@@ -13,44 +13,17 @@ namespace flexrel {
 
 namespace {
 
-const Pli::Cluster kEmptyCluster;
-
-// The value's current cluster in the index, or the shared empty cluster.
-const Pli::Cluster& ClusterOf(const PliCache::ValueIndex& index,
-                              const Value& value) {
-  auto it = index.find(value);
-  return it == index.end() ? kEmptyCluster : it->second;
-}
-
-// One scan of the instance into a fresh value index — the single builder
-// behind both the read path (IndexFor) and the flush paths
-// (EnsureIndexLocked). No reserve: the map holds one entry per *distinct*
-// value, and typical indexed attributes (the bench's jobtype shape) have
-// few of those.
-std::shared_ptr<PliCache::ValueIndex> BuildValueIndex(
-    const std::vector<Tuple>& rows, AttrId attr) {
-  auto index = std::make_shared<PliCache::ValueIndex>();
-  for (size_t i = 0; i < rows.size(); ++i) {
-    if (const Value* v = rows[i].Get(attr)) {
-      (*index)[*v].push_back(static_cast<Pli::RowId>(i));
-    }
-  }
-  return index;
-}
-
 // Once the pending buffer holds this many raw deltas, the hooks coalesce it
 // in place (first delta per row wins — exactly what the flush would keep),
 // bounding the buffer by the number of touched rows even when a mutation
 // storm runs without interleaved reads.
 constexpr size_t kPendingCompactThreshold = 4096;
 
-// Flat bookkeeping charges for the memory-budget accounting sweep: rough
-// per-map-entry overhead (hash slot, future/control block, LRU node,
-// snapshot-table mirror) and per-Value payload estimate. The budget is
-// advisory — these keep the estimate honest without sizeof-walking every
-// node type.
+// Flat bookkeeping charge per map entry for the memory-budget accounting
+// sweep: hash slot, future/control block, LRU node, snapshot-table mirror.
+// The budget is advisory — this keeps the estimate honest without
+// sizeof-walking every node type.
 constexpr size_t kPerEntryOverhead = 160;
-constexpr size_t kPerValueEstimate = 48;
 
 // An already-fulfilled slot: what a COW clone (and nothing else) installs —
 // the original future's builder protocol already ran to completion.
@@ -62,145 +35,6 @@ std::shared_future<std::shared_ptr<Pli>> ReadyFuture(std::shared_ptr<Pli> p) {
 
 }  // namespace
 
-void ValueIndexApplyInsert(PliCache::ValueIndex* index, Pli::RowId row,
-                           const Value* value) {
-  if (value == nullptr) return;  // the row does not carry the attribute
-  std::vector<Pli::RowId>& cluster = (*index)[*value];
-  if (cluster.empty() || cluster.back() < row) {
-    cluster.push_back(row);  // appends (the common case) stay O(1)
-  } else {
-    cluster.insert(std::lower_bound(cluster.begin(), cluster.end(), row),
-                   row);
-  }
-}
-
-void ValueIndexApplyUpdate(PliCache::ValueIndex* index, Pli::RowId row,
-                           const Value* old_value, const Value* new_value) {
-  if (old_value != nullptr) {
-    auto it = index->find(*old_value);
-    if (it != index->end()) {
-      std::vector<Pli::RowId>& cluster = it->second;
-      auto pos = std::lower_bound(cluster.begin(), cluster.end(), row);
-      if (pos != cluster.end() && *pos == row) cluster.erase(pos);
-      // Emptied values disappear, as in a from-scratch build.
-      if (cluster.empty()) index->erase(it);
-    }
-  }
-  ValueIndexApplyInsert(index, row, new_value);
-}
-
-namespace {
-
-// The one splice body behind every batched value-index application. Groups
-// the burst by value (the rows leaving and joining each one — sorting these
-// small lists once is what lets every affected cluster be spliced in a
-// single merge pass), rebuilds each affected cluster by one merge of
-// (current \ erases) with the inserts, and reports every affected value to
-// `capture(old_front, old_size, stored)` — `stored` pointing at the
-// cluster now living in the index, or null when the value emptied out.
-template <typename CaptureFn>
-void SpliceValueIndex(PliCache::ValueIndex* index,
-                      const std::vector<ValueIndexDelta>& deltas,
-                      CaptureFn&& capture) {
-  std::unordered_map<Value, std::pair<Pli::Cluster, Pli::Cluster>, ValueHash>
-      moves;  // value -> (erased rows, inserted rows)
-  for (const ValueIndexDelta& d : deltas) {
-    if (d.old_value != nullptr && d.new_value != nullptr &&
-        *d.old_value == *d.new_value) {
-      continue;  // no movement on this attribute
-    }
-    if (d.old_value != nullptr) moves[*d.old_value].first.push_back(d.row);
-    if (d.new_value != nullptr) moves[*d.new_value].second.push_back(d.row);
-  }
-  for (auto& [value, move] : moves) {
-    auto& [erases, inserts] = move;
-    std::sort(erases.begin(), erases.end());
-    std::sort(inserts.begin(), inserts.end());
-    auto it = index->find(value);
-    const Pli::Cluster& current =
-        it != index->end() ? it->second : kEmptyCluster;
-    const Pli::RowId old_front = current.empty() ? 0 : current.front();
-    const size_t old_size = current.size();
-    Pli::Cluster next;
-    next.reserve(current.size() + inserts.size());
-    size_t e = 0, ins = 0;
-    for (Pli::RowId r : current) {
-      if (e < erases.size() && erases[e] == r) {
-        ++e;
-        continue;
-      }
-      while (ins < inserts.size() && inserts[ins] < r) {
-        next.push_back(inserts[ins++]);
-      }
-      next.push_back(r);
-    }
-    while (ins < inserts.size()) next.push_back(inserts[ins++]);
-    const Pli::Cluster* stored = nullptr;
-    if (next.empty()) {
-      if (it != index->end()) index->erase(it);
-    } else if (it != index->end()) {
-      it->second = std::move(next);
-      stored = &it->second;
-    } else {
-      stored = &index->emplace(value, std::move(next)).first->second;
-    }
-    capture(old_front, old_size, stored);
-  }
-}
-
-}  // namespace
-
-std::vector<Pli::ClusterPatch> ValueIndexApplyUpdateBatch(
-    PliCache::ValueIndex* index, const std::vector<ValueIndexDelta>& deltas,
-    bool capture) {
-  std::vector<Pli::ClusterPatch> patches;
-  SpliceValueIndex(
-      index, deltas,
-      [&](Pli::RowId old_front, size_t old_size, const Pli::Cluster* stored) {
-        // Values stripped before and after the splice never surface in the
-        // partition; skip their no-op patches. The copy into the patch is
-        // what the partition group-apply consumes; callers with no
-        // partition to patch skip it.
-        if (!capture) return;
-        const size_t new_size = stored == nullptr ? 0 : stored->size();
-        if (old_size < 2 && new_size < 2) return;
-        Pli::ClusterPatch patch;
-        patch.old_front = old_front;
-        patch.old_size = old_size;
-        if (stored != nullptr) patch.new_rows = *stored;
-        patches.push_back(std::move(patch));
-      });
-  return patches;
-}
-
-std::vector<Pli::ClusterPatchView> ValueIndexApplyUpdateBatchViews(
-    PliCache::ValueIndex* index, const std::vector<ValueIndexDelta>& deltas) {
-  std::vector<Pli::ClusterPatchView> views;
-  SpliceValueIndex(
-      index, deltas,
-      [&](Pli::RowId old_front, size_t old_size, const Pli::Cluster* stored) {
-        const size_t new_size = stored == nullptr ? 0 : stored->size();
-        if (old_size < 2 && new_size < 2) return;
-        views.push_back({old_front, old_size,
-                         stored == nullptr ? nullptr : stored->data(),
-                         static_cast<uint32_t>(new_size)});
-      });
-  return views;
-}
-
-std::vector<Pli::ClusterPatch> ValueIndexApplyInsertBatch(
-    PliCache::ValueIndex* index,
-    const std::vector<std::pair<Pli::RowId, const Value*>>& inserts,
-    bool capture) {
-  std::vector<ValueIndexDelta> deltas;
-  deltas.reserve(inserts.size());
-  for (const auto& [row, value] : inserts) {
-    if (value == nullptr) continue;  // the row does not carry the attribute
-    deltas.push_back({row, nullptr, value});
-  }
-  return ValueIndexApplyUpdateBatch(index, deltas, capture);
-}
-
 PliCache::PliCache(const std::vector<Tuple>* rows)
     : PliCache(rows, Options()) {}
 
@@ -210,7 +44,7 @@ PliCache::PliCache(const std::vector<Tuple>* rows, Options options)
       pending_compact_at_(kPendingCompactThreshold) {}
 
 std::shared_ptr<const Pli> PliCache::Get(const AttrSet& attrs) {
-  // Nested lookups (BuildFor's prefix recursion, ProbeFor) each count —
+  // Nested lookups (BuildFor's prefix recursion) each count —
   // every Get() bumps exactly one of hits/misses, so the telemetry
   // identity hits + misses == lookups holds at any quiescent point.
   FLEXREL_TELEMETRY_COUNT("engine.pli_cache.lookups", 1);
@@ -313,227 +147,24 @@ PliCache::PliPtr PliCache::BuildFor(const AttrSet& attrs) {
   // failure) unwinds through Get's un-poisoning catch, so the next request
   // rebuilds instead of inheriting a stale error.
   FLEXREL_FAULT_INJECT("pli_cache.build");
-  if (attrs.size() == 1 && options_.use_codes) {
-    // Counting sort over the attribute's dictionary code column when one
-    // exists: the column hashes each value exactly once across its
-    // lifetime (built on the first CodeColumnFor, then patched in lockstep
-    // with the partitions), so partition (re)builds skip the per-row Value
-    // hashing entirely. Probe-only on purpose — materializing a column
-    // just to build one partition would cost more than the hash build it
-    // replaces (the per-code buckets are the price), so a cold cache stays
-    // at hash-build parity with the value-keyed oracle.
-    std::shared_ptr<const CodeColumn> column =
-        ExistingCodeColumn(attrs.ids().front());
-    if (column != nullptr) {
-      return std::make_shared<Pli>(Pli::BuildFromCodes(
-          column->codes(), column->code_bound(), PartitionStorage()));
-    }
+  if (attrs.empty()) return std::make_shared<Pli>(Pli::Build(*rows_, attrs));
+  // X = prefix ∪ {last}. The last attribute's column is the input either
+  // way: a single-attribute partition is a counting sort over it (the
+  // column hashes each value once in its lifetime, so partition rebuilds
+  // never hash at all), and a product refines the cached prefix partition
+  // (the more refined operand, hence the outer one) by its code array.
+  const AttrId last = attrs.ids().back();
+  std::shared_ptr<const CodeColumn> column = CodeColumnFor(last);
+  if (attrs.size() == 1) {
+    return std::make_shared<Pli>(
+        Pli::BuildFromCodes(column->codes(), column->code_bound()));
   }
-  if (attrs.size() <= 1) {
-    Pli built =
-        attrs.empty()
-            ? Pli::Build(*rows_, attrs, PartitionStorage())
-            : Pli::Build(*rows_, attrs.ids().front(), PartitionStorage());
-    return std::make_shared<Pli>(std::move(built));
-  }
-  // X = prefix ∪ {last}: intersect the cached prefix partition (the more
-  // refined operand, hence the outer one) with the last attribute's,
-  // through that attribute's memoized (and incrementally maintained) probe.
-  AttrId last = attrs.ids().back();
-  AttrSet prefix = attrs.Minus(AttrSet::Of(last));
-  std::shared_ptr<const Pli> left = Get(prefix);
-  std::shared_ptr<const PliProbe> probe = ProbeFor(last);
-  return std::make_shared<Pli>(left->IntersectWithProbe(*probe));
-}
-
-std::shared_ptr<const PliProbe> PliCache::ProbeFor(AttrId attr) {
-  if (options_.cow_reads) {
-    std::shared_ptr<const PliProbe> hit = WithSnapshot(
-        [&](const Snapshot* snap) -> std::shared_ptr<const PliProbe> {
-          if (snap == nullptr) return nullptr;
-          auto it = snap->probes.find(attr);
-          return it == snap->probes.end() ? nullptr : it->second;
-        });
-    if (hit != nullptr) return hit;
-  } else {
-    FLEXREL_TELEMETRY_COUNT("engine.pli_cache.reader_lock_waits", 1);
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    FlushPendingLocked();
-    auto it = probes_.find(attr);
-    if (it != probes_.end()) return it->second;
-  }
-  std::shared_ptr<const Pli> pli = Get(AttrSet::Of(attr));
-  auto probe = std::make_shared<PliProbe>(pli->BuildProbe());
-  std::lock_guard<std::mutex> lock(mu_);
-  // Racing builders compute identical tables; first insert wins.
-  std::shared_ptr<const PliProbe> memo =
-      probes_.emplace(attr, std::move(probe)).first->second;
-  if (options_.cow_reads) PublishLocked(/*flush_publish=*/false);
-  return memo;
-}
-
-// ---------------------------------------------------------------------------
-// Incremental probe maintenance: O(delta) label patches in lockstep with the
-// cluster patches, instead of the old memo-drop + O(rows) rebuild per flush.
-// ---------------------------------------------------------------------------
-
-void PliCache::DropProbeLocked(AttrId attr) {
-  if (probes_.erase(attr) > 0) ++probe_rebuilds_;
-}
-
-void PliCache::MaybeRetireBloatedProbeLocked(AttrId attr, const Pli& pli) {
-  auto it = probes_.find(attr);
-  if (it == probes_.end()) return;
-  const PliProbe& probe = *it->second;
-  // Density check: the label space sizes every IntersectWithProbe scratch
-  // allocation, so once it dwarfs the live clusters the memo is worth an
-  // O(rows) dense rebuild.
-  if (static_cast<size_t>(probe.label_bound) <= 2 * pli.num_clusters() + 64) {
-    return;
-  }
-  // Hysteresis: mass stripping dissolves clusters *under* the bound (labels
-  // retire, the bound doesn't shrink), so even a freshly rebuilt probe can
-  // sit past the density check the moment the cluster count moves — and
-  // without a baseline, every flush would re-trip it and pay the rebuild
-  // again. A rebuild resets the baseline (BuildProbe); re-drop only after
-  // the bound has bloated again from that reset baseline.
-  if (probe.label_bound <= 2 * probe.label_baseline + 64) return;
-  DropProbeLocked(attr);
-}
-
-void PliCache::ProbePatchInsertLocked(AttrId attr, Pli::RowId row,
-                                      const Pli::Cluster& partners) {
-  auto it = probes_.find(attr);
-  if (it == probes_.end()) return;
-  PliProbe* probe = it->second.get();
-  if (partners.empty()) {
-    probe->labels[row] = Pli::kNoCluster;  // stays stripped
-  } else if (partners.size() == 1) {
-    // Un-strip: the fresh two-row cluster takes a fresh stable label. A
-    // partner already carrying one contradicts the memo.
-    if (probe->labels[partners.front()] != Pli::kNoCluster) {
-      DropProbeLocked(attr);
-      return;
-    }
-    const int32_t label = probe->label_bound++;
-    probe->labels[partners.front()] = label;
-    probe->labels[row] = label;
-  } else {
-    const int32_t label = probe->labels[partners.front()];
-    if (label == Pli::kNoCluster) {  // contradicts the memo; rebuild lazily
-      DropProbeLocked(attr);
-      return;
-    }
-    probe->labels[row] = label;
-  }
-  ++probe_patches_;
-}
-
-void PliCache::ProbePatchEraseLocked(AttrId attr, Pli::RowId row,
-                                     const Pli::Cluster& partners) {
-  auto it = probes_.find(attr);
-  if (it == probes_.end()) return;
-  PliProbe* probe = it->second.get();
-  probe->labels[row] = Pli::kNoCluster;
-  if (partners.size() == 1) {
-    // The cluster dissolves; its label is simply retired.
-    probe->labels[partners.front()] = Pli::kNoCluster;
-  }
-  ++probe_patches_;
-}
-
-void PliCache::ProbePatchBatchLocked(
-    AttrId attr, const std::vector<ValueIndexDelta>& deltas,
-    const std::vector<Pli::ClusterPatchView>& patches) {
-  auto it = probes_.find(attr);
-  if (it == probes_.end()) return;
-  PliProbe* probe = it->second.get();
-  // Pre-read every replaced cluster's label off its pre-splice front: the
-  // movers' labels are cleared next, and a front may itself be a mover.
-  std::vector<int32_t> labels(patches.size(), Pli::kNoCluster);
-  for (size_t p = 0; p < patches.size(); ++p) {
-    if (patches[p].old_size >= 2) {
-      labels[p] = probe->labels[patches[p].old_front];
-      if (labels[p] == Pli::kNoCluster) {  // contradicts the memo
-        DropProbeLocked(attr);
-        return;
-      }
-    }
-  }
-  for (const ValueIndexDelta& d : deltas) {
-    if (d.old_value != nullptr && d.new_value != nullptr &&
-        *d.old_value == *d.new_value) {
-      continue;  // no movement on this attribute
-    }
-    probe->labels[d.row] = Pli::kNoCluster;
-  }
-  for (size_t p = 0; p < patches.size(); ++p) {
-    const Pli::ClusterPatchView& patch = patches[p];
-    if (patch.new_size >= 2) {
-      const int32_t label = labels[p] != Pli::kNoCluster
-                                ? labels[p]
-                                : probe->label_bound++;
-      // O(cluster) writes — the same rows the splice itself just touched;
-      // stayers get their own label rewritten, which is idempotent.
-      for (uint32_t i = 0; i < patch.new_size; ++i) {
-        probe->labels[patch.new_rows[i]] = label;
-      }
-    } else if (patch.new_size == 1) {
-      probe->labels[patch.new_rows[0]] = Pli::kNoCluster;  // re-stripped
-    }
-  }
-  ++probe_patches_;
-}
-
-std::shared_ptr<const PliCache::ValueIndex> PliCache::IndexFor(AttrId attr) {
-  if (options_.cow_reads) {
-    std::shared_ptr<const ValueIndex> hit = WithSnapshot(
-        [&](const Snapshot* snap) -> std::shared_ptr<const ValueIndex> {
-          if (snap == nullptr) return nullptr;
-          auto it = snap->indexes.find(attr);
-          return it == snap->indexes.end() ? nullptr : it->second;
-        });
-    if (hit != nullptr) return hit;
-  } else {
-    FLEXREL_TELEMETRY_COUNT("engine.pli_cache.reader_lock_waits", 1);
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    FlushPendingLocked();
-    auto it = value_indexes_.find(attr);
-    if (it != value_indexes_.end()) return it->second;
-  }
-  // Build outside the lock — an O(rows) scan must not stall concurrent
-  // Get()s. Only the flush paths (which already hold mu_ and need the
-  // fresh-build signal) go through EnsureIndexLocked.
-  std::shared_ptr<ValueIndex> index = BuildValueIndex(*rows_, attr);
-  std::lock_guard<std::mutex> lock(mu_);
-  // Racing builders compute identical indexes; first insert wins.
-  std::shared_ptr<const ValueIndex> memo =
-      value_indexes_.emplace(attr, std::move(index)).first->second;
-  if (options_.cow_reads) PublishLocked(/*flush_publish=*/false);
-  return memo;
-}
-
-std::shared_ptr<const CodeColumn> PliCache::ExistingCodeColumn(AttrId attr) {
-  if (!options_.use_codes) return nullptr;
-  if (options_.cow_reads) {
-    return WithSnapshot(
-        [&](const Snapshot* snap) -> std::shared_ptr<const CodeColumn> {
-          if (snap == nullptr) return nullptr;
-          auto it = snap->columns.find(attr);
-          return it == snap->columns.end() ? nullptr : it->second;
-        });
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = code_columns_.find(attr);
-  return it == code_columns_.end() ? nullptr : it->second;
+  std::shared_ptr<const Pli> left = Get(attrs.Minus(AttrSet::Of(last)));
+  return std::make_shared<Pli>(
+      left->IntersectWithProbe(column->codes(), column->code_bound()));
 }
 
 std::shared_ptr<const CodeColumn> PliCache::CodeColumnFor(AttrId attr) {
-  if (!options_.use_codes) return nullptr;  // Value-keyed oracle mode
   if (options_.cow_reads) {
     std::shared_ptr<const CodeColumn> hit = WithSnapshot(
         [&](const Snapshot* snap) -> std::shared_ptr<const CodeColumn> {
@@ -551,8 +182,9 @@ std::shared_ptr<const CodeColumn> PliCache::CodeColumnFor(AttrId attr) {
     auto it = code_columns_.find(attr);
     if (it != code_columns_.end()) return it->second;
   }
-  // Build outside the lock, like the value indexes: one O(rows) intern
-  // pass — the only time this attribute's values are ever hashed.
+  // Build outside the lock — an O(rows) intern pass must not stall
+  // concurrent Get()s, and it is the only time this attribute's values are
+  // ever hashed.
   auto column = std::make_shared<CodeColumn>(CodeColumn::Build(*rows_, attr));
   std::lock_guard<std::mutex> lock(mu_);
   // Racing builders compute identical columns; first insert wins.
@@ -562,26 +194,22 @@ std::shared_ptr<const CodeColumn> PliCache::CodeColumnFor(AttrId attr) {
   return memo;
 }
 
-PliCache::PartnerScan PliCache::AgreeingRowsLocked(const AttrSet& attrs,
-                                                   const Tuple& proj,
-                                                   Pli::RowId exclude_row,
-                                                   Pli::Cluster* out,
-                                                   size_t* scan_budget) {
+bool PliCache::AgreeingRowsLocked(const AttrSet& attrs, const Tuple& proj,
+                                  Pli::RowId exclude_row, Pli::Cluster* out,
+                                  size_t* scan_budget) {
   out->clear();
   // The partners are exactly the k-way intersection of the attributes'
-  // value clusters: pure sorted-integer work against the indexes' current
+  // code buckets: pure sorted-integer work against the columns' current
   // state (mid-flush the row vector is already ahead of the structures,
   // so touching tuples here would observe not-yet-applied states).
   std::vector<const Pli::Cluster*> lists;
   lists.reserve(attrs.size());
   for (AttrId a : attrs) {
-    auto idx_it = value_indexes_.find(a);
-    if (idx_it == value_indexes_.end()) return PartnerScan::kNoIndex;
-    auto it = idx_it->second->find(*proj.Get(a));
-    if (it == idx_it->second->end()) {
-      return PartnerScan::kOk;  // value unseen -> no partners
-    }
-    lists.push_back(&it->second);
+    auto column = code_columns_.find(a);
+    if (column == code_columns_.end()) return false;  // defensive: pinned
+    const Pli::Cluster& rows = column->second->RowsOf(*proj.Get(a));
+    if (rows.empty()) return true;  // value uncarried -> no partners
+    lists.push_back(&rows);
   }
   std::sort(lists.begin(), lists.end(),
             [](const Pli::Cluster* a, const Pli::Cluster* b) {
@@ -590,14 +218,14 @@ PliCache::PartnerScan PliCache::AgreeingRowsLocked(const AttrSet& attrs,
   const Pli::Cluster* seed = lists.front();
   // Patch vs rebuild: a seed cluster spanning most of the instance — or a
   // burst whose cumulative scans overdraw the budget — costs more than one
-  // probe-table pass over the patched sub-partitions; tell the caller to
+  // intersection pass over the patched sub-partitions; tell the caller to
   // drop and re-intersect instead.
   if (seed->size() >
       std::max(options_.patch_scan_limit, rows_->size() / 2)) {
-    return PartnerScan::kTooBig;
+    return false;
   }
   if (scan_budget != nullptr) {
-    if (seed->size() > *scan_budget) return PartnerScan::kTooBig;
+    if (seed->size() > *scan_budget) return false;
     *scan_budget -= seed->size();
   }
   out->reserve(seed->size());
@@ -625,14 +253,11 @@ PliCache::PartnerScan PliCache::AgreeingRowsLocked(const AttrSet& attrs,
     }
     out->resize(kept);
   }
-  return PartnerScan::kOk;
+  return true;
 }
 
 PliCache::EntryMap::iterator PliCache::DropEntryLocked(
     EntryMap::iterator it) {
-  // A probe mirrors its single-attribute partition; dropping the partition
-  // for a lazy rebuild leaves the memo describing nothing — retire it too.
-  if (it->first.size() == 1) DropProbeLocked(it->first.ids().front());
   if (it->second.evictable) lru_.erase(it->second.lru_pos);
   return entries_.erase(it);
 }
@@ -765,7 +390,7 @@ void PliCache::FlushPendingLocked() {
   // e.g. a row moved away and back between two queries, or re-valued to
   // what it already held.
   size_t insert_count = 0;
-  AttrSet changed;  // attributes whose partitions/indexes/probes may shift
+  AttrSet changed;  // attributes whose partitions/columns may shift
   for (NetDelta& d : net) {
     const Tuple& now = (*rows_)[d.row];
     if (d.is_insert) {
@@ -816,7 +441,7 @@ void PliCache::FlushPendingLocked() {
     return;
   }
   // Failure atomicity: everything from the clone to the last patch arm
-  // allocates (successor copies, splices, lazily built indexes), and a
+  // allocates (successor copies, splices, interned values), and a
   // throw mid-patch would otherwise leave live structures half-patched.
   // The recovery is the strong guarantee at cache granularity: drop every
   // cached structure (the row vector is the source of truth; reads rebuild
@@ -831,22 +456,6 @@ void PliCache::FlushPendingLocked() {
     // frozen for their readers and the swap at the end is the only point
     // new state becomes visible.
     if (options_.cow_reads) CloneForCowLocked(changed, insert_count > 0);
-    // Probe memos are patched in place by both flush arms below (in
-    // lockstep with the cluster patches, via the ProbePatch*Locked
-    // helpers); inserts only need the label arrays grown — new rows start
-    // clusterless.
-    if (insert_count > 0) {
-      for (auto& [attr, probe] : probes_) {
-        (void)attr;
-        probe->labels.resize(rows_->size(), Pli::kNoCluster);
-      }
-    }
-    // Both patch paths consult value indexes for partner sets and splices;
-    // any missing one is built once and rewound to the pre-batch state.
-    EnsureFlushIndexesLocked(net, changed);
-    // The code columns ride the same burst: O(1)-ish integer work per
-    // delta per pinned column, on either arm below.
-    PatchCodeColumnsLocked(net, changed, insert_count > 0);
     FLEXREL_FAULT_INJECT("pli_cache.flush.patch");
     if (b < options_.batch_threshold) {
       FLEXREL_TELEMETRY_COUNT("engine.pli_cache.flush.per_row", 1);
@@ -871,6 +480,12 @@ void PliCache::FlushPendingLocked() {
             " drop_at:" + std::to_string(drop_at));
       }
       BatchApplyLocked(net, changed, insert_count);
+    }
+    // Re-interning recodes a column, so it waits until both arms are done
+    // reading partners off the codes; only the columns this flush patched
+    // (and, in COW mode, cloned) are checked.
+    for (auto& [attr, column] : code_columns_) {
+      if (insert_count > 0 || changed.Contains(attr)) column->MaybeReintern();
     }
     FLEXREL_FAULT_INJECT("pli_cache.flush.publish");
   } catch (...) {
@@ -907,14 +522,6 @@ void PliCache::CloneForCowLocked(const AttrSet& changed, bool has_inserts) {
     if (entry.future.wait_for(0s) != std::future_status::ready) continue;
     entry.future = ReadyFuture(std::make_shared<Pli>(*entry.future.get()));
   }
-  for (auto& [attr, probe] : probes_) {
-    if (!has_inserts && !changed.Contains(attr)) continue;
-    probe = std::make_shared<PliProbe>(*probe);
-  }
-  for (auto& [attr, index] : value_indexes_) {
-    if (!changed.Contains(attr)) continue;
-    index = std::make_shared<ValueIndex>(*index);
-  }
   for (auto& [attr, column] : code_columns_) {
     // Inserts grow every column's code vector, not just changed attrs.
     if (!has_inserts && !changed.Contains(attr)) continue;
@@ -930,12 +537,6 @@ void PliCache::PublishLocked(bool flush_publish) {
     // In-flight builds join the table on their own post-build refresh.
     if (entry.future.wait_for(0s) != std::future_status::ready) continue;
     snap->plis.emplace(attrs, entry.future.get());
-  }
-  snap->probes.reserve(probes_.size());
-  for (const auto& [attr, probe] : probes_) snap->probes.emplace(attr, probe);
-  snap->indexes.reserve(value_indexes_.size());
-  for (const auto& [attr, index] : value_indexes_) {
-    snap->indexes.emplace(attr, index);
   }
   snap->columns.reserve(code_columns_.size());
   for (const auto& [attr, column] : code_columns_) {
@@ -963,72 +564,21 @@ void PliCache::PublishLocked(bool flush_publish) {
   snapshot_cur_.store(spare);
 }
 
-void PliCache::EnsureFlushIndexesLocked(const std::vector<NetDelta>& net,
-                                        const AttrSet& changed) {
-  for (const auto& [attrs, entry] : entries_) {
-    (void)entry;
-    if (attrs.empty() || !attrs.Intersects(changed)) continue;
-    for (AttrId a : attrs) {
-      if (value_indexes_.count(a) > 0) continue;  // dedups repeat visits too
-      ValueIndex* index =
-          value_indexes_.emplace(a, BuildValueIndex(*rows_, a))
-              .first->second.get();
-      // The fresh index reflects the final rows; rewind the buffered burst
-      // — the deltas reversed, final state -> first recorded old state,
-      // inserts removed entirely — so it describes the instance the cached
-      // partitions still represent. One splice, no capture.
-      std::vector<ValueIndexDelta> rewind;
-      rewind.reserve(net.size());
-      for (const NetDelta& d : net) {
-        const Value* final_v = (*rows_)[d.row].Get(a);
-        const Value* old_v = d.is_insert ? nullptr : d.old_row->Get(a);
-        if (final_v == nullptr && old_v == nullptr) continue;
-        if (final_v != nullptr && old_v != nullptr && *final_v == *old_v) {
-          continue;
-        }
-        rewind.push_back({d.row, final_v, old_v});
-      }
-      ValueIndexApplyUpdateBatch(index, rewind, /*capture=*/false);
-    }
-  }
-}
-
 void PliCache::DropAllLocked() {
   entries_.clear();
   lru_.clear();
-  value_indexes_.clear();
-  probes_.clear();
-  // Columns drop with everything else: past the drop threshold, per-row
-  // bucket surgery on every pinned column costs more than the one intern
-  // scan a lazy rebuild pays (exactly the value indexes' tradeoff).
+  // Columns drop with everything else: past the drop threshold, bucket
+  // surgery on every pinned column costs more than the one intern scan a
+  // lazy rebuild pays.
   code_columns_.clear();
   ++full_drops_;
-}
-
-void PliCache::PatchCodeColumnsLocked(const std::vector<NetDelta>& net,
-                                      const AttrSet& changed,
-                                      bool has_inserts) {
-  if (code_columns_.empty()) return;
-  for (auto& [attr, column] : code_columns_) {
-    const bool affected = changed.Contains(attr);
-    if (!has_inserts && !affected) continue;
-    for (const NetDelta& d : net) {
-      if (d.is_insert) {
-        // Net preserves append order, so insert rows arrive ascending.
-        column->ApplyInsert(d.row, (*rows_)[d.row].Get(attr));
-      } else if (affected && d.changed_attrs.Contains(attr)) {
-        column->ApplyUpdate(d.row, (*rows_)[d.row].Get(attr));
-      }
-    }
-    column->MaybeReintern();
-  }
 }
 
 void PliCache::ReplayInsertLocked(Pli::RowId row) {
   const Tuple& t = (*rows_)[row];
   PatchEntriesLocked(
       [&](const AttrSet& attrs, Pli* pli) -> PatchResult {
-        pli->SetNumRows(rows_->size());  // probe tables must cover the row
+        pli->SetNumRows(rows_->size());  // row-count bookkeeping
         bool ok;
         if (attrs.empty()) {
           // The ∅-partition holds every row in one cluster; the fast path
@@ -1038,23 +588,18 @@ void PliCache::ReplayInsertLocked(Pli::RowId row) {
           return PatchResult::kPatched;  // the row stays out of scope, but
                                          // the row count above was patched
         } else if (attrs.size() == 1) {
-          AttrId a = attrs.ids().front();
-          auto it = value_indexes_.find(a);
-          if (it == value_indexes_.end()) return PatchResult::kRebuild;
-          // The index still describes the pre-insert instance (it is
-          // patched only further down), so the cluster is pure partners.
-          const Pli::Cluster& partners = ClusterOf(*it->second, *t.Get(a));
-          ok = pli->ApplyInsert(row, partners, /*includes_row=*/false);
-          if (ok) {
-            ProbePatchInsertLocked(a, row, partners);
-            MaybeRetireBloatedProbeLocked(a, *pli);
-          }
+          auto column = code_columns_.find(attrs.ids().front());
+          if (column == code_columns_.end()) return PatchResult::kRebuild;
+          // The column still describes the pre-insert instance (it takes
+          // the row only further down), so the bucket is pure partners.
+          ok = pli->ApplyInsert(
+              row, column->second->RowsOf(*t.Get(attrs.ids().front())),
+              /*includes_row=*/false);
         } else {
           // An oversized partner scan means re-intersecting the patched
           // sub-partitions is cheaper: fail the patch to drop the entry.
           Pli::Cluster partners;
-          if (AgreeingRowsLocked(attrs, t, row, &partners, nullptr) !=
-              PartnerScan::kOk) {
+          if (!AgreeingRowsLocked(attrs, t, row, &partners, nullptr)) {
             return PatchResult::kRebuild;
           }
           ok = pli->ApplyInsert(row, partners, /*includes_row=*/false);
@@ -1062,13 +607,13 @@ void PliCache::ReplayInsertLocked(Pli::RowId row) {
         return ok ? PatchResult::kPatched : PatchResult::kRebuild;
       },
       &patches_);
-  // Patch the value indexes last — they are the partner source above and
-  // must describe the pre-insert instance while partitions are patched.
-  for (auto& [attr, index] : value_indexes_) {
-    if (const Value* v = t.Get(attr)) {
-      ValueIndexApplyInsert(index.get(), row, v);
-      ++patches_;
-    }
+  // Patch the columns last — they are the partner source above and must
+  // describe the pre-insert instance while partitions are patched. Every
+  // column grows by the row, carried or not.
+  for (auto& [attr, column] : code_columns_) {
+    const Value* v = t.Get(attr);
+    column->ApplyUpdate(row, v);
+    if (v != nullptr) ++patches_;
   }
 }
 
@@ -1080,12 +625,11 @@ void PliCache::ReplayUpdateLocked(Pli::RowId row, const Tuple& old_row,
   const Tuple& new_row = (*rows_)[row];
   if (changed.empty()) return;
 
-  // Detach the row from the old-value clusters first, so the indexes list
-  // exactly the row's potential partners.
+  // Detach the row from its old codes first, so the buckets list exactly
+  // the row's potential partners.
   for (AttrId a : changed) {
-    auto it = value_indexes_.find(a);
-    if (it == value_indexes_.end()) continue;
-    ValueIndexApplyUpdate(it->second.get(), row, old_row.Get(a), nullptr);
+    auto it = code_columns_.find(a);
+    if (it != code_columns_.end()) it->second->ApplyUpdate(row, nullptr);
   }
   PatchEntriesLocked(
       [&](const AttrSet& attrs, Pli* pli) -> PatchResult {
@@ -1095,35 +639,31 @@ void PliCache::ReplayUpdateLocked(Pli::RowId row, const Tuple& old_row,
         bool ok = true;
         if (attrs.size() == 1) {
           AttrId a = attrs.ids().front();
-          auto it = value_indexes_.find(a);
-          if (it == value_indexes_.end()) return PatchResult::kRebuild;
-          ValueIndex* index = it->second.get();
+          auto it = code_columns_.find(a);
+          if (it == code_columns_.end()) return PatchResult::kRebuild;
+          const CodeColumn& column = *it->second;
           if (const Value* old_v = old_row.Get(a)) {
-            // The index already excludes `row` from the old cluster here.
-            const Pli::Cluster& partners = ClusterOf(*index, *old_v);
-            ok = pli->ApplyErase(row, partners, /*includes_row=*/false);
-            if (ok) ProbePatchEraseLocked(a, row, partners);
+            ok = pli->ApplyErase(row, column.RowsOf(*old_v),
+                                 /*includes_row=*/false);
           }
           if (ok) {
             if (const Value* new_v = new_row.Get(a)) {
-              const Pli::Cluster& partners = ClusterOf(*index, *new_v);
-              ok = pli->ApplyInsert(row, partners, /*includes_row=*/false);
-              if (ok) ProbePatchInsertLocked(a, row, partners);
+              ok = pli->ApplyInsert(row, column.RowsOf(*new_v),
+                                    /*includes_row=*/false);
             }
           }
-          if (ok) MaybeRetireBloatedProbeLocked(a, *pli);
         } else {
           Pli::Cluster partners;
           if (old_row.DefinedOn(attrs)) {
-            if (AgreeingRowsLocked(attrs, old_row, row, &partners,
-                                   nullptr) != PartnerScan::kOk) {
+            if (!AgreeingRowsLocked(attrs, old_row, row, &partners,
+                                    nullptr)) {
               return PatchResult::kRebuild;
             }
             ok = pli->ApplyErase(row, partners, /*includes_row=*/false);
           }
           if (ok && new_row.DefinedOn(attrs)) {
-            if (AgreeingRowsLocked(attrs, new_row, row, &partners,
-                                   nullptr) != PartnerScan::kOk) {
+            if (!AgreeingRowsLocked(attrs, new_row, row, &partners,
+                                    nullptr)) {
               return PatchResult::kRebuild;
             }
             ok = pli->ApplyInsert(row, partners, /*includes_row=*/false);
@@ -1132,12 +672,12 @@ void PliCache::ReplayUpdateLocked(Pli::RowId row, const Tuple& old_row,
         return ok ? PatchResult::kPatched : PatchResult::kRebuild;
       },
       &patches_);
-  // Attach the row under its new values last.
+  // Attach the row under its new codes last.
   for (AttrId a : changed) {
-    auto it = value_indexes_.find(a);
-    if (it == value_indexes_.end()) continue;
+    auto it = code_columns_.find(a);
+    if (it == code_columns_.end()) continue;
     if (const Value* new_v = new_row.Get(a)) {
-      ValueIndexApplyInsert(it->second.get(), row, new_v);
+      it->second->ApplyUpdate(row, new_v);
       ++patches_;
     }
   }
@@ -1145,18 +685,16 @@ void PliCache::ReplayUpdateLocked(Pli::RowId row, const Tuple& old_row,
 
 size_t PliCache::EstimateMultiPatchScanLocked(
     const AttrSet& attrs, const std::vector<NetDelta>& net) {
-  // Σ of the seed-cluster sizes both phases would scan (post-state seeds
-  // approximated by the pre-splice clusters — a burst barely moves them).
+  // Σ of the seed-bucket sizes both phases would scan (post-state seeds
+  // approximated by the pre-splice buckets — a burst barely moves them).
   // Comparing this against the instance size is the entry's patch-vs-drop
   // call: the re-intersection a drop defers costs one O(rows) pass.
   auto seed_size = [&](const Tuple& proj) -> size_t {
     size_t seed = SIZE_MAX;
     for (AttrId a : attrs) {
-      auto idx_it = value_indexes_.find(a);
-      if (idx_it == value_indexes_.end()) return 0;
-      auto it = idx_it->second->find(*proj.Get(a));
-      if (it == idx_it->second->end()) return 0;  // unseen -> empty scan
-      seed = std::min(seed, it->second.size());
+      auto column = code_columns_.find(a);
+      if (column == code_columns_.end()) return 0;
+      seed = std::min(seed, column->second->RowsOf(*proj.Get(a)).size());
     }
     return seed;
   };
@@ -1201,8 +739,7 @@ bool PliCache::MultiAttrGroupPatchLocked(const AttrSet& attrs, Pli* pli,
   std::unordered_map<Pli::RowId, Pli::ClusterPatch> by_front;
   Pli::Cluster partners;
   for (const auto& [row, proj] : moving) {
-    if (AgreeingRowsLocked(attrs, *proj, row, &partners, scan_budget) !=
-        PartnerScan::kOk) {
+    if (!AgreeingRowsLocked(attrs, *proj, row, &partners, scan_budget)) {
       return false;
     }
     Pli::Cluster full = partners;  // ∪ {row}, ascending
@@ -1254,9 +791,11 @@ void PliCache::BatchApplyLocked(const std::vector<NetDelta>& net,
                                 const AttrSet& changed, size_t insert_count) {
   using namespace std::chrono_literals;
   const size_t b = net.size();
-  // Per-attribute movement lists. The Value pointers reach into rows_ and
-  // into the pending buffer's old tuples, both stable for the flush.
-  std::unordered_map<AttrId, std::vector<ValueIndexDelta>> per_attr;
+  // Per-attribute moves: each row's final value on every attribute an
+  // insert carries or an update changed (null when removed). The Value
+  // pointers reach into rows_, stable for the flush; the old side is read
+  // off the columns themselves.
+  std::unordered_map<AttrId, std::vector<CodeColumn::Move>> per_attr;
   std::vector<Pli::RowId> inserted_rows;
   inserted_rows.reserve(insert_count);
   for (const NetDelta& d : net) {
@@ -1264,11 +803,11 @@ void PliCache::BatchApplyLocked(const std::vector<NetDelta>& net,
     if (d.is_insert) {
       inserted_rows.push_back(d.row);
       for (const auto& [attr, value] : now.fields()) {
-        per_attr[attr].push_back({d.row, nullptr, &value});
+        per_attr[attr].push_back({d.row, &value});
       }
     } else {
       for (AttrId a : d.changed_attrs) {
-        per_attr[a].push_back({d.row, d.old_row->Get(a), now.Get(a)});
+        per_attr[a].push_back({d.row, now.Get(a)});
       }
     }
   }
@@ -1276,9 +815,9 @@ void PliCache::BatchApplyLocked(const std::vector<NetDelta>& net,
 
   // Classify the cached partitions. Multi-attribute entries whose cluster
   // count the burst saturates are dropped for lazy re-intersection from
-  // the patched bases (one probe-table pass beats 2b seed scans then);
+  // the patched bases (one intersection pass beats 2b seed scans then);
   // sparser bursts keep the entry and group-patch it in two phases around
-  // the index splice. This is the burst-size-vs-cluster-count arm of the
+  // the column splice. This is the burst-size-vs-cluster-count arm of the
   // adaptive policy.
   struct Work {
     AttrSet attrs;
@@ -1289,7 +828,7 @@ void PliCache::BatchApplyLocked(const std::vector<NetDelta>& net,
     size_t scan_budget = 0;
   };
   std::vector<Work> multi;
-  std::vector<Work> single;
+  std::unordered_map<AttrId, Pli*> single;
   Pli* empty_pli = nullptr;
   for (auto it = entries_.begin(); it != entries_.end();) {
     if (it->second.future.wait_for(0s) != std::future_status::ready) {
@@ -1304,7 +843,7 @@ void PliCache::BatchApplyLocked(const std::vector<NetDelta>& net,
       empty_pli = pli;
     } else if (attrs.Intersects(changed)) {
       if (attrs.size() == 1) {
-        single.push_back({attrs, pli});
+        single.emplace(attrs.ids().front(), pli);
       } else if (2 * b >= pli->NumDistinct() ||
                  EstimateMultiPatchScanLocked(attrs, net) >=
                      rows_->size() / 2) {
@@ -1322,7 +861,7 @@ void PliCache::BatchApplyLocked(const std::vector<NetDelta>& net,
 
   std::vector<AttrSet> failed;
   // Phase A: detach the leaving rows from the kept multi-attribute
-  // entries, partner sets scanned off the still pre-batch indexes.
+  // entries, partner sets scanned off the still pre-batch columns.
   for (Work& w : multi) {
     if (!MultiAttrGroupPatchLocked(w.attrs, w.pli, net, /*erase=*/true,
                                    &w.scan_budget)) {
@@ -1330,76 +869,36 @@ void PliCache::BatchApplyLocked(const std::vector<NetDelta>& net,
       failed.push_back(w.attrs);
     }
   }
-  // Splice the value indexes — every affected cluster rebuilt in one
-  // sorted merge — capturing the per-value replacements only for the
-  // attributes whose cached single-attribute partition will group-apply
-  // them (an index pinned solely for selections pays no capture at all).
-  // Arena-backed partitions take the zero-copy route: the splice hands out
-  // borrowed views into the spliced clusters and ApplyBatch copies each
-  // replacement straight into the arena. The vector-of-vectors reference
-  // keeps the historical owning-patch path. Either way the captured
-  // replacements drive the probe's label patch — one pass over exactly the
-  // rows the splice moved.
-  std::unordered_set<AttrId> single_attrs;
-  single_attrs.reserve(single.size());
-  for (const Work& w : single) single_attrs.insert(w.attrs.ids().front());
-  const bool arena = options_.arena_storage;
-  std::unordered_map<AttrId, std::vector<Pli::ClusterPatch>> cluster_patches;
-  std::unordered_map<AttrId, std::vector<Pli::ClusterPatchView>>
-      cluster_patch_views;
-  std::unordered_map<AttrId, ptrdiff_t> defined_deltas;
-  for (auto& [attr, deltas] : per_attr) {
-    auto it = value_indexes_.find(attr);
-    if (it == value_indexes_.end()) continue;  // nothing cached consults it
-    if (single_attrs.count(attr) == 0) {
-      ValueIndexApplyUpdateBatch(it->second.get(), deltas,
-                                 /*capture=*/false);
+  // Splice the columns — every affected bucket rebuilt in one sorted
+  // merge; inserts grow every column, carried or not — and group-apply each
+  // cached single-attribute partition from its column's cluster
+  // replacements: views into the spliced buckets, so ApplyBatch copies
+  // each replacement straight into the arena.
+  const std::vector<CodeColumn::Move> no_moves;
+  for (auto& [attr, column] : code_columns_) {
+    auto moves = per_attr.find(attr);
+    if (moves == per_attr.end() && insert_count == 0) continue;
+    const size_t defined_before = column->defined();
+    std::vector<Pli::ClusterPatchView> views = column->ApplyBatch(
+        rows_->size(), moves == per_attr.end() ? no_moves : moves->second);
+    ++batch_applies_;
+    auto it = single.find(attr);
+    if (it == single.end()) continue;
+    const ptrdiff_t defined_delta =
+        static_cast<ptrdiff_t>(column->defined()) -
+        static_cast<ptrdiff_t>(defined_before);
+    if (it->second->ApplyBatch(views, defined_delta)) {
       ++batch_applies_;
-      continue;
-    }
-    if (arena) {
-      std::vector<Pli::ClusterPatchView> views =
-          ValueIndexApplyUpdateBatchViews(it->second.get(), deltas);
-      ++batch_applies_;
-      ProbePatchBatchLocked(attr, deltas, views);
-      cluster_patch_views[attr] = std::move(views);
     } else {
-      std::vector<Pli::ClusterPatch> patches =
-          ValueIndexApplyUpdateBatch(it->second.get(), deltas,
-                                     /*capture=*/true);
-      ++batch_applies_;
-      ProbePatchBatchLocked(attr, deltas, Pli::MakePatchViews(patches));
-      cluster_patches[attr] = std::move(patches);
+      failed.push_back(AttrSet::Of(attr));
     }
-    ptrdiff_t dd = 0;
-    for (const ValueIndexDelta& d : deltas) {
-      dd += (d.new_value != nullptr ? 1 : 0) -
-            (d.old_value != nullptr ? 1 : 0);
-    }
-    defined_deltas[attr] = dd;
+    single.erase(it);
   }
-  for (Work& w : single) {
-    AttrId a = w.attrs.ids().front();
-    bool applied = false;
-    if (arena) {
-      auto cp = cluster_patch_views.find(a);
-      applied = cp != cluster_patch_views.end() &&
-                w.pli->ApplyBatch(std::move(cp->second), defined_deltas[a]);
-    } else {
-      auto cp = cluster_patches.find(a);
-      applied = cp != cluster_patches.end() &&
-                w.pli->ApplyBatch(std::move(cp->second), defined_deltas[a]);
-    }
-    if (!applied) {
-      failed.push_back(w.attrs);
-    } else {
-      ++batch_applies_;
-      MaybeRetireBloatedProbeLocked(a, *w.pli);
-    }
-  }
+  // Defensive: a single-attribute entry always has its column pinned.
+  for (const auto& [attr, pli] : single) failed.push_back(AttrSet::Of(attr));
   // Phase B: attach the joining rows. The scans run after the splice, so
-  // they see every row's final cluster position — the stayers anchor the
-  // cluster lookups.
+  // they see every row's final bucket — the stayers anchor the cluster
+  // lookups.
   for (Work& w : multi) {
     if (!w.alive) continue;
     if (!MultiAttrGroupPatchLocked(w.attrs, w.pli, net, /*erase=*/false,
@@ -1493,33 +992,14 @@ void PliCache::AccountMemoryLocked() {
     if (entry.future.wait_for(0s) != std::future_status::ready) continue;
     plis += entry.future.get()->MemoryBytes() + kPerEntryOverhead;
   }
-  size_t probes = 0;
-  for (const auto& [attr, probe] : probes_) {
-    (void)attr;
-    probes += probe->labels.capacity() * sizeof(int32_t) + kPerEntryOverhead;
-  }
-  size_t indexes = 0;
-  for (const auto& [attr, index] : value_indexes_) {
-    (void)attr;
-    indexes += kPerEntryOverhead;
-    for (const auto& [value, rows] : *index) {
-      (void)value;
-      indexes += sizeof(Value) + kPerValueEstimate +
-                 rows.capacity() * sizeof(Pli::RowId);
-    }
-  }
   size_t columns = 0;
   for (const auto& [attr, column] : code_columns_) {
     (void)attr;
     columns += column->MemoryBytes() + kPerEntryOverhead;
   }
   bytes_plis_ = plis;
-  bytes_probes_ = probes;
-  bytes_indexes_ = indexes;
   bytes_columns_ = columns;
   FLEXREL_TELEMETRY_GAUGE_SET("engine.cache.bytes_plis", plis);
-  FLEXREL_TELEMETRY_GAUGE_SET("engine.cache.bytes_probes", probes);
-  FLEXREL_TELEMETRY_GAUGE_SET("engine.cache.bytes_indexes", indexes);
   FLEXREL_TELEMETRY_GAUGE_SET("engine.cache.bytes_columns", columns);
 }
 
@@ -1534,15 +1014,11 @@ PliCache::StatsSnapshot PliCache::Stats() const {
   s.patch_rebuilds = patch_rebuilds_;
   s.batch_applies = batch_applies_;
   s.full_drops = full_drops_;
-  s.probe_patches = probe_patches_;
-  s.probe_rebuilds = probe_rebuilds_;
   s.pending_deltas = pending_.size();
   s.flushes = flushes_;
   s.publishes = publishes_;
   s.epoch = epoch_;
   s.bytes_plis = bytes_plis_;
-  s.bytes_probes = bytes_probes_;
-  s.bytes_indexes = bytes_indexes_;
   s.bytes_columns = bytes_columns_;
   s.budget_evictions = budget_evictions_;
   s.uncached_serves = uncached_serves_;

@@ -1,77 +1,79 @@
-// An LRU-bounded cache of stripped partitions keyed by attribute set.
+// An LRU-bounded cache of stripped partitions keyed by attribute set, built
+// on one dictionary code column per attribute.
 //
 // Level-wise discovery asks for the partition of every candidate
 // determinant; naively each request re-hashes the instance. The cache
 // instead builds the partition of X = {a1 < ... < ak} as
-//     Get({a1..a(k-1)}) ∩ Get({ak}),
-// recursing down to single-attribute partitions, which are built from the
-// rows once and pinned. Because candidates of one lattice level share
-// (k-1)-prefixes, almost every multi-attribute request reduces to a single
-// integer-valued Intersect over already cached operands.
+//     Get({a1..a(k-1)}) ∩ column(ak),
+// recursing down to single-attribute partitions. The base of everything is
+// the per-attribute CodeColumn (engine/dictionary.h), the cache's only
+// maintained per-attribute structure: a single-attribute partition is a
+// counting sort over it (Pli::BuildFromCodes), its code array is the probe
+// every product refines by (label = code — singleton codes drop out of a
+// product on their own), and its code -> ascending rows buckets are the
+// unstripped partner lists incremental maintenance consults. Columns and
+// single-attribute partitions are pinned; because candidates of one lattice
+// level share (k-1)-prefixes, almost every multi-attribute request reduces
+// to a single integer-valued intersection over already cached operands.
+// Invariant: every attribute of a cached partition has a pinned column (the
+// builds fetch them; only the drop-everything paths drop columns, and they
+// drop the partitions with them).
 //
-// Mutations: the cache is no longer bound to an immutable instance. When
-// the underlying row vector changes, the owner reports the change through
+// Mutations: the cache is not bound to an immutable instance. When the
+// underlying row vector changes, the owner reports the change through
 // OnInsert/OnUpdate (or their batch forms), which *buffer* the delta; the
-// next read (Get/IndexFor — that includes every evaluator and validator
-// access) flushes the pending buffer with a three-way policy decided by
-// the net burst size b (PliCacheOptions::{batch_threshold,
+// next read (Get/CodeColumnFor — that includes every evaluator and
+// validator access) flushes the pending buffer with a three-way policy
+// decided by the net burst size b (PliCacheOptions::{batch_threshold,
 // drop_threshold}):
 //
-//   - b < batch_threshold: per-row patching, the PR 3 path — only the
-//     clusters the mutated row leaves or joins are touched, O(cluster)
-//     integer work per cached structure per row.
+//   - b < batch_threshold: per-row patching — only the clusters the mutated
+//     row leaves or joins are touched, O(cluster) integer work per cached
+//     structure per row.
 //   - batch_threshold <= b < max(drop_threshold, rows/2): batched apply —
-//     deltas are grouped by attribute and value, each affected value-index
-//     cluster is spliced in one sorted pass
-//     (ValueIndexApplyInsertBatch/ValueIndexApplyUpdateBatch), the
-//     captured per-value cluster replacements group-apply to the
-//     single-attribute partitions (Pli::ApplyBatch), and affected
-//     multi-attribute partitions are dropped for lazy re-intersection from
-//     the batch-patched bases. A 64-mutation burst costs one splice
-//     instead of 64 cluster surgeries.
-//   - b >= max(drop_threshold, rows/2): everything (value indexes
-//     included) is dropped for lazy from-scratch rebuilds — the burst is
-//     so large that one deferred rebuild beats any patching.
+//     deltas are grouped by attribute, each affected code bucket is spliced
+//     in one sorted pass (CodeColumn::ApplyBatch), the resulting per-code
+//     cluster replacements group-apply to the single-attribute partitions
+//     (Pli::ApplyBatch), and affected multi-attribute partitions are
+//     group-patched around the splice or dropped for lazy re-intersection.
+//     A 64-mutation burst costs one splice instead of 64 cluster surgeries.
+//   - b >= max(drop_threshold, rows/2): everything (columns included) is
+//     dropped for lazy from-scratch rebuilds — the burst is so large that
+//     one deferred rebuild beats any patching.
 //
 // Deltas to one row coalesce in the buffer (first old state, final new
 // state), so a row updated 64 times between queries flushes as one move.
-// The unstripped value indexes are the base of the scheme: they know which
-// lone row to un-strip when a value gains its second carrier, which the
-// stripped partitions alone cannot. Probe tables (row -> cluster label,
-// ProbeFor) used to be memo-dropped by any flush touching their attribute
-// and rebuilt O(rows); they are now first-class incrementally maintained
-// structures, label arrays patched in O(delta) alongside the cluster
-// patches on both flush arms, so multi-attribute lazy re-intersections
-// stop paying a probe rebuild per flush. A multi-attribute entry whose per-row
-// patch (seed-cluster scan + verification) would cost more than
-// re-intersecting its patched sub-partitions is dropped instead and
-// rebuilt lazily on the next Get. PliCacheOptions::incremental = false
-// disables the hooks' use by FlexibleRelation, restoring the historical
-// drop-everything behavior as the cross-validation oracle;
-// batch_threshold = SIZE_MAX pins the per-row path, the reference the
-// batched one is benchmarked and soak-tested against.
+// Both patch arms read partners off the columns *before* patching them, so
+// partner lists describe the pre-delta state the partitions still hold. A
+// multi-attribute entry whose patch (seed-bucket scan + verification) would
+// cost more than re-intersecting its patched sub-partitions is dropped
+// instead and rebuilt lazily on the next Get. PliCacheOptions::incremental
+// = false disables the hooks' use by FlexibleRelation, restoring the
+// drop-everything behavior as the cross-validation oracle; batch_threshold
+// = SIZE_MAX pins the per-row path, the reference the batched one is
+// benchmarked and soak-tested against.
 //
-// Concurrency: Get/IndexFor/ProbeFor are safe to call from many worker
-// threads. In the default copy-on-write mode (PliCacheOptions::cow_reads)
-// reads are *lock-free under write traffic*: an immutable Snapshot table
-// (partitions + probes + value indexes, shared_ptr'd) is published with
-// one atomic swap per flush, readers resolve cached structures with a
-// single acquire-load and never touch mu_, and a flush patches successor
-// copies off to the side before swapping — the structures a reader holds
-// are frozen at the epoch it loaded them. mu_ shrinks to a writers-only
-// flush/publish (and cache-population) lock. With cow_reads = false the
-// historical locked in-place mode applies: every read takes mu_, flushes
-// the pending buffer, and may observe in-place patches. Either way, each
-// cache slot holds a shared_future; the first requester of a key builds
-// the partition outside the lock and fulfils the promise, later
-// requesters block on the future instead of duplicating the work.
-// Eviction is LRU over completed multi-attribute entries only —
-// single-attribute partitions are the base of every product and stay
-// resident (in COW mode lock-free hits skip the LRU touch, so eviction
-// order degrades toward build order). Concurrent mutation still requires
-// the *row vector* itself to be externally synchronized against readers
-// that project tuples; the cache's own structures need no reader-side
-// synchronization in COW mode. See src/engine/README.md, "Concurrency".
+// Concurrency: Get/CodeColumnFor are safe to call from many worker threads.
+// In the default copy-on-write mode (PliCacheOptions::cow_reads) reads are
+// *lock-free under write traffic*: an immutable Snapshot table (partitions
+// + columns, shared_ptr'd) is published with one atomic swap per flush,
+// readers resolve cached structures with a single acquire-load and never
+// touch mu_, and a flush patches successor copies off to the side before
+// swapping — the structures a reader holds are frozen at the epoch it
+// loaded them. mu_ shrinks to a writers-only flush/publish (and
+// cache-population) lock. With cow_reads = false the historical locked
+// in-place mode applies: every read takes mu_, flushes the pending buffer,
+// and may observe in-place patches. Either way, each cache slot holds a
+// shared_future; the first requester of a key builds the partition outside
+// the lock and fulfils the promise, later requesters block on the future
+// instead of duplicating the work. Eviction is LRU over completed
+// multi-attribute entries only — single-attribute partitions are the base
+// of every product and stay resident (in COW mode lock-free hits skip the
+// LRU touch, so eviction order degrades toward build order). Concurrent
+// mutation still requires the *row vector* itself to be externally
+// synchronized against readers that project tuples; the cache's own
+// structures need no reader-side synchronization in COW mode. See
+// src/engine/README.md, "Concurrency".
 
 #ifndef FLEXREL_ENGINE_PLI_CACHE_H_
 #define FLEXREL_ENGINE_PLI_CACHE_H_
@@ -94,8 +96,6 @@
 
 namespace flexrel {
 
-struct ValueIndexDelta;
-
 /// Thread-safe partition cache over one instance. The referenced rows must
 /// outlive the cache; every mutation of the rows must be reported through
 /// OnInsert/OnUpdate (or the batch hooks, or the cache discarded) before
@@ -114,64 +114,27 @@ class PliCache {
   /// absent. Flushes pending mutation deltas first. Never returns null.
   std::shared_ptr<const Pli> Get(const AttrSet& attrs);
 
-  /// The memoized probe (row -> cluster label, see PliProbe) of the
-  /// single-attribute partition of `attr` — shared by every intersection
-  /// whose right operand is that partition, i.e. every multi-attribute
-  /// build whose key ends in `attr`. Probes are *incrementally maintained*:
-  /// the flush patches the label array alongside the cluster patches
-  /// (labels stay stable rather than canonical), so a flush no longer costs
-  /// an O(rows) probe rebuild per touched attribute. A probe is dropped for
-  /// a lazy rebuild only when its partition is (entry dropped), when a
-  /// patch contradicts it, or when churn has bloated the label bound past
-  /// twice the cluster count (probe_rebuilds in Stats()). Flushes pending
-  /// deltas first; never returns null. The pointee is patched in place
-  /// under the same external-synchronization contract as Get results: do
-  /// not hold it across mutations.
-  std::shared_ptr<const PliProbe> ProbeFor(AttrId attr);
-
-  /// The *unstripped* value-keyed view of the single-attribute partition of
-  /// `attr`: value -> ascending row ids carrying exactly that value. Rows
-  /// lacking the attribute appear nowhere; rows with an explicit Value::Null
-  /// cluster under the Null key. Unlike the stripped partitions, singleton
-  /// clusters are kept — a lone row cannot influence a dependency but very
-  /// much belongs to an equality selection's answer. Built once per
-  /// attribute, pinned, and patched across mutations. Flushes pending
-  /// deltas first. Never returns null; safe to call from many threads.
-  using ValueIndex =
-      std::unordered_map<Value, std::vector<Pli::RowId>, ValueHash>;
-  std::shared_ptr<const ValueIndex> IndexFor(AttrId attr);
-
   /// The dictionary code column of `attr` (engine/dictionary.h): values
   /// interned into dense uint32_t codes, held columnar, with per-code row
-  /// buckets — the base of the coded partition builds, selections, and
-  /// hybrid sampling. Built once per attribute, pinned, and patched by the
-  /// same flush that patches the partitions, so a fetched column is always
-  /// exactly as fresh as a Get() from the same quiescent point. Returns
-  /// null iff Options::use_codes is false (the Value-keyed oracle mode);
-  /// callers fall back to the value-hashed paths then. Flushes pending
-  /// deltas first; safe from many threads; same holding contract as Get
-  /// results (in COW mode a held column is frozen at its epoch, in locked
-  /// mode do not hold it across mutations).
+  /// buckets — the base of the partition builds, intersections, selections,
+  /// and hybrid sampling. Built once per attribute, pinned, and patched by
+  /// the same flush that patches the partitions, so a fetched column is
+  /// always exactly as fresh as a Get() from the same quiescent point.
+  /// Flushes pending deltas first; never returns null; safe from many
+  /// threads; same holding contract as Get results (in COW mode a held
+  /// column is frozen at its epoch, in locked mode do not hold it across
+  /// mutations).
   std::shared_ptr<const CodeColumn> CodeColumnFor(AttrId attr);
-
-  /// Probe-only twin of CodeColumnFor: the column when it already exists,
-  /// null otherwise (or when Options::use_codes is off) — never builds.
-  /// The single-attribute partition path goes through this so a cold cache
-  /// pays a plain hash build instead of materializing a column it was
-  /// never asked for; CodeColumnFor (evaluator selections, the hybrid
-  /// sampler) is the explicit materialization point, after which partition
-  /// (re)builds counting-sort.
-  std::shared_ptr<const CodeColumn> ExistingCodeColumn(AttrId attr);
 
   // ------------------------------------------------------------------
   // Incremental maintenance hooks. FlexibleRelation calls these *after*
   // mutating its row vector. The hooks only append to the pending-delta
   // buffer (O(1) per row — inserts record nothing but the row id, updates
   // take ownership of the displaced old tuple); all patching is deferred
-  // to the next read. Structures handed out by earlier Get/IndexFor calls
-  // are shared — a holder may observe the pre-flush instance until some
-  // reader flushes, which is exactly the documented contract: do not hold
-  // partition pointers across mutations; re-Get after mutating.
+  // to the next read. Structures handed out by earlier Get/CodeColumnFor
+  // calls are shared — a holder may observe the pre-flush instance until
+  // some reader flushes, which is exactly the documented contract: do not
+  // hold partition pointers across mutations; re-Get after mutating.
   // ------------------------------------------------------------------
 
   /// The row at index `row` == rows().size() - 1 was just appended.
@@ -211,11 +174,6 @@ class PliCache {
     /// Flushes that dropped every cached structure because the burst
     /// crossed max(drop_threshold, rows/2).
     size_t full_drops = 0;
-    /// Memoized probe tables patched in place by a flush (either path).
-    size_t probe_patches = 0;
-    /// Memoized probe tables dropped for a lazy O(rows) rebuild (partition
-    /// dropped, patch contradicted, or label bound bloated).
-    size_t probe_rebuilds = 0;
     /// Mutation deltas currently buffered (not yet flushed by a read).
     /// Always 0 at rest in COW mode, whose hooks flush eagerly.
     size_t pending_deltas = 0;
@@ -232,8 +190,6 @@ class PliCache {
     /// accounting sweep. All 0 while memory_budget_bytes == 0 (governance
     /// off — nothing is ever accounted).
     size_t bytes_plis = 0;
-    size_t bytes_probes = 0;
-    size_t bytes_indexes = 0;
     size_t bytes_columns = 0;
     /// Entries evicted because the byte budget (not max_entries) was
     /// exceeded. Identity: 0 while governance is off.
@@ -302,8 +258,6 @@ class PliCache {
   /// publication.
   struct Snapshot {
     std::unordered_map<AttrSet, std::shared_ptr<const Pli>, AttrSetHash> plis;
-    std::unordered_map<AttrId, std::shared_ptr<const PliProbe>> probes;
-    std::unordered_map<AttrId, std::shared_ptr<const ValueIndex>> indexes;
     std::unordered_map<AttrId, std::shared_ptr<const CodeColumn>> columns;
     uint64_t epoch = 0;
   };
@@ -321,15 +275,9 @@ class PliCache {
   /// same-content successor copy, so the patch mutates only objects no
   /// published snapshot (and no earlier reader) can reference. `changed`
   /// scopes the copies to affected attributes; inserts touch every entry
-  /// (row-count bookkeeping) and every probe (label arrays grow).
+  /// (row-count bookkeeping) and every column (code arrays grow).
   /// Requires mu_; COW mode only.
   void CloneForCowLocked(const AttrSet& changed, bool has_inserts);
-
-  /// The storage mode every partition of this cache is built with.
-  Pli::Storage PartitionStorage() const {
-    return options_.arena_storage ? Pli::Storage::kArena
-                                  : Pli::Storage::kVectors;
-  }
 
   /// Drops completed evictable entries beyond max_entries, then — when a
   /// memory budget is configured — keeps evicting least recently used
@@ -343,32 +291,32 @@ class PliCache {
   /// zero accounting work. Requires mu_.
   void AccountMemoryLocked();
 
-  /// bytes_plis_ + bytes_probes_ + bytes_indexes_ + bytes_columns_.
-  size_t AccountedBytesLocked() const {
-    return bytes_plis_ + bytes_probes_ + bytes_indexes_ + bytes_columns_;
-  }
+  /// bytes_plis_ + bytes_columns_.
+  size_t AccountedBytesLocked() const { return bytes_plis_ + bytes_columns_; }
 
   /// Applies the pending-delta buffer to every cached structure, choosing
   /// per-row replay, batched apply, or drop-everything by the net burst
-  /// size (see file comment). Requires mu_; every read path calls this
-  /// before touching entries_/value_indexes_/probes_.
+  /// size (see file comment), then gives every patched column its
+  /// staleness check (CodeColumn::MaybeReintern). Requires mu_; every read
+  /// path calls this before touching entries_/code_columns_.
   void FlushPendingLocked();
 
-  /// Per-row replay of one net insert/update — the PR 3 patch bodies.
-  /// Requires mu_ and EnsureFlushIndexesLocked having run for this flush.
+  /// Per-row replay of one net insert/update: partitions are patched
+  /// against partner lists read off the columns, then the columns take the
+  /// row's new codes. Requires mu_.
   void ReplayInsertLocked(Pli::RowId row);
   void ReplayUpdateLocked(Pli::RowId row, const Tuple& old_row,
                           const AttrSet& changed);
 
   /// Group-applies net deltas >= batch_threshold: two-phase cluster
   /// patches for kept multi-attribute entries around one splice of the
-  /// value indexes and the single-attribute partitions. Requires mu_.
+  /// code columns and the single-attribute partitions. Requires mu_.
   void BatchApplyLocked(const std::vector<NetDelta>& net,
                         const AttrSet& changed, size_t insert_count);
 
   /// One phase of the multi-attribute group patch: groups the net-delta
-  /// rows leaving (`erase`, old states against pre-batch indexes) or
-  /// joining (final states against post-batch indexes) the partition by
+  /// rows leaving (`erase`, old states against pre-batch columns) or
+  /// joining (final states against post-batch columns) the partition by
   /// cluster and applies one ClusterPatch per affected cluster via
   /// Pli::ApplyBatch. `scan_budget` caps the cumulative partner-scan work
   /// across both phases at one re-intersection's worth. Returns false —
@@ -379,102 +327,37 @@ class PliCache {
                                  size_t* scan_budget);
 
   /// Upfront cost of group-patching a multi-attribute entry: the summed
-  /// seed-cluster sizes of both phases' partner scans, computed from
-  /// cheap index lookups before any scanning happens. Requires mu_.
+  /// seed-bucket sizes of both phases' partner scans, computed from cheap
+  /// column lookups before any scanning happens. Requires mu_.
   size_t EstimateMultiPatchScanLocked(const AttrSet& attrs,
                                       const std::vector<NetDelta>& net);
 
-  /// Builds the value index of every attribute some affected cached entry
-  /// consults but no index exists for, then *rewinds* the net deltas so
-  /// the fresh index describes the pre-batch instance — the state every
-  /// flush path patches forward from. One O(rows) scan per missing
-  /// attribute, amortized: from then on that index is patched, never
-  /// rebuilt. Requires mu_.
-  void EnsureFlushIndexesLocked(const std::vector<NetDelta>& net,
-                                const AttrSet& changed);
-
   /// Drops every cached structure for lazy rebuilds. Requires mu_.
   void DropAllLocked();
-
-  /// Patches every pinned code column through one net burst: inserts
-  /// append to every column (code vectors cover every row), updates
-  /// re-code only the columns of attributes the delta changed; each
-  /// patched column then gets its staleness check (CodeColumn::
-  /// MaybeReintern). Runs on both patch arms — the drop arm drops the
-  /// columns with everything else. Requires mu_.
-  void PatchCodeColumnsLocked(const std::vector<NetDelta>& net,
-                              const AttrSet& changed, bool has_inserts);
 
   /// Coalesces the pending buffer in place (first delta per row wins) so a
   /// read-free mutation storm cannot grow it past the touched-row count.
   /// Requires mu_.
   void CompactPendingLocked();
 
-  enum class PartnerScan {
-    kOk,       ///< `out` holds the partners
-    kTooBig,   ///< scanning the seed cluster would cost more than a rebuild
-    kNoIndex,  ///< a needed value index is absent (defensive; see Ensure...)
-  };
-
   /// Ascending rows agreeing with `proj` on `attrs`, excluding
-  /// `exclude_row`: the k-way intersection of the attributes' value
-  /// clusters, smallest list seeding, larger ones refined by streaming
-  /// merge or per-survivor binary search (adaptive set intersection).
-  /// Pure index work, so the scan is coherent with whatever intermediate
-  /// state the indexes are in mid-flush. A non-null `scan_budget` is
-  /// decremented by the seed size and the scan refuses (kTooBig) when it
-  /// would overdraw. Requires mu_; `proj` must be defined on all of
-  /// `attrs`.
-  PartnerScan AgreeingRowsLocked(const AttrSet& attrs, const Tuple& proj,
-                                 Pli::RowId exclude_row, Pli::Cluster* out,
-                                 size_t* scan_budget);
+  /// `exclude_row` (into `out`): the k-way intersection of the attributes'
+  /// code buckets, smallest list seeding, larger ones refined by streaming
+  /// merge or per-survivor binary search (adaptive set intersection). Pure
+  /// column work, so the scan is coherent with whatever intermediate state
+  /// the columns are in mid-flush. A non-null `scan_budget` is decremented
+  /// by the seed size. Returns false — patching would cost more than a
+  /// rebuild — when the seed bucket is oversized or would overdraw the
+  /// budget. Requires mu_; `proj` must be defined on all of `attrs`.
+  bool AgreeingRowsLocked(const AttrSet& attrs, const Tuple& proj,
+                          Pli::RowId exclude_row, Pli::Cluster* out,
+                          size_t* scan_budget);
 
   using EntryMap = std::unordered_map<AttrSet, Entry, AttrSetHash>;
 
-  /// Drops entry `it` (and its LRU slot — and, for single-attribute keys,
-  /// the memoized probe mirroring the dropped partition), returning the
-  /// next iterator. Requires mu_.
+  /// Drops entry `it` (and its LRU slot), returning the next iterator.
+  /// Requires mu_.
   EntryMap::iterator DropEntryLocked(EntryMap::iterator it);
-
-  // ------------------------------------------------------------------
-  // Incremental probe maintenance. Invariant: a memoized probe for `attr`
-  // exists only while the (pinned) single-attribute entry for `attr` does,
-  // and describes exactly the state that partition's clusters do at every
-  // point of a flush. Labels are stable: a fresh two-row cluster takes
-  // label_bound++, a dissolved cluster's label is simply retired, so a
-  // patch costs O(delta) instead of the O(rows) rebuild the memo-drop
-  // scheme paid per flush. All require mu_.
-  // ------------------------------------------------------------------
-
-  /// Patches `attr`'s probe (if memoized) for `row` joining the cluster
-  /// currently holding `partners` (ascending, excluding `row`, pre-insert
-  /// state — the same list handed to Pli::ApplyInsert). Drops the probe on
-  /// contradiction.
-  void ProbePatchInsertLocked(AttrId attr, Pli::RowId row,
-                              const Pli::Cluster& partners);
-
-  /// The reverse: `row` leaves the cluster that `partners` (excluding it)
-  /// remain in — the post-detach list handed to Pli::ApplyErase.
-  void ProbePatchEraseLocked(AttrId attr, Pli::RowId row,
-                             const Pli::Cluster& partners);
-
-  /// Group-patches `attr`'s probe from one batched splice: `deltas` are the
-  /// attribute's movers (cleared first), `patches` the captured per-value
-  /// cluster replacements as borrowed views (labels pre-read from the
-  /// pre-splice fronts, so call this *after* the value-index splice but
-  /// before anything consumes the views).
-  void ProbePatchBatchLocked(AttrId attr,
-                             const std::vector<ValueIndexDelta>& deltas,
-                             const std::vector<Pli::ClusterPatchView>& patches);
-
-  /// Drops `attr`'s probe memo for a lazy rebuild, counting it in
-  /// probe_rebuilds_ (no-op when none is memoized).
-  void DropProbeLocked(AttrId attr);
-
-  /// Caps label-space churn: once stable labels outnumber live clusters
-  /// 2:1 (plus slack), intersection scratch arrays pay for dead labels and
-  /// the probe is cheaper to rebuild densely. Requires the probe to exist.
-  void MaybeRetireBloatedProbeLocked(AttrId attr, const Pli& pli);
 
   enum class PatchResult {
     kPatched,    ///< the partition was modified in place
@@ -581,12 +464,8 @@ class PliCache {
   /// read path of every locked-mode call as well.
   mutable std::mutex mu_;
   EntryMap entries_;
-  std::unordered_map<AttrId, std::shared_ptr<PliProbe>>
-      probes_;  // memoized probes, patched in place alongside the clusters
-  std::unordered_map<AttrId, std::shared_ptr<ValueIndex>>
-      value_indexes_;  // pinned and patched; the selections' value -> rows view
   std::unordered_map<AttrId, std::shared_ptr<CodeColumn>>
-      code_columns_;  // pinned and patched; the columnar value plane
+      code_columns_;  // pinned and patched; the per-attribute base
   std::list<AttrSet> lru_;  // front = most recently used, evictable keys only
   std::vector<PendingDelta> pending_;  // buffered mutations, oldest first
   size_t pending_compact_at_;  // next buffer size that triggers compaction
@@ -597,16 +476,12 @@ class PliCache {
   size_t patch_rebuilds_ = 0;
   size_t batch_applies_ = 0;
   size_t full_drops_ = 0;
-  size_t probe_patches_ = 0;
-  size_t probe_rebuilds_ = 0;
   size_t flushes_ = 0;
   size_t publishes_ = 0;
   uint64_t epoch_ = 0;
   // Memory-governance state, all meaningful only while
   // options_.memory_budget_bytes != 0 (zero otherwise).
   size_t bytes_plis_ = 0;
-  size_t bytes_probes_ = 0;
-  size_t bytes_indexes_ = 0;
   size_t bytes_columns_ = 0;
   size_t budget_evictions_ = 0;
   size_t uncached_serves_ = 0;
@@ -619,55 +494,6 @@ inline uint64_t PliCache::SnapshotEpoch() const {
     return snap == nullptr ? uint64_t{0} : snap->epoch;
   });
 }
-
-/// Patch primitives for the unstripped value index, mirroring
-/// Pli::ApplyInsert/ApplyErase: `ValueIndexApplyInsert` registers an
-/// appended or re-valued row under `value` (no-op when null-pointer —
-/// i.e. the row does not carry the attribute), `ValueIndexApplyUpdate`
-/// moves `row` from `old_value` to `new_value` (either may be null for
-/// attribute removal/addition). Row lists stay ascending; emptied values
-/// are erased so the index equals a from-scratch build.
-void ValueIndexApplyInsert(PliCache::ValueIndex* index, Pli::RowId row,
-                           const Value* value);
-void ValueIndexApplyUpdate(PliCache::ValueIndex* index, Pli::RowId row,
-                           const Value* old_value, const Value* new_value);
-
-/// One row's movement in a batched value-index splice. Null old_value:
-/// the row gains the attribute (or was inserted); null new_value: it loses
-/// the attribute. The pointed-to values must outlive the call.
-struct ValueIndexDelta {
-  Pli::RowId row;
-  const Value* old_value;
-  const Value* new_value;
-};
-
-/// Batched counterparts, mirroring Pli::ApplyBatch: deltas are grouped by
-/// value and sorted once, then every affected value's row list is spliced
-/// in a single merge pass (instead of one binary-search surgery per row).
-/// With `capture` (the default) returns one Pli::ClusterPatch per affected
-/// value — the pre-splice cluster anchor and its post-splice rows — which
-/// Pli::ApplyBatch consumes to group-apply the same burst to the stripped
-/// partition; capture = false skips those cluster copies (and returns
-/// nothing) for callers with no partition to patch. The insert-only form
-/// mirrors the single-row ValueIndexApplyInsert (null old side); the
-/// cache's flush encodes inserts as update deltas directly, so it is a
-/// convenience for append-shaped callers and the unit tests.
-std::vector<Pli::ClusterPatch> ValueIndexApplyUpdateBatch(
-    PliCache::ValueIndex* index, const std::vector<ValueIndexDelta>& deltas,
-    bool capture = true);
-
-/// Zero-copy capture: the same splice, but the returned patches *borrow*
-/// their replacement rows as spans into the just-spliced index clusters
-/// (Pli::ClusterPatchView) instead of copying them. Valid until the index
-/// is next modified; the arena flush consumes them immediately, landing
-/// each replacement in the partition with exactly one copy
-/// (index -> arena) instead of two (index -> patch -> storage).
-std::vector<Pli::ClusterPatchView> ValueIndexApplyUpdateBatchViews(
-    PliCache::ValueIndex* index, const std::vector<ValueIndexDelta>& deltas);
-std::vector<Pli::ClusterPatch> ValueIndexApplyInsertBatch(
-    PliCache::ValueIndex* index,
-    const std::vector<std::pair<Pli::RowId, const Value*>>& inserts,
-    bool capture = true);
 
 }  // namespace flexrel
 

@@ -15,8 +15,8 @@ struct PliCacheOptions {
   /// are dropped beyond this bound.
   size_t max_entries = 1024;
 
-  /// Byte budget over every structure the cache holds — partitions,
-  /// probe tables, value indexes, code columns (estimated footprints;
+  /// Byte budget over every structure the cache holds — partitions and
+  /// code columns (estimated footprints;
   /// snapshot tables ride along as per-entry overhead). 0 (the default)
   /// disables governance entirely: no accounting sweeps run and nothing
   /// beyond max_entries is evicted, so the hot paths pay zero overhead.
@@ -29,7 +29,7 @@ struct PliCacheOptions {
   /// growing without bound.
   size_t memory_budget_bytes = 0;
 
-  /// Maintain cached partitions and value indexes incrementally across
+  /// Maintain cached partitions and code columns incrementally across
   /// instance mutations (PliCache::OnInsert/OnUpdate patch the affected
   /// clusters in place). False restores the pre-incremental behavior:
   /// FlexibleRelation drops the whole cache on every mutation and the next
@@ -38,19 +38,19 @@ struct PliCacheOptions {
   bool incremental = true;
 
   /// Patch-vs-rebuild crossover for multi-attribute partitions: when the
-  /// smallest value cluster seeding a partner scan exceeds
-  /// max(patch_scan_limit, rows/2), the mutation hooks drop the entry for
-  /// lazy re-intersection instead of patching it
-  /// (PliCache::patch_rebuilds() counts these). Tests lower it to force
-  /// the rebuild path on small instances.
+  /// smallest code bucket seeding a partner scan exceeds
+  /// max(patch_scan_limit, rows/2), the flush drops the entry for lazy
+  /// re-intersection instead of patching it (counted in
+  /// PliCache::Stats().patch_rebuilds). Tests lower it to force the
+  /// rebuild path on small instances.
   size_t patch_scan_limit = 2048;
 
   /// Per-row-patch vs batched-apply crossover. Mutations are buffered as
   /// pending deltas and flushed on the next read; a flush of fewer than
   /// batch_threshold net deltas replays them row by row (the PR 3 patch
-  /// path), a larger one group-applies them: value indexes and
+  /// path), a larger one group-applies them: code columns and
   /// single-attribute partitions are spliced in one sorted pass
-  /// (ValueIndexApplyUpdateBatch / Pli::ApplyBatch) and multi-attribute
+  /// (CodeColumn::ApplyBatch / Pli::ApplyBatch) and multi-attribute
   /// partitions are group-patched or dropped for lazy re-intersection by
   /// a per-entry scan-cost estimate. The default sits where the splice
   /// (≈ two copies of every affected cluster) starts beating per-row
@@ -61,15 +61,15 @@ struct PliCacheOptions {
 
   /// Batched-apply vs drop-everything crossover: a flush of at least
   /// max(drop_threshold, rows/2) net deltas drops every cached structure
-  /// (value indexes included) for lazy from-scratch rebuilds — at that
+  /// (code columns included) for lazy from-scratch rebuilds — at that
   /// burst size one deferred rebuild beats any splicing, which is what the
   /// incremental = false oracle demonstrates at high mutation ratios.
   size_t drop_threshold = 2048;
 
   /// Epoch-style copy-on-write snapshot publication (the default): every
-  /// flush patches successor copies of the affected partitions, probes,
-  /// and value indexes off to the side and publishes them with one atomic
-  /// swap of an immutable snapshot table, so Get/IndexFor/ProbeFor serve
+  /// flush patches successor copies of the affected partitions and code
+  /// columns off to the side and publishes them with one atomic swap of an
+  /// immutable snapshot table, so Get/CodeColumnFor serve
   /// cached structures with a single acquire-load and zero mutex
   /// acquisitions (telemetry: engine.pli_cache.reader_lock_waits stays 0).
   /// Mutation hooks flush eagerly under the writers-only lock — one
@@ -87,31 +87,6 @@ struct PliCacheOptions {
   /// BM_SnapshotReadStorm* measures the COW side). See the "Concurrency"
   /// section of src/engine/README.md.
   bool cow_reads = true;
-
-  /// Cluster storage of every partition the cache builds: the CSR arena
-  /// (one contiguous rows array plus monotone offsets per partition —
-  /// Pli::Storage::kArena, the default) or, when false, the historical
-  /// vector-of-vectors layout (Pli::Storage::kVectors) — kept reachable as
-  /// the reference mode the arena is benchmarked (bench_pli,
-  /// scripts/perf_smoke.py) and soak-tested (engine_incremental_test)
-  /// against. Intersection products inherit the mode, so pinning it here
-  /// pins the whole cache.
-  bool arena_storage = true;
-
-  /// Dictionary-encoded columnar value plane (engine/dictionary.h, the
-  /// default): the cache keeps one incrementally maintained CodeColumn per
-  /// requested attribute (CodeColumnFor) — values interned into dense
-  /// uint32_t codes, null as the reserved code 0 — and builds
-  /// single-attribute partitions by counting sort over the code column
-  /// (Pli::BuildFromCodes) instead of hashing every row's Value. The
-  /// evaluator resolves equality selections through the column's dense
-  /// code->rows buckets when its own EvalOptions::use_codes agrees, and
-  /// hybrid discovery samples agree sets by comparing codes. False
-  /// disables the plane entirely (CodeColumnFor returns null): partitions
-  /// hash Values, selections probe the value-hashed index — the
-  /// cross-validation oracle the coded paths are soak-tested for
-  /// structural equality against (engine_dictionary_test).
-  bool use_codes = true;
 };
 
 }  // namespace flexrel

@@ -18,14 +18,14 @@ size_t EstimateRows(const PlanPtr& plan) {
       const PlanPtr& input = plan->inputs()[0];
       size_t base = EstimateRows(input);
       const Expr& f = *plan->formula();
-      // Equality/IN over a base scan: the value index knows the exact
-      // cluster sizes — the same PLI statistic (and the same Kleene null
-      // rule, via IndexMatches) the evaluator selects by.
+      // Equality/IN over a base scan: the code column knows the exact
+      // bucket sizes — the same statistic (and the same Kleene null rule,
+      // via CodedMatches) the evaluator selects by.
       if (input->kind() == PlanKind::kScan && input->relation() != nullptr &&
           !input->relation()->empty() && IsIndexableSelect(f)) {
         size_t matched =
-            IndexMatches(*input->relation()->pli_cache()->IndexFor(f.attr()),
-                         f)
+            CodedMatches(
+                *input->relation()->pli_cache()->CodeColumnFor(f.attr()), f)
                 .size();
         return std::min(base, matched);
       }

@@ -1,6 +1,7 @@
 #include "query/query_parser.h"
 
 #include <cctype>
+#include <stdexcept>
 
 #include "util/string_util.h"
 
@@ -142,8 +143,13 @@ class FormulaParser {
           StrCat("expected literal at offset ", start));
     }
     std::string token = text_.substr(start, pos_ - start);
-    if (dot) return Value::Real(std::stod(token));
-    return Value::Int(std::stoll(token));
+    try {
+      if (dot) return Value::Real(std::stod(token));
+      return Value::Int(std::stoll(token));
+    } catch (const std::out_of_range&) {
+      return Status::InvalidArgument(
+          StrCat("numeric literal out of range at offset ", start));
+    }
   }
 
   Result<CmpOp> ParseCmpOp() {

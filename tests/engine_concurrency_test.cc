@@ -1,9 +1,9 @@
 // Concurrency soak for the COW snapshot plane (PliCache with
 // PliCacheOptions::cow_reads, the default): N reader threads resolve cached
-// partitions, probes, and value indexes through the published snapshot
-// while M writer threads mutate the relation, and every structure a reader
+// partitions and code columns through the published snapshot while M
+// writer threads mutate the relation, and every structure a reader
 // observes must be internally coherent — CheckInvariants holds, and the
-// probe describes exactly the partition's clustering (a label bijection)
+// column's buckets are exactly the single-attribute partition's clusters
 // whenever both were bracketed inside one epoch. At quiesce, everything
 // must equal a from-scratch rebuild, and COW mode must be structurally
 // identical to the locked in-place oracle (cow_reads = false) across a
@@ -13,7 +13,7 @@
 // vector itself is NOT under the snapshot contract (mutators synchronize
 // rows() access externally, see src/engine/README.md), so a cold miss —
 // which rebuilds from rows() — belongs to the write side. Warmed singles,
-// pairs, and indexes are never dropped by sub-threshold per-row flushes,
+// pairs, and columns are never dropped by sub-threshold per-row flushes,
 // so every reader access resolves against immutable snapshot structures.
 // This is the suite the CI TSan job runs; a reader acquiring mu_ (or a
 // writer publishing a structure it then patches) is a data-race report,
@@ -29,11 +29,11 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "core/flexible_relation.h"
 #include "engine/pli_cache.h"
+#include "engine_test_util.h"
 #include "telemetry/telemetry.h"
 #include "test_seed.h"
 #include "util/rng.h"
@@ -67,47 +67,12 @@ Tuple RandomTuple(const std::vector<AttrId>& attrs, Rng* rng) {
   return t;
 }
 
-// The probe of a partition must be the partition's clustering in label
-// form: every cluster carries exactly one label, every label names exactly
-// one cluster, every row outside all clusters is kNoCluster, and labeled
-// rows account for grouped_rows() exactly. Unlike the incremental suite's
-// VerifyProbeEquivalent this needs no rebuild — it is safe to run against
-// a live snapshot while writers advance the relation.
-void VerifyProbeBijection(const Pli& pli, const PliProbe& probe,
-                          const std::string& context) {
-  ASSERT_EQ(probe.labels.size(), pli.num_rows()) << context;
-  std::unordered_map<int32_t, size_t> label_to_cluster;
-  size_t labeled_rows = 0;
-  for (size_t c = 0; c < pli.num_clusters(); ++c) {
-    Pli::ClusterView cluster = pli.cluster(c);
-    ASSERT_FALSE(cluster.empty()) << context;
-    const int32_t label = probe.labels[cluster.front()];
-    ASSERT_NE(label, Pli::kNoCluster)
-        << context << " cluster " << c << " front row unlabeled";
-    ASSERT_GE(label, 0) << context;
-    ASSERT_LT(label, probe.label_bound)
-        << context << " cluster " << c << " label breaks the bound";
-    auto [it, fresh] = label_to_cluster.try_emplace(label, c);
-    ASSERT_TRUE(fresh) << context << " label " << label << " names clusters "
-                       << it->second << " and " << c;
-    for (Pli::RowId row : cluster) {
-      ASSERT_EQ(probe.labels[row], label)
-          << context << " row " << row << " strays from cluster " << c;
-    }
-    labeled_rows += cluster.size();
-  }
-  EXPECT_EQ(labeled_rows, pli.grouped_rows()) << context;
-  size_t labeled_in_probe = 0;
-  for (int32_t l : probe.labels) {
-    if (l != Pli::kNoCluster) ++labeled_in_probe;
-  }
-  EXPECT_EQ(labeled_in_probe, labeled_rows)
-      << context << " probe labels rows outside every cluster";
-}
+using testutil::ColumnMatchesPartition;
+using testutil::ColumnsDecodeEqual;
 
 struct WarmKeys {
   std::vector<AttrSet> partitions;  // singles first, then composites
-  std::vector<AttrId> indexes;      // every attribute (partner-scan source)
+  std::vector<AttrId> columns;      // every attribute (partner-scan source)
 };
 
 WarmKeys WarmCache(PliCache* cache, const std::vector<AttrId>& attrs) {
@@ -117,10 +82,9 @@ WarmKeys WarmCache(PliCache* cache, const std::vector<AttrId>& attrs) {
   keys.partitions.push_back(AttrSet{attrs[2], attrs[3]});
   keys.partitions.push_back(AttrSet{attrs[0], attrs[2], attrs[4]});
   keys.partitions.push_back(AttrSet());
-  keys.indexes = attrs;
+  keys.columns = attrs;
   for (const AttrSet& k : keys.partitions) (void)cache->Get(k);
-  for (AttrId a : keys.indexes) (void)cache->IndexFor(a);
-  for (AttrId a : attrs) (void)cache->ProbeFor(a);
+  for (AttrId a : keys.columns) (void)cache->CodeColumnFor(a);
   return keys;
 }
 
@@ -138,14 +102,15 @@ void VerifyAgainstRebuildAtQuiesce(const FlexibleRelation& rel,
     ASSERT_TRUE(cached->CheckInvariants(&err))
         << context << " partition " << k.ToString() << ": " << err;
     if (k.size() == 1) {
-      ASSERT_NO_FATAL_FAILURE(VerifyProbeBijection(
-          *cached, *cache->ProbeFor(k.ids().front()),
-          StrCat(context, " probe of ", k.ToString())));
+      ASSERT_TRUE(ColumnMatchesPartition(
+          *cache->CodeColumnFor(k.ids().front()), *cached))
+          << context << " column of " << k.ToString();
     }
   }
-  for (AttrId a : keys.indexes) {
-    ASSERT_EQ(*cache->IndexFor(a), *rebuild.IndexFor(a))
-        << context << " value index of attr " << a << " diverged";
+  for (AttrId a : keys.columns) {
+    ASSERT_TRUE(ColumnsDecodeEqual(*cache->CodeColumnFor(a),
+                                   *rebuild.CodeColumnFor(a)))
+        << context << " code column of attr " << a << " diverged";
   }
 }
 
@@ -211,8 +176,8 @@ TEST(EngineConcurrencySoak, ReadersObserveCoherentSnapshotsUnderWriters) {
         const AttrSet& key =
             keys.partitions[rng.Index(keys.partitions.size())];
         // Epoch-bracketing: equal epochs before and after prove the pli
-        // and the probe came from one snapshot — only then is the
-        // probe↔cluster bijection a valid cross-structure assertion.
+        // and the column came from one snapshot — only then is the
+        // column↔cluster consistency a valid cross-structure assertion.
         const uint64_t epoch_before = cache->SnapshotEpoch();
         std::shared_ptr<const Pli> pli = cache->Get(key);
         std::string err;
@@ -220,16 +185,16 @@ TEST(EngineConcurrencySoak, ReadersObserveCoherentSnapshotsUnderWriters) {
             << "reader " << r << " partition " << key.ToString() << ": "
             << err;
         if (key.size() == 1) {
-          std::shared_ptr<const PliProbe> probe =
-              cache->ProbeFor(key.ids().front());
+          std::shared_ptr<const CodeColumn> column =
+              cache->CodeColumnFor(key.ids().front());
           if (cache->SnapshotEpoch() == epoch_before) {
-            ASSERT_NO_FATAL_FAILURE(VerifyProbeBijection(
-                *pli, *probe,
-                StrCat("reader ", r, " probe of ", key.ToString())));
+            ASSERT_TRUE(ColumnMatchesPartition(*column, *pli))
+                << "reader " << r << " column of " << key.ToString();
             bracketed_checks.fetch_add(1, std::memory_order_relaxed);
           }
         }
-        (void)cache->IndexFor(keys.indexes[rng.Index(keys.indexes.size())]);
+        (void)cache->CodeColumnFor(
+            keys.columns[rng.Index(keys.columns.size())]);
       }
     });
   }
@@ -305,9 +270,10 @@ TEST(EngineConcurrencySoak, CowModeMatchesLockedOracleAcrossSeeds) {
               << "seed#" << s << " op#" << op << " partition "
               << k.ToString();
         }
-        for (AttrId a : cow_keys.indexes) {
-          ASSERT_EQ(*lhs->IndexFor(a), *rhs->IndexFor(a))
-              << "seed#" << s << " op#" << op << " index attr " << a;
+        for (AttrId a : cow_keys.columns) {
+          ASSERT_TRUE(ColumnsDecodeEqual(*lhs->CodeColumnFor(a),
+                                         *rhs->CodeColumnFor(a)))
+              << "seed#" << s << " op#" << op << " column attr " << a;
         }
       }
     }

@@ -1,14 +1,16 @@
-// Edge cases and cross-validation soaks for the dictionary-encoded
-// columnar value plane (engine/dictionary.h).
+// Edge cases and cross-validation soaks for the per-attribute code column
+// (engine/dictionary.h), the cache's only maintained per-attribute
+// structure.
 //
 // The contract under test: a CodeColumn — built fresh or maintained through
 // any interleaving of cache-flushed inserts and updates (footnote-3 type
 // changes included) — always satisfies its structural invariants, codes
-// Values injectively within a generation, and is observationally equal to
-// the value-keyed machinery it replaces: counting-sort partitions equal
-// hash-built ones, coded selections return the rows the value index
-// returns, and everything downstream (the evaluator, hybrid discovery) is
-// bit-identical between PliCacheOptions::use_codes on and off.
+// Values injectively within a generation, and agrees with the from-scratch
+// oracles: counting-sort partitions equal hash-built ones (Pli::Build), a
+// maintained column decodes like a fresh CodeColumn::Build, coded
+// selections return the rows per-tuple evaluation accepts, and everything
+// downstream (the evaluator, level-wise and hybrid discovery) equals the
+// naive reference paths (use_engine = false).
 //
 // Randomized suites take their seed from FLEXREL_TEST_SEED when set (the
 // CI seed-diversity step passes the run id) and print it, so failures are
@@ -22,8 +24,8 @@
 #include <vector>
 
 #include "algebra/evaluate.h"
+#include "core/discovery.h"
 #include "engine/dictionary.h"
-#include "engine/parallel_discovery.h"
 #include "engine/pli_cache.h"
 #include "engine_test_util.h"
 #include "test_seed.h"
@@ -35,6 +37,7 @@ namespace flexrel {
 namespace {
 
 using testutil::ApplyRandomEmployeeMutation;
+using testutil::ColumnsDecodeEqual;
 using testutil::RandomSoakTuple;
 using testutil::SoakEmployeeConfig;
 
@@ -131,7 +134,7 @@ TEST(CodeColumnTest, DuplicateValuesShareOneCodeAcrossBuildAndMutation) {
   Tuple t;
   t.Set(a, Value::Str("x"));
   rows.push_back(t);
-  column.ApplyInsert(3, rows[3].Get(a));
+  column.ApplyUpdate(3, rows[3].Get(a));  // an append
   EXPECT_EQ(column.codes()[3], x);
   EXPECT_EQ(column.code_bound(), bound);
 
@@ -223,13 +226,9 @@ TEST(CodeColumnTest, BuildFromCodesMatchesValueBuild) {
     CodeColumn column = CodeColumn::Build(rows, a);
     VerifyColumnAgainstRows(column, rows, StrCat("attr ", a));
     // Canonical-form Pli equality is exact, so the counting sort must
-    // reproduce the hash build bit for bit — in both storage modes.
-    EXPECT_EQ(Pli::BuildFromCodes(column.codes(), column.code_bound(),
-                                  Pli::Storage::kArena),
+    // reproduce the hash build bit for bit.
+    EXPECT_EQ(Pli::BuildFromCodes(column.codes(), column.code_bound()),
               Pli::Build(rows, a));
-    EXPECT_EQ(Pli::BuildFromCodes(column.codes(), column.code_bound(),
-                                  Pli::Storage::kVectors),
-              Pli::Build(rows, a, Pli::Storage::kVectors));
   }
 }
 
@@ -275,17 +274,17 @@ TEST(CodeColumnTest, CodeSpaceGrowsCoherentlyAcrossBatchBursts) {
       EXPECT_NE(column->generation(), 1u);
     }
     last_bound = column->code_bound();
-    // The partitions built from the column agree with value-keyed builds.
+    // The partitions built from the column agree with hash builds.
     EXPECT_EQ(*cache->Get(AttrSet::Of(attrs[0])),
               Pli::Build(rel.rows(), attrs[0]));
   }
 }
 
 // ---------------------------------------------------------------------------
-// Coded selection: CodedMatches vs the value index, literal by literal.
+// Coded selection: CodedMatches vs per-tuple evaluation, literal by literal.
 // ---------------------------------------------------------------------------
 
-TEST(CodeColumnTest, CodedMatchesEqualsIndexMatches) {
+TEST(CodeColumnTest, CodedMatchesEqualsPerTupleSelection) {
   Rng rng(SoakSeed(3));
   std::vector<AttrId> attrs = {0, 1};
   FlexibleRelation rel = FlexibleRelation::Derived("sel", DependencySet());
@@ -294,7 +293,7 @@ TEST(CodeColumnTest, CodedMatchesEqualsIndexMatches) {
   const AttrId a = attrs[0];
   std::shared_ptr<const CodeColumn> column = cache->CodeColumnFor(a);
   ASSERT_NE(column, nullptr);
-  std::shared_ptr<const PliCache::ValueIndex> index = cache->IndexFor(a);
+  const CodeColumn fresh = CodeColumn::Build(rel.rows(), a);
 
   std::vector<ExprPtr> formulas;
   formulas.push_back(Expr::Eq(a, Value::Int(2)));
@@ -303,131 +302,107 @@ TEST(CodeColumnTest, CodedMatchesEqualsIndexMatches) {
   formulas.push_back(Expr::In(a, {Value::Int(0), Value::Str("s1")}));
   formulas.push_back(Expr::In(a, {Value::Null(), Value::Int(3)}));
   for (size_t i = 0; i < formulas.size(); ++i) {
-    EXPECT_EQ(CodedMatches(*column, *formulas[i]),
-              IndexMatches(*index, *formulas[i]))
+    // The naive reference: every row the formula accepts, in scan order.
+    std::vector<Pli::RowId> accepted;
+    for (size_t r = 0; r < rel.size(); ++r) {
+      if (formulas[i]->Accepts(rel.row(r))) {
+        accepted.push_back(static_cast<Pli::RowId>(r));
+      }
+    }
+    EXPECT_EQ(CodedMatches(*column, *formulas[i]), accepted)
         << "formula " << i;
+    EXPECT_EQ(CodedMatches(fresh, *formulas[i]), accepted) << "formula " << i;
   }
   EXPECT_TRUE(CodedMatches(*column, *formulas[2]).empty());
 }
 
 // ---------------------------------------------------------------------------
-// The 30-seed codes-vs-Value oracle soak (seeded_suites.txt entry).
+// The 30-seed column-vs-rebuild oracle soak (seeded_suites.txt entry).
 // ---------------------------------------------------------------------------
 
-// One seed's worth: two identical employee workloads driven by identical
-// mutation streams — one relation on the coded plane, one pinned to the
-// value-keyed oracle — must end observationally equal at every layer:
-// cached partitions, evaluator output, and hybrid discovery results.
-void RunCodesVsValueOracleSoak(uint64_t seed) {
+// One seed's worth: an employee workload driven by a random mutation
+// stream must end observationally equal to the from-scratch oracles at
+// every layer: cached partitions (Pli::Build) and columns
+// (CodeColumn::Build), evaluator output (use_engine = false), and
+// level-wise and hybrid discovery results (the hash-grouping reference).
+void RunColumnVsRebuildOracleSoak(uint64_t seed) {
   const std::string context = StrCat("seed ", seed);
-  auto coded_workload = MakeEmployeeWorkload(SoakEmployeeConfig(seed, 48));
-  auto oracle_workload = MakeEmployeeWorkload(SoakEmployeeConfig(seed, 48));
-  ASSERT_TRUE(coded_workload.ok()) << context;
-  ASSERT_TRUE(oracle_workload.ok()) << context;
-  EmployeeWorkload& coded = *coded_workload.value();
-  EmployeeWorkload& oracle = *oracle_workload.value();
-  PliCacheOptions value_keyed;
-  value_keyed.use_codes = false;
-  oracle.relation.SetPliCacheOptions(value_keyed);
+  auto workload = MakeEmployeeWorkload(SoakEmployeeConfig(seed, 48));
+  ASSERT_TRUE(workload.ok()) << context;
+  EmployeeWorkload& w = *workload.value();
 
-  const std::vector<AttrId>& touch_attrs = coded.common_attrs.ids();
-  auto touch = [&](EmployeeWorkload& w) {
+  const std::vector<AttrId>& touch_attrs = w.common_attrs.ids();
+  auto touch = [&] {
     std::shared_ptr<PliCache> cache = w.relation.pli_cache();
     for (AttrId a : touch_attrs) {
       (void)cache->Get(AttrSet::Of(a));
-      (void)cache->IndexFor(a);
+      (void)cache->CodeColumnFor(a);
     }
   };
-
-  // Identical streams: ApplyRandomEmployeeMutation is deterministic in
-  // (workload state, rng state), and both sides start equal.
-  Rng coded_rng(seed * 31 + 7);
-  Rng oracle_rng(seed * 31 + 7);
+  Rng rng(seed * 31 + 7);
   for (int op = 0; op < 60; ++op) {
-    auto coded_out = ApplyRandomEmployeeMutation(&coded, &coded_rng);
-    auto oracle_out = ApplyRandomEmployeeMutation(&oracle, &oracle_rng);
-    ASSERT_TRUE(coded_out.status.ok()) << context << " op " << op;
-    ASSERT_TRUE(oracle_out.status.ok()) << context << " op " << op;
-    if (op % 9 == 0) {
-      touch(coded);
-      touch(oracle);
-    }
+    auto out = ApplyRandomEmployeeMutation(&w, &rng);
+    ASSERT_TRUE(out.status.ok()) << context << " op " << op;
+    if (op % 9 == 0) touch();
   }
-  ASSERT_EQ(coded.relation.rows(), oracle.relation.rows()) << context;
+  const std::vector<Tuple>& rows = w.relation.rows();
 
   // Layer 1: cached structures. Counting-sort partitions equal hash-built
-  // ones, and the maintained column still describes every row.
-  std::shared_ptr<PliCache> coded_cache = coded.relation.pli_cache();
-  std::shared_ptr<PliCache> oracle_cache = oracle.relation.pli_cache();
+  // ones, and the maintained column decodes like a fresh build and still
+  // describes every row.
+  std::shared_ptr<PliCache> cache = w.relation.pli_cache();
   for (AttrId a : touch_attrs) {
-    EXPECT_EQ(*coded_cache->Get(AttrSet::Of(a)),
-              *oracle_cache->Get(AttrSet::Of(a)))
+    EXPECT_EQ(*cache->Get(AttrSet::Of(a)), Pli::Build(rows, a))
         << context << " attr " << a;
-    std::shared_ptr<const CodeColumn> column = coded_cache->CodeColumnFor(a);
-    ASSERT_NE(column, nullptr) << context;
-    VerifyColumnAgainstRows(*column, coded.relation.rows(),
-                            StrCat(context, " attr ", a));
-    EXPECT_EQ(oracle_cache->CodeColumnFor(a), nullptr)
-        << "the value-keyed oracle must not run the coded plane";
+    std::shared_ptr<const CodeColumn> column = cache->CodeColumnFor(a);
+    VerifyColumnAgainstRows(*column, rows, StrCat(context, " attr ", a));
+    EXPECT_TRUE(ColumnsDecodeEqual(*column, CodeColumn::Build(rows, a)))
+        << context << " attr " << a;
   }
 
   // Layer 2: the evaluator. Same rows out of an indexable selection and a
-  // self-join shaped plan, coded vs value-keyed vs naive.
-  EvalOptions value_eval;
-  value_eval.use_codes = false;
+  // self-join, engine vs naive.
   EvalOptions naive_eval;
   naive_eval.use_engine = false;
-  PlanPtr select = Plan::Select(
-      Plan::Scan(&coded.relation),
-      Expr::Eq(coded.jobtype_attr, coded.jobtype_values.front()));
-  auto coded_sel = Evaluate(select, EvalOptions());
-  auto value_sel = Evaluate(select, value_eval);
-  auto naive_sel = Evaluate(select, naive_eval);
-  ASSERT_TRUE(coded_sel.ok() && value_sel.ok() && naive_sel.ok()) << context;
   auto sorted = [](const FlexibleRelation& rel) {
-    std::vector<Tuple> rows = rel.rows();
-    std::sort(rows.begin(), rows.end());
-    return rows;
+    std::vector<Tuple> out = rel.rows();
+    std::sort(out.begin(), out.end());
+    return out;
   };
-  EXPECT_EQ(sorted(coded_sel.value()), sorted(value_sel.value())) << context;
-  EXPECT_EQ(sorted(coded_sel.value()), sorted(naive_sel.value())) << context;
+  PlanPtr select =
+      Plan::Select(Plan::Scan(&w.relation),
+                   Expr::Eq(w.jobtype_attr, w.jobtype_values.front()));
+  PlanPtr join =
+      Plan::NaturalJoin(Plan::Scan(&w.relation), Plan::Scan(&w.relation));
+  for (const PlanPtr& plan : {select, join}) {
+    auto engine = Evaluate(plan, EvalOptions());
+    auto naive = Evaluate(plan, naive_eval);
+    ASSERT_TRUE(engine.ok() && naive.ok()) << context;
+    EXPECT_EQ(sorted(engine.value()), sorted(naive.value())) << context;
+  }
 
-  PlanPtr join = Plan::NaturalJoin(Plan::Scan(&coded.relation),
-                                   Plan::Scan(&oracle.relation));
-  auto coded_join = Evaluate(join, EvalOptions());
-  auto value_join = Evaluate(join, value_eval);
-  auto naive_join = Evaluate(join, naive_eval);
-  ASSERT_TRUE(coded_join.ok() && value_join.ok() && naive_join.ok())
-      << context;
-  EXPECT_EQ(sorted(coded_join.value()), sorted(value_join.value())) << context;
-  EXPECT_EQ(sorted(coded_join.value()), sorted(naive_join.value())) << context;
-
-  // Layer 3: discovery — level-wise and hybrid, coded vs value-keyed, all
-  // four bit-identical (sampling evidence restriction is sound).
-  AttrSet universe = coded.relation.ActiveAttrs();
+  // Layer 3: discovery — level-wise and hybrid over code-built partitions
+  // and code-labelled probes, both equal to the hash-grouping reference.
+  AttrSet universe = w.relation.ActiveAttrs();
+  DiscoveryOptions brute;
+  brute.use_engine = false;
+  DependencySet reference = DiscoverDependencies(rows, universe, brute);
   for (DiscoveryStrategy strategy :
        {DiscoveryStrategy::kLevelWise, DiscoveryStrategy::kHybrid}) {
-    EngineDiscoveryOptions coded_opts;
-    coded_opts.strategy = strategy;
-    EngineDiscoveryOptions value_opts = coded_opts;
-    value_opts.use_codes = false;
-    DependencySet with_codes =
-        EngineDiscoverDependencies(coded.relation.rows(), universe,
-                                   coded_opts);
-    DependencySet without =
-        EngineDiscoverDependencies(coded.relation.rows(), universe,
-                                   value_opts);
-    EXPECT_EQ(with_codes.fds(), without.fds())
+    DiscoveryOptions opts;
+    opts.strategy = strategy;
+    DependencySet found = DiscoverDependencies(rows, universe, opts);
+    EXPECT_EQ(found.fds(), reference.fds())
         << context << " strategy " << static_cast<int>(strategy);
-    EXPECT_EQ(with_codes.ads(), without.ads())
+    EXPECT_EQ(found.ads(), reference.ads())
         << context << " strategy " << static_cast<int>(strategy);
   }
 }
 
-TEST(EngineDictionarySoak, CodesMatchValueOracleAcrossThirtySeeds) {
+TEST(EngineDictionarySoak, ColumnsMatchRebuildOracleAcrossThirtySeeds) {
   const uint64_t base = SoakSeed(4);
   for (uint64_t s = 0; s < 30; ++s) {
-    ASSERT_NO_FATAL_FAILURE(RunCodesVsValueOracleSoak(base + s))
+    ASSERT_NO_FATAL_FAILURE(RunColumnVsRebuildOracleSoak(base + s))
         << "seed " << base + s;
   }
 }

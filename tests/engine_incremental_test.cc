@@ -1,12 +1,13 @@
 // Mutation soak for incremental PLI maintenance (PliCache::OnInsert /
-// OnUpdate, Pli::ApplyInsert / ApplyErase, the value-index patch
-// primitives).
+// OnUpdate, Pli::ApplyInsert / ApplyErase / ApplyBatch, the code-column
+// splice).
 //
 // The contract under test: after ANY interleaving of Insert /
-// InsertUnchecked / Update with Get / IndexFor queries, every cached
-// partition and value index is structurally equal to a from-scratch rebuild
-// over the mutated instance — clusters (canonical form, so Pli::operator==
-// is exact), defined_rows, grouped_rows and NumDistinct all agree — and the
+// InsertUnchecked / Update with Get / CodeColumnFor queries, every cached
+// partition and code column describes the same instance as a from-scratch
+// rebuild over the mutated rows — clusters (canonical form, so
+// Pli::operator== is exact), defined_rows, grouped_rows and NumDistinct all
+// agree, columns decode to the same value -> rows map — and the
 // incremental mode is observationally identical to the
 // PliCacheOptions::incremental = false fallback, which drops the cache
 // wholesale on every mutation and therefore *is* the from-scratch oracle.
@@ -34,6 +35,8 @@ namespace flexrel {
 namespace {
 
 using testutil::ApplyRandomEmployeeMutation;
+using testutil::ColumnMatchesPartition;
+using testutil::ColumnsDecodeEqual;
 using testutil::RandomSoakTuple;
 using testutil::RandomSoakValue;
 using testutil::SoakEmployeeConfig;
@@ -131,66 +134,19 @@ TEST(PliPatchTest, InconsistentArgumentsAreRejectedNotApplied) {
   EXPECT_EQ(pli.defined_rows(), before.defined_rows());
 }
 
-TEST(ValueIndexPatchTest, InsertAndUpdateKeepListsAscendingAndExact) {
-  PliCache::ValueIndex index;
-  ValueIndexApplyInsert(&index, 0, nullptr);  // row without the attribute
-  EXPECT_TRUE(index.empty());
-
-  Value v1 = Value::Str("x"), v2 = Value::Str("y");
-  ValueIndexApplyInsert(&index, 2, &v1);
-  ValueIndexApplyInsert(&index, 5, &v1);
-  ValueIndexApplyUpdate(&index, 3, nullptr, &v1);  // attribute added mid-list
-  EXPECT_EQ(index.at(v1), (std::vector<Pli::RowId>{2, 3, 5}));
-
-  ValueIndexApplyUpdate(&index, 3, &v1, &v2);  // re-valued
-  EXPECT_EQ(index.at(v1), (std::vector<Pli::RowId>{2, 5}));
-  EXPECT_EQ(index.at(v2), (std::vector<Pli::RowId>{3}));
-
-  ValueIndexApplyUpdate(&index, 3, &v2, nullptr);  // attribute removed
-  EXPECT_EQ(index.count(v2), 0u) << "emptied values must disappear";
-}
-
 // ---------------------------------------------------------------------------
 // Randomized mutation soak over an untyped (derived) relation.
 // ---------------------------------------------------------------------------
 
 struct SoakKeys {
   std::vector<AttrSet> partitions;
-  std::vector<AttrId> indexes;
+  std::vector<AttrId> columns;
 };
-
-// A patched probe must describe the same clustering as a from-scratch
-// rebuild's — up to relabeling: incremental maintenance keeps labels
-// *stable* (a fresh cluster takes a fresh label), the rebuild's are
-// canonical indices, so equivalence is a label bijection with identical
-// kNoCluster rows.
-void VerifyProbeEquivalent(const PliProbe& patched, const Pli& fresh_pli,
-                           const std::string& context) {
-  PliProbe fresh = fresh_pli.BuildProbe();
-  ASSERT_EQ(patched.labels.size(), fresh.labels.size()) << context;
-  std::unordered_map<int32_t, int32_t> patched_to_fresh;
-  std::unordered_map<int32_t, int32_t> fresh_to_patched;
-  for (size_t i = 0; i < fresh.labels.size(); ++i) {
-    const int32_t p = patched.labels[i];
-    const int32_t f = fresh.labels[i];
-    ASSERT_EQ(p == Pli::kNoCluster, f == Pli::kNoCluster)
-        << context << " probe membership of row " << i << " diverged";
-    if (f == Pli::kNoCluster) continue;
-    ASSERT_GE(p, 0) << context;
-    ASSERT_LT(p, patched.label_bound)
-        << context << " label of row " << i << " breaks the bound";
-    auto [pf, _1] = patched_to_fresh.try_emplace(p, f);
-    ASSERT_EQ(pf->second, f)
-        << context << " patched label " << p << " spans two clusters";
-    auto [fp, _2] = fresh_to_patched.try_emplace(f, p);
-    ASSERT_EQ(fp->second, p)
-        << context << " cluster " << f << " carries two patched labels";
-  }
-}
 
 // Asserts every tracked structure of `rel`'s attached cache equals a
 // from-scratch rebuild over the current rows — clusters, counters, arena
-// invariants, value indexes, and the incrementally patched probes.
+// invariants, and the code columns (decoded, and as the probes of their
+// single-attribute partitions).
 void VerifyAgainstRebuild(const FlexibleRelation& rel, const SoakKeys& keys,
                           const std::string& context) {
   std::shared_ptr<PliCache> cache = rel.pli_cache();
@@ -209,20 +165,18 @@ void VerifyAgainstRebuild(const FlexibleRelation& rel, const SoakKeys& keys,
     std::string err;
     ASSERT_TRUE(patched->CheckInvariants(&err))
         << context << " partition " << attrs.ToString() << ": " << err;
-    // Single-attribute partitions carry an incrementally maintained probe;
-    // ProbeFor both exercises the patch path (the memo persists across
-    // flushes from the first call on) and must match a rebuild.
+    // A single-attribute partition's column is the probe every product
+    // with the attribute refines by: its buckets must be the clusters.
     if (attrs.size() == 1) {
-      std::shared_ptr<const PliProbe> probe =
-          cache->ProbeFor(attrs.ids().front());
-      ASSERT_NO_FATAL_FAILURE(VerifyProbeEquivalent(
-          *probe, *fresh,
-          StrCat(context, " probe of ", attrs.ToString())));
+      ASSERT_TRUE(ColumnMatchesPartition(
+          *cache->CodeColumnFor(attrs.ids().front()), *patched))
+          << context << " column of " << attrs.ToString();
     }
   }
-  for (AttrId attr : keys.indexes) {
-    ASSERT_EQ(*cache->IndexFor(attr), *rebuild.IndexFor(attr))
-        << context << " value index of attr " << attr << " diverged";
+  for (AttrId attr : keys.columns) {
+    ASSERT_TRUE(ColumnsDecodeEqual(*cache->CodeColumnFor(attr),
+                                   *rebuild.CodeColumnFor(attr)))
+        << context << " code column of attr " << attr << " diverged";
   }
 }
 
@@ -235,17 +189,17 @@ TEST(EngineIncrementalSoak, DerivedRelationPatchesMatchRebuilds) {
   FlexibleRelation rel = FlexibleRelation::Derived("soak", DependencySet());
   for (int i = 0; i < 60; ++i) rel.InsertUnchecked(RandomSoakTuple(attrs, &rng));
 
-  // Warm the cache: singles, pairs, a triple, the ∅-partition, and indexes.
+  // Warm the cache: singles, pairs, a triple, the ∅-partition, and columns.
   SoakKeys keys;
   for (AttrId a : attrs) keys.partitions.push_back(AttrSet::Of(a));
   keys.partitions.push_back(AttrSet{attrs[0], attrs[1]});
   keys.partitions.push_back(AttrSet{attrs[1], attrs[2]});
   keys.partitions.push_back(AttrSet{attrs[0], attrs[2], attrs[3]});
   keys.partitions.push_back(AttrSet());
-  keys.indexes = {attrs[0], attrs[1], attrs[2], attrs[3]};
+  keys.columns = {attrs[0], attrs[1], attrs[2], attrs[3]};
   std::shared_ptr<PliCache> cache = rel.pli_cache();
   for (const AttrSet& k : keys.partitions) (void)cache->Get(k);
-  for (AttrId a : keys.indexes) (void)cache->IndexFor(a);
+  for (AttrId a : keys.columns) (void)cache->CodeColumnFor(a);
 
   const int kOps = 300;
   for (int op = 0; op < kOps; ++op) {
@@ -330,67 +284,65 @@ TEST(EngineIncrementalSoak, OversizedSeedClustersFallBackToLazyRebuild) {
 }
 
 // ---------------------------------------------------------------------------
-// Probe bloat hysteresis: sparse-but-fresh memos survive strip churn.
+// Re-interning mid-stream: products probe by the recoded column.
 // ---------------------------------------------------------------------------
 
-TEST(EngineIncrementalSoak, ProbeBloatCheckHasHysteresisAcrossStripChurn) {
+TEST(EngineIncrementalSoak, ReinternMidStreamKeepsProductsRebuildEqual) {
+  // Strip churn leaves dead codes behind: each strip moves one carrier of
+  // every cluster to a fresh value, each un-strip moves it back and kills
+  // those values. Past 2:1 dead-to-live (and the slack floor) the flush
+  // re-interns the column — after the last partner read, so the products
+  // that probe by its codes must stay rebuild-equal across the recode, on
+  // the per-row arm (single updates) and the batched arm (UpdateRows).
   AttrCatalog catalog;
-  const AttrId a = catalog.Intern("h");
+  const AttrId g = catalog.Intern("g");  // ids ascend with intern order, so
+  const AttrId h = catalog.Intern("h");  // {g, h} probes by h's column
   const AttrId uniq = catalog.Intern("uniq");
-  FlexibleRelation rel = FlexibleRelation::Derived("hyst", DependencySet());
+  FlexibleRelation rel = FlexibleRelation::Derived("reintern", DependencySet());
   constexpr int kClusters = 120;
   for (int i = 0; i < kClusters; ++i) {
     for (int j = 0; j < 2; ++j) {
       Tuple t;
-      t.Set(a, Value::Int(i));
+      t.Set(g, Value::Int(i % 7));
+      t.Set(h, Value::Int(i));
       t.Set(uniq, Value::Int(i * 2 + j));
       rel.InsertUnchecked(t);
     }
   }
+  SoakKeys keys;
+  keys.partitions = {AttrSet::Of(g), AttrSet::Of(h), AttrSet{g, h},
+                     AttrSet{h, uniq}, AttrSet{g, h, uniq}};
+  keys.columns = {g, h, uniq};
   std::shared_ptr<PliCache> cache = rel.pli_cache();
-  (void)cache->IndexFor(a);
-  ASSERT_EQ(cache->Get(AttrSet::Of(a))->num_clusters(),
-            static_cast<size_t>(kClusters));
-  (void)cache->ProbeFor(a);  // bound = baseline = 120
-  const size_t rebuilds0 = cache->Stats().probe_rebuilds;
+  for (const AttrSet& k : keys.partitions) (void)cache->Get(k);
+  const uint64_t generation0 = cache->CodeColumnFor(h)->generation();
 
   constexpr int kChurn = 110;
-  auto strip = [&] {  // move one carrier of each cluster to a unique value
+  auto churn = [&](int64_t base, bool batched, const std::string& what) {
+    std::vector<FlexibleRelation::UpdateSpec> updates;
     for (int i = 0; i < kChurn; ++i) {
-      ASSERT_TRUE(rel.Update(2 * i, a, Value::Int(10000 + i)).ok());
+      Value v = Value::Int(base == 0 ? i : base + i);
+      if (batched) {
+        updates.push_back({static_cast<size_t>(2 * i), h, v, Tuple()});
+      } else {
+        ASSERT_TRUE(rel.Update(2 * i, h, v).ok());
+      }
     }
+    if (batched) ASSERT_TRUE(rel.UpdateRows(std::move(updates)).ok());
+    ASSERT_NO_FATAL_FAILURE(VerifyAgainstRebuild(rel, keys, what));
   };
-  auto unstrip = [&] {  // move it back: re-forms the cluster, fresh label
-    for (int i = 0; i < kChurn; ++i) {
-      ASSERT_TRUE(rel.Update(2 * i, a, Value::Int(i)).ok());
-    }
-  };
-
-  // Mass strip: clusters 120 -> 10 while the label bound stays 120. The
-  // pre-hysteresis check (bound > 2*clusters + 64 alone) tripped here the
-  // moment clusters fell below 28 — and again on every later churn cycle,
-  // an O(rows) probe rebuild each — even though the bound never grew; the
-  // probe is merely sparse, clusters having dissolved under it.
-  ASSERT_NO_FATAL_FAILURE(strip());
-  EXPECT_EQ(cache->Stats().probe_rebuilds, rebuilds0)
-      << "a merely-sparse probe was dropped right after its dense build";
-  ASSERT_NO_FATAL_FAILURE(unstrip());  // 110 fresh labels: bound = 230
-  ASSERT_NO_FATAL_FAILURE(strip());    // sparse again; 230 <= 2*120 + 64
-  EXPECT_EQ(cache->Stats().probe_rebuilds, rebuilds0)
-      << "re-dropped before the bound bloated from the rebuild baseline";
-  // Only genuine label growth re-trips the check: the second un-strip
-  // pushes the bound past 2*baseline + 64 = 304 and the memo retires for
-  // one dense rebuild.
-  ASSERT_NO_FATAL_FAILURE(unstrip());
-  EXPECT_EQ(cache->Stats().probe_rebuilds, rebuilds0 + 1)
-      << "a genuinely bloated bound must still retire the memo";
-
-  std::shared_ptr<const PliProbe> probe = cache->ProbeFor(a);
-  Pli fresh = Pli::Build(rel.rows(), a);
-  ASSERT_NO_FATAL_FAILURE(VerifyProbeEquivalent(*probe, fresh, "post-churn"));
-  EXPECT_EQ(probe->label_bound, probe->label_baseline)
-      << "a rebuild must reset the hysteresis baseline";
-  EXPECT_EQ(probe->label_bound, static_cast<int32_t>(fresh.num_clusters()));
+  for (int cycle = 0; cycle < 4; ++cycle) {
+    const bool batched = cycle >= 2;
+    ASSERT_NO_FATAL_FAILURE(churn(10000 * (cycle + 1), batched,
+                                  StrCat("strip#", cycle)));
+    ASSERT_NO_FATAL_FAILURE(churn(0, batched, StrCat("unstrip#", cycle)));
+  }
+  // One re-intern fires mid-way through the second per-row un-strip, one
+  // on the second batched un-strip.
+  EXPECT_GE(cache->CodeColumnFor(h)->generation(), generation0 + 2)
+      << "the churn never pushed the column past its re-intern threshold";
+  EXPECT_LE(cache->CodeColumnFor(h)->code_bound(), 2u * kClusters + 64)
+      << "dead codes must not accumulate past the re-intern bound";
 }
 
 // ---------------------------------------------------------------------------
@@ -414,12 +366,12 @@ TEST(EngineIncrementalSoak, IncrementalModeMatchesDropEverythingOracle) {
   for (AttrId a : attrs) keys.partitions.push_back(AttrSet::Of(a));
   keys.partitions.push_back(AttrSet{attrs[0], attrs[3]});
   keys.partitions.push_back(AttrSet{attrs[1], attrs[2], attrs[4]});
-  keys.indexes = {attrs[0], attrs[2], attrs[4]};
+  keys.columns = {attrs[0], attrs[2], attrs[4]};
 
   auto touch = [&](FlexibleRelation* rel) {
     std::shared_ptr<PliCache> cache = rel->pli_cache();
     for (const AttrSet& k : keys.partitions) (void)cache->Get(k);
-    for (AttrId a : keys.indexes) (void)cache->IndexFor(a);
+    for (AttrId a : keys.columns) (void)cache->CodeColumnFor(a);
   };
 
   for (int op = 0; op < 250; ++op) {
@@ -446,8 +398,10 @@ TEST(EngineIncrementalSoak, IncrementalModeMatchesDropEverythingOracle) {
         ASSERT_EQ(lhs->Get(k)->defined_rows(), rhs->Get(k)->defined_rows())
             << "op#" << op << " partition " << k.ToString();
       }
-      for (AttrId a : keys.indexes) {
-        ASSERT_EQ(*lhs->IndexFor(a), *rhs->IndexFor(a)) << "op#" << op;
+      for (AttrId a : keys.columns) {
+        ASSERT_TRUE(ColumnsDecodeEqual(*lhs->CodeColumnFor(a),
+                                       *rhs->CodeColumnFor(a)))
+            << "op#" << op;
       }
     }
   }
@@ -482,11 +436,11 @@ TEST(EngineIncrementalSoak, TypedUpdatesWithTypeChangesPatchCorrectly) {
       if (first_variant_attr == 0) first_variant_attr = a;
     }
   }
-  keys.indexes = {workload.id_attr, workload.jobtype_attr,
+  keys.columns = {workload.id_attr, workload.jobtype_attr,
                   first_variant_attr};
   std::shared_ptr<PliCache> cache = rel.pli_cache();
   for (const AttrSet& k : keys.partitions) (void)cache->Get(k);
-  for (AttrId a : keys.indexes) (void)cache->IndexFor(a);
+  for (AttrId a : keys.columns) (void)cache->CodeColumnFor(a);
 
   int type_changes = 0;
   for (int op = 0; op < 150; ++op) {
@@ -513,98 +467,88 @@ TEST(PliPatchTest, ApplyBatchSplicesLikeARebuild) {
   const AttrId a = 4;
   std::vector<Tuple> rows = RowsWithValues(a, {1, 1, 2, 2, 3});
   Pli pli = Pli::Build(rows, a);  // clusters {0,1}, {2,3}; row 4 stripped
+  CodeColumn column = CodeColumn::Build(rows, a);
 
   // One burst: row 0 re-valued 1 -> 3 (dissolves {0,1}, un-strips row 4
   // into {0,4}) and row 2 re-valued 2 -> 1 (dissolves {2,3}, forms {1,2}).
-  PliCache::ValueIndex index;
-  for (size_t i = 0; i < rows.size(); ++i) {
-    ValueIndexApplyInsert(&index, static_cast<Pli::RowId>(i),
-                          rows[i].Get(a));
-  }
-  Value one = Value::Int(1), two = Value::Int(2), three = Value::Int(3);
-  std::vector<ValueIndexDelta> deltas = {{0, &one, &three}, {2, &two, &one}};
-  std::vector<Pli::ClusterPatch> patches =
-      ValueIndexApplyUpdateBatch(&index, deltas);
-  ASSERT_FALSE(patches.empty());
-  ASSERT_TRUE(pli.ApplyBatch(std::move(patches), /*defined_delta=*/0));
-
   rows[0].Set(a, Value::Int(3));
   rows[2].Set(a, Value::Int(1));
+  std::vector<Pli::ClusterPatchView> views =
+      column.ApplyBatch(rows.size(),
+                        {{0, rows[0].Get(a)}, {2, rows[2].Get(a)}});
+  ASSERT_FALSE(views.empty());
+  ASSERT_TRUE(pli.ApplyBatch(views, /*defined_delta=*/0));
+
   EXPECT_EQ(pli, Pli::Build(rows, a));
   EXPECT_EQ(pli.defined_rows(), 5u);
-  // The spliced index must equal a from-scratch build too.
-  PliCache::ValueIndex fresh;
-  for (size_t i = 0; i < rows.size(); ++i) {
-    ValueIndexApplyInsert(&fresh, static_cast<Pli::RowId>(i), rows[i].Get(a));
-  }
-  EXPECT_EQ(index, fresh);
+  // The spliced column must describe the instance a fresh build does.
+  EXPECT_TRUE(
+      testutil::ColumnsDecodeEqual(column, CodeColumn::Build(rows, a)));
+  EXPECT_TRUE(ColumnMatchesPartition(column, pli));
 }
 
 TEST(PliPatchTest, ApplyBatchHandlesInsertBursts) {
   const AttrId a = 7;
   std::vector<Tuple> rows = RowsWithValues(a, {5, 6, 5});
   Pli pli = Pli::Build(rows, a);
-  PliCache::ValueIndex index;
-  for (size_t i = 0; i < rows.size(); ++i) {
-    ValueIndexApplyInsert(&index, static_cast<Pli::RowId>(i), rows[i].Get(a));
-  }
+  CodeColumn column = CodeColumn::Build(rows, a);
 
   // Rows 3 and 4 appended: one joins value 6 (un-strips row 1), one a new
-  // value 9 (stays stripped).
+  // value 9 (stays stripped); row 5 arrives without the attribute.
   for (int64_t v : {6, 9}) {
     Tuple t;
     t.Set(a, Value::Int(v));
     rows.push_back(std::move(t));
   }
-  std::vector<std::pair<Pli::RowId, const Value*>> inserts = {
-      {3, rows[3].Get(a)}, {4, rows[4].Get(a)}};
-  std::vector<Pli::ClusterPatch> patches =
-      ValueIndexApplyInsertBatch(&index, inserts);
+  rows.push_back(Tuple());
+  const size_t defined_before = column.defined();
+  std::vector<Pli::ClusterPatchView> views =
+      column.ApplyBatch(rows.size(),
+                        {{3, rows[3].Get(a)}, {4, rows[4].Get(a)}});
   pli.SetNumRows(rows.size());
-  ASSERT_TRUE(pli.ApplyBatch(std::move(patches), /*defined_delta=*/2));
+  ASSERT_TRUE(pli.ApplyBatch(
+      views, static_cast<ptrdiff_t>(column.defined() - defined_before)));
   EXPECT_EQ(pli, Pli::Build(rows, a));
   EXPECT_EQ(pli.defined_rows(), 5u);
   EXPECT_EQ(pli.NumDistinct(), 3u);
+  EXPECT_EQ(column.codes()[5], CodeColumn::kMissingCode);
+  EXPECT_TRUE(
+      testutil::ColumnsDecodeEqual(column, CodeColumn::Build(rows, a)));
 }
 
 TEST(PliPatchTest, ViewBasedBatchSpliceMatchesTheOwningOne) {
-  // The zero-copy capture (ValueIndexApplyUpdateBatchViews +
-  // ApplyBatch(ClusterPatchView)) must leave index and partition in exactly
-  // the state the owning-patch pipeline produces — in both storage modes.
+  // The zero-copy route (views into the spliced buckets) and the owning
+  // route (the same replacements copied into ClusterPatches first) must
+  // leave the partition in exactly the rebuild's state.
   const AttrId a = 6;
-  for (Pli::Storage storage :
-       {Pli::Storage::kArena, Pli::Storage::kVectors}) {
-    std::vector<Tuple> rows = RowsWithValues(a, {1, 1, 2, 2, 3, 2, 1});
-    Pli pli = Pli::Build(rows, a, storage);
-    PliCache::ValueIndex index;
-    for (size_t i = 0; i < rows.size(); ++i) {
-      ValueIndexApplyInsert(&index, static_cast<Pli::RowId>(i),
-                            rows[i].Get(a));
-    }
-    // Burst: row 0 1->3 (un-strips row 4), row 3 2->1, row 5 2->9 (fresh
-    // stripped value), so clusters dissolve, shrink, grow, and appear.
-    Value one = Value::Int(1), two = Value::Int(2), three = Value::Int(3),
-          nine = Value::Int(9);
-    std::vector<ValueIndexDelta> deltas = {
-        {0, &one, &three}, {3, &two, &one}, {5, &two, &nine}};
-    std::vector<Pli::ClusterPatchView> views =
-        ValueIndexApplyUpdateBatchViews(&index, deltas);
-    ASSERT_FALSE(views.empty());
-    ASSERT_TRUE(pli.ApplyBatch(std::move(views), /*defined_delta=*/0));
-
-    rows[0].Set(a, Value::Int(3));
-    rows[3].Set(a, Value::Int(1));
-    rows[5].Set(a, Value::Int(9));
-    EXPECT_EQ(pli, Pli::Build(rows, a));
-    std::string err;
-    EXPECT_TRUE(pli.CheckInvariants(&err)) << err;
-    PliCache::ValueIndex fresh;
-    for (size_t i = 0; i < rows.size(); ++i) {
-      ValueIndexApplyInsert(&fresh, static_cast<Pli::RowId>(i),
-                            rows[i].Get(a));
-    }
-    EXPECT_EQ(index, fresh);
+  std::vector<Tuple> rows = RowsWithValues(a, {1, 1, 2, 2, 3, 2, 1});
+  Pli by_view = Pli::Build(rows, a);
+  Pli by_copy = by_view;
+  CodeColumn column = CodeColumn::Build(rows, a);
+  // Burst: row 0 1->3 (un-strips row 4), row 3 2->1, row 5 2->9 (fresh
+  // stripped value), so clusters dissolve, shrink, grow, and appear.
+  rows[0].Set(a, Value::Int(3));
+  rows[3].Set(a, Value::Int(1));
+  rows[5].Set(a, Value::Int(9));
+  std::vector<Pli::ClusterPatchView> views = column.ApplyBatch(
+      rows.size(),
+      {{0, rows[0].Get(a)}, {3, rows[3].Get(a)}, {5, rows[5].Get(a)}});
+  ASSERT_FALSE(views.empty());
+  std::vector<Pli::ClusterPatch> patches;
+  for (const Pli::ClusterPatchView& v : views) {
+    patches.push_back({v.old_front, v.old_size,
+                       Pli::Cluster(v.new_rows, v.new_rows + v.new_size)});
   }
+  ASSERT_TRUE(by_view.ApplyBatch(views, /*defined_delta=*/0));
+  ASSERT_TRUE(by_copy.ApplyBatch(patches, /*defined_delta=*/0));
+
+  const Pli fresh = Pli::Build(rows, a);
+  EXPECT_EQ(by_view, fresh);
+  EXPECT_EQ(by_copy, fresh);
+  std::string err;
+  EXPECT_TRUE(by_view.CheckInvariants(&err)) << err;
+  EXPECT_TRUE(
+      testutil::ColumnsDecodeEqual(column, CodeColumn::Build(rows, a)));
 }
 
 TEST(PliPatchTest, ViewBasedBatchRefusesContradictionsAsANoOp) {
@@ -615,7 +559,7 @@ TEST(PliPatchTest, ViewBasedBatchRefusesContradictionsAsANoOp) {
   const Pli::RowId bogus[] = {0, 1, 2};
   std::vector<Pli::ClusterPatchView> views;
   views.push_back({0, 3, bogus, 3});  // cluster {0,1} is size 2, not 3
-  EXPECT_FALSE(pli.ApplyBatch(std::move(views), 0));
+  EXPECT_FALSE(pli.ApplyBatch(views, 0));
   EXPECT_EQ(pli, before);
   EXPECT_EQ(pli.grouped_rows(), before.grouped_rows());
 }
@@ -629,7 +573,7 @@ TEST(PliPatchTest, ApplyBatchRefusesContradictionsAsANoOp) {
   // actual {0,1}: the whole batch must refuse without touching anything.
   std::vector<Pli::ClusterPatch> patches;
   patches.push_back(Pli::ClusterPatch{0, 3, {0, 1, 2}});
-  EXPECT_FALSE(pli.ApplyBatch(std::move(patches), 0));
+  EXPECT_FALSE(pli.ApplyBatch(patches, 0));
   EXPECT_EQ(pli, before);
   EXPECT_EQ(pli.defined_rows(), before.defined_rows());
   EXPECT_EQ(pli.grouped_rows(), before.grouped_rows());
@@ -749,10 +693,10 @@ TEST(BatchMutationTest, FailedBatchLeavesRelationAndCacheUntouched) {
   keys.partitions.push_back(AttrSet::Of(workload.jobtype_attr));
   keys.partitions.push_back(
       AttrSet{workload.id_attr, workload.jobtype_attr});
-  keys.indexes = {workload.id_attr, workload.jobtype_attr};
+  keys.columns = {workload.id_attr, workload.jobtype_attr};
   std::shared_ptr<PliCache> cache = rel.pli_cache();
   for (const AttrSet& k : keys.partitions) (void)cache->Get(k);
-  for (AttrId a : keys.indexes) (void)cache->IndexFor(a);
+  for (AttrId a : keys.columns) (void)cache->CodeColumnFor(a);
 
   const std::vector<Tuple> rows_before = rel.rows();
   auto expect_untouched = [&](const char* what) {
@@ -849,11 +793,11 @@ TEST(EngineIncrementalSoak, BatchBurstsMatchRebuildsAcrossAllPolicies) {
   keys.partitions.push_back(AttrSet{attrs[0], attrs[1]});
   keys.partitions.push_back(AttrSet{attrs[1], attrs[2], attrs[3]});
   keys.partitions.push_back(AttrSet());
-  keys.indexes = {attrs[0], attrs[2], attrs[5]};
+  keys.columns = {attrs[0], attrs[2], attrs[5]};
   std::shared_ptr<PliCache> cache = rel.pli_cache();
   auto warm = [&] {
     for (const AttrSet& k : keys.partitions) (void)cache->Get(k);
-    for (AttrId a : keys.indexes) (void)cache->IndexFor(a);
+    for (AttrId a : keys.columns) (void)cache->CodeColumnFor(a);
   };
   warm();
 
@@ -978,13 +922,10 @@ TEST(EngineIncrementalSoak, BatchBurstsMatchRebuildsAcrossAllPolicies) {
 }
 
 // ---------------------------------------------------------------------------
-// The adaptive policy against its three pinned references: batch_threshold
-// = SIZE_MAX forces the PR 3 per-row path, incremental = false the drop-
-// everything oracle, and arena_storage = false runs the same adaptive
-// policy over the historical vector-of-vectors clusters — so every flush
-// arm is asserted structurally equal arena-vs-reference. One identical
-// mutation stream, four relations, every tracked structure equal after
-// every burst.
+// The adaptive policy against its two pinned references: batch_threshold
+// = SIZE_MAX forces the per-row path, incremental = false the drop-
+// everything oracle. One identical mutation stream, three relations, every
+// tracked structure equal after every burst.
 // ---------------------------------------------------------------------------
 
 TEST(EngineIncrementalSoak, AdaptivePolicyMatchesPerRowAndDropOracles) {
@@ -995,8 +936,6 @@ TEST(EngineIncrementalSoak, AdaptivePolicyMatchesPerRowAndDropOracles) {
 
   FlexibleRelation adaptive =
       FlexibleRelation::Derived("adaptive", DependencySet());
-  FlexibleRelation reference =
-      FlexibleRelation::Derived("reference", DependencySet());
   FlexibleRelation per_row =
       FlexibleRelation::Derived("per-row", DependencySet());
   FlexibleRelation oracle = FlexibleRelation::Derived("ora", DependencySet());
@@ -1005,9 +944,6 @@ TEST(EngineIncrementalSoak, AdaptivePolicyMatchesPerRowAndDropOracles) {
   PliCacheOptions adaptive_options;
   adaptive_options.drop_threshold = 128;
   adaptive.SetPliCacheOptions(adaptive_options);
-  PliCacheOptions reference_options = adaptive_options;
-  reference_options.arena_storage = false;
-  reference.SetPliCacheOptions(reference_options);
   PliCacheOptions pinned;
   pinned.batch_threshold = SIZE_MAX;
   pinned.drop_threshold = SIZE_MAX;
@@ -1015,19 +951,19 @@ TEST(EngineIncrementalSoak, AdaptivePolicyMatchesPerRowAndDropOracles) {
   PliCacheOptions drop_everything;
   drop_everything.incremental = false;
   oracle.SetPliCacheOptions(drop_everything);
-  FlexibleRelation* rels[] = {&adaptive, &reference, &per_row, &oracle};
+  FlexibleRelation* rels[] = {&adaptive, &per_row, &oracle};
 
   SoakKeys keys;
   for (AttrId a : attrs) keys.partitions.push_back(AttrSet::Of(a));
   keys.partitions.push_back(AttrSet{attrs[0], attrs[2]});
-  keys.indexes = {attrs[1], attrs[3]};
+  keys.columns = {attrs[1], attrs[3]};
   auto touch = [&](FlexibleRelation* rel) {
     std::shared_ptr<PliCache> cache = rel->pli_cache();
     for (const AttrSet& k : keys.partitions) (void)cache->Get(k);
-    for (AttrId a : keys.indexes) (void)cache->IndexFor(a);
+    for (AttrId a : keys.columns) (void)cache->CodeColumnFor(a);
   };
 
-  // Identical instances: one draw per row, applied to all three.
+  // Identical instances: one draw per row, applied to all of them.
   for (int i = 0; i < 150; ++i) {
     Tuple t = RandomSoakTuple(attrs, &rng);
     for (FlexibleRelation* rel : rels) rel->InsertUnchecked(t);
@@ -1036,28 +972,25 @@ TEST(EngineIncrementalSoak, AdaptivePolicyMatchesPerRowAndDropOracles) {
 
   auto assert_all_equal = [&](const std::string& context) {
     std::shared_ptr<PliCache> lhs = adaptive.pli_cache();
-    std::shared_ptr<PliCache> ref = reference.pli_cache();
     std::shared_ptr<PliCache> mid = per_row.pli_cache();
     std::shared_ptr<PliCache> rhs = oracle.pli_cache();
     for (const AttrSet& k : keys.partitions) {
-      ASSERT_EQ(*lhs->Get(k), *ref->Get(k))
-          << context << " arena vs reference storage " << k.ToString();
       ASSERT_EQ(*lhs->Get(k), *mid->Get(k))
           << context << " adaptive vs per-row " << k.ToString();
       ASSERT_EQ(*lhs->Get(k), *rhs->Get(k))
           << context << " adaptive vs oracle " << k.ToString();
       ASSERT_EQ(lhs->Get(k)->defined_rows(), rhs->Get(k)->defined_rows())
           << context << " " << k.ToString();
-      ASSERT_EQ(lhs->Get(k)->storage(), Pli::Storage::kArena) << context;
-      ASSERT_EQ(ref->Get(k)->storage(), Pli::Storage::kVectors) << context;
       std::string err;
       ASSERT_TRUE(lhs->Get(k)->CheckInvariants(&err)) << context << err;
-      ASSERT_TRUE(ref->Get(k)->CheckInvariants(&err)) << context << err;
     }
-    for (AttrId a : keys.indexes) {
-      ASSERT_EQ(*lhs->IndexFor(a), *ref->IndexFor(a)) << context;
-      ASSERT_EQ(*lhs->IndexFor(a), *mid->IndexFor(a)) << context;
-      ASSERT_EQ(*lhs->IndexFor(a), *rhs->IndexFor(a)) << context;
+    for (AttrId a : keys.columns) {
+      ASSERT_TRUE(ColumnsDecodeEqual(*lhs->CodeColumnFor(a),
+                                     *mid->CodeColumnFor(a)))
+          << context;
+      ASSERT_TRUE(ColumnsDecodeEqual(*lhs->CodeColumnFor(a),
+                                     *rhs->CodeColumnFor(a)))
+          << context;
     }
   };
   auto run_burst = [&](size_t burst, const std::string& context) {
@@ -1083,21 +1016,17 @@ TEST(EngineIncrementalSoak, AdaptivePolicyMatchesPerRowAndDropOracles) {
     size_t burst = round == 19 ? 64 : kBursts[rng.Index(3)];
     ASSERT_NO_FATAL_FAILURE(run_burst(burst, StrCat("round#", round)));
   }
-  // Deterministic closing bursts pin the arena-vs-reference equality on
-  // each of the three flush arms regardless of the draws above: a single
+  // Deterministic closing bursts pin the equality on each of the three
+  // flush arms regardless of the draws above: a single
   // update (per-row), a mid-size burst (batched window), and one crossing
   // the lowered drop threshold (drop-everything).
   ASSERT_NO_FATAL_FAILURE(run_burst(1, "closing per-row burst"));
   ASSERT_NO_FATAL_FAILURE(run_burst(64, "closing batched burst"));
   ASSERT_NO_FATAL_FAILURE(run_burst(512, "closing drop burst"));
-  // The maintenance modes must actually have diverged in mechanism — and
-  // the reference-storage twin must have walked the same arms as the
-  // arena.
+  // The maintenance modes must actually have diverged in mechanism.
   EXPECT_GT(adaptive.pli_cache()->Stats().batch_applies, 0u);
   EXPECT_GT(adaptive.pli_cache()->Stats().full_drops, 0u);
-  EXPECT_GT(reference.pli_cache()->Stats().batch_applies, 0u);
-  EXPECT_GT(reference.pli_cache()->Stats().full_drops, 0u);
-  EXPECT_GT(reference.pli_cache()->Stats().patches, 0u);
+  EXPECT_GT(adaptive.pli_cache()->Stats().patches, 0u);
   EXPECT_EQ(per_row.pli_cache()->Stats().batch_applies, 0u);
   EXPECT_GT(per_row.pli_cache()->Stats().patches, 0u);
   EXPECT_EQ(oracle.pli_cache()->Stats().patches, 0u);

@@ -90,7 +90,7 @@ TEST(PliTest, ProbeTableInvertsClusters) {
   Pli pli = Pli::Build(rows, AttrId{1});
   PliProbe probe = pli.BuildProbe();
   ASSERT_EQ(probe.labels.size(), rows.size());
-  EXPECT_EQ(probe.label_bound, static_cast<int32_t>(pli.num_clusters()));
+  EXPECT_EQ(probe.label_bound, static_cast<uint32_t>(pli.num_clusters()));
   size_t in_clusters = 0;
   for (size_t i = 0; i < probe.labels.size(); ++i) {
     if (probe.labels[i] == Pli::kNoCluster) continue;
@@ -127,42 +127,6 @@ TEST(PliTest, IntersectionEqualsDirectBuild) {
   }
 }
 
-TEST(PliStorageTest, ArenaAndReferenceBuildsAreStructurallyEqual) {
-  // The CSR arena and the historical vector-of-vectors layout must be two
-  // representations of one partition: operator== crosses storage modes.
-  for (uint64_t seed = 40; seed < 46; ++seed) {
-    Rng rng(seed);
-    std::vector<Tuple> rows = RandomRows(&rng, 90, 4, 0.7, 3, 0.1);
-    for (AttrId a = 0; a < 4; ++a) {
-      Pli arena = Pli::Build(rows, a, Pli::Storage::kArena);
-      Pli reference = Pli::Build(rows, a, Pli::Storage::kVectors);
-      ASSERT_EQ(arena.storage(), Pli::Storage::kArena);
-      ASSERT_EQ(reference.storage(), Pli::Storage::kVectors);
-      EXPECT_EQ(arena, reference) << "seed=" << seed << " attr=" << a;
-      EXPECT_EQ(reference, arena) << "symmetry";
-      EXPECT_EQ(arena.defined_rows(), reference.defined_rows());
-      EXPECT_EQ(arena.NumDistinct(), reference.NumDistinct());
-      std::string err;
-      EXPECT_TRUE(arena.CheckInvariants(&err)) << err;
-      EXPECT_TRUE(reference.CheckInvariants(&err)) << err;
-    }
-    // Products inherit their left operand's storage and stay equal across
-    // mode combinations (including mixed-operand intersections).
-    Pli a0 = Pli::Build(rows, AttrId{0});
-    Pli a1v = Pli::Build(rows, AttrId{1}, Pli::Storage::kVectors);
-    Pli v0 = Pli::Build(rows, AttrId{0}, Pli::Storage::kVectors);
-    Pli arena_product = a0.Intersect(a1v);
-    Pli vector_product = v0.Intersect(a1v);
-    ASSERT_EQ(arena_product.storage(), Pli::Storage::kArena);
-    ASSERT_EQ(vector_product.storage(), Pli::Storage::kVectors);
-    EXPECT_EQ(arena_product, vector_product) << "seed=" << seed;
-    EXPECT_EQ(arena_product, Pli::Build(rows, AttrSet{0, 1}));
-    std::string err;
-    EXPECT_TRUE(arena_product.CheckInvariants(&err)) << err;
-    EXPECT_TRUE(vector_product.CheckInvariants(&err)) << err;
-  }
-}
-
 TEST(PliStorageTest, ScratchReuseDoesNotLeakStateAcrossIntersections) {
   // One scratch instance threaded through many differently-shaped products
   // must yield the same partitions as fresh per-call scratch.
@@ -174,12 +138,70 @@ TEST(PliStorageTest, ScratchReuseDoesNotLeakStateAcrossIntersections) {
     for (AttrId b = 0; b < 5; ++b) {
       if (a == b) continue;
       PliProbe probe = Pli::Build(rows, b).BuildProbe();
-      Pli with_scratch = pa.IntersectWithProbe(probe, &scratch);
-      Pli fresh = pa.IntersectWithProbe(probe);
+      Pli with_scratch =
+          pa.IntersectWithProbe(probe.labels, probe.label_bound, &scratch);
+      Pli fresh = pa.IntersectWithProbe(probe.labels, probe.label_bound);
       EXPECT_EQ(with_scratch, fresh) << "a=" << a << " b=" << b;
       EXPECT_EQ(with_scratch, Pli::Build(rows, AttrSet{a, b}));
+      // A code column is a probe as it stands (label = code).
+      CodeColumn column = CodeColumn::Build(rows, b);
+      EXPECT_EQ(pa.IntersectWithProbe(column.codes(), column.code_bound(),
+                                      &scratch),
+                with_scratch)
+          << "a=" << a << " b=" << b;
     }
   }
+}
+
+TEST(PliStorageTest, CodeLabelledIntersectionOnHighCardinalityAttribute) {
+  // The product X ∪ {a} with a mostly all-distinct: a's code column is the
+  // probe, so the scratch arrays are sized by its whole dictionary
+  // (singleton codes included) rather than by its cluster count, and every
+  // singleton code must fall out of the product on its own. The attribute
+  // also carries a few shared values (real sub-clusters), explicit nulls
+  // (which cluster), and absent rows (which must drop out).
+  Rng rng(91);
+  constexpr size_t kRows = 3000;
+  const AttrId hi = 2;
+  std::vector<Tuple> rows;
+  for (size_t i = 0; i < kRows; ++i) {
+    Tuple t;
+    t.Set(0, Value::Int(rng.UniformInt(0, 3)));
+    if (rng.Bernoulli(0.9)) t.Set(1, Value::Int(rng.UniformInt(0, 5)));
+    const double dice = rng.UniformDouble();
+    if (dice < 0.05) {
+      // absent
+    } else if (dice < 0.10) {
+      t.Set(hi, Value::Null());
+    } else if (dice < 0.15) {
+      t.Set(hi, Value::Int(rng.UniformInt(0, 9)));
+    } else {
+      t.Set(hi, Value::Int(1000000 + static_cast<int64_t>(i)));
+    }
+    rows.push_back(std::move(t));
+  }
+  const CodeColumn column = CodeColumn::Build(rows, hi);
+  ASSERT_GT(column.code_bound(), kRows / 2) << "not high-cardinality";
+  Pli::IntersectScratch scratch;
+  for (const AttrSet& x : {AttrSet{0}, AttrSet{1}, AttrSet{0, 1}}) {
+    const AttrSet with_hi = x.Union(AttrSet::Of(hi));
+    const Pli direct = Pli::Build(rows, with_hi);
+    Pli product = Pli::Build(rows, x).IntersectWithProbe(
+        column.codes(), column.code_bound(), &scratch);
+    EXPECT_EQ(product, direct) << with_hi.ToString();
+    std::string err;
+    EXPECT_TRUE(product.CheckInvariants(&err)) << err;
+    EXPECT_GT(product.num_clusters(), 0u) << "shared values and nulls";
+    // The cache assembles the same product out of its pinned columns.
+    PliCache cache(&rows);
+    EXPECT_EQ(*cache.Get(with_hi), direct) << with_hi.ToString();
+  }
+  // The high-cardinality partition as the outer operand, probed by a
+  // low-cardinality column after the scratch grew to the large bound.
+  const CodeColumn low = CodeColumn::Build(rows, 0);
+  EXPECT_EQ(Pli::Build(rows, hi).IntersectWithProbe(low.codes(),
+                                                    low.code_bound(), &scratch),
+            Pli::Build(rows, AttrSet{0, hi}));
 }
 
 TEST(PliCacheTest, CachedPartitionsMatchDirectBuilds) {

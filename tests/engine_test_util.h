@@ -1,19 +1,24 @@
 // Shared randomized instance / workload generators for the engine test
 // suites. One home for the soak-value distributions, the random flexible
 // instances the discovery suites cross-validate on, the employee-workload
-// mutation step the eval and incremental soaks both drive, and the
-// planted-FD / Zipfian shapes the hybrid-discovery differential harness
-// sweeps. Everything is driven by an explicit Rng so suites stay
-// replayable through tests/test_seed.h.
+// mutation step the eval and incremental soaks both drive, the planted-FD /
+// Zipfian shapes the hybrid-discovery differential harness sweeps, and the
+// code-column comparisons the soaks check maintained columns against their
+// rebuild oracle with. Everything is driven by an explicit Rng so suites
+// stay replayable through tests/test_seed.h.
 
 #ifndef FLEXREL_TESTS_ENGINE_TEST_UTIL_H_
 #define FLEXREL_TESTS_ENGINE_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+
 #include <algorithm>
 #include <cmath>
+#include <unordered_map>
 #include <vector>
 
 #include "core/dependency_set.h"
+#include "engine/dictionary.h"
 #include "relational/tuple.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -128,6 +133,82 @@ inline EmployeeMutationOutcome ApplyRandomEmployeeMutation(
   out.type_changed =
       !delta.value().to_add.empty() || !delta.value().to_remove.empty();
   return out;
+}
+
+/// What a code column means, independent of the codes it assigns: value ->
+/// ascending rows carrying it (dead codes skipped). Two columns over the
+/// same instance may number values differently (intern order,
+/// re-interning) and still describe the same instance.
+using DecodedColumn =
+    std::unordered_map<Value, std::vector<CodeColumn::RowId>, ValueHash>;
+inline DecodedColumn Decode(const CodeColumn& column) {
+  DecodedColumn out;
+  for (CodeColumn::Code c = 0; c < column.code_bound(); ++c) {
+    if (!column.Bucket(c).empty()) {
+      out.emplace(column.ValueOf(c), column.Bucket(c));
+    }
+  }
+  return out;
+}
+
+/// `patched` describes the same instance as `oracle` (a from-scratch
+/// CodeColumn::Build, or a rebuild cache's column): both are internally
+/// coherent, cover the same rows, and decode to the same value -> rows
+/// map. Codes may differ.
+inline ::testing::AssertionResult ColumnsDecodeEqual(const CodeColumn& patched,
+                                                     const CodeColumn& oracle) {
+  std::string error;
+  if (!patched.CheckInvariants(&error)) {
+    return ::testing::AssertionFailure() << "patched column: " << error;
+  }
+  if (!oracle.CheckInvariants(&error)) {
+    return ::testing::AssertionFailure() << "oracle column: " << error;
+  }
+  if (patched.num_rows() != oracle.num_rows()) {
+    return ::testing::AssertionFailure()
+           << "rows " << patched.num_rows() << " vs " << oracle.num_rows();
+  }
+  if (Decode(patched) != Decode(oracle)) {
+    return ::testing::AssertionFailure() << "decoded value -> rows differ";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// The column <-> cluster consistency a single-attribute partition and its
+/// code column keep at every quiescent point: every cluster is exactly one
+/// code's bucket, every bucket of >= 2 rows is a cluster, and the defined
+/// row counts agree. This is what makes the column usable as the probe of
+/// every intersection with the attribute.
+inline ::testing::AssertionResult ColumnMatchesPartition(
+    const CodeColumn& column, const Pli& pli) {
+  if (column.num_rows() != pli.num_rows()) {
+    return ::testing::AssertionFailure()
+           << "column rows " << column.num_rows() << " vs partition rows "
+           << pli.num_rows();
+  }
+  if (column.defined() != pli.defined_rows()) {
+    return ::testing::AssertionFailure()
+           << "column defines " << column.defined() << " rows, partition "
+           << pli.defined_rows();
+  }
+  size_t fat_buckets = 0;
+  for (CodeColumn::Code c = 0; c < column.code_bound(); ++c) {
+    if (column.Bucket(c).size() >= 2) ++fat_buckets;
+  }
+  if (fat_buckets != pli.num_clusters()) {
+    return ::testing::AssertionFailure()
+           << fat_buckets << " buckets of >= 2 rows vs "
+           << pli.num_clusters() << " clusters";
+  }
+  for (size_t i = 0; i < pli.num_clusters(); ++i) {
+    const Pli::ClusterView cluster = pli.cluster(i);
+    const CodeColumn::Code code = column.codes()[cluster.front()];
+    if (code == CodeColumn::kMissingCode || !(cluster == column.Bucket(code))) {
+      return ::testing::AssertionFailure()
+             << "cluster " << i << " is not the bucket of its front's code";
+    }
+  }
+  return ::testing::AssertionSuccess();
 }
 
 /// Zipf(s) sampler over ranks [0, n): rank r with weight 1/(r+1)^s. The

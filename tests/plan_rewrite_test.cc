@@ -189,7 +189,7 @@ TEST_F(PlanRewriteTest, EmptyPropagatesThroughOperators) {
   EXPECT_TRUE(out.value().empty());
 }
 
-TEST_F(PlanRewriteTest, EstimateRowsReadsTheValueIndex) {
+TEST_F(PlanRewriteTest, EstimateRowsReadsTheCodeColumn) {
   // Scans estimate their size; an equality selection over a scan estimates
   // the matching cluster's exact size via the relation's partition cache.
   EXPECT_EQ(EstimateRows(Plan::Scan(&master_)), master_.size());

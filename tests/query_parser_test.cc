@@ -95,6 +95,25 @@ TEST_F(QueryParserTest, Errors) {
   EXPECT_FALSE(ParseFormula(&ex_->catalog, "jobtype IN ()").ok());
 }
 
+TEST_F(QueryParserTest, OutOfRangeNumericLiteralsAreErrors) {
+  // Literals past int64 / double range are rejected with the offending
+  // offset instead of escaping as an exception.
+  const std::string huge_int(400, '9');
+  const std::string huge_real = huge_int + ".5";
+  for (const std::string& literal :
+       {std::string("99999999999999999999"), huge_int, huge_real}) {
+    auto e = ParseFormula(&ex_->catalog, "salary = " + literal);
+    ASSERT_FALSE(e.ok()) << literal;
+    EXPECT_EQ(e.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(e.status().message().find("offset 9"), std::string::npos)
+        << e.status();
+    auto q = ParseQuery(&ex_->catalog,
+                        "SELECT * WHERE salary > 1 AND salary = " + literal);
+    ASSERT_FALSE(q.ok()) << literal;
+    EXPECT_EQ(q.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
 TEST_F(QueryParserTest, SelectStarWithWhere) {
   auto q = ParseQuery(&ex_->catalog,
                       "SELECT * WHERE jobtype = 'secretary'");
