@@ -90,12 +90,11 @@ void BM_DiscoveryArenaStorage(benchmark::State& state) {
 BENCHMARK(BM_DiscoveryArenaStorage)->Arg(10000)
     ->Unit(benchmark::kMillisecond);
 
-// The wide planted-FD shape hybrid discovery exists for: many attributes,
-// small skewed domains (fat clusters, so every exact validation does real
-// partition work), a handful of FDs planted by construction, and mild
-// attribute absence outside the plants so the AD pass sees presence
-// disagreement. Level-wise validates all C(n,2)+n candidates; hybrid's
-// sampled evidence falsifies almost all of them for free.
+// The wide planted-FD shape: many attributes, small skewed domains (fat
+// clusters, so every validation does real partition work), a handful of
+// FDs planted by construction, and mild attribute absence outside the
+// plants so the AD pass sees presence disagreement. Level-wise validates
+// all C(n,2)+n candidates, almost all of which come back empty.
 std::vector<Tuple> MakeWidePlanted(AttrId num_attrs, size_t num_rows,
                                    AttrSet* universe) {
   constexpr int64_t kDomain = 6;
@@ -129,32 +128,20 @@ std::vector<Tuple> MakeWidePlanted(AttrId num_attrs, size_t num_rows,
   return rows;
 }
 
-void RunWidePlantedDiscovery(benchmark::State& state,
-                             DiscoveryStrategy strategy) {
+// The engine traversal on the wide shape at |X| <= 2 (engine README,
+// "Numbers").
+void BM_DiscoveryArenaStorageWide(benchmark::State& state) {
   AttrSet universe;
   std::vector<Tuple> rows =
       MakeWidePlanted(static_cast<AttrId>(state.range(0)), 2048, &universe);
   EngineDiscoveryOptions options;
   options.max_lhs_size = 2;
-  options.strategy = strategy;
   for (auto _ : state) {
     DependencySet deps = EngineDiscoverDependencies(rows, universe, options);
     benchmark::DoNotOptimize(deps);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(rows.size()));
-}
-
-void BM_DiscoveryHybrid(benchmark::State& state) {
-  RunWidePlantedDiscovery(state, DiscoveryStrategy::kHybrid);
-}
-BENCHMARK(BM_DiscoveryHybrid)->Arg(32)->Arg(64)
-    ->Unit(benchmark::kMillisecond);
-
-// Level-wise on the identical wide instance — the exact-validation
-// baseline the hybrid gate in scripts/perf_smoke.py measures against.
-void BM_DiscoveryArenaStorageWide(benchmark::State& state) {
-  RunWidePlantedDiscovery(state, DiscoveryStrategy::kLevelWise);
 }
 BENCHMARK(BM_DiscoveryArenaStorageWide)->Arg(32)->Arg(64)
     ->Unit(benchmark::kMillisecond);

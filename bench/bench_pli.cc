@@ -10,9 +10,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <atomic>
-#include <mutex>
-#include <thread>
 #include <unordered_set>
 
 #include "engine/pli_cache.h"
@@ -203,13 +200,6 @@ FlexibleRelation RelationOf(const std::vector<Tuple>& rows,
                             MaintenanceMode mode) {
   FlexibleRelation rel = FlexibleRelation::Derived("bench", DependencySet());
   PliCacheOptions options;
-  // Locked in-place mode: these benches compare the flush-policy arms
-  // (coalescing + patch/batch/drop choice), which only exists in its pure
-  // form with lazy read-side flushing — COW mode flushes (and pays a
-  // structure clone + snapshot publish) on every mutation hook, drowning
-  // the policy costs in publication costs for single-row streams. The COW
-  // publication axis is measured by BM_SnapshotReadStorm* instead.
-  options.cow_reads = false;
   if (mode == MaintenanceMode::kPinnedPerRow) {
     options.batch_threshold = SIZE_MAX;
     options.drop_threshold = SIZE_MAX;
@@ -335,11 +325,7 @@ void BM_CacheBatchedFlush(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const int mutations = static_cast<int>(state.range(1));
   std::vector<Tuple> rows = MakeDenseRows(n, 8, 10, 5);
-  PliCacheOptions options;
-  // Locked mode isolates the flush work itself; COW publication costs are
-  // BM_SnapshotReadStorm*'s axis (see RelationOf).
-  options.cow_reads = false;
-  PliCache cache(&rows, options);
+  PliCache cache(&rows);
   auto query = [&cache] {
     benchmark::DoNotOptimize(cache.CodeColumnFor(0));
     benchmark::DoNotOptimize(cache.Get(AttrSet::Of(0)));
@@ -485,110 +471,6 @@ void BM_AppendStormFatPartition(benchmark::State& state) {
 }
 BENCHMARK(BM_AppendStormFatPartition)
     ->ArgNames({"clusters"})->Arg(256)->Arg(4096)->Arg(65536);
-
-// ---------------------------------------------------------------------------
-// Readers × writers: snapshot-read throughput under live write traffic.
-// The benchmark threads are the readers (google benchmark's ->Threads());
-// `writers` (arg 0) background threads hammer row updates through the
-// mutation hooks for the whole measurement. COW mode reads resolve against
-// the published snapshot without any lock. The locked baseline's readers
-// must additionally serialize against the writers with the external mutex
-// — that is its documented contract (in-place flushes read and patch live
-// structures, so reads concurrent with mutations are a data race), and
-// exactly the cost the snapshot plane removes. With writers = 0 both modes
-// read without external locking. scripts/perf_smoke.py sweeps this and
-// hard-fails if COW under one writer ever loses to the locked baseline.
-// ---------------------------------------------------------------------------
-
-void SnapshotReadStorm(benchmark::State& state, bool cow) {
-  static FlexibleRelation* rel = nullptr;
-  static std::shared_ptr<PliCache> cache;
-  static std::vector<Value> jobtypes;
-  static std::vector<std::thread> writer_threads;
-  static std::atomic<bool> stop{false};
-  static std::mutex write_mu;
-  const int writers = static_cast<int>(state.range(0));
-  if (state.thread_index() == 0) {
-    std::vector<Tuple> rows = MakeRows(10000, 5);
-    jobtypes.clear();
-    {
-      std::unordered_set<std::string> seen;
-      for (const Tuple& t : rows) {
-        if (const Value* v = t.Get(kJobtype)) {
-          if (seen.insert(v->as_string()).second) jobtypes.push_back(*v);
-        }
-      }
-    }
-    PliCacheOptions options;
-    options.cow_reads = cow;
-    rel = new FlexibleRelation(
-        FlexibleRelation::Derived("storm", DependencySet()));
-    rel->SetPliCacheOptions(options);
-    rel->InsertRowsUnchecked(std::move(rows));
-    cache = rel->pli_cache();
-    // Warm every key the readers touch: reader misses rebuild from the row
-    // vector, which is the write side's territory.
-    (void)cache->Get(AttrSet::Of(kJobtype));
-    (void)cache->Get(AttrSet::Of(kCommon));
-    (void)cache->Get(AttrSet{kJobtype, kCommon});
-    (void)cache->CodeColumnFor(kJobtype);
-    (void)cache->CodeColumnFor(kCommon);
-    stop.store(false, std::memory_order_release);
-    for (int w = 0; w < writers; ++w) {
-      writer_threads.emplace_back([w] {
-        Rng rng(1234 + static_cast<uint64_t>(w));
-        while (!stop.load(std::memory_order_acquire)) {
-          std::lock_guard<std::mutex> lock(write_mu);
-          const size_t row = rng.Index(rel->size());
-          if (rng.Bernoulli(0.5)) {
-            (void)rel->Update(row, kJobtype,
-                              jobtypes[rng.Index(jobtypes.size())]);
-          } else {
-            (void)rel->Update(row, kCommon,
-                              Value::Int(rng.UniformInt(0, 50)));
-          }
-        }
-      });
-    }
-  }
-  const bool serialize_reads = !cow && writers > 0;
-  for (auto _ : state) {
-    if (serialize_reads) {
-      std::lock_guard<std::mutex> lock(write_mu);
-      benchmark::DoNotOptimize(cache->Get(AttrSet::Of(kJobtype)));
-      benchmark::DoNotOptimize(cache->Get(AttrSet{kJobtype, kCommon}));
-      benchmark::DoNotOptimize(cache->CodeColumnFor(kCommon));
-    } else {
-      benchmark::DoNotOptimize(cache->Get(AttrSet::Of(kJobtype)));
-      benchmark::DoNotOptimize(cache->Get(AttrSet{kJobtype, kCommon}));
-      benchmark::DoNotOptimize(cache->CodeColumnFor(kCommon));
-    }
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
-  if (state.thread_index() == 0) {
-    stop.store(true, std::memory_order_release);
-    for (std::thread& t : writer_threads) t.join();
-    writer_threads.clear();
-    cache.reset();
-    delete rel;
-    rel = nullptr;
-  }
-}
-void BM_SnapshotReadStorm(benchmark::State& state) {
-  SnapshotReadStorm(state, /*cow=*/true);
-}
-void BM_SnapshotReadStormLocked(benchmark::State& state) {
-  SnapshotReadStorm(state, /*cow=*/false);
-}
-#define FLEXREL_READ_STORM_SWEEP(bench)                 \
-  BENCHMARK(bench)                                      \
-      ->ArgNames({"writers"})                           \
-      ->Arg(0)->Arg(1)->Arg(4)                          \
-      ->Threads(1)->Threads(4)->Threads(8)              \
-      ->UseRealTime()
-FLEXREL_READ_STORM_SWEEP(BM_SnapshotReadStorm);
-FLEXREL_READ_STORM_SWEEP(BM_SnapshotReadStormLocked);
-#undef FLEXREL_READ_STORM_SWEEP
 
 }  // namespace
 }  // namespace flexrel

@@ -13,14 +13,7 @@ hard-fails on any inversion:
   * the PLI-backed pair join slower than the naive nested-loop join;
   * the counting-sort partition build over a code column
     (BM_PliBuildSingleAttrCoded, the cache's build) slower than the hashed
-    from-scratch build it replaces (BM_PliBuildSingleAttr);
-  * hybrid (sample-then-validate) discovery losing to exact level-wise
-    validation on the wide 64-attribute planted-FD instance — the shape
-    hybrid exists for (engine/hybrid_discovery.h);
-  * the lock-free COW snapshot read path (PliCacheOptions::cow_reads)
-    losing to the locked in-place baseline under one concurrent writer,
-    at any point of the 1/4/8-reader sweep (the 0- and 4-writer cells run
-    for the artifact record).
+    from-scratch build it replaces (BM_PliBuildSingleAttr).
 
 Each run also enables the engine telemetry plane (--metrics_json=PATH, see
 src/telemetry/) and writes the per-binary metrics dump into the out dir
@@ -34,20 +27,7 @@ construction and work-ratio bounds the engine exists to provide:
     the sweep actually exercised the adaptive policy;
   * eval.join.hash_probes stays >= 100x below
     eval.join.hash_pair_candidates (the naive pair count for the same
-    joins): the hashed path must probe orders fewer pairs than |L|x|R|;
-  * in the COW read-storm dump (cow_reads=true only): every flush swapped
-    in a snapshot (engine.pli_cache.publishes == flushes, > 0) and no
-    reader ever waited on the cache mutex
-    (engine.pli_cache.reader_lock_waits == 0) — the lock-free read-path
-    guarantee as a counter, not a timing;
-  * in the locked read-storm dump (cow_reads=false): no publishes, and
-    reader_lock_waits > 0 (the baseline really took the locked path);
-  * in the hybrid discovery dump: sampling actually ran
-    (engine.discovery.sampled_pairs > 0), every lattice candidate took
-    exactly one arm (frontier_validations + evidence_skips == candidates),
-    and the exact scans hybrid performed stay below the candidate count
-    the level-wise dump shows for the same lattice — the "validate less
-    than exhaustive" contract as counters, not timings.
+    joins): the hashed path must probe orders fewer pairs than |L|x|R|.
 
 Counter checks are exact or ratio-based on deterministic counts, so they
 are immune to runner noise. Timing thresholds stay deliberately loose
@@ -72,10 +52,9 @@ out, while a single benchmark drifting relative to the rest does not. Any
 entry whose normalized ratio exceeds 1.25 (a >25% wall-time regression
 against the trajectory of the rest of the suite) hard-fails the job.
 Entries only on one side (new benchmarks, reduced-size smoke shapes the
-baselines don't record) are skipped, as are the multi-threaded contention
-cells (TRAJECTORY_SKIP) whose wall time is scheduler lottery rather than
-code trajectory. The smoke runs use google-benchmark's default min_time
-(plus 3 repetitions) for exactly this gate: the baselines are recorded at
+baselines don't record) are skipped. The smoke runs use google-benchmark's
+default min_time (plus 3 repetitions) for exactly this gate: the baselines
+are recorded at
 defaults, and the mutate-heavy shapes report materially different
 steady-state costs under shortened runs, so both sides must measure in the
 same regime.
@@ -98,6 +77,10 @@ import pathlib
 import subprocess
 import sys
 
+# Telemetry dumps the counter invariants read, by file name.
+PLI_METRICS = "perf_smoke_pli_metrics.json"
+JOIN_METRICS = "perf_smoke_join_metrics.json"
+
 # (benchmark binary, filter, output file, metrics file). Reduced sizes: 10k
 # rows for the mutation sweep, the 10000-row arg for the join — big enough
 # that the engine's asymptotic edge dominates noise, small enough for a
@@ -111,45 +94,13 @@ RUNS = [
         "|BM_PliBuildSingleAttr(Coded)?/10000$"
         "|BM_PliCacheLevelSweep/10000$",
         "perf_smoke_pli.json",
-        "perf_smoke_pli_metrics.json",
+        PLI_METRICS,
     ),
     (
         "bench_join_prune",
         "BM_PairJoin(Naive|Pli)/10000$",
         "perf_smoke_join.json",
-        "perf_smoke_join_metrics.json",
-    ),
-    # The readers x writers sweep runs each cache mode as its own binary
-    # invocation so each telemetry dump is single-mode and the per-mode
-    # counter identities stay exact (one shared dump would mix the locked
-    # variant's flushes into the COW publishes == flushes identity).
-    (
-        "bench_pli",
-        "BM_SnapshotReadStorm/writers:",
-        "perf_smoke_read_storm_cow.json",
-        "perf_smoke_read_storm_cow_metrics.json",
-    ),
-    (
-        "bench_pli",
-        "BM_SnapshotReadStormLocked/writers:",
-        "perf_smoke_read_storm_locked.json",
-        "perf_smoke_read_storm_locked_metrics.json",
-    ),
-    # Hybrid and exact level-wise discovery run as separate invocations so
-    # each telemetry dump is single-strategy and the frontier identities
-    # stay exact (a mixed dump would fold the level-wise walk's candidate
-    # count into the hybrid arm accounting).
-    (
-        "bench_discovery",
-        "BM_DiscoveryHybrid/",
-        "perf_smoke_discovery_hybrid.json",
-        "perf_smoke_discovery_hybrid_metrics.json",
-    ),
-    (
-        "bench_discovery",
-        "BM_DiscoveryArenaStorageWide/",
-        "perf_smoke_discovery_levelwise.json",
-        "perf_smoke_discovery_levelwise_metrics.json",
+        JOIN_METRICS,
     ),
 ]
 
@@ -168,12 +119,6 @@ TRAJECTORY_TOLERANCE = 1.25
 # Below this many shared entries the fleet-median normalization has nothing
 # to anchor on — treat it as a harness bug rather than silently passing.
 MIN_TRAJECTORY_ENTRIES = 5
-# Shapes whose wall time is not comparable across runs/machines and so must
-# never gate the trajectory: the multi-threaded read-storm contention cells
-# swing 0.25x-1.3x run-to-run with core count and scheduler luck (their
-# guarantees are enforced by the counter identities and the within-run
-# pairwise sweep instead, which compare like with like).
-TRAJECTORY_SKIP = ("/threads:",)
 
 
 def run_bench(build_dir, out_dir, binary, bench_filter, out_name,
@@ -253,7 +198,7 @@ def check_metric_invariants(out_dir, failures):
     identities plus work-ratio bounds; all counts are deterministic)."""
     print("\ntelemetry counter invariants:")
 
-    pli = load_counters(out_dir, RUNS[0][3], failures)
+    pli = load_counters(out_dir, PLI_METRICS, failures)
     lookups = pli.get("engine.pli_cache.lookups", 0)
     hits = pli.get("engine.pli_cache.hits", 0)
     misses = pli.get("engine.pli_cache.misses", 0)
@@ -276,72 +221,6 @@ def check_metric_invariants(out_dir, failures):
         failures.append(
             f"pli_cache flush arms: per_row+batched+dropped({arms}) "
             f"!= flushes({flushes}), or no flushes recorded")
-
-    cow = load_counters(out_dir, RUNS[2][3], failures)
-    publishes = cow.get("engine.pli_cache.publishes", 0)
-    cow_flushes = cow.get("engine.pli_cache.flushes", 0)
-    ok = publishes > 0 and publishes == cow_flushes
-    print(f"  COW read-storm publishes == flushes: {publishes} "
-          f"== {cow_flushes}  {'OK' if ok else 'VIOLATED'}")
-    if not ok:
-        failures.append(
-            f"COW snapshot accounting: publishes({publishes}) != "
-            f"flushes({cow_flushes}), or no publishes recorded")
-
-    waits = cow.get("engine.pli_cache.reader_lock_waits", 0)
-    ok = waits == 0
-    print(f"  COW read-storm reader_lock_waits == 0: {waits}"
-          f"  {'OK' if ok else 'VIOLATED'}")
-    if not ok:
-        failures.append(
-            f"COW read path took the cache mutex {waits} time(s); the "
-            f"snapshot read path must never wait on a lock")
-
-    locked = load_counters(out_dir, RUNS[3][3], failures)
-    locked_pub = locked.get("engine.pli_cache.publishes", 0)
-    locked_waits = locked.get("engine.pli_cache.reader_lock_waits", 0)
-    ok = locked_pub == 0 and locked_waits > 0
-    print(f"  locked read-storm publishes == 0 and lock_waits > 0: "
-          f"{locked_pub}, {locked_waits}  {'OK' if ok else 'VIOLATED'}")
-    if not ok:
-        failures.append(
-            f"locked-mode baseline: publishes({locked_pub}) should be 0 "
-            f"and reader_lock_waits({locked_waits}) > 0 — the oracle is "
-            f"not exercising the locked path")
-
-    hybrid = load_counters(out_dir, RUNS[4][3], failures)
-    sampled = hybrid.get("engine.discovery.sampled_pairs", 0)
-    ok = sampled > 0
-    print(f"  hybrid discovery sampled_pairs > 0: {sampled}"
-          f"  {'OK' if ok else 'VIOLATED'}")
-    if not ok:
-        failures.append(
-            "hybrid discovery never sampled a pair; the sample-then-"
-            "validate loop is not running its sampling arm")
-
-    candidates = hybrid.get("engine.discovery.candidates", 0)
-    validated = hybrid.get("engine.discovery.frontier_validations", 0)
-    skipped = hybrid.get("engine.discovery.evidence_skips", 0)
-    ok = candidates > 0 and validated + skipped == candidates
-    print(f"  hybrid validations + evidence skips == candidates: "
-          f"{validated} + {skipped} == {candidates}"
-          f"  {'OK' if ok else 'VIOLATED'}")
-    if not ok:
-        failures.append(
-            f"hybrid frontier accounting: validations({validated}) + "
-            f"skips({skipped}) != candidates({candidates}), or no "
-            f"candidates recorded")
-
-    levelwise = load_counters(out_dir, RUNS[5][3], failures)
-    lw_candidates = levelwise.get("engine.discovery.candidates", 0)
-    ok = lw_candidates > 0 and validated <= lw_candidates
-    print(f"  hybrid exact scans <= level-wise candidate count: "
-          f"{validated} <= {lw_candidates}  {'OK' if ok else 'VIOLATED'}")
-    if not ok:
-        failures.append(
-            f"hybrid performed {validated} exact scans but the level-wise "
-            f"walk of the same lattice only has {lw_candidates} candidates "
-            f"— evidence skipping is not reducing validation work")
 
     # Fault injection and the cache memory budget are both disabled in
     # every bench build, so their counters must read zero across every
@@ -369,7 +248,7 @@ def check_metric_invariants(out_dir, failures):
                 f"uncached_serves={uncached}, exec_trips={tripped}) — all "
                 f"must be 0 when the features are disabled")
 
-    join = load_counters(out_dir, RUNS[1][3], failures)
+    join = load_counters(out_dir, JOIN_METRICS, failures)
     probes = join.get("eval.join.hash_probes", 0)
     pairs = join.get("eval.join.hash_pair_candidates", 0)
     ok = pairs > 0 and probes * 100 <= pairs
@@ -409,9 +288,7 @@ def check_trajectory(times, baseline_dir, failures):
           f"(>{(TRAJECTORY_TOLERANCE - 1) * 100:.0f}% over fleet median "
           "fails):")
     baseline = load_baseline_times(baseline_dir, failures)
-    shared = sorted(
-        name for name in set(times) & set(baseline)
-        if not any(skip in name for skip in TRAJECTORY_SKIP))
+    shared = sorted(set(times) & set(baseline))
     if len(shared) < MIN_TRAJECTORY_ENTRIES:
         failures.append(
             f"trajectory gate found only {len(shared)} benchmark(s) shared "
@@ -508,23 +385,6 @@ def main():
         "BM_PliBuildSingleAttr/10000",
         failures,
     )
-    print("hybrid sample-then-validate vs exact level-wise discovery "
-          "(64-attr planted-FD instance):")
-    expect_faster(
-        times,
-        "BM_DiscoveryHybrid/64",
-        "BM_DiscoveryArenaStorageWide/64",
-        failures,
-    )
-    print("lock-free COW snapshot reads vs locked baseline (1 writer):")
-    for threads in (1, 4, 8):
-        expect_faster(
-            times,
-            f"BM_SnapshotReadStorm/writers:1/real_time/threads:{threads}",
-            f"BM_SnapshotReadStormLocked/writers:1/real_time"
-            f"/threads:{threads}",
-            failures,
-        )
 
     check_metric_invariants(args.out_dir, failures)
     check_trajectory(times, args.baseline_dir, failures)

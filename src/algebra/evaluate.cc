@@ -415,10 +415,8 @@ Result<FlexibleRelation> Evaluator::JoinHashedCoded(
 // Equality/IN selection directly over a base scan: the answer is a code
 // column lookup on the scanned relation's attached cache — zero predicate
 // evaluations, and only the matching rows are ever read. Freshness is the
-// cache's contract either way (engine/README.md "Concurrency"): in COW
-// mode mutation hooks flushed and published before this read, which
-// resolves lock-free against the current snapshot; in locked mode this
-// CodeColumnFor flushes any deltas buffered since the last query, so the first
+// cache's contract (engine/README.md "Concurrency"): this CodeColumnFor
+// flushes any deltas buffered since the last query, so the first
 // evaluation after a burst pays the adaptive batch-apply.
 Result<FlexibleRelation> Evaluator::SelectViaIndex(const Plan& plan,
                                                    ExplainNode* node) {
@@ -444,10 +442,8 @@ size_t Evaluator::DistinctOn(const FlexibleRelation& rel,
                              const AttrSet& attrs) {
   if (attrs.empty() || rel.empty()) return 1;
   if (options_.use_cache) {
-    // These estimates always describe the current instance: cache reads
-    // see every prior mutation (COW mode publishes on the mutation hook,
-    // locked mode flushes here), and each one-call read is internally
-    // coherent — it resolves against a single snapshot.
+    // These estimates always describe the current instance: each cache
+    // read flushes every prior mutation before it resolves.
     if (attrs.size() == 1) {
       // Nonempty buckets are exactly the distinct values (the null cluster
       // counts, absence does not).

@@ -18,21 +18,6 @@
 
 namespace flexrel {
 
-/// How the engine path walks the candidate lattice. Both strategies return
-/// bit-identical result vectors (same dependencies, same order); they differ
-/// only in how much exact partition validation they pay per level.
-enum class DiscoveryStrategy {
-  /// Exact maximal-RHS validation for every lattice candidate — the
-  /// cross-validated oracle every other strategy is differentially tested
-  /// against.
-  kLevelWise,
-  /// HyFD-style: sample tuple pairs from within PLI clusters to collect
-  /// agree-set evidence, skip candidates the evidence already falsifies
-  /// completely, and run exact validation only on the surviving frontier
-  /// (src/engine/hybrid_discovery.h).
-  kHybrid,
-};
-
 /// Bounds for the discovery enumeration.
 struct DiscoveryOptions {
   /// Maximal determinant size explored (the lattice grows as |U|^k).
@@ -48,8 +33,6 @@ struct DiscoveryOptions {
   /// Worker threads for the engine path; 0 = hardware concurrency. Ignored
   /// by the reference path.
   size_t num_threads = 0;
-  /// Lattice traversal of the engine path (ignored by the reference path).
-  DiscoveryStrategy strategy = DiscoveryStrategy::kLevelWise;
 };
 
 /// All non-trivial ADs X --attr--> Y with |X| <= max_lhs_size satisfied by

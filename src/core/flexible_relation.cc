@@ -414,8 +414,14 @@ bool FlexibleRelation::AuditDeclaredDeps() const {
 }
 
 AttrSet FlexibleRelation::ActiveAttrs() const {
+  // Allocation-free per row once the union has saturated: a row only costs
+  // lookups of attributes already collected.
   AttrSet all;
-  for (const Tuple& t : rows_) all = all.Union(t.attrs());
+  for (const Tuple& t : rows_) {
+    for (const auto& field : t.fields()) {
+      if (!all.Contains(field.first)) all.Insert(field.first);
+    }
+  }
   return all;
 }
 

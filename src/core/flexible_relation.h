@@ -169,27 +169,21 @@ class FlexibleRelation {
   /// only maintained per-attribute structure — are patched by the same
   /// flush. Partition/column pointers obtained before a mutation must be
   /// treated as invalidated by it: until some reader flushes they observe
-  /// the pre-mutation instance, in locked mode the flush patches them in
-  /// place, and a partition the flush drops as cheaper-to-rebuild leaves a
-  /// held pointer on the unmaintained object. Re-Get after mutations; copy
-  /// a partition to freeze it. With pli_cache_options().incremental ==
+  /// the pre-mutation instance, the flush then patches them in place, and
+  /// a partition the flush drops as cheaper-to-rebuild leaves a held
+  /// pointer on the unmaintained object. Re-Get after mutations; copy a
+  /// partition to freeze it. With pli_cache_options().incremental ==
   /// false the historical behavior is restored: every mutation drops the
   /// cache wholesale and the next call rebuilds it from scratch (the
   /// oracle the incremental path is soak-tested against —
   /// tests/engine_incremental_test.cc).
   ///
-  /// Concurrency (engine/README.md "Concurrency" for the full rules): in
-  /// the default COW mode (pli_cache_options().cow_reads) cache reads the
-  /// published snapshot can answer are lock-free and safe concurrently
-  /// with mutations — mutation hooks clone, patch, and publish before
-  /// returning, and a held structure stays frozen at its epoch (re-Get to
-  /// see newer epochs; stale is the worst case, torn never). What remains
-  /// a data race is touching the row storage while a mutator runs: a cold
-  /// cache miss rebuilds from rows() on the locked population path, and
-  /// iterating rows() directly races exactly as before. In locked mode
-  /// (cow_reads = false) there is no snapshot, so any concurrent
-  /// evaluation must serialize with mutators externally. Copies and moves
-  /// of the relation start cache-less.
+  /// Concurrency (engine/README.md "Concurrency" for the full rules): many
+  /// threads may read the cache of a quiescent relation at once (parallel
+  /// discovery's workers do). Mutations must be serialized against every
+  /// reader by the caller — exactly as for rows() — because the next read
+  /// flushes them into the live structures in place. Copies and moves of
+  /// the relation start cache-less.
   ///
   /// Telemetry contract: the batch mutation paths carry telemetry
   /// instrumentation (core.relation.* counters and the

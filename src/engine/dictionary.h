@@ -1,8 +1,8 @@
 // Per-attribute dictionary codec: the columnar value plane.
 //
 // Every hot structure in the engine — stripped partitions, intersection
-// probes, selections, hash-join signatures, agree-set samples — only ever
-// needs value *identity* per attribute, never the value itself. A CodeColumn
+// probes, selections, hash-join signatures — only ever needs value
+// *identity* per attribute, never the value itself. A CodeColumn
 // interns one attribute's values into dense uint32_t codes and holds both
 // directions of the mapping: row -> code (the column) and code -> ascending
 // rows (the buckets). That one structure serves every per-attribute need of
@@ -10,8 +10,7 @@
 // (Pli::BuildFromCodes); the column itself is the probe every intersection
 // refines by (label = code); equality selections are one small-dictionary
 // lookup plus a bucket read; the buckets are the unstripped partner lists
-// the cache's incremental patches consult; and pair comparison in hybrid
-// discovery's sampler is two integer loads. The PliCache owns one
+// the cache's incremental patches consult. The PliCache owns one
 // CodeColumn per attribute any cached partition (or reader) touches
 // (CodeColumnFor) and patches it in the same flush that patches the
 // partitions, so the column is always exactly as fresh as they are.
@@ -38,9 +37,9 @@
 // increments (initial builds and re-interns alike), `reintern_flushes`
 // counts staleness-triggered re-intern passes.
 //
-// Thread-safety: none of its own — the owning PliCache publishes columns
-// through the same COW snapshot protocol as partitions (readers hold
-// frozen copies), and patches them under its writer lock.
+// Thread-safety: none of its own — the owning PliCache hands columns out
+// like partitions and patches them in place under its lock, so a column
+// held across a mutation is invalid.
 
 #ifndef FLEXREL_ENGINE_DICTIONARY_H_
 #define FLEXREL_ENGINE_DICTIONARY_H_

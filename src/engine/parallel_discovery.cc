@@ -8,14 +8,13 @@
 #include <thread>
 
 #include "core/closure.h"
-#include "engine/discovery_internal.h"
-#include "engine/hybrid_discovery.h"
+#include "engine/pli_cache.h"
 #include "telemetry/telemetry.h"
 #include "util/fault.h"
 
 namespace flexrel {
 
-namespace discovery_internal {
+namespace {
 
 // Translates the discovery knobs into partition-cache options (LRU bound +
 // memory budget) for the rows-based entry points.
@@ -30,12 +29,19 @@ PliCache::Options CacheOptionsOf(const EngineDiscoveryOptions& options) {
   return out;
 }
 
+// Worker count for `work_items` independent tasks: the requested count, or
+// hardware concurrency when 0, never more workers than items.
 size_t ResolveThreads(size_t requested, size_t work_items) {
   size_t n = requested != 0 ? requested : std::thread::hardware_concurrency();
   if (n == 0) n = 1;
   if (work_items == 0) work_items = 1;
   return n < work_items ? n : work_items;
 }
+
+// Below this many row-candidate pairs per level, thread spawn/join costs
+// more than the partition work it would parallelise; auto mode stays
+// sequential (an explicit num_threads is honoured regardless).
+constexpr size_t kMinWorkForAutoThreads = size_t{1} << 15;
 
 // Runs fn(0..n-1) across `num_threads` workers pulling from a shared
 // counter; the calling thread participates. The first exception a worker
@@ -73,24 +79,16 @@ void ParallelFor(size_t n, size_t num_threads,
   if (error) std::rethrow_exception(error);
 }
 
+// Zeroes the per-run worker-utilization gauge. Gauges are last-write-wins
+// and survive across runs in one process, so a run that never reaches the
+// write site (fewer levels, an empty universe, a trip mid-level) would
+// otherwise dump the previous run's watermark as its own.
 void ResetDiscoveryRunGauges() {
   if (!telemetry::Enabled()) return;
-  // Last-write-wins gauges survive across runs; without the reset, a run
-  // that never reaches the write site (fewer levels, no sampling stage)
-  // dumps the previous run's watermark as its own.
-  telemetry::Registry& registry = telemetry::Registry::Global();
-  registry.GetGauge("engine.discovery.worker_utilization_pct")->Reset();
-  registry.GetGauge("engine.discovery.sample_hit_rate_pct")->Reset();
+  telemetry::Registry::Global()
+      .GetGauge("engine.discovery.worker_utilization_pct")
+      ->Reset();
 }
-
-}  // namespace discovery_internal
-
-namespace {
-
-using discovery_internal::CacheOptionsOf;
-using discovery_internal::kMinWorkForAutoThreads;
-using discovery_internal::ParallelFor;
-using discovery_internal::ResolveThreads;
 
 // Shared traversal: per level, fan the maximal-RHS computations out, then
 // prune and emit sequentially in enumeration order (pruning consults the
@@ -101,7 +99,7 @@ std::vector<Dep> LevelWise(const AttrSet& universe,
                            size_t num_rows, const RhsFn& maximal_rhs,
                            const PrunedFn& pruned, const EmitFn& emit,
                            DiscoveryRunInfo* info) {
-  discovery_internal::ResetDiscoveryRunGauges();
+  ResetDiscoveryRunGauges();
   const ExecContext* exec = options.exec;
   DiscoveryRunInfo run;
   std::vector<Dep> out;
@@ -152,7 +150,7 @@ std::vector<Dep> LevelWise(const AttrSet& universe,
     if (Status st = CheckExec(exec); !st.ok()) {
       run.status = std::move(st);
       run.partial = true;
-      discovery_internal::ResetDiscoveryRunGauges();
+      ResetDiscoveryRunGauges();
       break;
     }
     size_t pruned_count = 0;
@@ -201,7 +199,6 @@ EngineDiscoveryOptions ToEngineOptions(const DiscoveryOptions& options) {
   out.max_lhs_size = options.max_lhs_size;
   out.minimal_only = options.minimal_only;
   out.num_threads = options.num_threads;
-  out.strategy = options.strategy;
   return out;
 }
 
@@ -234,9 +231,6 @@ std::vector<AttrDep> EngineDiscoverAttrDeps(
   // The validator polls the context inside its cluster scans, so a trip
   // lands mid-candidate instead of waiting out a fat partition.
   validator->set_exec(options.exec);
-  if (options.strategy == DiscoveryStrategy::kHybrid) {
-    return HybridDiscoverAttrDeps(validator, universe, options, info);
-  }
   return LevelWise<AttrDep>(
       universe, options, validator->row_attrs().size(),
       [&](const AttrSet& lhs) {
@@ -253,9 +247,6 @@ std::vector<FuncDep> EngineDiscoverFuncDeps(
     DependencyValidator* validator, const AttrSet& universe,
     const EngineDiscoveryOptions& options, DiscoveryRunInfo* info) {
   validator->set_exec(options.exec);
-  if (options.strategy == DiscoveryStrategy::kHybrid) {
-    return HybridDiscoverFuncDeps(validator, universe, options, info);
-  }
   return LevelWise<FuncDep>(
       universe, options, validator->row_attrs().size(),
       [&](const AttrSet& lhs) {
@@ -318,9 +309,9 @@ DependencySet EngineDiscoverDependencies(const std::vector<Tuple>& rows,
                                          const EngineDiscoveryOptions& options,
                                          DiscoveryRunInfo* info) {
   // One cache serves both passes: the FD pass leaves every candidate
-  // partition warm for the AD pass. The worker pool shares it — warm
-  // candidate reads are lock-free snapshot hits under the default COW
-  // mode, and cold builds serialize only on the writers-side lock.
+  // partition warm for the AD pass. The worker pool shares it — a warm
+  // candidate read holds the cache lock for one lookup, and cold builds
+  // run outside it, deduplicated by the slot's shared future.
   PliCache cache(&rows, CacheOptionsOf(options));
   DependencyValidator validator(&cache);
   return EngineDiscoverDependencies(&validator, universe, options, info);

@@ -33,26 +33,6 @@ struct EngineDiscoveryOptions {
   size_t num_threads = 0;
   /// LRU bound of the partition cache (multi-attribute entries).
   size_t cache_max_entries = 1024;
-  /// Lattice traversal: exact level-wise validation of every candidate, or
-  /// the HyFD-style sample-then-validate loop (hybrid_discovery.h). Both
-  /// return bit-identical results; level-wise stays the default so it
-  /// remains the pinnable oracle the hybrid path is differentially tested
-  /// and benched against.
-  DiscoveryStrategy strategy = DiscoveryStrategy::kLevelWise;
-  /// Hybrid only: keep running sampling rounds while the fraction of
-  /// compared pairs that teach the evidence store something new stays at or
-  /// above this. Below it, sampling has saturated and exact validation is
-  /// the better use of the next cycle.
-  double hybrid_min_efficiency = 0.02;
-  /// Hybrid only: hard cap on sampling rounds per discovery run (the
-  /// efficiency threshold is the intended stop; this bounds adversarial
-  /// instances where fresh evidence trickles forever).
-  size_t hybrid_max_rounds = 16;
-  /// Hybrid only: before validating a level, extra sampling rounds are
-  /// worth their cost while more than this fraction of the level's
-  /// candidates survives evidence pruning (the adaptive switch back from
-  /// validation to sampling).
-  double hybrid_refine_fraction = 0.5;
   /// Cooperative execution control (util/exec_context.h): deadline,
   /// cancellation token, and memory budget for the run. Not owned; must
   /// outlive the call. Null (the default) means unbounded. The run polls

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "telemetry/telemetry.h"
@@ -20,18 +19,9 @@ namespace {
 constexpr size_t kPendingCompactThreshold = 4096;
 
 // Flat bookkeeping charge per map entry for the memory-budget accounting
-// sweep: hash slot, future/control block, LRU node, snapshot-table mirror.
-// The budget is advisory — this keeps the estimate honest without
-// sizeof-walking every node type.
+// sweep: hash slot, future/control block, LRU node. The budget is advisory
+// — this keeps the estimate honest without sizeof-walking every node type.
 constexpr size_t kPerEntryOverhead = 160;
-
-// An already-fulfilled slot: what a COW clone (and nothing else) installs —
-// the original future's builder protocol already ran to completion.
-std::shared_future<std::shared_ptr<Pli>> ReadyFuture(std::shared_ptr<Pli> p) {
-  std::promise<std::shared_ptr<Pli>> promise;
-  promise.set_value(std::move(p));
-  return promise.get_future().share();
-}
 
 }  // namespace
 
@@ -49,28 +39,6 @@ std::shared_ptr<const Pli> PliCache::Get(const AttrSet& attrs) {
   // identity hits + misses == lookups holds at any quiescent point.
   FLEXREL_TELEMETRY_COUNT("engine.pli_cache.lookups", 1);
   FLEXREL_TELEMETRY_LATENCY(get_timer, "engine.pli_cache.get_ns");
-  if (options_.cow_reads) {
-    // The snapshot read path: one slot pin, no mutex, no flush (COW
-    // hooks flush eagerly, so the snapshot is always current). A miss
-    // falls through to the locked path below — that is cache *population*
-    // (write-side work), not a reader lock wait.
-    std::shared_ptr<const Pli> hit =
-        WithSnapshot([&](const Snapshot* snap) -> std::shared_ptr<const Pli> {
-          if (snap == nullptr) return nullptr;
-          auto it = snap->plis.find(attrs);
-          return it == snap->plis.end() ? nullptr : it->second;
-        });
-    if (hit != nullptr) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      FLEXREL_TELEMETRY_COUNT("engine.pli_cache.hits", 1);
-      return hit;
-    }
-  } else {
-    // Locked-mode reads take mu_ by design; the counter existing (and
-    // staying 0 in COW mode) is the regression tripwire for the lock-free
-    // read-path guarantee.
-    FLEXREL_TELEMETRY_COUNT("engine.pli_cache.reader_lock_waits", 1);
-  }
   std::promise<PliPtr> promise;
   std::shared_future<PliPtr> future;
   {
@@ -118,15 +86,10 @@ std::shared_ptr<const Pli> PliCache::Get(const AttrSet& attrs) {
   try {
     PliPtr pli = BuildFor(attrs);
     promise.set_value(std::move(pli));
-    if (options_.cow_reads || options_.memory_budget_bytes != 0) {
+    if (options_.memory_budget_bytes != 0) {
       std::lock_guard<std::mutex> lock(mu_);
-      if (options_.memory_budget_bytes != 0) {
-        AccountMemoryLocked();
-        EvictLocked();
-      }
-      // Fold the fresh entry into the published table so every later read
-      // resolves it lock-free.
-      if (options_.cow_reads) PublishLocked(/*flush_publish=*/false);
+      AccountMemoryLocked();
+      EvictLocked();
     }
   } catch (...) {
     // Un-poison the slot before publishing the failure: requesters already
@@ -165,17 +128,6 @@ PliCache::PliPtr PliCache::BuildFor(const AttrSet& attrs) {
 }
 
 std::shared_ptr<const CodeColumn> PliCache::CodeColumnFor(AttrId attr) {
-  if (options_.cow_reads) {
-    std::shared_ptr<const CodeColumn> hit = WithSnapshot(
-        [&](const Snapshot* snap) -> std::shared_ptr<const CodeColumn> {
-          if (snap == nullptr) return nullptr;
-          auto it = snap->columns.find(attr);
-          return it == snap->columns.end() ? nullptr : it->second;
-        });
-    if (hit != nullptr) return hit;
-  } else {
-    FLEXREL_TELEMETRY_COUNT("engine.pli_cache.reader_lock_waits", 1);
-  }
   {
     std::lock_guard<std::mutex> lock(mu_);
     FlushPendingLocked();
@@ -188,10 +140,7 @@ std::shared_ptr<const CodeColumn> PliCache::CodeColumnFor(AttrId attr) {
   auto column = std::make_shared<CodeColumn>(CodeColumn::Build(*rows_, attr));
   std::lock_guard<std::mutex> lock(mu_);
   // Racing builders compute identical columns; first insert wins.
-  std::shared_ptr<const CodeColumn> memo =
-      code_columns_.emplace(attr, std::move(column)).first->second;
-  if (options_.cow_reads) PublishLocked(/*flush_publish=*/false);
-  return memo;
+  return code_columns_.emplace(attr, std::move(column)).first->second;
 }
 
 bool PliCache::AgreeingRowsLocked(const AttrSet& attrs, const Tuple& proj,
@@ -289,18 +238,13 @@ void PliCache::PatchEntriesLocked(
 }
 
 // ---------------------------------------------------------------------------
-// Mutation hooks: append to the pending buffer, O(1) per row. In locked
-// mode all patching is deferred to the next read's flush; in COW mode the
-// hook flushes (and publishes) eagerly under the same lock hold, so the
-// published snapshot is always current and readers never flush — the
-// ordering contract is: mutate rows, hook buffers + patches successor
-// copies + swaps the snapshot, release mu_, readers see the new epoch.
+// Mutation hooks: append to the pending buffer, O(1) per row. All patching
+// is deferred to the next read's flush.
 // ---------------------------------------------------------------------------
 
 void PliCache::OnInsert(Pli::RowId row) {
   std::lock_guard<std::mutex> lock(mu_);
   pending_.push_back({row, /*is_insert=*/true, Tuple()});
-  if (options_.cow_reads) FlushPendingLocked();
 }
 
 void PliCache::OnInsertBatch(Pli::RowId first_row, size_t count) {
@@ -310,17 +254,12 @@ void PliCache::OnInsertBatch(Pli::RowId first_row, size_t count) {
     pending_.push_back(
         {static_cast<Pli::RowId>(first_row + i), /*is_insert=*/true, Tuple()});
   }
-  if (options_.cow_reads) FlushPendingLocked();
 }
 
 void PliCache::OnUpdate(Pli::RowId row, Tuple old_row) {
   std::lock_guard<std::mutex> lock(mu_);
   pending_.push_back({row, /*is_insert=*/false, std::move(old_row)});
-  if (options_.cow_reads) {
-    FlushPendingLocked();
-  } else if (pending_.size() >= pending_compact_at_) {
-    CompactPendingLocked();
-  }
+  if (pending_.size() >= pending_compact_at_) CompactPendingLocked();
 }
 
 void PliCache::OnUpdateBatch(
@@ -330,11 +269,7 @@ void PliCache::OnUpdateBatch(
   for (auto& [row, old_row] : old_rows) {
     pending_.push_back({row, /*is_insert=*/false, std::move(old_row)});
   }
-  if (options_.cow_reads) {
-    FlushPendingLocked();
-  } else if (pending_.size() >= pending_compact_at_) {
-    CompactPendingLocked();
-  }
+  if (pending_.size() >= pending_compact_at_) CompactPendingLocked();
 }
 
 void PliCache::CompactPendingLocked() {
@@ -435,27 +370,16 @@ void PliCache::FlushPendingLocked() {
     pending_.clear();
     pending_compact_at_ = kPendingCompactThreshold;
     if (options_.memory_budget_bytes != 0) AccountMemoryLocked();
-    // Dropping mutates no structure, so nothing needs cloning — but the
-    // published table must stop resolving the dropped keys.
-    if (options_.cow_reads) PublishLocked(/*flush_publish=*/true);
     return;
   }
-  // Failure atomicity: everything from the clone to the last patch arm
-  // allocates (successor copies, splices, interned values), and a
-  // throw mid-patch would otherwise leave live structures half-patched.
-  // The recovery is the strong guarantee at cache granularity: drop every
-  // cached structure (the row vector is the source of truth; reads rebuild
-  // lazily) and publish the dropped state, so no reader — locked or COW —
-  // can ever observe a partially applied flush. The fault sites sit
-  // *outside* PublishLocked on purpose: the recovery path must traverse no
-  // injection point.
+  // Failure atomicity: every patch arm allocates (splices, interned
+  // values), and a throw mid-patch would otherwise leave live structures
+  // half-patched. The recovery is the strong guarantee at cache
+  // granularity: drop every cached structure (the row vector is the source
+  // of truth; reads rebuild lazily), so no reader can ever observe a
+  // partially applied flush. The recovery path traverses no injection
+  // point.
   try {
-    FLEXREL_FAULT_INJECT("pli_cache.flush.clone");
-    // COW: everything the patch arms below will touch is replaced by a
-    // same-content successor first, so the live epoch's structures stay
-    // frozen for their readers and the swap at the end is the only point
-    // new state becomes visible.
-    if (options_.cow_reads) CloneForCowLocked(changed, insert_count > 0);
     FLEXREL_FAULT_INJECT("pli_cache.flush.patch");
     if (b < options_.batch_threshold) {
       FLEXREL_TELEMETRY_COUNT("engine.pli_cache.flush.per_row", 1);
@@ -483,11 +407,11 @@ void PliCache::FlushPendingLocked() {
     }
     // Re-interning recodes a column, so it waits until both arms are done
     // reading partners off the codes; only the columns this flush patched
-    // (and, in COW mode, cloned) are checked.
+    // are checked.
     for (auto& [attr, column] : code_columns_) {
       if (insert_count > 0 || changed.Contains(attr)) column->MaybeReintern();
     }
-    FLEXREL_FAULT_INJECT("pli_cache.flush.publish");
+    FLEXREL_FAULT_INJECT("pli_cache.flush.commit");
   } catch (...) {
     ++flush_aborts_;
     FLEXREL_TELEMETRY_COUNT("engine.pli_cache.flush_aborts", 1);
@@ -498,7 +422,6 @@ void PliCache::FlushPendingLocked() {
     pending_.clear();
     pending_compact_at_ = kPendingCompactThreshold;
     if (options_.memory_budget_bytes != 0) AccountMemoryLocked();
-    if (options_.cow_reads) PublishLocked(/*flush_publish=*/true);
     // Swallowed: the flush recovered to a consistent (empty) cache, and
     // the mutation itself already succeeded against the row vector.
     return;
@@ -509,59 +432,6 @@ void PliCache::FlushPendingLocked() {
     AccountMemoryLocked();
     EvictLocked();  // the flush may have grown structures past the budget
   }
-  if (options_.cow_reads) PublishLocked(/*flush_publish=*/true);
-}
-
-void PliCache::CloneForCowLocked(const AttrSet& changed, bool has_inserts) {
-  using namespace std::chrono_literals;
-  for (auto& [attrs, entry] : entries_) {
-    // Updates leave entries outside `changed` untouched; inserts patch the
-    // row-count bookkeeping of every entry. Unready slots are skipped —
-    // the flush arms drop them anyway, never patch them.
-    if (!has_inserts && !attrs.Intersects(changed)) continue;
-    if (entry.future.wait_for(0s) != std::future_status::ready) continue;
-    entry.future = ReadyFuture(std::make_shared<Pli>(*entry.future.get()));
-  }
-  for (auto& [attr, column] : code_columns_) {
-    // Inserts grow every column's code vector, not just changed attrs.
-    if (!has_inserts && !changed.Contains(attr)) continue;
-    column = std::make_shared<CodeColumn>(*column);
-  }
-}
-
-void PliCache::PublishLocked(bool flush_publish) {
-  using namespace std::chrono_literals;
-  auto snap = std::make_shared<Snapshot>();
-  snap->plis.reserve(entries_.size());
-  for (const auto& [attrs, entry] : entries_) {
-    // In-flight builds join the table on their own post-build refresh.
-    if (entry.future.wait_for(0s) != std::future_status::ready) continue;
-    snap->plis.emplace(attrs, entry.future.get());
-  }
-  snap->columns.reserve(code_columns_.size());
-  for (const auto& [attr, column] : code_columns_) {
-    snap->columns.emplace(attr, column);
-  }
-  snap->epoch = ++epoch_;
-  if (flush_publish) {
-    ++publishes_;
-    FLEXREL_TELEMETRY_COUNT("engine.pli_cache.publishes", 1);
-  } else {
-    FLEXREL_TELEMETRY_COUNT("engine.pli_cache.snapshot_refreshes", 1);
-  }
-  FLEXREL_TELEMETRY_GAUGE_SET("engine.pli_cache.epoch", epoch_);
-  // Writer side of the two-slot protocol (see snapshot_slots_ in the
-  // header): rebuild the spare slot once its reader pins drain, then flip
-  // the index. mu_ serializes publishers, so the relaxed self-load of
-  // snapshot_cur_ is exact.
-  const uint32_t spare = snapshot_cur_.load(std::memory_order_relaxed) ^ 1u;
-  SnapshotSlot& slot = snapshot_slots_[spare];
-  while (!slot.Drained()) {
-    // Pins cover a shared_ptr copy only — this drain is a few cycles.
-    std::this_thread::yield();
-  }
-  slot.snap = std::move(snap);
-  snapshot_cur_.store(spare);
 }
 
 void PliCache::DropAllLocked() {
@@ -1006,7 +876,7 @@ void PliCache::AccountMemoryLocked() {
 PliCache::StatsSnapshot PliCache::Stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   StatsSnapshot s;
-  s.hits = hits_.load(std::memory_order_relaxed);
+  s.hits = hits_;
   s.misses = misses_;
   s.evictions = evictions_;
   s.cached_entries = entries_.size();
@@ -1016,8 +886,6 @@ PliCache::StatsSnapshot PliCache::Stats() const {
   s.full_drops = full_drops_;
   s.pending_deltas = pending_.size();
   s.flushes = flushes_;
-  s.publishes = publishes_;
-  s.epoch = epoch_;
   s.bytes_plis = bytes_plis_;
   s.bytes_columns = bytes_columns_;
   s.budget_evictions = budget_evictions_;

@@ -53,32 +53,21 @@
 // = SIZE_MAX pins the per-row path, the reference the batched one is
 // benchmarked and soak-tested against.
 //
-// Concurrency: Get/CodeColumnFor are safe to call from many worker threads.
-// In the default copy-on-write mode (PliCacheOptions::cow_reads) reads are
-// *lock-free under write traffic*: an immutable Snapshot table (partitions
-// + columns, shared_ptr'd) is published with one atomic swap per flush,
-// readers resolve cached structures with a single acquire-load and never
-// touch mu_, and a flush patches successor copies off to the side before
-// swapping — the structures a reader holds are frozen at the epoch it
-// loaded them. mu_ shrinks to a writers-only flush/publish (and
-// cache-population) lock. With cow_reads = false the historical locked
-// in-place mode applies: every read takes mu_, flushes the pending buffer,
-// and may observe in-place patches. Either way, each cache slot holds a
-// shared_future; the first requester of a key builds the partition outside
-// the lock and fulfils the promise, later requesters block on the future
-// instead of duplicating the work. Eviction is LRU over completed
-// multi-attribute entries only — single-attribute partitions are the base
-// of every product and stay resident (in COW mode lock-free hits skip the
-// LRU touch, so eviction order degrades toward build order). Concurrent
-// mutation still requires the *row vector* itself to be externally
-// synchronized against readers that project tuples; the cache's own
-// structures need no reader-side synchronization in COW mode. See
+// Concurrency: Get/CodeColumnFor are safe to call from many worker threads
+// over a quiescent instance (parallel discovery's workers do). Every read
+// takes mu_ to flush the pending buffer and resolve its key; each cache
+// slot holds a shared_future, so the first requester of a key builds the
+// partition outside the lock and fulfils the promise, and later requesters
+// block on the future instead of duplicating the work. Eviction is LRU over
+// completed multi-attribute entries only — single-attribute partitions are
+// the base of every product and stay resident. Mutations (and their hooks)
+// must be serialized against readers by the caller: a flush patches live
+// structures in place, so a pointer held across a mutation is invalid. See
 // src/engine/README.md, "Concurrency".
 
 #ifndef FLEXREL_ENGINE_PLI_CACHE_H_
 #define FLEXREL_ENGINE_PLI_CACHE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <future>
@@ -116,14 +105,12 @@ class PliCache {
 
   /// The dictionary code column of `attr` (engine/dictionary.h): values
   /// interned into dense uint32_t codes, held columnar, with per-code row
-  /// buckets — the base of the partition builds, intersections, selections,
-  /// and hybrid sampling. Built once per attribute, pinned, and patched by
-  /// the same flush that patches the partitions, so a fetched column is
-  /// always exactly as fresh as a Get() from the same quiescent point.
-  /// Flushes pending deltas first; never returns null; safe from many
-  /// threads; same holding contract as Get results (in COW mode a held
-  /// column is frozen at its epoch, in locked mode do not hold it across
-  /// mutations).
+  /// buckets — the base of the partition builds, intersections and
+  /// selections. Built once per attribute, pinned, and patched by the same
+  /// flush that patches the partitions, so a fetched column is always
+  /// exactly as fresh as a Get() from the same quiescent point. Flushes
+  /// pending deltas first; never returns null; safe from many threads; same
+  /// holding contract as Get results (do not hold it across mutations).
   std::shared_ptr<const CodeColumn> CodeColumnFor(AttrId attr);
 
   // ------------------------------------------------------------------
@@ -175,17 +162,9 @@ class PliCache {
     /// crossed max(drop_threshold, rows/2).
     size_t full_drops = 0;
     /// Mutation deltas currently buffered (not yet flushed by a read).
-    /// Always 0 at rest in COW mode, whose hooks flush eagerly.
     size_t pending_deltas = 0;
     /// Flushes that took any arm (per_row + batched + dropped).
     size_t flushes = 0;
-    /// COW snapshot swaps driven by a flush. Identity: publishes == flushes
-    /// in COW mode, 0 in locked mode (build-driven snapshot refreshes are
-    /// counted separately, in telemetry only).
-    size_t publishes = 0;
-    /// Monotone snapshot version: bumps on every swap (flush publishes and
-    /// build refreshes alike). 0 while nothing was ever published.
-    uint64_t epoch = 0;
     /// Estimated byte footprints per structure kind, refreshed by the
     /// accounting sweep. All 0 while memory_budget_bytes == 0 (governance
     /// off — nothing is ever accounted).
@@ -199,26 +178,10 @@ class PliCache {
     size_t uncached_serves = 0;
     /// Flushes that failed mid-patch (allocation failure or injected
     /// fault) and recovered by dropping every cached structure instead of
-    /// publishing a half-patched table.
+    /// keeping a half-patched one.
     size_t flush_aborts = 0;
   };
   StatsSnapshot Stats() const;
-
-  /// True when no reader currently pins either snapshot slot — the leak
-  /// check the cancellation and chaos suites assert after unwinding
-  /// mid-flight work (a pin is held only for a shared_ptr copy, so at
-  /// quiescence this must hold).
-  bool SnapshotPinsDrained() const {
-    return snapshot_slots_[0].Drained() && snapshot_slots_[1].Drained();
-  }
-
-  /// Epoch of the currently published snapshot — 0 before the first
-  /// publish, monotone afterwards. Lock-free (one slot pin), so readers
-  /// (and the concurrency soaks) can bracket a multi-structure read: equal
-  /// epochs before and after guarantee every structure came from that one
-  /// snapshot (a thread's observed epochs never go backwards). Always 0 in
-  /// locked mode, which never publishes.
-  uint64_t SnapshotEpoch() const;
 
  private:
   using PliPtr = std::shared_ptr<Pli>;
@@ -250,34 +213,8 @@ class PliCache {
     AttrSet changed_attrs;
   };
 
-  /// One published epoch: an immutable table of every completed cached
-  /// structure at publish time. Readers resolve against these maps under
-  /// a slot pin (see WithSnapshot) without taking mu_; the shared_ptrs
-  /// they copy out keep a superseded epoch's structures alive for exactly
-  /// as long as some reader still holds them. Never mutated after
-  /// publication.
-  struct Snapshot {
-    std::unordered_map<AttrSet, std::shared_ptr<const Pli>, AttrSetHash> plis;
-    std::unordered_map<AttrId, std::shared_ptr<const CodeColumn>> columns;
-    uint64_t epoch = 0;
-  };
-
   /// Builds the partition for `attrs` from cached sub-partitions.
   PliPtr BuildFor(const AttrSet& attrs);
-
-  /// Rebuilds the snapshot table from the live maps and swaps it in with
-  /// one release-store. `flush_publish` distinguishes the flush-driven
-  /// swaps (the publishes == flushes identity) from build-driven refreshes
-  /// (a miss adding a fresh entry). Requires mu_; COW mode only.
-  void PublishLocked(bool flush_publish);
-
-  /// Replaces every cached structure the imminent flush will patch with a
-  /// same-content successor copy, so the patch mutates only objects no
-  /// published snapshot (and no earlier reader) can reference. `changed`
-  /// scopes the copies to affected attributes; inserts touch every entry
-  /// (row-count bookkeeping) and every column (code arrays grow).
-  /// Requires mu_; COW mode only.
-  void CloneForCowLocked(const AttrSet& changed, bool has_inserts);
 
   /// Drops completed evictable entries beyond max_entries, then — when a
   /// memory budget is configured — keeps evicting least recently used
@@ -378,90 +315,8 @@ class PliCache {
   const std::vector<Tuple>* rows_;
   Options options_;
 
-  /// Double-buffered snapshot publication (left-right pattern). We roll
-  /// this by hand instead of using std::atomic<std::shared_ptr<...>>
-  /// because libstdc++ 12's _Sp_atomic releases its embedded spin lock in
-  /// load() with a relaxed RMW, so the reader's plain _M_ptr read carries
-  /// no release edge to the next store()'s plain write — a formal data
-  /// race TSan rightly reports. Here every edge is an explicit
-  /// acquire/release atomic the model (and TSan) fully orders.
-  ///
-  /// Protocol: readers pin a slot (readers++ on the slot the current index
-  /// names, then re-check the index — a flip in between means the pin may
-  /// have landed on the slot the writer is rebuilding, so unpin and
-  /// retry), copy the shared_ptr, unpin. The single writer (under mu_)
-  /// overwrites only the spare slot, and only after its pin count drains
-  /// to zero; the store of snapshot_cur_ then publishes the new snapshot.
-  /// Readers pin for a shared_ptr copy only, so the writer's drain wait is
-  /// bounded and tiny.
-  ///
-  /// The index and pin-count operations are seq_cst on purpose: with only
-  /// acquire/release, the reader's re-check load may legally re-read the
-  /// STALE index value (plain coherence never forces a load forward), and
-  /// a double flip (A: 0→1, B: rebuilding slot 0 after a drain that missed
-  /// the pin) would let the re-check pass against a slot mid-rebuild. The
-  /// single seq_cst total order forbids exactly that: a drain that missed
-  /// the pin orders the earlier flip before the re-check, so the re-check
-  /// reads either that flip (mismatch → retry) or a later flip of the same
-  /// slot (whose release edge makes the rebuilt snap visible). On x86 the
-  /// upgrade is free — seq_cst loads are plain movs, RMWs lock-prefixed
-  /// either way.
-  /// The pin count is striped across cachelines (readers pick a stripe by
-  /// thread) so concurrent pins don't ping-pong one counter line; the
-  /// writer drains every stripe. The seq_cst argument holds per stripe.
-  struct SnapshotSlot {
-    static constexpr size_t kPinStripes = 8;
-    struct alignas(64) PinStripe {
-      std::atomic<uint64_t> pins{0};
-    };
-    std::shared_ptr<const Snapshot> snap;
-    PinStripe stripes[kPinStripes];
-
-    std::atomic<uint64_t>& PinsForThisThread() {
-      static std::atomic<size_t> next_stripe{0};
-      thread_local const size_t stripe =
-          next_stripe.fetch_add(1, std::memory_order_relaxed) % kPinStripes;
-      return stripes[stripe].pins;
-    }
-    bool Drained() const {
-      for (const PinStripe& s : stripes) {
-        if (s.pins.load() != 0) return false;
-      }
-      return true;
-    }
-  };
-  mutable SnapshotSlot snapshot_slots_[2];
-  alignas(64) std::atomic<uint32_t> snapshot_cur_{0};
-
-  /// The lock-free reader side of the protocol above: runs `fn` against
-  /// the current snapshot (null until the first publish — readers fall
-  /// through to the locked population path on a snapshot miss) while the
-  /// slot is pinned, and returns fn's result. The raw pointer is valid
-  /// for exactly the pinned extent; fn copies out the shared_ptr of the
-  /// one structure it resolves, never the whole snapshot — taking
-  /// ownership of the snapshot itself would put every reader's
-  /// fetch_add/fetch_sub on one control-block cacheline, which is the
-  /// contention this protocol exists to avoid. Never touches mu_.
-  template <typename Fn>
-  auto WithSnapshot(Fn&& fn) const {
-    for (;;) {
-      const uint32_t idx = snapshot_cur_.load();
-      std::atomic<uint64_t>& pins =
-          snapshot_slots_[idx].PinsForThisThread();
-      pins.fetch_add(1);
-      if (snapshot_cur_.load() == idx) {
-        auto out = fn(snapshot_slots_[idx].snap.get());
-        pins.fetch_sub(1);
-        return out;
-      }
-      // Raced with a flip: the writer may already be rebuilding this
-      // slot. Drop the pin and re-resolve the current index.
-      pins.fetch_sub(1);
-    }
-  }
-
-  /// Writers-only in COW mode (flush/publish and cache population); the
-  /// read path of every locked-mode call as well.
+  /// Guards every member below; held by every read and hook, never across
+  /// a partition or column build.
   mutable std::mutex mu_;
   EntryMap entries_;
   std::unordered_map<AttrId, std::shared_ptr<CodeColumn>>
@@ -469,7 +324,7 @@ class PliCache {
   std::list<AttrSet> lru_;  // front = most recently used, evictable keys only
   std::vector<PendingDelta> pending_;  // buffered mutations, oldest first
   size_t pending_compact_at_;  // next buffer size that triggers compaction
-  std::atomic<size_t> hits_{0};  // atomic: bumped on the lock-free hit path
+  size_t hits_ = 0;
   size_t misses_ = 0;
   size_t evictions_ = 0;
   size_t patches_ = 0;
@@ -477,8 +332,6 @@ class PliCache {
   size_t batch_applies_ = 0;
   size_t full_drops_ = 0;
   size_t flushes_ = 0;
-  size_t publishes_ = 0;
-  uint64_t epoch_ = 0;
   // Memory-governance state, all meaningful only while
   // options_.memory_budget_bytes != 0 (zero otherwise).
   size_t bytes_plis_ = 0;
@@ -487,13 +340,6 @@ class PliCache {
   size_t uncached_serves_ = 0;
   size_t flush_aborts_ = 0;
 };
-
-// Out of line so WithSnapshot's deduced return type is settled first.
-inline uint64_t PliCache::SnapshotEpoch() const {
-  return WithSnapshot([](const Snapshot* snap) {
-    return snap == nullptr ? uint64_t{0} : snap->epoch;
-  });
-}
 
 }  // namespace flexrel
 

@@ -16,8 +16,8 @@ struct PliCacheOptions {
   size_t max_entries = 1024;
 
   /// Byte budget over every structure the cache holds — partitions and
-  /// code columns (estimated footprints;
-  /// snapshot tables ride along as per-entry overhead). 0 (the default)
+  /// code columns (estimated footprints plus a flat per-entry bookkeeping
+  /// charge). 0 (the default)
   /// disables governance entirely: no accounting sweeps run and nothing
   /// beyond max_entries is evicted, so the hot paths pay zero overhead.
   /// When set, each flush/build re-accounts the footprint
@@ -65,28 +65,6 @@ struct PliCacheOptions {
   /// burst size one deferred rebuild beats any splicing, which is what the
   /// incremental = false oracle demonstrates at high mutation ratios.
   size_t drop_threshold = 2048;
-
-  /// Epoch-style copy-on-write snapshot publication (the default): every
-  /// flush patches successor copies of the affected partitions and code
-  /// columns off to the side and publishes them with one atomic swap of an
-  /// immutable snapshot table, so Get/CodeColumnFor serve
-  /// cached structures with a single acquire-load and zero mutex
-  /// acquisitions (telemetry: engine.pli_cache.reader_lock_waits stays 0).
-  /// Mutation hooks flush eagerly under the writers-only lock — one
-  /// publish per flush — so reads stay fresh without ever flushing.
-  /// False pins the historical locked in-place mode: reads take the cache
-  /// lock, flush lazily, and patch live structures — kept as the
-  /// cross-validation oracle (and as the mode that coalesces read-free
-  /// mutation storms across hook calls, which eager COW flushing gives
-  /// up). The tradeoff is write amplification: a COW flush clones every
-  /// structure it patches, so a single-row mutation stream pays
-  /// O(cache footprint) per row where locked mode coalesces the stream
-  /// into one adaptive flush at the next read. Concurrent serving wants
-  /// the default; a single-threaded mutate-heavy pipeline should pin
-  /// locked mode (bench_pli's mutate-then-query sweep does, and
-  /// BM_SnapshotReadStorm* measures the COW side). See the "Concurrency"
-  /// section of src/engine/README.md.
-  bool cow_reads = true;
 };
 
 }  // namespace flexrel

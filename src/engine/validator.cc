@@ -92,13 +92,11 @@ bool DependencyValidator::ValidatesAd(const AttrDep& ad) {
   FLEXREL_TELEMETRY_LATENCY(check_timer, "engine.validator.check_ns");
   AttrSet target = ad.rhs.Minus(ad.lhs);
   if (target.empty()) return true;  // trivial (reflexivity)
-  // In COW mode this Get is a lock-free snapshot read, so validators on
-  // concurrent threads (parallel discovery's workers) never serialize on
-  // the cache. The returned partition is frozen at its epoch; the check
-  // below also reads rows()/row_attrs_, so validating concurrently with
-  // relation mutations needs the caller to hold the rows stable (the
-  // engine/README.md "Concurrency" contract) — concurrent *reads* need
-  // nothing.
+  // Validators on concurrent threads (parallel discovery's workers) share
+  // the cache; a warm Get holds its mutex only for the lookup. The
+  // partition and the rows()/row_attrs_ reads below need the caller to
+  // hold the rows stable (the engine/README.md "Concurrency" contract) —
+  // concurrent *reads* need nothing.
   std::shared_ptr<const Pli> pli = cache_->Get(ad.lhs);
   return target.IsSubsetOf(
       PartitionAdRhs(*pli, row_attrs_, ad.lhs, target.Union(ad.lhs)));

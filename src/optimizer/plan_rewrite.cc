@@ -66,9 +66,12 @@ AttrSet GuaranteedAttrs(const PlanPtr& plan) {
       const FlexibleRelation* r = plan->relation();
       if (r == nullptr || r->empty()) return AttrSet();
       // The attributes common to every stored tuple — the per-relation
-      // statistic a catalog would maintain incrementally.
+      // statistic a catalog would maintain incrementally. A row defined on
+      // the running set costs lookups only; the set is rebuilt just when it
+      // shrinks, at most |attrs(row 0)| times.
       AttrSet common = r->row(0).attrs();
       for (const Tuple& t : r->rows()) {
+        if (t.DefinedOn(common)) continue;
         common = common.Intersect(t.attrs());
         if (common.empty()) break;
       }

@@ -4,7 +4,7 @@
 // function-local static so a disabled build pays one predictable branch.
 //
 // A site is a stable name placed at a failure-prone point — an allocation
-// inside a flush arm, a snapshot publish, a discovery level. When the
+// inside a flush arm, a partition build, a discovery level. When the
 // registry is enabled with a seed, each site decides injection purely from
 // (seed, site name, per-site hit index) through a splitmix64-style mixer:
 // the same seed replays the exact same fault schedule, which is what lets

@@ -8,12 +8,11 @@
 //     completes or surfaces std::bad_alloc / fault::InducedAbort — and
 //     after every survived fault the cache is structurally equal to a
 //     from-scratch rebuild over the current rows (the failure-atomic flush
-//     and poisoned-entry recovery guarantees), with zero leaked snapshot
-//     pins.
+//     and poisoned-entry recovery guarantees).
 //  2. Cooperative cancellation/deadlines: a tripped ExecContext makes
 //     discovery return exactly the verified level prefix (flagged partial
 //     with kCancelled / kDeadlineExceeded) and evaluation return the error
-//     — again with zero leaked pins and the per-run worker gauges reset.
+//     — with the per-run worker gauges reset.
 //  3. Memory governance: a byte budget on the PliCache keeps accounted
 //     bytes bounded via cost-aware eviction and uncached degradation,
 //     without ever changing a query answer; budget off keeps every
@@ -105,8 +104,6 @@ void VerifyCacheAgainstRebuild(const FlexibleRelation& rel,
                                              *rebuild.CodeColumnFor(attr)))
         << context << " code column of attr " << attr << " diverged";
   }
-  EXPECT_TRUE(cache->SnapshotPinsDrained())
-      << context << " leaked a snapshot pin";
 }
 
 // ---------------------------------------------------------------------------
@@ -195,9 +192,9 @@ TEST(EngineChaosSoak, SurvivedFaultsLeaveCacheRebuildEquivalent) {
   EXPECT_GT(total_survived, 0u) << "no fault ever surfaced to the caller";
 }
 
-// Flush-arm faults are swallowed by drop-all recovery, so mutations
-// under fire must never throw out of the mutation API in COW mode — and
-// the cache must still match a rebuild afterwards.
+// Flush-arm faults are swallowed by drop-all recovery, so the read that
+// flushes a mutation must never surface one — and the cache must still
+// match a rebuild afterwards.
 TEST(EngineChaosSoak, FlushFaultsRecoverWithoutSurfacing) {
   const uint64_t base = ChaosSeed(2);
   Rng rng(base);
@@ -210,7 +207,6 @@ TEST(EngineChaosSoak, FlushFaultsRecoverWithoutSurfacing) {
   std::vector<AttrSet> partitions = {AttrSet{attrs[0], attrs[1]},
                                      AttrSet{attrs[1], attrs[2]}};
   std::shared_ptr<PliCache> cache = rel.pli_cache();
-  ASSERT_TRUE(cache->options().cow_reads);
   for (const AttrSet& k : partitions) (void)cache->Get(k);
 
   uint64_t flush_aborts = 0;
@@ -219,15 +215,14 @@ TEST(EngineChaosSoak, FlushFaultsRecoverWithoutSurfacing) {
       FaultArmed armed(base + op);
       size_t row = rng.Index(rel.size());
       AttrId attr = attrs[rng.Index(attrs.size())];
-      // COW mutation hooks flush inline; any fault inside the flush arms
-      // must be absorbed by the drop-all recovery, never rethrown. Faults
-      // can still surface from the *build* path (rebuilding a dropped
-      // entry during the hook), which is the documented contract.
-      bool faulted = AbsorbFaults([&] {
-        auto delta = rel.Update(row, attr, RandomSoakValue(&rng));
-        ASSERT_TRUE(delta.ok()) << delta.status();
-      });
-      (void)faulted;
+      auto delta = rel.Update(row, attr, RandomSoakValue(&rng));
+      ASSERT_TRUE(delta.ok()) << delta.status();
+      // The hook only buffered the delta; this read flushes it under
+      // injection. Any fault inside the flush arms must be absorbed by the
+      // drop-all recovery, never rethrown. Faults can still surface from
+      // the *build* path (rebuilding a dropped entry), which is the
+      // documented contract.
+      (void)AbsorbFaults([&] { (void)cache->Get(partitions[op % 2]); });
     }
     flush_aborts = cache->Stats().flush_aborts;
     if (op % 20 == 19) {
@@ -239,8 +234,6 @@ TEST(EngineChaosSoak, FlushFaultsRecoverWithoutSurfacing) {
       VerifyCacheAgainstRebuild(rel, partitions, {}, "flush final"));
   EXPECT_GT(flush_aborts, 0u)
       << "the soak never exercised the failure-atomic flush recovery";
-  EXPECT_EQ(cache->Stats().publishes, cache->Stats().flushes)
-      << "a recovered flush must still publish (publishes == flushes)";
 }
 
 // The fault-site catalogue: after driving builds, flushes, and discovery
@@ -278,8 +271,8 @@ TEST(EngineChaosSoak, FaultSiteCatalogueCoversTheExecutionPlane) {
     hits += site->hits();
   }
   for (const char* expected :
-       {"pli_cache.build", "pli_cache.flush.clone", "pli_cache.flush.patch",
-        "pli_cache.flush.publish", "discovery.level"}) {
+       {"pli_cache.build", "pli_cache.flush.patch", "pli_cache.flush.commit",
+        "discovery.level"}) {
     EXPECT_TRUE(names.count(expected) > 0)
         << "fault site '" << expected << "' never registered";
   }
@@ -339,38 +332,6 @@ TEST(ExecControlTest, CancelledDiscoveryReturnsExactVerifiedPrefix) {
   }
 }
 
-TEST(ExecControlTest, HybridDiscoveryHonorsTheSamePrefixContract) {
-  Rng rng(0xD15C0B3Cull);
-  auto instance = MakePlantedFdInstance(&rng, 200, 12, 3, 8, 0.0);
-  EngineDiscoveryOptions options;
-  options.max_lhs_size = 2;
-  options.num_threads = 2;
-  options.strategy = DiscoveryStrategy::kHybrid;
-
-  DiscoveryRunInfo full_info;
-  std::vector<FuncDep> full = EngineDiscoverFuncDeps(
-      instance.rows, instance.universe, options, &full_info);
-  ASSERT_TRUE(full_info.status.ok());
-
-  for (int64_t n : {0, 2, 10, 50}) {
-    CancellationToken token;
-    token.CancelAfterChecks(n);
-    ExecContext ctx;
-    ctx.set_cancellation_token(&token);
-    EngineDiscoveryOptions cancelled = options;
-    cancelled.exec = &ctx;
-    DiscoveryRunInfo info;
-    std::vector<FuncDep> got = EngineDiscoverFuncDeps(
-        instance.rows, instance.universe, cancelled, &info);
-    if (!info.partial) {
-      EXPECT_EQ(got, full) << "n=" << n;
-      continue;
-    }
-    EXPECT_EQ(info.status.code(), StatusCode::kCancelled) << "n=" << n;
-    EXPECT_EQ(got, PrefixOf(full, info.completed_levels)) << "n=" << n;
-  }
-}
-
 TEST(ExecControlTest, ExpiredDeadlineStopsBeforeAnyLevel) {
   Rng rng(0xDEAD11F3ull);
   auto instance = MakePlantedFdInstance(&rng, 100, 9, 2);
@@ -398,7 +359,7 @@ TEST(ExecControlTest, ExpiredDeadlineStopsBeforeAnyLevel) {
   EXPECT_EQ(merged.completed_levels, 0u);
 }
 
-TEST(ExecControlTest, CancellationLeavesNoPinsAndResetsRunGauges) {
+TEST(ExecControlTest, CancellationResetsRunGauges) {
   telemetry::Enable();
   telemetry::Registry::Global().Reset();
   Rng rng(0x9A00F3ull);
@@ -418,8 +379,6 @@ TEST(ExecControlTest, CancellationLeavesNoPinsAndResetsRunGauges) {
   (void)EngineDiscoverFuncDeps(&validator, instance.universe, options, &info);
   EXPECT_TRUE(info.partial);
 
-  // No leaked snapshot pins: every WithSnapshot unwound its stripe.
-  EXPECT_TRUE(cache.SnapshotPinsDrained());
   // The per-run worker gauges were reset on the abort path, so a cancelled
   // run cannot leave a stale utilization number for dashboards to read.
   EXPECT_EQ(telemetry::Registry::Global()
@@ -477,9 +436,6 @@ TEST(ExecControlTest, EvaluationSurfacesCancellationAndDeadline) {
   auto expired = Evaluate(plan, deadline_options);
   ASSERT_FALSE(expired.ok());
   EXPECT_EQ(expired.status().code(), StatusCode::kDeadlineExceeded);
-
-  // After the unwinds: no leaked pins on the relation's cache.
-  EXPECT_TRUE(rel.pli_cache()->SnapshotPinsDrained());
 }
 
 // ---------------------------------------------------------------------------

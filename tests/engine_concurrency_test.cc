@@ -1,40 +1,34 @@
-// Concurrency soak for the COW snapshot plane (PliCache with
-// PliCacheOptions::cow_reads, the default): N reader threads resolve cached
-// partitions and code columns through the published snapshot while M
-// writer threads mutate the relation, and every structure a reader
-// observes must be internally coherent — CheckInvariants holds, and the
-// column's buckets are exactly the single-attribute partition's clusters
-// whenever both were bracketed inside one epoch. At quiesce, everything
-// must equal a from-scratch rebuild, and COW mode must be structurally
-// identical to the locked in-place oracle (cow_reads = false) across a
-// 30-seed single-threaded soak.
+// Concurrency soak for the PliCache's locked contract: many threads may read
+// one cache over a quiescent relation, and mutations are serialized against
+// every reader by the caller. Each round, N reader threads cold-populate and
+// hit overlapping partition keys and code columns at once, under a
+// max_entries bound small enough that LRU evictions race in-flight builds
+// (shared-future dedup, poisoned-slot recovery and eviction all run under
+// contention). Between rounds a single-threaded ApplyBatch phase mutates the
+// relation with a burst sized to take one flush arm — per-row, batched, or
+// drop-everything, in rotation — and the next read flushes it. After every
+// reader round and every mutation phase, each key must equal a from-scratch
+// rebuild and satisfy CheckInvariants.
 //
-// The reader threads deliberately touch only pre-warmed keys: the row
-// vector itself is NOT under the snapshot contract (mutators synchronize
-// rows() access externally, see src/engine/README.md), so a cold miss —
-// which rebuilds from rows() — belongs to the write side. Warmed singles,
-// pairs, and columns are never dropped by sub-threshold per-row flushes,
-// so every reader access resolves against immutable snapshot structures.
-// This is the suite the CI TSan job runs; a reader acquiring mu_ (or a
-// writer publishing a structure it then patches) is a data-race report,
-// not just an assertion failure.
+// This is the suite the CI TSan job runs: a reader touching cache state
+// outside mu_, or a flush racing a reader, is a data-race report, not just
+// an assertion failure.
 //
 // Randomized parts take their seed from FLEXREL_TEST_SEED (CI seed
 // diversity) via tests/test_seed.h and print it for replay.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <mutex>
+#include <numeric>
 #include <thread>
 #include <vector>
 
 #include "core/flexible_relation.h"
 #include "engine/pli_cache.h"
 #include "engine_test_util.h"
-#include "telemetry/telemetry.h"
 #include "test_seed.h"
 #include "util/rng.h"
 #include "util/string_util.h"
@@ -42,61 +36,55 @@
 namespace flexrel {
 namespace {
 
+using testutil::ColumnMatchesPartition;
+using testutil::ColumnsDecodeEqual;
+using testutil::RandomSoakTuple;
+using testutil::RandomSoakValue;
+
 uint64_t ConcurrencySeed(uint64_t salt) {
   return TestSeed(0xC0C0D0DE5EED0001ull, salt, "concurrency");
 }
 
-Value RandomValue(Rng* rng) {
-  switch (rng->UniformInt(0, 3)) {
-    case 0:
-      return Value::Int(rng->UniformInt(0, 4));  // few values -> fat clusters
-    case 1:
-      return Value::Str(StrCat("s", rng->UniformInt(0, 2)));
-    case 2:
-      return Value::Null();
-    default:
-      return Value::Int(rng->UniformInt(0, 1000));  // mostly-unique tail
-  }
-}
+constexpr AttrId kNumAttrs = 6;
+// Carries a fresh value on every inserted row, so batch inserts never trip
+// set semantics; it is never part of a cache key.
+constexpr AttrId kRowIdAttr = kNumAttrs;
 
-Tuple RandomTuple(const std::vector<AttrId>& attrs, Rng* rng) {
-  Tuple t;
-  for (AttrId a : attrs) {
-    if (rng->Bernoulli(0.75)) t.Set(a, RandomValue(rng));
-  }
-  return t;
-}
-
-using testutil::ColumnMatchesPartition;
-using testutil::ColumnsDecodeEqual;
-
-struct WarmKeys {
-  std::vector<AttrSet> partitions;  // singles first, then composites
-  std::vector<AttrId> columns;      // every attribute (partner-scan source)
+struct Keys {
+  std::vector<AttrSet> partitions;  // singles, overlapping composites, ∅
+  std::vector<AttrId> columns;
 };
 
-WarmKeys WarmCache(PliCache* cache, const std::vector<AttrId>& attrs) {
-  WarmKeys keys;
-  for (AttrId a : attrs) keys.partitions.push_back(AttrSet::Of(a));
-  keys.partitions.push_back(AttrSet{attrs[0], attrs[1]});
-  keys.partitions.push_back(AttrSet{attrs[2], attrs[3]});
-  keys.partitions.push_back(AttrSet{attrs[0], attrs[2], attrs[4]});
+Keys MakeKeys() {
+  Keys keys;
+  for (AttrId a = 0; a < kNumAttrs; ++a) {
+    keys.partitions.push_back(AttrSet::Of(a));
+    keys.columns.push_back(a);
+  }
+  // Composites sharing prefixes, so concurrent builds recurse into (and
+  // wait on) each other's sub-partitions. Pairs come last: a walk over the
+  // keys leaves them cached, and they have clusters enough for a batched
+  // flush to group-patch them instead of dropping them.
+  for (AttrSet k : {AttrSet{0, 1, 2, 3}, AttrSet{0, 1, 2}, AttrSet{0, 2, 4},
+                    AttrSet{1, 3, 5}, AttrSet{0, 1}, AttrSet{0, 2},
+                    AttrSet{1, 2}, AttrSet{2, 3}, AttrSet{3, 4},
+                    AttrSet{4, 5}}) {
+    keys.partitions.push_back(k);
+  }
   keys.partitions.push_back(AttrSet());
-  keys.columns = attrs;
-  for (const AttrSet& k : keys.partitions) (void)cache->Get(k);
-  for (AttrId a : keys.columns) (void)cache->CodeColumnFor(a);
   return keys;
 }
 
-void VerifyAgainstRebuildAtQuiesce(const FlexibleRelation& rel,
-                                   const WarmKeys& keys,
-                                   const std::string& context) {
+// Walks `partitions` in the given order, so a caller can check the entries
+// a flush just patched before the walk's own misses evict them.
+void VerifyAgainstRebuild(const FlexibleRelation& rel,
+                          const std::vector<AttrSet>& partitions,
+                          const Keys& keys, const std::string& context) {
   std::shared_ptr<PliCache> cache = rel.pli_cache();
   PliCache rebuild(&rel.rows());
-  for (const AttrSet& k : keys.partitions) {
+  for (const AttrSet& k : partitions) {
     std::shared_ptr<const Pli> cached = cache->Get(k);
-    std::shared_ptr<const Pli> fresh = rebuild.Get(k);
-    ASSERT_EQ(*cached, *fresh)
+    ASSERT_EQ(*cached, *rebuild.Get(k))
         << context << " partition " << k.ToString() << " diverged";
     std::string err;
     ASSERT_TRUE(cached->CheckInvariants(&err))
@@ -114,215 +102,156 @@ void VerifyAgainstRebuildAtQuiesce(const FlexibleRelation& rel,
   }
 }
 
-// ---------------------------------------------------------------------------
-// The tentpole contract: N readers × M writers, readers lock-free.
-// ---------------------------------------------------------------------------
-
-TEST(EngineConcurrencySoak, ReadersObserveCoherentSnapshotsUnderWriters) {
-  telemetry::Enable();
-  const uint64_t lock_waits_before =
-      telemetry::CounterValue("engine.pli_cache.reader_lock_waits");
-  const uint64_t seed = ConcurrencySeed(1);
-
-  AttrCatalog catalog;
-  std::vector<AttrId> attrs;
-  for (int i = 0; i < 6; ++i) attrs.push_back(catalog.Intern(StrCat("c", i)));
-  FlexibleRelation rel = FlexibleRelation::Derived("cc", DependencySet());
-  {
-    Rng seed_rng(seed);
-    for (int i = 0; i < 200; ++i) {
-      rel.InsertUnchecked(RandomTuple(attrs, &seed_rng));
-    }
-  }
-  std::shared_ptr<PliCache> cache = rel.pli_cache();
-  ASSERT_TRUE(cache->options().cow_reads);
-  const WarmKeys keys = WarmCache(cache.get(), attrs);
-  ASSERT_GT(cache->SnapshotEpoch(), 0u) << "warming must have published";
-
+// N threads hammer overlapping keys of the quiescent relation's cache; each
+// fetched structure must be internally coherent.
+void ConcurrentReaderRound(const FlexibleRelation& rel, const Keys& keys,
+                           uint64_t seed) {
   constexpr int kReaders = 4;
-  constexpr int kWriters = 2;
-  constexpr int kOpsPerWriter = 300;
-  std::atomic<bool> done{false};
-  std::atomic<uint64_t> bracketed_checks{0};
-
-  // Writers synchronize the row vector among themselves — that is the
-  // documented external contract; the snapshot plane only covers the
-  // cached structures readers resolve.
-  std::mutex write_mu;
-  std::vector<std::thread> threads;
-  for (int w = 0; w < kWriters; ++w) {
-    threads.emplace_back([&, w] {
-      Rng rng(seed ^ (0x5151u + static_cast<uint64_t>(w) * 7919));
-      for (int op = 0; op < kOpsPerWriter; ++op) {
-        std::lock_guard<std::mutex> lock(write_mu);
-        if (rng.Bernoulli(0.3)) {
-          rel.InsertUnchecked(RandomTuple(attrs, &rng));
-        } else {
-          size_t row = rng.Index(rel.size());
-          AttrId attr = attrs[rng.Index(attrs.size())];
-          Value v = RandomValue(&rng);
-          ASSERT_TRUE(rel.Update(row, attr, v).ok());
-        }
-      }
-    });
-  }
+  constexpr int kOpsPerReader = 150;
+  std::shared_ptr<PliCache> cache = rel.pli_cache();
+  std::vector<std::thread> readers;
   for (int r = 0; r < kReaders; ++r) {
-    threads.emplace_back([&, r] {
+    readers.emplace_back([&, r] {
       Rng rng(seed ^ (0xAAAAu + static_cast<uint64_t>(r) * 104729));
-      // The iteration floor keeps the soak meaningful even when the writers
-      // outrun reader startup: post-quiesce reads always bracket cleanly.
-      for (uint64_t iter = 0;
-           !done.load(std::memory_order_acquire) || iter < 50; ++iter) {
+      for (int op = 0; op < kOpsPerReader; ++op) {
         const AttrSet& key =
             keys.partitions[rng.Index(keys.partitions.size())];
-        // Epoch-bracketing: equal epochs before and after prove the pli
-        // and the column came from one snapshot — only then is the
-        // column↔cluster consistency a valid cross-structure assertion.
-        const uint64_t epoch_before = cache->SnapshotEpoch();
         std::shared_ptr<const Pli> pli = cache->Get(key);
         std::string err;
         EXPECT_TRUE(pli->CheckInvariants(&err))
             << "reader " << r << " partition " << key.ToString() << ": "
             << err;
         if (key.size() == 1) {
-          std::shared_ptr<const CodeColumn> column =
-              cache->CodeColumnFor(key.ids().front());
-          if (cache->SnapshotEpoch() == epoch_before) {
-            ASSERT_TRUE(ColumnMatchesPartition(*column, *pli))
-                << "reader " << r << " column of " << key.ToString();
-            bracketed_checks.fetch_add(1, std::memory_order_relaxed);
-          }
+          // Nothing mutates during the round, so a column and its
+          // single-attribute partition describe the same instance.
+          EXPECT_TRUE(ColumnMatchesPartition(
+              *cache->CodeColumnFor(key.ids().front()), *pli))
+              << "reader " << r << " column of " << key.ToString();
         }
         (void)cache->CodeColumnFor(
             keys.columns[rng.Index(keys.columns.size())]);
       }
     });
   }
-  for (int w = 0; w < kWriters; ++w) threads[w].join();
-  done.store(true, std::memory_order_release);
-  for (size_t t = kWriters; t < threads.size(); ++t) threads[t].join();
-
-  EXPECT_GT(bracketed_checks.load(), 0u)
-      << "the soak never caught a quiet epoch; weaken the write storm";
-  ASSERT_NO_FATAL_FAILURE(
-      VerifyAgainstRebuildAtQuiesce(rel, keys, "quiesce"));
-
-  const PliCache::StatsSnapshot stats = cache->Stats();
-  EXPECT_EQ(stats.publishes, stats.flushes)
-      << "COW mode must publish exactly once per flush";
-  EXPECT_GT(stats.publishes, 0u);
-  EXPECT_GE(stats.epoch, stats.publishes);
-  EXPECT_EQ(stats.pending_deltas, 0u) << "COW hooks flush eagerly";
-  // The lock-free guarantee, as a counter identity: no snapshot read ever
-  // took mu_. (Locked-mode reads bump this by design — see the locked-mode
-  // oracle test below.)
-  EXPECT_EQ(telemetry::CounterValue("engine.pli_cache.reader_lock_waits"),
-            lock_waits_before)
-      << "a COW-mode snapshot read acquired the cache mutex";
-  telemetry::Disable();
+  for (std::thread& t : readers) t.join();
 }
 
-// ---------------------------------------------------------------------------
-// COW vs the locked in-place oracle: structurally identical, 30 seeds.
-// ---------------------------------------------------------------------------
+enum class Arm { kPerRow, kBatched, kDrop };
 
-TEST(EngineConcurrencySoak, CowModeMatchesLockedOracleAcrossSeeds) {
-  const uint64_t base = ConcurrencySeed(2);
-  for (uint64_t s = 0; s < 30; ++s) {
-    Rng rng(base + s * 0x9E3779B97F4A7C15ull);
-    AttrCatalog catalog;
-    std::vector<AttrId> attrs;
-    for (int i = 0; i < 5; ++i) {
-      attrs.push_back(catalog.Intern(StrCat("d", i)));
-    }
-    FlexibleRelation cow = FlexibleRelation::Derived("cow", DependencySet());
-    FlexibleRelation locked =
-        FlexibleRelation::Derived("locked", DependencySet());
-    PliCacheOptions locked_options;
-    locked_options.cow_reads = false;
-    locked.SetPliCacheOptions(locked_options);
-
-    for (int i = 0; i < 40; ++i) {
-      Tuple t = RandomTuple(attrs, &rng);
-      cow.InsertUnchecked(t);
-      locked.InsertUnchecked(std::move(t));
-    }
-    WarmKeys cow_keys = WarmCache(cow.pli_cache().get(), attrs);
-    (void)WarmCache(locked.pli_cache().get(), attrs);
-
-    for (int op = 0; op < 60; ++op) {
-      if (rng.Bernoulli(0.5)) {
-        Tuple t = RandomTuple(attrs, &rng);
-        cow.InsertUnchecked(t);
-        locked.InsertUnchecked(std::move(t));
-      } else {
-        size_t row = rng.Index(cow.size());
-        AttrId attr = attrs[rng.Index(attrs.size())];
-        Value v = RandomValue(&rng);
-        ASSERT_TRUE(cow.Update(row, attr, v).ok()) << "seed#" << s;
-        ASSERT_TRUE(locked.Update(row, attr, v).ok()) << "seed#" << s;
-      }
-      if (op % 12 == 11) {
-        std::shared_ptr<PliCache> lhs = cow.pli_cache();
-        std::shared_ptr<PliCache> rhs = locked.pli_cache();
-        for (const AttrSet& k : cow_keys.partitions) {
-          ASSERT_EQ(*lhs->Get(k), *rhs->Get(k))
-              << "seed#" << s << " op#" << op << " partition "
-              << k.ToString();
-        }
-        for (AttrId a : cow_keys.columns) {
-          ASSERT_TRUE(ColumnsDecodeEqual(*lhs->CodeColumnFor(a),
-                                         *rhs->CodeColumnFor(a)))
-              << "seed#" << s << " op#" << op << " column attr " << a;
-        }
-      }
-    }
-    ASSERT_NO_FATAL_FAILURE(VerifyAgainstRebuildAtQuiesce(
-        cow, cow_keys, StrCat("seed#", s, " cow quiesce")));
-
-    // Mode-defining counter identities, both directions.
-    const PliCache::StatsSnapshot cs = cow.pli_cache()->Stats();
-    const PliCache::StatsSnapshot ls = locked.pli_cache()->Stats();
-    ASSERT_EQ(cs.publishes, cs.flushes) << "seed#" << s;
-    ASSERT_GT(cs.publishes, 0u) << "seed#" << s;
-    ASSERT_EQ(ls.publishes, 0u)
-        << "seed#" << s << " locked mode must never publish";
-    ASSERT_EQ(ls.epoch, 0u) << "seed#" << s;
-    ASSERT_EQ(cow.pli_cache()->SnapshotEpoch(), cs.epoch) << "seed#" << s;
-    ASSERT_EQ(locked.pli_cache()->SnapshotEpoch(), 0u) << "seed#" << s;
+// One transactional batch sized for `arm` under `options`: net burst
+// b < batch_threshold, batch_threshold <= b < drop_at, or b >= drop_at.
+// Updates write fresh values to distinct rows, so none nets out of the
+// burst.
+std::vector<FlexibleRelation::Mutation> BurstFor(
+    Arm arm, const FlexibleRelation& rel, const PliCacheOptions& options,
+    Rng* rng, int64_t* next_id) {
+  const size_t drop_at = std::max(options.drop_threshold, rel.size() / 2);
+  size_t updates = 0;
+  size_t inserts = 0;
+  switch (arm) {
+    case Arm::kPerRow:
+      updates = 1 + rng->Index(options.batch_threshold - 2);
+      inserts = 1;
+      break;
+    case Arm::kBatched:
+      updates = options.batch_threshold + rng->Index(4);
+      inserts = 1;
+      break;
+    case Arm::kDrop:
+      updates = drop_at;
+      break;
   }
+  std::vector<size_t> rows(rel.size());
+  std::iota(rows.begin(), rows.end(), size_t{0});
+  for (size_t i = 0; i < updates; ++i) {
+    std::swap(rows[i], rows[i + rng->Index(rows.size() - i)]);
+  }
+  std::vector<FlexibleRelation::Mutation> batch;
+  for (size_t i = 0; i < updates; ++i) {
+    AttrId attr = static_cast<AttrId>(rng->Index(kNumAttrs));
+    Value v = rng->Bernoulli(0.5) ? RandomSoakValue(rng)
+                                  : Value::Int(1000000 + (*next_id)++);
+    if (const Value* old = rel.row(rows[i]).Get(attr); old != nullptr &&
+                                                        *old == v) {
+      v = Value::Int(1000000 + (*next_id)++);
+    }
+    batch.push_back(FlexibleRelation::Mutation::Update(rows[i], attr, v));
+  }
+  std::vector<AttrId> attrs(kNumAttrs);
+  std::iota(attrs.begin(), attrs.end(), AttrId{0});
+  for (size_t i = 0; i < inserts; ++i) {
+    Tuple t = RandomSoakTuple(attrs, rng);
+    t.Set(kRowIdAttr, Value::Int((*next_id)++));
+    batch.push_back(FlexibleRelation::Mutation::Insert(std::move(t)));
+  }
+  return batch;
 }
 
-// ---------------------------------------------------------------------------
-// Frozen-at-epoch semantics: a held snapshot structure never moves.
-// ---------------------------------------------------------------------------
+TEST(EngineConcurrencySoak, ConcurrentReadersMatchRebuildAcrossFlushArms) {
+  const uint64_t base = ConcurrencySeed(1);
+  const Keys keys = MakeKeys();
+  for (uint64_t s = 0; s < 4; ++s) {
+    const uint64_t seed = base + s * 0x9E3779B97F4A7C15ull;
+    Rng rng(seed);
+    std::vector<AttrId> attrs(kNumAttrs);
+    std::iota(attrs.begin(), attrs.end(), AttrId{0});
 
-TEST(EngineConcurrencySoak, HeldSnapshotStructuresAreFrozenAcrossEpochs) {
-  AttrCatalog catalog;
-  AttrId a = catalog.Intern("a");
-  FlexibleRelation rel = FlexibleRelation::Derived("frozen", DependencySet());
-  for (int i = 0; i < 8; ++i) {
-    Tuple t;
-    t.Set(a, Value::Int(i % 2));
-    rel.InsertUnchecked(t);
+    FlexibleRelation rel = FlexibleRelation::Derived("cc", DependencySet());
+    PliCacheOptions options;
+    options.max_entries = 3;      // well below the 10 composites: evictions
+                                  // race the builds of the reader rounds
+    options.batch_threshold = 4;  // batched bursts small enough that the
+                                  // cached pairs are patched, not dropped
+    options.drop_threshold = 64;  // reachable drop arm on a small instance
+    rel.SetPliCacheOptions(options);
+    int64_t next_id = 0;
+    for (int i = 0; i < 400; ++i) {
+      Tuple t = RandomSoakTuple(attrs, &rng);
+      t.Set(kRowIdAttr, Value::Int(next_id++));
+      rel.InsertUnchecked(std::move(t));
+    }
+    std::shared_ptr<PliCache> cache = rel.pli_cache();
+
+    for (int round = 0; round < 6; ++round) {
+      const std::string context = StrCat("seed#", s, " round ", round);
+      ConcurrentReaderRound(rel, keys, seed + static_cast<uint64_t>(round));
+      ASSERT_NO_FATAL_FAILURE(VerifyAgainstRebuild(
+          rel, keys.partitions, keys, StrCat(context, " readers")));
+
+      const Arm arm = static_cast<Arm>(round % 3);
+      const PliCache::StatsSnapshot before = cache->Stats();
+      ASSERT_TRUE(
+          rel.ApplyBatch(BurstFor(arm, rel, options, &rng, &next_id)).ok())
+          << context;
+      EXPECT_GT(cache->Stats().pending_deltas, 0u)
+          << context << " hooks must only buffer";
+      // The walk above left its last composites — the pairs — cached, so
+      // the flush patched them; check them first, before this walk's own
+      // misses evict them.
+      ASSERT_NO_FATAL_FAILURE(VerifyAgainstRebuild(
+          rel, {keys.partitions.rbegin(), keys.partitions.rend()}, keys,
+          StrCat(context, " batch")));
+      const PliCache::StatsSnapshot after = cache->Stats();
+      EXPECT_EQ(after.pending_deltas, 0u) << context;
+      EXPECT_EQ(after.flushes, before.flushes + 1) << context;
+      switch (arm) {
+        case Arm::kPerRow:
+          EXPECT_GT(after.patches, before.patches) << context;
+          EXPECT_EQ(after.batch_applies, before.batch_applies) << context;
+          EXPECT_EQ(after.full_drops, before.full_drops) << context;
+          break;
+        case Arm::kBatched:
+          EXPECT_GT(after.batch_applies, before.batch_applies) << context;
+          EXPECT_EQ(after.full_drops, before.full_drops) << context;
+          break;
+        case Arm::kDrop:
+          EXPECT_EQ(after.full_drops, before.full_drops + 1) << context;
+          break;
+      }
+    }
+    EXPECT_GT(cache->Stats().evictions, 0u)
+        << "seed#" << s << ": max_entries never forced an eviction";
   }
-  std::shared_ptr<PliCache> cache = rel.pli_cache();
-  std::shared_ptr<const Pli> held = cache->Get(AttrSet::Of(a));
-  const Pli before = *held;  // deep copy: the frozen-state oracle
-  const uint64_t epoch_before = cache->SnapshotEpoch();
-
-  ASSERT_TRUE(rel.Update(0, a, Value::Int(41)).ok());
-  ASSERT_TRUE(rel.Update(1, a, Value::Int(42)).ok());
-
-  // The held pointer still describes the epoch it was read from...
-  EXPECT_EQ(*held, before)
-      << "a published partition was patched in place under a reader";
-  EXPECT_GT(cache->SnapshotEpoch(), epoch_before);
-  // ...while a re-read resolves the successor epoch's structure.
-  std::shared_ptr<const Pli> fresh = cache->Get(AttrSet::Of(a));
-  EXPECT_NE(fresh.get(), held.get());
-  PliCache rebuild(&rel.rows());
-  EXPECT_EQ(*fresh, *rebuild.Get(AttrSet::Of(a)));
 }
 
 }  // namespace

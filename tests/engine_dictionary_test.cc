@@ -9,8 +9,8 @@
 // oracles: counting-sort partitions equal hash-built ones (Pli::Build), a
 // maintained column decodes like a fresh CodeColumn::Build, coded
 // selections return the rows per-tuple evaluation accepts, and everything
-// downstream (the evaluator, level-wise and hybrid discovery) equals the
-// naive reference paths (use_engine = false).
+// downstream (the evaluator, level-wise discovery) equals the naive
+// reference paths (use_engine = false).
 //
 // Randomized suites take their seed from FLEXREL_TEST_SEED when set (the
 // CI seed-diversity step passes the run id) and print it, so failures are
@@ -324,7 +324,7 @@ TEST(CodeColumnTest, CodedMatchesEqualsPerTupleSelection) {
 // stream must end observationally equal to the from-scratch oracles at
 // every layer: cached partitions (Pli::Build) and columns
 // (CodeColumn::Build), evaluator output (use_engine = false), and
-// level-wise and hybrid discovery results (the hash-grouping reference).
+// level-wise discovery results (the hash-grouping reference).
 void RunColumnVsRebuildOracleSoak(uint64_t seed) {
   const std::string context = StrCat("seed ", seed);
   auto workload = MakeEmployeeWorkload(SoakEmployeeConfig(seed, 48));
@@ -381,22 +381,15 @@ void RunColumnVsRebuildOracleSoak(uint64_t seed) {
     EXPECT_EQ(sorted(engine.value()), sorted(naive.value())) << context;
   }
 
-  // Layer 3: discovery — level-wise and hybrid over code-built partitions
-  // and code-labelled probes, both equal to the hash-grouping reference.
+  // Layer 3: discovery — level-wise over code-built partitions and
+  // code-labelled probes, equal to the hash-grouping reference.
   AttrSet universe = w.relation.ActiveAttrs();
   DiscoveryOptions brute;
   brute.use_engine = false;
   DependencySet reference = DiscoverDependencies(rows, universe, brute);
-  for (DiscoveryStrategy strategy :
-       {DiscoveryStrategy::kLevelWise, DiscoveryStrategy::kHybrid}) {
-    DiscoveryOptions opts;
-    opts.strategy = strategy;
-    DependencySet found = DiscoverDependencies(rows, universe, opts);
-    EXPECT_EQ(found.fds(), reference.fds())
-        << context << " strategy " << static_cast<int>(strategy);
-    EXPECT_EQ(found.ads(), reference.ads())
-        << context << " strategy " << static_cast<int>(strategy);
-  }
+  DependencySet found = DiscoverDependencies(rows, universe, DiscoveryOptions());
+  EXPECT_EQ(found.fds(), reference.fds()) << context;
+  EXPECT_EQ(found.ads(), reference.ads()) << context;
 }
 
 TEST(EngineDictionarySoak, ColumnsMatchRebuildOracleAcrossThirtySeeds) {

@@ -1,6 +1,10 @@
 // Cross-validation of the partition-engine discovery path against the
 // retained brute-force reference, plus the engine's consumer bridges
 // (EAD mining for the optimizer, Σ installation for generated workloads).
+//
+// The randomized instance sweep and the mutate-between-discoveries soak
+// take their seed from FLEXREL_TEST_SEED when set (tests/seeded_suites.txt
+// registers them for CI's fresh-seed rerun) and print it for replay.
 
 #include "engine/parallel_discovery.h"
 
@@ -10,9 +14,14 @@
 
 #include "core/closure.h"
 #include "core/discovery.h"
+#include "core/flexible_relation.h"
 #include "engine_test_util.h"
 #include "optimizer/guard_analysis.h"
+#include "relational/attribute.h"
+#include "telemetry/telemetry.h"
+#include "test_seed.h"
 #include "util/rng.h"
+#include "util/string_util.h"
 #include "workload/generator.h"
 #include "workload/paper_examples.h"
 
@@ -20,7 +29,9 @@ namespace flexrel {
 namespace {
 
 using testutil::FullUniverse;
+using testutil::MakePlantedFdInstance;
 using testutil::RandomInstance;
+using testutil::RandomSoakTuple;
 
 // Engine and brute force must return *identical* result vectors — same
 // dependencies, same order — under every option combination.
@@ -74,19 +85,107 @@ TEST(EngineDiscoveryTest, MatchesBruteForceOnPaperExamples) {
 
 TEST(EngineDiscoveryTest, MatchesBruteForceOnRandomInstances) {
   // >= 20 randomized instances sweeping shape, density, and value spread.
+  const uint64_t base = TestSeedBase(0, "discovery-random");
   size_t instances = 0;
-  for (uint64_t seed = 1; seed <= 8; ++seed) {
+  for (uint64_t i = 1; i <= 8; ++i) {
+    const uint64_t seed = base + i;
     Rng rng(seed * 101);
+    SCOPED_TRACE(StrCat("seed=", seed));
     std::vector<Tuple> sparse = RandomInstance(&rng, 60, 5, 0.55, 2);
     std::vector<Tuple> dense = RandomInstance(&rng, 50, 4, 0.95, 3);
     std::vector<Tuple> tiny = RandomInstance(&rng, 6, 3, 0.7, 1);
+    // Planted FDs over Zipf-skewed values (fat clusters), with absence on
+    // the non-planted attributes so the AD pass sees presence disagreement.
+    auto planted = MakePlantedFdInstance(&rng, 80, 7 + seed % 3, 2,
+                                         4 + static_cast<int64_t>(seed % 4),
+                                         0.3);
     ExpectIdenticalDiscovery(sparse, FullUniverse(5), 2, true, "sparse");
     ExpectIdenticalDiscovery(sparse, FullUniverse(5), 2, false, "sparse");
     ExpectIdenticalDiscovery(dense, FullUniverse(4), 3, true, "dense");
     ExpectIdenticalDiscovery(tiny, FullUniverse(3), 3, false, "tiny");
-    instances += 3;
+    ExpectIdenticalDiscovery(planted.rows, planted.universe, 2, true,
+                             "planted");
+    instances += 4;
+
+    // Completeness against the construction: whatever minimal generators
+    // discovery settled on must imply every planted dependency.
+    DependencySet discovered;
+    for (FuncDep& fd : EngineDiscoverFuncDeps(planted.rows, planted.universe)) {
+      discovered.AddFd(std::move(fd));
+    }
+    for (const FuncDep& fd : planted.planted) {
+      EXPECT_TRUE(Implies(discovered, fd))
+          << "planted " << fd.lhs.ToString() << " -> " << fd.rhs.ToString()
+          << " not implied by the discovered set";
+    }
   }
   EXPECT_GE(instances, 20u);
+}
+
+TEST(EngineDiscoverySoak, SurvivesMutationsBetweenDiscoveries) {
+  const uint64_t base = TestSeedBase(223, "discovery-mutation-soak");
+  for (uint64_t i = 1; i <= 6; ++i) {
+    const uint64_t seed = base + i;
+    Rng rng(seed * 6151);
+    SCOPED_TRACE(StrCat("seed=", seed));
+
+    AttrCatalog catalog;
+    std::vector<AttrId> attrs;
+    for (int a = 0; a < 5; ++a) attrs.push_back(catalog.Intern(StrCat("a", a)));
+    AttrSet universe = FullUniverse(attrs.size());
+
+    FlexibleRelation rel =
+        FlexibleRelation::Derived("discovery-soak", DependencySet());
+    for (int r = 0; r < 50; ++r) {
+      rel.InsertUnchecked(RandomSoakTuple(attrs, &rng));
+    }
+
+    // Re-discover through the relation's long-lived cache after every
+    // mutation burst: round r validates against partitions and columns
+    // the flush arms have patched r times.
+    for (int round = 0; round < 4; ++round) {
+      std::shared_ptr<PliCache> cache = rel.pli_cache();
+      DependencyValidator validator(cache.get());
+      DiscoveryOptions brute;
+      brute.use_engine = false;
+      EXPECT_EQ(EngineDiscoverFuncDeps(&validator, universe),
+                DiscoverFuncDeps(rel.rows(), universe, brute))
+          << "round " << round;
+      EXPECT_EQ(EngineDiscoverAttrDeps(&validator, universe),
+                DiscoverAttrDeps(rel.rows(), universe, brute))
+          << "round " << round;
+
+      for (int m = 0; m < 8; ++m) {
+        if (rng.Bernoulli(0.6)) {
+          rel.InsertUnchecked(RandomSoakTuple(attrs, &rng));
+        } else {
+          size_t row = rng.Index(rel.size());
+          AttrId attr = attrs[rng.Index(attrs.size())];
+          auto delta = rel.Update(row, attr, testutil::RandomSoakValue(&rng));
+          ASSERT_TRUE(delta.ok()) << delta.status();
+        }
+      }
+    }
+  }
+}
+
+TEST(DiscoveryTelemetryTest, RunStartResetsStaleGauges) {
+  telemetry::Enable();
+  telemetry::Registry& registry = telemetry::Registry::Global();
+  registry.Reset();
+  Rng rng(11);
+  std::vector<Tuple> rows = RandomInstance(&rng, 40, 4, 0.9, 2);
+
+  // Plant a stale watermark as an earlier run in this process would have;
+  // a following run that never reaches the write site (here: an empty
+  // universe walks zero levels) must not leak it into its own dump.
+  telemetry::Gauge* util =
+      registry.GetGauge("engine.discovery.worker_utilization_pct");
+  util->Set(77);
+  (void)EngineDiscoverFuncDeps(rows, AttrSet());
+  EXPECT_EQ(util->value(), 0)
+      << "stale worker-utilization watermark leaked across runs";
+  telemetry::Disable();
 }
 
 TEST(EngineDiscoveryTest, MatchesBruteForceOnEmployeeWorkloads) {

@@ -1,10 +1,9 @@
 // Shared randomized instance / workload generators for the engine test
 // suites. One home for the soak-value distributions, the random flexible
-// instances the discovery suites cross-validate on, the employee-workload
-// mutation step the eval and incremental soaks both drive, the planted-FD /
-// Zipfian shapes the hybrid-discovery differential harness sweeps, and the
-// code-column comparisons the soaks check maintained columns against their
-// rebuild oracle with. Everything is driven by an explicit Rng so suites
+// instances the discovery suites cross-validate on (planted-FD / Zipfian
+// shapes included), the employee-workload mutation step the eval and
+// incremental soaks both drive, and the code-column comparisons the soaks
+// check maintained columns against their rebuild oracle with. Everything is driven by an explicit Rng so suites
 // stay replayable through tests/test_seed.h.
 
 #ifndef FLEXREL_TESTS_ENGINE_TEST_UTIL_H_
@@ -234,8 +233,8 @@ class ZipfianDist {
   std::vector<double> cdf_;
 };
 
-/// A wide instance with dependencies planted by construction, the hybrid
-/// discovery differential shape: attributes draw Zipfian-skewed values
+/// An instance with dependencies planted by construction, the discovery
+/// suites' skewed shape: attributes draw Zipfian-skewed values
 /// from a small domain (fat clusters -> real partition work), and planted
 /// FD i makes attribute 3i+2 a function of attributes {3i, 3i+1}, so
 /// {3i, 3i+1} --func--> 3i+2 holds exactly. With `absence` > 0,

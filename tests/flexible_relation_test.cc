@@ -106,6 +106,16 @@ TEST_F(FlexibleRelationTest, ActiveAttrs) {
   EXPECT_EQ(derived.ActiveAttrs(),
             (AttrSet{ex_->salary, ex_->jobtype, ex_->products,
                      ex_->sales_commission}));
+
+  // Rows over pairwise disjoint attribute sets: the union must take every
+  // row's attributes, in whatever order they arrive.
+  FlexibleRelation disjoint = FlexibleRelation::Derived("x", DependencySet());
+  disjoint.InsertUnchecked(Tuple::FromPairs({{7, Value::Int(1)}}));
+  disjoint.InsertUnchecked(
+      Tuple::FromPairs({{2, Value::Int(2)}, {3, Value::Null()}}));
+  disjoint.InsertUnchecked(Tuple());
+  disjoint.InsertUnchecked(Tuple::FromPairs({{0, Value::Str("a")}}));
+  EXPECT_EQ(disjoint.ActiveAttrs(), (AttrSet{0, 2, 3, 7}));
 }
 
 TEST_F(FlexibleRelationTest, AbbreviatedDepsDerivedFromEads) {

@@ -75,6 +75,18 @@ TEST_F(PlanRewriteTest, GuaranteedAttrsStructural) {
       Plan::Select(Plan::Scan(&master_),
                    Expr::Eq(w_->jobtype_attr, w_->jobtype_values[0])));
   EXPECT_TRUE(gs.Contains(w_->jobtype_attr));
+  // A scan whose common set shrinks row by row and empties partway
+  // through: rows after that point cannot bring anything back.
+  FlexibleRelation shrinking = FlexibleRelation::Derived("s", DependencySet());
+  shrinking.InsertUnchecked(Tuple::FromPairs(
+      {{0, Value::Int(1)}, {1, Value::Int(2)}, {2, Value::Int(3)}}));
+  shrinking.InsertUnchecked(
+      Tuple::FromPairs({{0, Value::Int(4)}, {1, Value::Int(5)}}));
+  EXPECT_EQ(GuaranteedAttrs(Plan::Scan(&shrinking)), (AttrSet{0, 1}));
+  shrinking.InsertUnchecked(Tuple::FromPairs({{2, Value::Int(6)}}));
+  shrinking.InsertUnchecked(Tuple::FromPairs(
+      {{0, Value::Int(7)}, {1, Value::Int(8)}, {2, Value::Int(9)}}));
+  EXPECT_TRUE(GuaranteedAttrs(Plan::Scan(&shrinking)).empty());
   // Empty guarantees nothing; Extend adds the tag.
   EXPECT_TRUE(GuaranteedAttrs(Plan::Empty()).empty());
   EXPECT_TRUE(GuaranteedAttrs(
