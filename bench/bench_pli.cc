@@ -172,15 +172,11 @@ BENCHMARK(BM_PliLevelSweep)->Arg(1000)->Arg(10000);
 // Mutate-then-query: the workload incremental maintenance exists for. Each
 // iteration applies `mutations` (state.range(1)) random updates and then
 // runs a query mix over the attached cache — a code-column selection shape
-// plus single- and two-attribute partition reads. Four maintenance modes:
+// plus single- and two-attribute partition reads. Three maintenance modes:
 //
-//   Incremental — per-row Update() calls under the default adaptive
-//     flush policy (the buffer coalesces the burst, so past
-//     batch_threshold the flush group-applies it);
+//   Incremental — row-at-a-time Update() calls under the default policy
+//     (the buffer coalesces the burst, and the next read splices it);
 //   Batched     — the same burst staged through one UpdateRows() call;
-//   PerRow      — batch_threshold = SIZE_MAX pins the per-mutation
-//     cluster surgery, the reference the adaptive policy must beat at
-//     high mutation ratios;
 //   Rebuild     — incremental = false, the drop-everything oracle.
 //
 // Updates only (no growth), so all modes benchmark the same instance size
@@ -191,21 +187,15 @@ constexpr AttrId kJobtype = 1;  // few fat clusters (the selective attribute)
 constexpr AttrId kCommon = 2;   // common attribute, medium clusters
 
 enum class MaintenanceMode {
-  kAdaptive,      // default options: patch / batch / drop by burst size
-  kPinnedPerRow,  // batch_threshold = SIZE_MAX: always per-row patches
-  kRebuild,       // incremental = false: drop the cache on every mutation
+  kAdaptive,  // default options: splice or drop by burst size
+  kRebuild,   // incremental = false: drop the cache on every mutation
 };
 
 FlexibleRelation RelationOf(const std::vector<Tuple>& rows,
                             MaintenanceMode mode) {
   FlexibleRelation rel = FlexibleRelation::Derived("bench", DependencySet());
   PliCacheOptions options;
-  if (mode == MaintenanceMode::kPinnedPerRow) {
-    options.batch_threshold = SIZE_MAX;
-    options.drop_threshold = SIZE_MAX;
-  } else if (mode == MaintenanceMode::kRebuild) {
-    options.incremental = false;
-  }
+  if (mode == MaintenanceMode::kRebuild) options.incremental = false;
   rel.SetPliCacheOptions(options);
   std::vector<Tuple> copy = rows;
   rel.InsertRowsUnchecked(std::move(copy));
@@ -293,10 +283,6 @@ void BM_MutateThenQueryIncremental(benchmark::State& state) {
 void BM_MutateThenQueryBatched(benchmark::State& state) {
   MutateThenQuery(state, MaintenanceMode::kAdaptive, /*staged_batches=*/true);
 }
-void BM_MutateThenQueryPerRow(benchmark::State& state) {
-  MutateThenQuery(state, MaintenanceMode::kPinnedPerRow,
-                  /*staged_batches=*/false);
-}
 void BM_MutateThenQueryRebuild(benchmark::State& state) {
   MutateThenQuery(state, MaintenanceMode::kRebuild, /*staged_batches=*/false);
 }
@@ -309,7 +295,6 @@ void BM_MutateThenQueryRebuild(benchmark::State& state) {
       ->Args({100000, 1})->Args({100000, 8})->Args({100000, 64})
 FLEXREL_MUTATE_SWEEP(BM_MutateThenQueryIncremental);
 FLEXREL_MUTATE_SWEEP(BM_MutateThenQueryBatched);
-FLEXREL_MUTATE_SWEEP(BM_MutateThenQueryPerRow);
 FLEXREL_MUTATE_SWEEP(BM_MutateThenQueryRebuild);
 #undef FLEXREL_MUTATE_SWEEP
 
@@ -420,14 +405,15 @@ void BM_BulkLoadThenQuery(benchmark::State& state) {
 BENCHMARK(BM_BulkLoadThenQuery)->ArgNames({"rows"})->Arg(1000)->Arg(10000);
 
 // ---------------------------------------------------------------------------
-// Append storm into one fat cluster of a wide arena partition. Pre-slack,
-// EVERY ApplyInsert into cluster 0 shifted the arena's entire suffix (all
-// trailing clusters) one slot right — O(suffix) per append, no exceptions.
-// With per-cluster slack headroom the shift is confined to the cluster; the
-// suffix moves only on the amortized slot doublings. The timed storm is the
-// steady state the doubling buys — appends landing in open slack — and its
-// ns/append must stay flat as `clusters` (the suffix) grows; the capacity
-// ramp (the doublings themselves) runs untimed, as does partition cloning.
+// Append storm into one fat cluster of a wide arena partition: one-patch
+// Pli::ApplyBatch appends, each keeping the whole cluster and adding one
+// row. A splice that rebuilt the arena would cost O(arena) per append; with
+// per-cluster slack headroom the append lands inside its own slot and the
+// arena suffix (all trailing clusters) moves only on the amortized slot
+// doublings. The timed storm is the steady state the doubling buys —
+// appends landing in open slack — and its ns/append must stay flat as
+// `clusters` (the suffix) grows; the capacity ramp (the doublings
+// themselves) runs untimed, as does partition cloning.
 // ---------------------------------------------------------------------------
 
 void BM_AppendStormFatPartition(benchmark::State& state) {
@@ -445,26 +431,30 @@ void BM_AppendStormFatPartition(benchmark::State& state) {
   const Pli base = Pli::Build(rows, attr);
   constexpr int kWarm = 66;   // grows slot 0 to capacity 128 (untimed ramp)
   constexpr int kStorm = 48;  // timed appends, all landing in open slack
+  std::vector<Pli::ClusterPatchView> patch(1);
+  Pli::RowId appended = 0;
+  // Appends `row` to cluster 0, which holds `size` rows fronted by row 0.
+  auto append = [&](Pli* pli, Pli::RowId row, uint32_t size) {
+    appended = row;
+    patch[0] = {0, size, size, std::span<const Pli::RowId>(&appended, 1)};
+    return pli->ApplyBatch(patch, /*defined_delta=*/1);
+  };
   for (auto _ : state) {
     state.PauseTiming();
     Pli pli = base;
     pli.SetNumRows(2 * clusters + kWarm + kStorm);
-    Pli::Cluster partners = {0, 1};
-    partners.reserve(2 + kWarm + kStorm);
     for (int k = 0; k < kWarm; ++k) {
       const Pli::RowId row = static_cast<Pli::RowId>(2 * clusters + k);
-      if (!pli.ApplyInsert(row, partners, /*includes_row=*/false)) {
+      if (!append(&pli, row, static_cast<uint32_t>(2 + k))) {
         state.SkipWithError("warm-up append refused");
         return;
       }
-      partners.push_back(row);
     }
     state.ResumeTiming();
     for (int k = kWarm; k < kWarm + kStorm; ++k) {
       const Pli::RowId row = static_cast<Pli::RowId>(2 * clusters + k);
       benchmark::DoNotOptimize(
-          pli.ApplyInsert(row, partners, /*includes_row=*/false));
-      partners.push_back(row);
+          append(&pli, row, static_cast<uint32_t>(2 + k)));
     }
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * kStorm);

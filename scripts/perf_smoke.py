@@ -6,10 +6,8 @@ at reduced sizes, writes the raw google-benchmark JSON next to the results
 (uploaded as a workflow artifact beside the checked-in BENCH_*.json), and
 hard-fails on any inversion:
 
-  * incremental (adaptive) mutate-then-query slower than the
+  * incremental mutate-then-query slower than the
     rebuild-after-invalidate oracle at any swept mutation ratio;
-  * the batched-adaptive flush slower than the pinned per-row reference at
-    the 64-mutation burst size (the regime batching exists for);
   * the PLI-backed pair join slower than the naive nested-loop join;
   * the counting-sort partition build over a code column
     (BM_PliBuildSingleAttrCoded, the cache's build) slower than the hashed
@@ -22,9 +20,9 @@ counter inversions — identities the instrumentation guarantees by
 construction and work-ratio bounds the engine exists to provide:
 
   * engine.pli_cache.hits + misses == lookups (every Get takes one arm);
-  * the per-arm flush counters (flush.per_row + flush.batched +
-    flush.dropped) sum to engine.pli_cache.flushes, and flushes > 0 —
-    the sweep actually exercised the adaptive policy;
+  * the per-arm flush counters (flush.batched + flush.dropped) sum to
+    engine.pli_cache.flushes, and flushes > 0 — the sweep actually
+    exercised the flush policy;
   * eval.join.hash_probes stays >= 100x below
     eval.join.hash_pair_candidates (the naive pair count for the same
     joins): the hashed path must probe orders fewer pairs than |L|x|R|.
@@ -44,7 +42,8 @@ Beyond the pairwise inversions above, the run is diffed against the
 committed baselines BENCH_incremental.json (a full bench_pli recording)
 and BENCH_eval.json (a full bench_join_prune recording): every benchmark
 whose exact name/shape appears in both this run's medians and a baseline
-is compared as fresh_median / baseline_time. The CI runner and the
+is compared as fresh_median / baseline_median (a baseline recorded
+without repetitions contributes its single time instead). The CI runner and the
 machine that recorded the baselines differ in raw speed, so each ratio is
 normalized by the fleet median ratio across all shared entries — a
 uniformly 2x-slower runner shifts every ratio identically and cancels
@@ -65,9 +64,10 @@ command against a Release build tree:
     python3 scripts/perf_smoke.py --build-dir build-rel \
         --out-dir /tmp/perf --record-baselines
 
-which re-runs the two full suites (single repetition, google-benchmark
-defaults) and overwrites BENCH_incremental.json / BENCH_eval.json in the
-repo root (--baseline-dir to redirect). Commit the refreshed files with a
+which re-runs the two full suites (three repetitions, aggregates only,
+google-benchmark defaults otherwise) and overwrites BENCH_incremental.json
+/ BENCH_eval.json in the repo root (--baseline-dir to redirect), so both
+sides of the gate are medians of three. Commit the refreshed files with a
 note of what moved and why.
 """
 
@@ -88,7 +88,7 @@ JOIN_METRICS = "perf_smoke_join_metrics.json"
 RUNS = [
     (
         "bench_pli",
-        "BM_MutateThenQuery(Incremental|Batched|PerRow"
+        "BM_MutateThenQuery(Incremental|Batched"
         "|Rebuild)/rows:10000/|BM_PliLevelSweep/10000$"
         "|BM_CacheBatchedFlush/"
         "|BM_PliBuildSingleAttr(Coded)?/10000$"
@@ -211,15 +211,14 @@ def check_metric_invariants(out_dir, failures):
             f"!= lookups({lookups}), or no lookups recorded")
 
     flushes = pli.get("engine.pli_cache.flushes", 0)
-    arms = (pli.get("engine.pli_cache.flush.per_row", 0) +
-            pli.get("engine.pli_cache.flush.batched", 0) +
+    arms = (pli.get("engine.pli_cache.flush.batched", 0) +
             pli.get("engine.pli_cache.flush.dropped", 0))
     ok = flushes > 0 and arms == flushes
     print(f"  pli_cache per-arm flushes sum to total: {arms} "
           f"== {flushes}  {'OK' if ok else 'VIOLATED'}")
     if not ok:
         failures.append(
-            f"pli_cache flush arms: per_row+batched+dropped({arms}) "
+            f"pli_cache flush arms: batched+dropped({arms}) "
             f"!= flushes({flushes}), or no flushes recorded")
 
     # Fault injection and the cache memory budget are both disabled in
@@ -262,7 +261,8 @@ def check_metric_invariants(out_dir, failures):
 
 def load_baseline_times(baseline_dir, failures):
     """Benchmark name -> wall time (ns) from the committed full-suite
-    recordings (single-repetition iteration entries, no aggregates)."""
+    recordings: the median aggregate where the recording has repetitions,
+    else the plain single-run entry."""
     scale = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
     baseline = {}
     for name in BASELINES:
@@ -272,11 +272,15 @@ def load_baseline_times(baseline_dir, failures):
             continue
         with open(path) as f:
             data = json.load(f)
+        medians = {}
         for b in data.get("benchmarks", []):
-            if b.get("aggregate_name"):
-                continue
-            baseline[b["name"]] = (b["real_time"] *
-                                   scale[b.get("time_unit", "ns")])
+            time = b["real_time"] * scale[b.get("time_unit", "ns")]
+            aggregate = b.get("aggregate_name")
+            if aggregate == "median":
+                medians[b["run_name"]] = time
+            elif not aggregate:
+                baseline[b["name"]] = time
+        baseline.update(medians)
     return baseline
 
 
@@ -317,13 +321,15 @@ def check_trajectory(times, baseline_dir, failures):
 
 def record_baselines(build_dir, out_dir, baseline_dir):
     """--record-baselines: re-run the two full suites and overwrite the
-    committed BENCH_*.json (single repetition, google-benchmark defaults —
-    the exact shape the trajectory gate expects)."""
+    committed BENCH_*.json (three repetitions, aggregates only — the
+    medians the trajectory gate compares against)."""
     for binary, out_name in (("bench_pli", "BENCH_incremental.json"),
                              ("bench_join_prune", "BENCH_eval.json")):
         out_path = baseline_dir / out_name
         cmd = [
             str(build_dir / binary),
+            "--benchmark_repetitions=3",
+            "--benchmark_report_aggregates_only=true",
             f"--benchmark_out={out_path}",
             "--benchmark_out_format=json",
             f"--metrics_json={out_dir / ('record_' + binary + '_metrics.json')}",
@@ -368,13 +374,6 @@ def main():
             f"BM_MutateThenQueryRebuild/rows:10000/muts:{muts}",
             failures,
         )
-    print("batched-adaptive vs pinned per-row (64-mutation bursts):")
-    expect_faster(
-        times,
-        "BM_MutateThenQueryBatched/rows:10000/muts:64",
-        "BM_MutateThenQueryPerRow/rows:10000/muts:64",
-        failures,
-    )
     print("PLI pair join vs naive:")
     expect_faster(times, "BM_PairJoinPli/10000", "BM_PairJoinNaive/10000",
                   failures)

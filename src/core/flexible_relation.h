@@ -118,8 +118,8 @@ class FlexibleRelation {
   /// partition cache. On any failure the relation and cache are byte-
   /// identical to before the call and the error names the offending op;
   /// on success the rows mutate and the cache receives the delta as one
-  /// buffered batch (flushed adaptively on the next read, see
-  /// engine/pli_cache.h) instead of per-row patch work.
+  /// buffered batch, which the next read splices in (or drops the cache
+  /// for, past the burst-size bound; see engine/pli_cache.h).
   Status ApplyBatch(std::vector<Mutation> batch);
 
   /// Type-checked bulk insert: ApplyBatch over pure inserts. All-or-
@@ -161,13 +161,13 @@ class FlexibleRelation {
   /// Maintenance contract: all mutation entry points (single-row and
   /// batch) keep the attached cache alive and report their deltas to it —
   /// PliCache buffers them and the next read (Get/CodeColumnFor, i.e. any
-  /// evaluator or validator access) flushes the buffer adaptively: small
-  /// bursts patch clusters row by row, larger ones are group-applied in
-  /// one sorted splice per affected structure, and burst sizes past
-  /// max(drop_threshold, rows/2) drop everything for one lazy rebuild
-  /// (engine/pli_cache.h). The per-attribute code columns — the cache's
-  /// only maintained per-attribute structure — are patched by the same
-  /// flush. Partition/column pointers obtained before a mutation must be
+  /// evaluator or validator access) flushes the buffer: bursts are spliced
+  /// into every affected structure, touching only the clusters they
+  /// change, and burst sizes past max(drop_threshold, rows/2) drop
+  /// everything for one lazy rebuild (engine/pli_cache.h). The
+  /// per-attribute code columns — the cache's only maintained
+  /// per-attribute structure — are patched by the same flush.
+  /// Partition/column pointers obtained before a mutation must be
   /// treated as invalidated by it: until some reader flushes they observe
   /// the pre-mutation instance, the flush then patches them in place, and
   /// a partition the flush drops as cheaper-to-rebuild leaves a held

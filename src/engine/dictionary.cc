@@ -59,39 +59,18 @@ const std::vector<CodeColumn::RowId>& CodeColumn::RowsOf(
   return code == kMissingCode ? kNone : buckets_[code];
 }
 
-void CodeColumn::ApplyUpdate(RowId row, const Value* value) {
-  if (row >= codes_.size()) {
-    codes_.resize(static_cast<size_t>(row) + 1, kMissingCode);
-  }
-  const Code old_code = codes_[row];
-  const Code new_code = value == nullptr ? kMissingCode : Intern(*value);
-  if (old_code == new_code) return;  // re-valued to what it held: no move
-  if (old_code != kMissingCode) {
-    std::vector<RowId>& bucket = buckets_[old_code];
-    auto pos = std::lower_bound(bucket.begin(), bucket.end(), row);
-    if (pos != bucket.end() && *pos == row) bucket.erase(pos);
-    if (bucket.empty()) --live_codes_;  // the code is dead until re-carried
-    --defined_;
-  }
-  codes_[row] = new_code;
-  if (new_code == kMissingCode) return;
-  std::vector<RowId>& bucket = buckets_[new_code];
-  if (bucket.empty()) ++live_codes_;
-  // Appends (the flush replay order) land at the end: O(1).
-  bucket.insert(std::lower_bound(bucket.begin(), bucket.end(), row), row);
-  ++defined_;
-}
-
-std::vector<Pli::ClusterPatchView> CodeColumn::ApplyBatch(
-    size_t num_rows, const std::vector<Move>& moves) {
+void CodeColumn::ApplyBatch(size_t num_rows, const std::vector<Move>& moves,
+                            std::vector<Pli::ClusterPatchView>* views) {
+  views->clear();
   if (codes_.size() < num_rows) codes_.resize(num_rows, kMissingCode);
   // Re-code every mover first (interning here is the only thing that can
   // grow buckets_, so the views handed out below stay put), collecting the
   // (code, row) pairs leaving and joining each bucket. Sorting them groups
-  // the burst by code with rows ascending, so each affected bucket is
-  // rebuilt by a single merge instead of one surgery per row.
-  std::vector<std::pair<Code, RowId>> leaving;
-  std::vector<std::pair<Code, RowId>> joining;
+  // the burst by code with rows ascending.
+  static thread_local std::vector<std::pair<Code, RowId>> leaving;
+  static thread_local std::vector<std::pair<Code, RowId>> joining;
+  leaving.clear();
+  joining.clear();
   for (const Move& m : moves) {
     const Code old_code = codes_[m.row];
     const Code new_code = m.value == nullptr ? kMissingCode : Intern(*m.value);
@@ -102,49 +81,70 @@ std::vector<Pli::ClusterPatchView> CodeColumn::ApplyBatch(
   }
   std::sort(leaving.begin(), leaving.end());
   std::sort(joining.begin(), joining.end());
-  std::vector<Pli::ClusterPatchView> views;
-  std::vector<RowId> next;
   size_t l = 0;
   size_t j = 0;
   while (l < leaving.size() || j < joining.size()) {
     const Code code =
         std::min(l < leaving.size() ? leaving[l].first : kMissingCode,
                  j < joining.size() ? joining[j].first : kMissingCode);
+    size_t l_end = l;
+    while (l_end < leaving.size() && leaving[l_end].first == code) ++l_end;
+    size_t j_end = j;
+    while (j_end < joining.size() && joining[j_end].first == code) ++j_end;
     std::vector<RowId>& bucket = buckets_[code];
     const size_t old_size = bucket.size();
     const RowId old_front = old_size == 0 ? 0 : bucket.front();
-    size_t joins = 0;
-    while (j + joins < joining.size() && joining[j + joins].first == code) {
-      ++joins;
-    }
-    next.clear();
-    next.reserve(old_size + joins);
-    for (RowId r : bucket) {
-      if (l < leaving.size() && leaving[l] == std::make_pair(code, r)) {
-        ++l;
-        continue;
+    // Rows below the lowest touched one are untouched; the splice works in
+    // place above it. Leaving rows close up front to back, then joining
+    // rows merge in back to front, so an append is a push_back.
+    const RowId lowest =
+        std::min(l < l_end ? leaving[l].second : kMissingCode,
+                 j < j_end ? joining[j].second : kMissingCode);
+    const size_t keep = static_cast<size_t>(
+        std::lower_bound(bucket.begin(), bucket.end(), lowest) -
+        bucket.begin());
+    if (l < l_end) {
+      auto write = std::lower_bound(
+          bucket.begin() + static_cast<ptrdiff_t>(keep), bucket.end(),
+          leaving[l].second);
+      auto read = write;
+      for (; l < l_end; ++l) {
+        ++read;  // past leaving[l]
+        auto next = l + 1 < l_end ? std::lower_bound(read, bucket.end(),
+                                                     leaving[l + 1].second)
+                                  : bucket.end();
+        write = std::move(read, next, write);
+        read = next;
       }
-      while (j < joining.size() && joining[j].first == code &&
-             joining[j].second < r) {
-        next.push_back(joining[j++].second);
+      bucket.erase(write, bucket.end());
+    }
+    if (j < j_end) {
+      const size_t before = bucket.size();
+      bucket.resize(before + (j_end - j));
+      auto src_end = bucket.begin() + static_cast<ptrdiff_t>(before);
+      auto dst_end = bucket.end();
+      for (size_t k = j_end; k-- > j;) {
+        auto pos = std::upper_bound(
+            bucket.begin() + static_cast<ptrdiff_t>(keep), src_end,
+            joining[k].second);
+        dst_end = std::move_backward(pos, src_end, dst_end);
+        *--dst_end = joining[k].second;
+        src_end = pos;
       }
-      next.push_back(r);
+      j = j_end;
     }
-    while (j < joining.size() && joining[j].first == code) {
-      next.push_back(joining[j++].second);
-    }
-    bucket.swap(next);  // `next` keeps the old buffer for the next code
     if (old_size == 0 && !bucket.empty()) ++live_codes_;
     if (old_size != 0 && bucket.empty()) --live_codes_;
     defined_ = defined_ + bucket.size() - old_size;
-    // Codes stripped before and after never surface in the partition.
+    // Codes stripped before and after never surface in the partition; a
+    // stripped value had no cluster, so nothing of it is kept.
     if (old_size >= 2 || bucket.size() >= 2) {
-      views.push_back({old_front, old_size,
-                       bucket.empty() ? nullptr : bucket.data(),
-                       static_cast<uint32_t>(bucket.size())});
+      const size_t kept = old_size >= 2 ? keep : 0;
+      views->push_back({old_front, static_cast<uint32_t>(old_size),
+                        static_cast<uint32_t>(kept),
+                        std::span<const RowId>(bucket).subspan(kept)});
     }
   }
-  return views;
 }
 
 bool CodeColumn::MaybeReintern() {

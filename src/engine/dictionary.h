@@ -115,13 +115,6 @@ class CodeColumn {
   // with the partition patches.
   // ------------------------------------------------------------------
 
-  /// Row `row` now carries `value` on this attribute (null pointer: it
-  /// lacks the attribute — an append without it, or the footnote-3
-  /// type-change shape). A row past the end is an append: the column grows,
-  /// rows in between start absent. The old code is read off the column
-  /// itself; fresh values intern append-only.
-  void ApplyUpdate(RowId row, const Value* value);
-
   /// One row's final state in a batched splice: the value it now carries on
   /// this attribute, or null when it lacks it.
   struct Move {
@@ -129,16 +122,18 @@ class CodeColumn {
     const Value* value;
   };
 
-  /// Batched ApplyUpdate: grows the column to `num_rows` (appended rows
-  /// start absent), re-codes every moved row, and splices each affected
-  /// bucket in one sorted merge. Returns one Pli::ClusterPatchView per
-  /// affected code whose bucket holds >= 2 rows before or after the splice
-  /// — its pre-splice anchor plus a borrowed span over the spliced bucket —
-  /// which Pli::ApplyBatch consumes to group-apply the same burst to the
-  /// attribute's stripped partition. The views stay valid until the column
-  /// is next modified.
-  std::vector<Pli::ClusterPatchView> ApplyBatch(size_t num_rows,
-                                                const std::vector<Move>& moves);
+  /// Grows the column to `num_rows` (appended rows start absent), re-codes
+  /// every moved row (fresh values intern append-only), and splices each
+  /// affected bucket in place from its lowest touched row — a pure append
+  /// is a push_back. Fills `views` with one Pli::ClusterPatchView per
+  /// affected code whose bucket holds >= 2 rows before or after the splice:
+  /// its pre-splice anchor, how many leading rows the splice kept, and a
+  /// borrowed span over the bucket's spliced remainder — which
+  /// Pli::ApplyBatch consumes to apply the same burst to the attribute's
+  /// stripped partition. The views stay valid until the column is next
+  /// modified.
+  void ApplyBatch(size_t num_rows, const std::vector<Move>& moves,
+                  std::vector<Pli::ClusterPatchView>* views);
 
   /// Re-interns when value churn has left the dictionary 2x (plus slack)
   /// larger than its live codes: live values are recoded densely in old-

@@ -1,6 +1,7 @@
 #include "engine/pli.h"
 
 #include <algorithm>
+#include <cstring>
 #include <ostream>
 #include <unordered_map>
 
@@ -23,14 +24,59 @@ void SortByFirstRow(std::vector<Pli::Cluster>* clusters) {
 
 constexpr size_t kNoIndex = static_cast<size_t>(-1);
 
-// First element of `agreeing` other than `row` — the front of the cluster
-// the partners currently form. Requires at least one such element.
-Pli::RowId PartnerFront(const Pli::Cluster& agreeing, Pli::RowId row,
-                        bool includes_row) {
-  if (includes_row && agreeing.front() == row) return agreeing[1];
-  return agreeing.front();
+// Replaces v[begin, end) with `with`, moving the elements after it once.
+template <typename T>
+void ReplaceRange(std::vector<T>* v, size_t begin, size_t end,
+                  const std::vector<T>& with) {
+  const size_t length = end - begin;
+  if (with.size() < length) {
+    v->erase(v->begin() + static_cast<ptrdiff_t>(begin + with.size()),
+             v->begin() + static_cast<ptrdiff_t>(end));
+  } else {
+    v->insert(v->begin() + static_cast<ptrdiff_t>(end), with.size() - length,
+              T{});
+  }
+  std::copy(with.begin(), with.end(),
+            v->begin() + static_cast<ptrdiff_t>(begin));
 }
 
+// Per-thread working set of Pli::ApplyBatch. Capacity persists across
+// calls, so a steady stream of small flushes allocates nothing here.
+struct SpliceScratch {
+  enum class Kind : uint8_t {
+    kInPlace,  // front kept, fits the slot: rewrite the changed suffix
+    kGrow,     // front kept, slot full: doubles, shifting what follows
+    kRemove,   // dissolved or re-fronted: the slot's cells become slack
+  };
+  struct Edit {
+    size_t index;  // located slot
+    Kind kind;
+    uint32_t keep;
+    uint32_t new_size;
+    std::span<const Pli::RowId> tail;
+  };
+  // A cluster entering the canonical order (appeared or re-fronted) in
+  // front of slot `index`; its rows are all borrowed.
+  struct Addition {
+    size_t index;
+    std::span<const Pli::RowId> rows;
+  };
+  struct Move {
+    uint32_t src;
+    uint32_t dst;
+    uint32_t len;
+  };
+  struct Write {
+    uint32_t dst;
+    std::span<const Pli::RowId> rows;
+  };
+  std::vector<Edit> edits;
+  std::vector<Addition> additions;
+  std::vector<uint32_t> starts;  // laid-out slot boundaries and sizes
+  std::vector<uint32_t> sizes;
+  std::vector<Move> moves;
+  std::vector<Write> writes;
+};
 }  // namespace
 
 std::ostream& operator<<(std::ostream& os, Pli::ClusterView view) {
@@ -43,8 +89,7 @@ std::ostream& operator<<(std::ostream& os, Pli::ClusterView view) {
 }
 
 // ---------------------------------------------------------------------------
-// Arena primitives: binary search over cluster fronts and canonical-order
-// repositioning by rotation.
+// Binary search over cluster fronts.
 // ---------------------------------------------------------------------------
 
 size_t Pli::ArenaLowerBoundByFront(RowId front) const {
@@ -64,54 +109,6 @@ size_t Pli::ArenaFindClusterByFront(RowId front) const {
   size_t idx = ArenaLowerBoundByFront(front);
   if (idx == num_clusters() || arena_[offsets_[idx]] != front) return kNoIndex;
   return idx;
-}
-
-void Pli::ArenaRepositionCluster(size_t index, size_t target) {
-  // Rotates the whole storage slot — live rows plus trailing slack — so the
-  // cluster keeps its headroom across the move, and rotates the matching
-  // sizes_ entry alongside. m is the slot capacity, not the live size.
-  const uint32_t m = offsets_[index + 1] - offsets_[index];
-  if (target < index) {
-    // Rotate the moved slot in front of slots target..index-1, then shift
-    // their boundaries right by its capacity (descending, so each read of
-    // offsets_[j-1] precedes its overwrite).
-    std::rotate(arena_.begin() + offsets_[target],
-                arena_.begin() + offsets_[index],
-                arena_.begin() + offsets_[index + 1]);
-    for (size_t j = index; j > target; --j) offsets_[j] = offsets_[j - 1] + m;
-    std::rotate(sizes_.begin() + static_cast<ptrdiff_t>(target),
-                sizes_.begin() + static_cast<ptrdiff_t>(index),
-                sizes_.begin() + static_cast<ptrdiff_t>(index + 1));
-  } else if (target > index) {
-    std::rotate(arena_.begin() + offsets_[index],
-                arena_.begin() + offsets_[index + 1],
-                arena_.begin() + offsets_[target + 1]);
-    for (size_t j = index; j <= target; ++j) offsets_[j] = offsets_[j + 1] - m;
-    std::rotate(sizes_.begin() + static_cast<ptrdiff_t>(index),
-                sizes_.begin() + static_cast<ptrdiff_t>(index + 1),
-                sizes_.begin() + static_cast<ptrdiff_t>(target + 1));
-  }
-}
-
-void Pli::ArenaMaybeReposition(size_t index) {
-  const RowId front = arena_[offsets_[index]];
-  if (index > 0 && arena_[offsets_[index - 1]] > front) {
-    ArenaRepositionCluster(index, ArenaLowerBoundByFront(front));
-  } else if (index + 1 < num_clusters() &&
-             arena_[offsets_[index + 1]] < front) {
-    // First cluster after `index` whose front exceeds ours; we slot in just
-    // before it.
-    size_t lo = index + 1, hi = num_clusters();
-    while (lo < hi) {
-      size_t mid = lo + (hi - lo) / 2;
-      if (arena_[offsets_[mid]] < front) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    ArenaRepositionCluster(index, lo - 1);
-  }
 }
 
 void Pli::AdoptClusters(std::vector<Cluster> clusters) {
@@ -340,243 +337,228 @@ Pli Pli::IntersectArena(std::span<const uint32_t> labels,
 }
 
 // ---------------------------------------------------------------------------
-// Per-row patch primitives. Validation precedes every mutation, so a false
-// return is a true no-op and a caller may keep using the partition (though
-// PliCache drops refused entries anyway).
+// The batched splice. Validation precedes every mutation, so a false return
+// is a true no-op.
 // ---------------------------------------------------------------------------
-
-bool Pli::ApplyInsert(RowId row, const Cluster& agreeing, bool includes_row) {
-  const size_t others = agreeing.size() - (includes_row ? 1 : 0);
-  return ApplyInsertCore(
-      row, others, others == 0 ? 0 : PartnerFront(agreeing, row, includes_row));
-}
-
-bool Pli::ApplyInsertAllRows(RowId row) {
-  // Every existing row (0..row-1) agrees, so the partners' cluster — when
-  // there is one — is fronted by row 0. Nothing to materialize.
-  return ApplyInsertCore(row, /*others=*/row, /*partner_front=*/0);
-}
-
-bool Pli::ApplyInsertCore(RowId row, size_t others, RowId partner_front) {
-  if (others == 1) {
-    // Un-strip the lone partner: a fresh two-row cluster appears.
-    const RowId lo = std::min(partner_front, row);
-    const RowId hi = std::max(partner_front, row);
-    if (offsets_.empty()) offsets_.push_back(0);
-    size_t idx = ArenaLowerBoundByFront(lo);
-    if (idx < num_clusters() && arena_[offsets_[idx]] == lo) return false;
-    const uint32_t pos = offsets_[idx];
-    arena_.insert(arena_.begin() + pos, {lo, hi});
-    offsets_.insert(offsets_.begin() + static_cast<ptrdiff_t>(idx), pos);
-    for (size_t j = idx + 1; j < offsets_.size(); ++j) offsets_[j] += 2;
-    sizes_.insert(sizes_.begin() + static_cast<ptrdiff_t>(idx), 2);
-    grouped_rows_ += 2;
-  } else if (others >= 2) {
-    // The partners already form a cluster; `row` joins it.
-    size_t idx = ArenaFindClusterByFront(partner_front);
-    if (idx == kNoIndex) return false;
-    if (sizes_[idx] != others) return false;
-    const size_t rank = static_cast<size_t>(
-        std::lower_bound(arena_.begin() + offsets_[idx],
-                         arena_.begin() + offsets_[idx] + sizes_[idx], row) -
-        (arena_.begin() + offsets_[idx]));
-    if (rank < sizes_[idx] && arena_[offsets_[idx] + rank] == row) {
-      return false;
-    }
-    if (sizes_[idx] == offsets_[idx + 1] - offsets_[idx]) {
-      // Slot full: grow it by its own capacity (amortized doubling), so the
-      // O(arena-suffix) memmove happens O(log growth) times per cluster
-      // instead of once per appended row. The new headroom is dead slack
-      // until rows land in it; batched splices compact it away.
-      const uint32_t grow = offsets_[idx + 1] - offsets_[idx];
-      arena_.insert(arena_.begin() + offsets_[idx + 1], grow, RowId{0});
-      for (size_t j = idx + 1; j < offsets_.size(); ++j) offsets_[j] += grow;
-    }
-    // Shift only this cluster's suffix into the slot's slack — O(cluster).
-    auto pos = arena_.begin() + offsets_[idx] + rank;
-    std::move_backward(pos, arena_.begin() + offsets_[idx] + sizes_[idx],
-                       arena_.begin() + offsets_[idx] + sizes_[idx] + 1);
-    *pos = row;
-    ++sizes_[idx];
-    ++grouped_rows_;
-    if (row < partner_front) ArenaMaybeReposition(idx);
-  }
-  // others == 0: partnerless — the stripped partition records nothing, and
-  // intersection products do not even count the row as defined.
-  if (exact_defined_) {
-    ++defined_rows_;
-  } else {
-    defined_rows_ = grouped_rows_;
-  }
-  return true;
-}
-
-bool Pli::ApplyErase(RowId row, const Cluster& agreeing, bool includes_row) {
-  const size_t others = agreeing.size() - (includes_row ? 1 : 0);
-  if (others > 0) {
-    RowId partner_front = PartnerFront(agreeing, row, includes_row);
-    RowId front = std::min(partner_front, row);
-    size_t idx = ArenaFindClusterByFront(front);
-    if (idx == kNoIndex) return false;
-    auto first = arena_.begin() + offsets_[idx];
-    auto last = first + sizes_[idx];
-    if (static_cast<size_t>(sizes_[idx]) != others + 1) return false;
-    if (others == 1) {
-      // The partner drops back to a stripped singleton; the cluster
-      // dissolves. The dead slot is absorbed as the neighbor's trailing
-      // slack instead of memmoving the arena suffix closed; batched splices
-      // compact it away.
-      if (*(last - 1) != std::max(partner_front, row)) return false;
-      if (num_clusters() == 1) {
-        arena_.clear();
-        offsets_.clear();
-        sizes_.clear();
-      } else if (idx > 0) {
-        // Merge the dead slot into the previous cluster's slack by dropping
-        // its start boundary.
-        offsets_.erase(offsets_.begin() + static_cast<ptrdiff_t>(idx));
-        sizes_.erase(sizes_.begin() + static_cast<ptrdiff_t>(idx));
-      } else {
-        // First cluster: slide the next cluster's live rows down to the
-        // arena start (a slot's rows must sit at its boundary), then drop
-        // the boundary between them — O(next cluster), not O(arena).
-        std::move(arena_.begin() + offsets_[1],
-                  arena_.begin() + offsets_[1] + sizes_[1], arena_.begin());
-        offsets_.erase(offsets_.begin() + 1);
-        sizes_.erase(sizes_.begin());
-      }
-      grouped_rows_ -= 2;
-    } else {
-      auto pos = std::lower_bound(first, last, row);
-      if (pos == last || *pos != row) return false;
-      // Close the gap within the slot only; the freed cell becomes trailing
-      // slack.
-      std::move(pos + 1, last, pos);
-      --sizes_[idx];
-      --grouped_rows_;
-      if (row == front) ArenaMaybeReposition(idx);
-    }
-  }
-  // others == 0: the row was a stripped singleton.
-  if (exact_defined_) {
-    --defined_rows_;
-  } else {
-    defined_rows_ = grouped_rows_;
-  }
-  return true;
-}
-
-bool Pli::ApplyBatch(const std::vector<ClusterPatch>& patches,
-                     ptrdiff_t defined_delta) {
-  // The arena lands replacement rows by copy either way, so the owning
-  // overload is the borrowing one over views of its own patches.
-  std::vector<ClusterPatchView> views;
-  views.reserve(patches.size());
-  for (const ClusterPatch& p : patches) {
-    views.push_back({p.old_front, p.old_size,
-                     p.new_rows.empty() ? nullptr : p.new_rows.data(),
-                     static_cast<uint32_t>(p.new_rows.size())});
-  }
-  return ApplyBatch(views, defined_delta);
-}
 
 bool Pli::ApplyBatch(const std::vector<ClusterPatchView>& patches,
                      ptrdiff_t defined_delta) {
-  // Pass 1 validates and locates every removal against the current
-  // structure before mutating anything, so a refusal leaves the partition
-  // untouched. Pass 2 copies size-preserving front-keeping replacements in
-  // place (the common case for fat clusters, whose lowest row id rarely
-  // moves); everything structural — dissolved, appeared, resized or
-  // re-fronted clusters — lands in one sorted compaction pass, which is
-  // what makes a 64-mutation flush one splice instead of 64 surgeries.
-  std::vector<size_t> located(patches.size(), kNoIndex);
+  auto count_defined = [&] {
+    if (exact_defined_) {
+      defined_rows_ = static_cast<size_t>(
+          static_cast<ptrdiff_t>(defined_rows_) + defined_delta);
+    } else {
+      defined_rows_ = grouped_rows_;
+    }
+  };
+  if (patches.empty()) {
+    count_defined();
+    return true;
+  }
+  using Kind = SpliceScratch::Kind;
+  static thread_local SpliceScratch s;
+  s.edits.clear();
+  s.additions.clear();
+  // Pass 1 validates and classifies every patch against the current
+  // structure before mutating anything.
+  const size_t n = num_clusters();
+  size_t first = n;  // first slot that must move or make way
   ptrdiff_t grouped_delta = 0;
-  for (size_t p = 0; p < patches.size(); ++p) {
-    const ClusterPatchView& patch = patches[p];
-    if (patch.old_size >= 2) {
-      size_t index = ArenaFindClusterByFront(patch.old_front);
-      if (index == kNoIndex || cluster(index).size() != patch.old_size) {
+  for (const ClusterPatchView& patch : patches) {
+    const size_t new_size = patch.keep + patch.tail.size();
+    const bool has_new = new_size >= 2;
+    if (patch.old_size < 2) {
+      if (patch.keep != 0) return false;
+    } else {
+      const size_t index = ArenaFindClusterByFront(patch.old_front);
+      if (index == kNoIndex || sizes_[index] != patch.old_size ||
+          patch.keep > patch.old_size) {
         return false;
       }
-      located[p] = index;
       grouped_delta -= static_cast<ptrdiff_t>(patch.old_size);
-    }
-    if (patch.new_size >= 2) {
-      grouped_delta += static_cast<ptrdiff_t>(patch.new_size);
-    }
-  }
-  std::vector<size_t> removed;
-  std::vector<ClusterPatchView> additions;
-  for (size_t p = 0; p < patches.size(); ++p) {
-    const ClusterPatchView& patch = patches[p];
-    const bool has_new = patch.new_size >= 2;
-    const bool keeps_front = located[p] != kNoIndex && has_new &&
-                             patch.new_rows[0] == patch.old_front;
-    if (keeps_front && patch.new_size == patch.old_size) {
-      std::copy(patch.new_rows, patch.new_rows + patch.new_size,
-                arena_.data() + offsets_[located[p]]);
-    } else {
-      if (located[p] != kNoIndex) removed.push_back(located[p]);
-      if (has_new) additions.push_back(patch);
-    }
-  }
-  if (!removed.empty() || !additions.empty()) {
-    std::sort(removed.begin(), removed.end());
-    std::sort(additions.begin(), additions.end(),
-              [](const ClusterPatchView& a, const ClusterPatchView& b) {
-                return a.new_rows[0] < b.new_rows[0];
-              });
-    size_t add_rows = 0;
-    for (const ClusterPatchView& a : additions) add_rows += a.new_size;
-    size_t removed_rows = 0;
-    for (size_t r : removed) removed_rows += cluster(r).size();
-    // The merge rebuilds the arena tight (slot capacity == live size for
-    // every cluster), so a batched flush doubles as the compaction point
-    // for the slack the per-row patch primitives accumulate.
-    std::vector<RowId> merged_arena;
-    std::vector<uint32_t> merged_offsets;
-    std::vector<uint32_t> merged_sizes;
-    merged_arena.reserve(grouped_rows_ + add_rows - removed_rows);
-    merged_offsets.reserve(offsets_.size() + additions.size() -
-                           removed.size());
-    merged_sizes.reserve(sizes_.size() + additions.size() - removed.size());
-    merged_offsets.push_back(0);
-    auto append = [&](const RowId* begin, const RowId* end) {
-      merged_arena.insert(merged_arena.end(), begin, end);
-      merged_offsets.push_back(static_cast<uint32_t>(merged_arena.size()));
-      merged_sizes.push_back(static_cast<uint32_t>(end - begin));
-    };
-    size_t next_removed = 0;
-    size_t next_add = 0;
-    for (size_t c = 0; c < num_clusters(); ++c) {
-      if (next_removed < removed.size() && removed[next_removed] == c) {
-        ++next_removed;
+      const bool keeps_front = has_new && patch.keep > 0;
+      Kind kind = Kind::kRemove;
+      if (keeps_front) {
+        kind = new_size <= offsets_[index + 1] - offsets_[index]
+                   ? Kind::kInPlace
+                   : Kind::kGrow;
+      }
+      if (kind != Kind::kInPlace) first = std::min(first, index);
+      s.edits.push_back({index, kind, patch.keep,
+                         static_cast<uint32_t>(new_size), patch.tail});
+      if (keeps_front) {
+        grouped_delta += static_cast<ptrdiff_t>(new_size);
         continue;
       }
-      const ClusterView view = cluster(c);
-      while (next_add < additions.size() &&
-             additions[next_add].new_rows[0] < view.front()) {
-        const ClusterPatchView& a = additions[next_add++];
-        append(a.new_rows, a.new_rows + a.new_size);
-      }
-      append(view.begin(), view.end());
     }
-    while (next_add < additions.size()) {
-      const ClusterPatchView& a = additions[next_add++];
-      append(a.new_rows, a.new_rows + a.new_size);
+    if (has_new) {
+      // keep == 0 here: the whole new cluster is the tail.
+      const size_t index = ArenaLowerBoundByFront(patch.tail[0]);
+      s.additions.push_back({index, patch.tail});
+      first = std::min(first, index);
+      grouped_delta += static_cast<ptrdiff_t>(new_size);
     }
-    arena_ = std::move(merged_arena);
-    offsets_ = std::move(merged_offsets);
-    sizes_ = std::move(merged_sizes);
   }
-  grouped_rows_ = static_cast<size_t>(
+  const size_t grouped = static_cast<size_t>(
       static_cast<ptrdiff_t>(grouped_rows_) + grouped_delta);
-  if (exact_defined_) {
-    defined_rows_ = static_cast<size_t>(
-        static_cast<ptrdiff_t>(defined_rows_) + defined_delta);
-  } else {
-    defined_rows_ = grouped_rows_;
+
+  // Lays out slots first..n-1 plus the additions in canonical order,
+  // recording the arena moves and tail writes that realize the layout.
+  // Surviving slots keep their capacity (a grown one doubles), a removed
+  // slot's cells extend the slot before it, and additions land tight. In
+  // `tight` mode every slot is laid out at its live size instead. The
+  // untouched run of slots tail_from..n-1 after the last change keeps its
+  // bookkeeping entries, shifted by `shift`; the slots before it are
+  // collected in s.starts / s.sizes.
+  size_t tail_from = n;
+  uint32_t shift = 0;
+  auto layout = [&](size_t from, bool tight) {
+    s.starts.clear();
+    s.sizes.clear();
+    s.moves.clear();
+    s.writes.clear();
+    tail_from = n;
+    uint32_t cursor = from < n ? offsets_[from] : static_cast<uint32_t>(
+                                                      arena_.size());
+    bool has_prev = from > 0;
+    auto move = [&](uint32_t src, uint32_t len) {
+      if (len == 0) return;
+      if (!s.moves.empty()) {
+        SpliceScratch::Move& last = s.moves.back();
+        if (last.src + last.len == src && last.dst + last.len == cursor) {
+          last.len += len;
+          return;
+        }
+      }
+      s.moves.push_back({src, cursor, len});
+    };
+    auto emit = [&](uint32_t size, uint32_t capacity) {
+      s.starts.push_back(cursor);
+      s.sizes.push_back(size);
+      cursor += capacity;
+      has_prev = true;
+    };
+    size_t e = static_cast<size_t>(
+        std::lower_bound(s.edits.begin(), s.edits.end(), from,
+                         [](const SpliceScratch::Edit& edit, size_t i) {
+                           return edit.index < i;
+                         }) -
+        s.edits.begin());
+    size_t a = 0;
+    for (size_t i = from;;) {
+      // Slots i..next-1 are untouched: outside `tight` they keep their
+      // capacity and shift as one block.
+      const size_t next =
+          std::min(e < s.edits.size() ? s.edits[e].index : n,
+                   a < s.additions.size() ? s.additions[a].index : n);
+      if (tight) {
+        for (size_t j = i; j < next; ++j) {
+          move(offsets_[j], sizes_[j]);
+          emit(sizes_[j], sizes_[j]);
+        }
+      } else if (next > i) {
+        const uint32_t length = offsets_[next] - offsets_[i];
+        move(offsets_[i], length);
+        if (next == n && a == s.additions.size()) {
+          tail_from = i;
+          shift = cursor - offsets_[i];  // modular: may shift left
+        } else {
+          const size_t at = s.starts.size();
+          s.starts.resize(at + (next - i));
+          for (size_t j = i; j < next; ++j) {
+            s.starts[at + (j - i)] = offsets_[j] - offsets_[i] + cursor;
+          }
+          s.sizes.insert(s.sizes.end(), sizes_.begin() + i,
+                         sizes_.begin() + next);
+        }
+        cursor += length;
+        has_prev = true;
+      }
+      i = next;
+      for (; a < s.additions.size() && s.additions[a].index == i; ++a) {
+        const std::span<const RowId> rows = s.additions[a].rows;
+        s.writes.push_back({cursor, rows});
+        emit(static_cast<uint32_t>(rows.size()),
+             static_cast<uint32_t>(rows.size()));
+      }
+      if (i == n) break;
+      if (e == s.edits.size() || s.edits[e].index != i) continue;
+      const SpliceScratch::Edit& edit = s.edits[e++];
+      const uint32_t capacity = offsets_[i + 1] - offsets_[i];
+      if (edit.kind == Kind::kRemove) {
+        if (!tight && has_prev) cursor += capacity;
+      } else {
+        uint32_t new_capacity = capacity;
+        if (tight) {
+          new_capacity = edit.new_size;
+        } else if (edit.kind == Kind::kGrow) {
+          new_capacity = std::max(2 * capacity, edit.new_size);
+        }
+        move(offsets_[i], tight ? edit.keep : capacity);
+        s.writes.push_back({cursor + edit.keep, edit.tail});
+        emit(edit.new_size, new_capacity);
+      }
+      ++i;
+    }
+    return static_cast<size_t>(cursor);
+  };
+
+  std::sort(s.edits.begin(), s.edits.end(),
+            [](const SpliceScratch::Edit& x, const SpliceScratch::Edit& y) {
+              return x.index < y.index;
+            });
+  std::sort(s.additions.begin(), s.additions.end(),
+            [](const SpliceScratch::Addition& x,
+               const SpliceScratch::Addition& y) {
+              return x.rows[0] < y.rows[0];
+            });
+  bool tight = false;
+  size_t total = first < n || !s.additions.empty() ? layout(first, false)
+                                                   : arena_.size();
+  if (total - grouped > grouped) {
+    // Dead slack would outweigh the live rows: compact the whole arena.
+    tight = true;
+    first = 0;
+    total = layout(0, true);
   }
+  if (!tight) {
+    // Front-keeping patches before the laid-out suffix stay where they
+    // are and rewrite only their changed rows.
+    for (const SpliceScratch::Edit& edit : s.edits) {
+      if (edit.index >= first) break;
+      std::copy(edit.tail.begin(), edit.tail.end(),
+                arena_.begin() + offsets_[edit.index] + edit.keep);
+      sizes_[edit.index] = edit.new_size;
+    }
+  }
+  if (first < n || !s.additions.empty() || tight) {
+    if (total > arena_.size()) arena_.resize(total);
+    // Slots keep their relative order, so moving the left-shifting blocks
+    // front to back and then the right-shifting ones back to front never
+    // overwrites a block before it has moved. Tails land last.
+    RowId* data = arena_.data();
+    for (const SpliceScratch::Move& m : s.moves) {
+      if (m.dst < m.src) std::memmove(data + m.dst, data + m.src,
+                                      m.len * sizeof(RowId));
+    }
+    for (auto m = s.moves.rbegin(); m != s.moves.rend(); ++m) {
+      if (m->dst > m->src) std::memmove(data + m->dst, data + m->src,
+                                        m->len * sizeof(RowId));
+    }
+    for (const SpliceScratch::Write& w : s.writes) {
+      std::copy(w.rows.begin(), w.rows.end(), data + w.dst);
+    }
+    arena_.resize(total);
+    if (offsets_.empty()) offsets_.push_back(0);
+    ReplaceRange(&sizes_, first, tail_from, s.sizes);
+    ReplaceRange(&offsets_, first, tail_from, s.starts);
+    for (size_t j = first + s.starts.size(); j + 1 < offsets_.size(); ++j) {
+      offsets_[j] += shift;
+    }
+    offsets_.back() = static_cast<uint32_t>(total);
+  }
+  grouped_rows_ = grouped;
+  count_defined();
   return true;
 }
 

@@ -23,10 +23,11 @@
 // batched splices stream over one allocation instead of chasing one heap
 // vector per cluster (the layout mature PLI engines converge on). The
 // arena is *slack-aware*: offsets_ marks per-cluster storage slots
-// (capacities), sizes_ the live row count inside each slot, so a per-row
-// insert shifts rows only within its own cluster's slot instead of
-// memmoving the whole arena suffix; a full slot grows by amortized
-// doubling, and batched splices rebuild the arena tight (compaction).
+// (capacities), sizes_ the live row count inside each slot, so a patch
+// rewrites rows only within its own cluster's slot instead of memmoving
+// the whole arena suffix; a full slot grows by amortized doubling, a
+// dissolved slot becomes its neighbour's slack, and the arena is compacted
+// only once dead slack would outweigh the live rows.
 
 #ifndef FLEXREL_ENGINE_PLI_H_
 #define FLEXREL_ENGINE_PLI_H_
@@ -186,74 +187,44 @@ class Pli {
                          IntersectScratch* scratch = nullptr) const;
 
   // ------------------------------------------------------------------
-  // Incremental maintenance primitives (driven by PliCache's
-  // OnInsert/OnUpdate hooks — see pli_cache.h). A stripped partition alone
-  // cannot patch itself: when a second row arrives for a value that so far
-  // had one (stripped) carrier, the partition does not know *which* row to
-  // un-strip. The cache therefore computes the `agreeing` list — the rows
-  // currently agreeing with `row` on the partition attributes — from its
-  // code columns' unstripped buckets and hands it down here.
+  // Incremental maintenance (driven by PliCache's flush — see
+  // pli_cache.h). A stripped partition alone cannot patch itself: when a
+  // second row arrives for a value that so far had one (stripped) carrier,
+  // the partition does not know *which* row to un-strip. The cache
+  // therefore computes each affected cluster's new membership from its code
+  // columns' unstripped buckets and hands it down here as a patch.
   // ------------------------------------------------------------------
 
-  /// Patches the partition for a row that is (newly) defined on the
-  /// partition attributes and agrees with `agreeing` (ascending row ids;
-  /// `includes_row` says whether `row` itself appears in the list, which
-  /// lets the cache pass code-column buckets without copying them).
-  /// Canonical form and the defined_rows semantics (exact for Build
-  /// output, grouped-rows lower bound for intersection products) are
-  /// preserved. Returns false — leaving the partition untouched — when the
-  /// cluster structure contradicts the arguments; the cache then drops the
-  /// partition and rebuilds it lazily.
-  bool ApplyInsert(RowId row, const Cluster& agreeing, bool includes_row);
-
-  /// ∅-partition fast path for appends: the new row agrees with *every*
-  /// existing row (all rows project to the empty tuple), so the partner
-  /// list — rows 0..row-1 — never needs materializing.
-  bool ApplyInsertAllRows(RowId row);
-
-  /// The reverse patch: detaches `row`, which previously agreed with
-  /// `agreeing` (same conventions), from the partition.
-  bool ApplyErase(RowId row, const Cluster& agreeing, bool includes_row);
-
-  /// One replacement in a batched group-apply: the cluster that held
-  /// `old_size` rows and was fronted by `old_front` (ignored when
-  /// old_size < 2 — a stripped value has no cluster) becomes `new_rows`
-  /// (ascending; dropped when it would be stripped). Multi-attribute group
-  /// patches in the cache build these, one per affected cluster.
-  struct ClusterPatch {
-    RowId old_front = 0;
-    size_t old_size = 0;
-    Cluster new_rows;
-  };
-
-  /// Zero-copy variant: the replacement rows are borrowed (a span into an
-  /// already-spliced code-column bucket, CodeColumn::ApplyBatch) instead of
-  /// copied. The pointed-to rows must stay valid until ApplyBatch returns —
-  /// the cache consumes a splice's views before the next splice can touch
-  /// them, so each replacement lands with one copy, bucket -> arena.
+  /// One cluster replacement: the cluster that held `old_size` rows and was
+  /// fronted by `old_front` (ignored when old_size < 2 — a stripped value
+  /// has no cluster) becomes its first `keep` rows followed by `tail`
+  /// (ascending; dropped when the result would be stripped). `keep` is how
+  /// much of the old cluster the change left alone — 0 when old_size < 2 —
+  /// so a front-keeping patch rewrites only the cluster's changed suffix.
+  /// The tail is borrowed (a span into an already-spliced code-column
+  /// bucket, CodeColumn::ApplyBatch, or the cache's multi-attribute patch
+  /// scratch) and must stay valid until ApplyBatch returns.
   struct ClusterPatchView {
     RowId old_front = 0;
-    size_t old_size = 0;
-    const RowId* new_rows = nullptr;  ///< null iff new_size == 0
-    uint32_t new_size = 0;
+    uint32_t old_size = 0;
+    uint32_t keep = 0;
+    std::span<const RowId> tail;
   };
 
-  /// Batched counterpart of ApplyInsert/ApplyErase: applies every patch in
-  /// one pass — removals are validated first (front + size must match, so a
-  /// contradicted partition refuses before any mutation), then
-  /// size-preserving front-keeping replacements are swapped in place and
-  /// everything structural (dissolved, appeared, resized, or re-fronted
-  /// clusters) lands in a single sorted compaction pass over the arena.
-  /// `defined_delta` is the net change in rows defined on the partition
-  /// attributes (exact mode only; intersection products keep the
+  /// Applies every patch in one pass. Every patch is validated first (an
+  /// old cluster's front + size must match, so a contradicted partition
+  /// refuses before any mutation). A front-keeping patch that fits its slot rewrites only the
+  /// changed suffix in place; a full slot grows by doubling; a dissolved
+  /// slot becomes its neighbour's slack. Only clusters that must appear or
+  /// move (re-fronted, or shifted by a grown slot) are laid out by a sorted
+  /// pass, which runs over the arena suffix from the first of them; the
+  /// whole arena is compacted only when dead slack would exceed the live
+  /// rows. `defined_delta` is the net change in rows defined on the
+  /// partition attributes (exact mode only; intersection products keep the
   /// grouped-rows lower bound). Returns false — a true no-op — when any
-  /// removal contradicts the current cluster structure; the cache then
-  /// drops the partition for a lazy rebuild.
+  /// patch contradicts the current cluster structure; the cache then drops
+  /// the partition for a lazy rebuild.
   bool ApplyBatch(const std::vector<ClusterPatchView>& patches,
-                  ptrdiff_t defined_delta);
-
-  /// The owning-rows counterpart (same semantics, same refusal contract).
-  bool ApplyBatch(const std::vector<ClusterPatch>& patches,
                   ptrdiff_t defined_delta);
 
   /// Row-count bookkeeping for appends: BuildProbe sizing and operator==
@@ -262,8 +233,8 @@ class Pli {
   void SetNumRows(size_t num_rows) { num_rows_ = num_rows; }
 
   /// True when defined_rows() is exact (Build output); false when it is the
-  /// grouped-rows lower bound (intersection products). The patch primitives
-  /// preserve the mode.
+  /// grouped-rows lower bound (intersection products). ApplyBatch
+  /// preserves the mode.
   bool exact_defined() const { return exact_defined_; }
 
   /// The i-th cluster in canonical order, as a borrowed span. Live rows
@@ -302,10 +273,10 @@ class Pli {
   bool empty() const { return num_clusters() == 0; }
 
   /// Arena slots not currently holding a live row (dead headroom from
-  /// per-cluster slack growth and dissolved clusters). Always 0 right
-  /// after a build or a batched splice — ApplyBatch rebuilds tight — and
-  /// bounded between them by the amortized-doubling growth policy.
-  /// Exposed for tests and the memory accounting bench.
+  /// per-cluster slack growth, shrunk and dissolved clusters). 0 right
+  /// after a build; ApplyBatch keeps it at most grouped_rows() by
+  /// compacting when a patch would push it past. Exposed for tests and the
+  /// memory accounting bench.
   size_t ArenaSlackRows() const { return arena_.size() - grouped_rows_; }
 
   /// Inverse mapping with canonical labels (label == cluster index,
@@ -332,19 +303,13 @@ class Pli {
   /// ascending), canonicalizes, and lays them out in the arena.
   void AdoptClusters(std::vector<Cluster> clusters);
 
-  /// Shared patch body: `others` partners, their cluster fronted by
-  /// `partner_front` (ignored when others == 0).
-  bool ApplyInsertCore(RowId row, size_t others, RowId partner_front);
-
   /// The refinement body behind IntersectWithProbe.
   Pli IntersectArena(std::span<const uint32_t> labels, uint32_t label_bound,
                      IntersectScratch* scratch) const;
 
-  // Arena primitives (see pli.cc).
+  // Binary searches over cluster fronts (see pli.cc).
   size_t ArenaLowerBoundByFront(RowId front) const;
   size_t ArenaFindClusterByFront(RowId front) const;
-  void ArenaRepositionCluster(size_t index, size_t target);
-  void ArenaMaybeReposition(size_t index);
 
   std::vector<RowId> arena_;       // cluster slots (rows + slack)
   std::vector<uint32_t> offsets_;  // num_clusters + 1 monotone slot

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <numeric>
 #include <string>
 #include <utility>
 
@@ -144,20 +145,19 @@ std::shared_ptr<const CodeColumn> PliCache::CodeColumnFor(AttrId attr) {
 }
 
 bool PliCache::AgreeingRowsLocked(const AttrSet& attrs, const Tuple& proj,
-                                  Pli::RowId exclude_row, Pli::Cluster* out,
-                                  size_t* scan_budget) {
+                                  Pli::Cluster* out, size_t* scan_budget) {
   out->clear();
-  // The partners are exactly the k-way intersection of the attributes'
-  // code buckets: pure sorted-integer work against the columns' current
-  // state (mid-flush the row vector is already ahead of the structures,
-  // so touching tuples here would observe not-yet-applied states).
-  std::vector<const Pli::Cluster*> lists;
-  lists.reserve(attrs.size());
+  // The cluster is exactly the k-way intersection of the attributes' code
+  // buckets: pure sorted-integer work against the columns' current state
+  // (mid-flush the row vector is already ahead of the structures, so
+  // touching tuples here would observe not-yet-applied states).
+  static thread_local std::vector<const Pli::Cluster*> lists;
+  lists.clear();
   for (AttrId a : attrs) {
     auto column = code_columns_.find(a);
     if (column == code_columns_.end()) return false;  // defensive: pinned
     const Pli::Cluster& rows = column->second->RowsOf(*proj.Get(a));
-    if (rows.empty()) return true;  // value uncarried -> no partners
+    if (rows.empty()) return true;  // value uncarried -> no cluster
     lists.push_back(&rows);
   }
   std::sort(lists.begin(), lists.end(),
@@ -165,22 +165,12 @@ bool PliCache::AgreeingRowsLocked(const AttrSet& attrs, const Tuple& proj,
               return a->size() < b->size();
             });
   const Pli::Cluster* seed = lists.front();
-  // Patch vs rebuild: a seed cluster spanning most of the instance — or a
-  // burst whose cumulative scans overdraw the budget — costs more than one
+  // A burst whose cumulative scans overdraw the budget costs more than one
   // intersection pass over the patched sub-partitions; tell the caller to
   // drop and re-intersect instead.
-  if (seed->size() >
-      std::max(options_.patch_scan_limit, rows_->size() / 2)) {
-    return false;
-  }
-  if (scan_budget != nullptr) {
-    if (seed->size() > *scan_budget) return false;
-    *scan_budget -= seed->size();
-  }
-  out->reserve(seed->size());
-  for (Pli::RowId r : *seed) {
-    if (r != exclude_row) out->push_back(r);
-  }
+  if (seed->size() > *scan_budget) return false;
+  *scan_budget -= seed->size();
+  out->assign(seed->begin(), seed->end());
   // Refine by each larger list: stream it when the sizes are comparable,
   // binary-search per survivor when it dwarfs them (adaptive set
   // intersection — fat clusters cost log, not a full scan).
@@ -209,32 +199,6 @@ PliCache::EntryMap::iterator PliCache::DropEntryLocked(
     EntryMap::iterator it) {
   if (it->second.evictable) lru_.erase(it->second.lru_pos);
   return entries_.erase(it);
-}
-
-void PliCache::PatchEntriesLocked(
-    const std::function<PatchResult(const AttrSet&, Pli*)>& patch,
-    size_t* patched_counter) {
-  using namespace std::chrono_literals;
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    if (it->second.future.wait_for(0s) != std::future_status::ready) {
-      ++patch_rebuilds_;
-      it = DropEntryLocked(it);
-      continue;
-    }
-    switch (patch(it->first, it->second.future.get().get())) {
-      case PatchResult::kRebuild:
-        ++patch_rebuilds_;
-        it = DropEntryLocked(it);
-        break;
-      case PatchResult::kPatched:
-        ++*patched_counter;
-        ++it;
-        break;
-      case PatchResult::kUntouched:
-        ++it;
-        break;
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -302,8 +266,8 @@ void PliCache::FlushPendingLocked() {
   FLEXREL_TELEMETRY_LATENCY(flush_timer, "engine.pli_cache.flush_ns");
   // Coalesce to one net delta per row: the first recorded old state wins,
   // the final state is read straight from the (fully mutated) rows. The
-  // single-delta case — the per-mutation cadence the PR 3 path served —
-  // skips the dedup machinery entirely.
+  // single-delta case — a read after every mutation — skips the dedup
+  // machinery entirely.
   std::vector<NetDelta> net;
   net.reserve(pending_.size());
   if (pending_.size() == 1) {
@@ -352,9 +316,9 @@ void PliCache::FlushPendingLocked() {
     pending_compact_at_ = kPendingCompactThreshold;
     return;
   }
-  // One flush == one arm taken, so per_row + batched + dropped == flushes.
-  // The span detail carries the net burst size and the estimate the arm
-  // decision compared it against.
+  // One flush == one arm taken, so batched + dropped == flushes. The span
+  // detail carries the net burst size and the estimate the arm decision
+  // compared it against.
   const size_t b = net.size();
   ++flushes_;
   FLEXREL_TELEMETRY_COUNT("engine.pli_cache.flushes", 1);
@@ -372,41 +336,23 @@ void PliCache::FlushPendingLocked() {
     if (options_.memory_budget_bytes != 0) AccountMemoryLocked();
     return;
   }
-  // Failure atomicity: every patch arm allocates (splices, interned
-  // values), and a throw mid-patch would otherwise leave live structures
-  // half-patched. The recovery is the strong guarantee at cache
+  // Failure atomicity: the splice allocates (bucket growth, interned
+  // values, arena growth), and a throw mid-patch would otherwise leave live
+  // structures half-patched. The recovery is the strong guarantee at cache
   // granularity: drop every cached structure (the row vector is the source
   // of truth; reads rebuild lazily), so no reader can ever observe a
   // partially applied flush. The recovery path traverses no injection
   // point.
   try {
     FLEXREL_FAULT_INJECT("pli_cache.flush.patch");
-    if (b < options_.batch_threshold) {
-      FLEXREL_TELEMETRY_COUNT("engine.pli_cache.flush.per_row", 1);
-      if (flush_span.active()) {
-        flush_span.SetDetail(
-            "arm=per_row b=" + std::to_string(b) +
-            " est=batch_at:" + std::to_string(options_.batch_threshold));
-      }
-      for (const NetDelta& d : net) {
-        if (d.is_insert) {
-          ReplayInsertLocked(d.row);
-        } else {
-          ReplayUpdateLocked(d.row, *d.old_row, d.changed_attrs);
-        }
-      }
-    } else {
-      FLEXREL_TELEMETRY_COUNT("engine.pli_cache.flush.batched", 1);
-      if (flush_span.active()) {
-        flush_span.SetDetail(
-            "arm=batched b=" + std::to_string(b) +
-            " est=batch_at:" + std::to_string(options_.batch_threshold) +
-            " drop_at:" + std::to_string(drop_at));
-      }
-      BatchApplyLocked(net, changed, insert_count);
+    FLEXREL_TELEMETRY_COUNT("engine.pli_cache.flush.batched", 1);
+    if (flush_span.active()) {
+      flush_span.SetDetail("arm=batched b=" + std::to_string(b) +
+                           " est=drop_at:" + std::to_string(drop_at));
     }
-    // Re-interning recodes a column, so it waits until both arms are done
-    // reading partners off the codes; only the columns this flush patched
+    SpliceLocked(net, changed, insert_count);
+    // Re-interning recodes a column, so it waits until the splice is done
+    // reading clusters off the codes; only the columns this flush patched
     // are checked.
     for (auto& [attr, column] : code_columns_) {
       if (insert_count > 0 || changed.Contains(attr)) column->MaybeReintern();
@@ -444,119 +390,12 @@ void PliCache::DropAllLocked() {
   ++full_drops_;
 }
 
-void PliCache::ReplayInsertLocked(Pli::RowId row) {
-  const Tuple& t = (*rows_)[row];
-  PatchEntriesLocked(
-      [&](const AttrSet& attrs, Pli* pli) -> PatchResult {
-        pli->SetNumRows(rows_->size());  // row-count bookkeeping
-        bool ok;
-        if (attrs.empty()) {
-          // The ∅-partition holds every row in one cluster; the fast path
-          // skips materializing the all-previous-rows partner list.
-          ok = pli->ApplyInsertAllRows(row);
-        } else if (!t.DefinedOn(attrs)) {
-          return PatchResult::kPatched;  // the row stays out of scope, but
-                                         // the row count above was patched
-        } else if (attrs.size() == 1) {
-          auto column = code_columns_.find(attrs.ids().front());
-          if (column == code_columns_.end()) return PatchResult::kRebuild;
-          // The column still describes the pre-insert instance (it takes
-          // the row only further down), so the bucket is pure partners.
-          ok = pli->ApplyInsert(
-              row, column->second->RowsOf(*t.Get(attrs.ids().front())),
-              /*includes_row=*/false);
-        } else {
-          // An oversized partner scan means re-intersecting the patched
-          // sub-partitions is cheaper: fail the patch to drop the entry.
-          Pli::Cluster partners;
-          if (!AgreeingRowsLocked(attrs, t, row, &partners, nullptr)) {
-            return PatchResult::kRebuild;
-          }
-          ok = pli->ApplyInsert(row, partners, /*includes_row=*/false);
-        }
-        return ok ? PatchResult::kPatched : PatchResult::kRebuild;
-      },
-      &patches_);
-  // Patch the columns last — they are the partner source above and must
-  // describe the pre-insert instance while partitions are patched. Every
-  // column grows by the row, carried or not.
-  for (auto& [attr, column] : code_columns_) {
-    const Value* v = t.Get(attr);
-    column->ApplyUpdate(row, v);
-    if (v != nullptr) ++patches_;
-  }
-}
-
-void PliCache::ReplayUpdateLocked(Pli::RowId row, const Tuple& old_row,
-                                  const AttrSet& changed) {
-  // `changed` — the attributes whose presence or value the net move flips,
-  // diffed once by the flush; footnote-3 type changes surface as several
-  // attributes at once.
-  const Tuple& new_row = (*rows_)[row];
-  if (changed.empty()) return;
-
-  // Detach the row from its old codes first, so the buckets list exactly
-  // the row's potential partners.
-  for (AttrId a : changed) {
-    auto it = code_columns_.find(a);
-    if (it != code_columns_.end()) it->second->ApplyUpdate(row, nullptr);
-  }
-  PatchEntriesLocked(
-      [&](const AttrSet& attrs, Pli* pli) -> PatchResult {
-        if (!attrs.Intersects(changed)) {
-          return PatchResult::kUntouched;  // incl. the ∅-partition
-        }
-        bool ok = true;
-        if (attrs.size() == 1) {
-          AttrId a = attrs.ids().front();
-          auto it = code_columns_.find(a);
-          if (it == code_columns_.end()) return PatchResult::kRebuild;
-          const CodeColumn& column = *it->second;
-          if (const Value* old_v = old_row.Get(a)) {
-            ok = pli->ApplyErase(row, column.RowsOf(*old_v),
-                                 /*includes_row=*/false);
-          }
-          if (ok) {
-            if (const Value* new_v = new_row.Get(a)) {
-              ok = pli->ApplyInsert(row, column.RowsOf(*new_v),
-                                    /*includes_row=*/false);
-            }
-          }
-        } else {
-          Pli::Cluster partners;
-          if (old_row.DefinedOn(attrs)) {
-            if (!AgreeingRowsLocked(attrs, old_row, row, &partners,
-                                    nullptr)) {
-              return PatchResult::kRebuild;
-            }
-            ok = pli->ApplyErase(row, partners, /*includes_row=*/false);
-          }
-          if (ok && new_row.DefinedOn(attrs)) {
-            if (!AgreeingRowsLocked(attrs, new_row, row, &partners,
-                                    nullptr)) {
-              return PatchResult::kRebuild;
-            }
-            ok = pli->ApplyInsert(row, partners, /*includes_row=*/false);
-          }
-        }
-        return ok ? PatchResult::kPatched : PatchResult::kRebuild;
-      },
-      &patches_);
-  // Attach the row under its new codes last.
-  for (AttrId a : changed) {
-    auto it = code_columns_.find(a);
-    if (it == code_columns_.end()) continue;
-    if (const Value* new_v = new_row.Get(a)) {
-      it->second->ApplyUpdate(row, new_v);
-      ++patches_;
-    }
-  }
-}
-
 size_t PliCache::EstimateMultiPatchScanLocked(
     const AttrSet& attrs, const std::vector<NetDelta>& net) {
-  // Σ of the seed-bucket sizes both phases would scan (post-state seeds
-  // approximated by the pre-splice buckets — a burst barely moves them).
+  // Σ of the seed-bucket sizes both phases would scan, one per mover — an
+  // upper bound, since movers sharing a cluster share one scan (post-state
+  // seeds approximated by the pre-splice buckets — a burst barely moves
+  // them).
   // Comparing this against the instance size is the entry's patch-vs-drop
   // call: the re-intersection a drop defers costs one O(rows) pass.
   auto seed_size = [&](const Tuple& proj) -> size_t {
@@ -583,125 +422,114 @@ size_t PliCache::EstimateMultiPatchScanLocked(
 bool PliCache::MultiAttrGroupPatchLocked(const AttrSet& attrs, Pli* pli,
                                          const std::vector<NetDelta>& net,
                                          bool erase, size_t* scan_budget) {
-  // The rows this phase moves: leaving rows were defined on `attrs` before
-  // the burst, joining rows are after; rows whose projection did not
-  // change sit still (they are partners, not movers).
-  std::vector<std::pair<Pli::RowId, const Tuple*>> moving;
-  std::unordered_set<Pli::RowId> moving_set;
+  // The rows this phase moves, ascending: leaving rows were defined on
+  // `attrs` before the burst, joining rows are after; rows whose projection
+  // did not change sit still (they are stayers, not movers).
+  static thread_local std::vector<std::pair<Pli::RowId, const Tuple*>> moving;
+  moving.clear();
   for (const NetDelta& d : net) {
     if (!d.changed_attrs.Intersects(attrs)) continue;  // projection sits still
-    const Tuple& now = (*rows_)[d.row];
-    const Tuple* proj;
-    if (erase) {
-      if (d.is_insert || !d.old_row->DefinedOn(attrs)) continue;
-      proj = d.old_row;
-    } else {
-      if (!now.DefinedOn(attrs)) continue;
-      proj = &now;
-    }
+    const Tuple* proj = erase ? d.old_row : &(*rows_)[d.row];
+    if (proj == nullptr || !proj->DefinedOn(attrs)) continue;
     moving.push_back({d.row, proj});
-    moving_set.insert(d.row);
   }
   if (moving.empty()) return true;
-  // One ClusterPatch per affected cluster. All movers sharing a cluster
-  // compute the same full membership (partner scans are consistent within
-  // one phase), so the patch is keyed by the full cluster's front row.
-  std::unordered_map<Pli::RowId, Pli::ClusterPatch> by_front;
-  Pli::Cluster partners;
-  for (const auto& [row, proj] : moving) {
-    if (!AgreeingRowsLocked(attrs, *proj, row, &partners, scan_budget)) {
+  std::sort(moving.begin(), moving.end(),
+            [](const auto& x, const auto& y) { return x.first < y.first; });
+  // One patch per affected cluster, scanned once off the columns: before
+  // the splice (erase) the scan yields the cluster its movers leave, after
+  // it (join) the cluster they enter. Either way the rows before the first
+  // mover are the kept prefix. Tails gather in one buffer and are viewed
+  // once it stops growing.
+  struct Pending {
+    Pli::RowId old_front;
+    uint32_t old_size;
+    uint32_t keep;
+    size_t begin;
+    size_t end;
+  };
+  static thread_local std::vector<char> done;
+  static thread_local std::vector<Pending> pending;
+  static thread_local std::vector<Pli::RowId> tails;
+  static thread_local Pli::Cluster cluster;
+  done.assign(moving.size(), 0);
+  pending.clear();
+  tails.clear();
+  for (size_t m = 0; m < moving.size(); ++m) {
+    if (done[m] != 0) continue;
+    if (!AgreeingRowsLocked(attrs, *moving[m].second, &cluster,
+                            scan_budget)) {
       return false;
     }
-    Pli::Cluster full = partners;  // ∪ {row}, ascending
-    full.insert(std::lower_bound(full.begin(), full.end(), row), row);
-    if (full.size() < 2) continue;  // stripped on this side: no cluster
-    auto [it, first_visit] = by_front.try_emplace(full.front());
-    Pli::ClusterPatch& patch = it->second;
-    if (first_visit) {
-      if (erase) {
-        // The partition currently holds the full pre-burst cluster; the
-        // replacement starts as that and sheds each mover below.
-        patch.old_front = full.front();
-        patch.old_size = full.size();
-        patch.new_rows = std::move(full);
-      } else {
-        // The partition (post-erase-phase) holds only the stayers; the
-        // replacement is the full post-burst cluster.
-        Pli::Cluster stayers;
-        for (Pli::RowId r : full) {
-          if (moving_set.count(r) == 0) stayers.push_back(r);
-        }
-        patch.old_size = stayers.size();
-        patch.old_front = stayers.empty() ? 0 : stayers.front();
-        patch.new_rows = std::move(full);
+    const size_t n = cluster.size();
+    Pending patch{0, 0, 0, tails.size(), 0};
+    size_t first_mover = n;
+    uint32_t stayers = 0;
+    for (size_t i = 0; i < n; ++i) {
+      const Pli::RowId row = cluster[i];
+      auto it = std::lower_bound(
+          moving.begin(), moving.end(), row,
+          [](const auto& x, Pli::RowId r) { return x.first < r; });
+      if (it != moving.end() && it->first == row) {
+        done[static_cast<size_t>(it - moving.begin())] = 1;
+        if (first_mover == n) first_mover = i;
+        continue;
       }
-    } else if (erase ? patch.old_size != full.size()
-                     : patch.new_rows.size() != full.size()) {
-      return false;  // two movers disagree about their shared cluster
+      if (stayers++ == 0) patch.old_front = row;
+      if (erase && first_mover != n) tails.push_back(row);
     }
+    if (done[m] == 0) return false;  // the scan must find its own mover
+    if (n < 2) continue;  // stripped on this side: no cluster either way
     if (erase) {
-      auto pos = std::lower_bound(patch.new_rows.begin(),
-                                  patch.new_rows.end(), row);
-      if (pos == patch.new_rows.end() || *pos != row) return false;
-      patch.new_rows.erase(pos);
+      patch.old_front = cluster.front();
+      patch.old_size = static_cast<uint32_t>(n);
+      patch.keep = static_cast<uint32_t>(first_mover);
+    } else {
+      patch.old_size = stayers;
+      patch.keep = stayers >= 2 ? static_cast<uint32_t>(first_mover) : 0;
+      tails.insert(tails.end(), cluster.begin() + patch.keep, cluster.end());
     }
+    patch.end = tails.size();
+    pending.push_back(patch);
   }
-  std::vector<Pli::ClusterPatch> patches;
-  patches.reserve(by_front.size());
-  for (auto& [front, patch] : by_front) {
-    (void)front;
-    patches.push_back(std::move(patch));
+  if (pending.empty()) return true;
+  static thread_local std::vector<Pli::ClusterPatchView> views;
+  views.clear();
+  for (const Pending& p : pending) {
+    views.push_back({p.old_front, p.old_size, p.keep,
+                     std::span<const Pli::RowId>(tails).subspan(
+                         p.begin, p.end - p.begin)});
   }
   // Cache-built multi-attribute partitions are intersection products, so
   // defined_rows tracks grouped_rows and the delta argument is moot.
-  return pli->ApplyBatch(std::move(patches), /*defined_delta=*/0);
+  return pli->ApplyBatch(views, /*defined_delta=*/0);
 }
 
-void PliCache::BatchApplyLocked(const std::vector<NetDelta>& net,
-                                const AttrSet& changed, size_t insert_count) {
+void PliCache::SpliceLocked(const std::vector<NetDelta>& net,
+                            const AttrSet& changed, size_t insert_count) {
   using namespace std::chrono_literals;
   const size_t b = net.size();
-  // Per-attribute moves: each row's final value on every attribute an
-  // insert carries or an update changed (null when removed). The Value
-  // pointers reach into rows_, stable for the flush; the old side is read
-  // off the columns themselves.
-  std::unordered_map<AttrId, std::vector<CodeColumn::Move>> per_attr;
-  std::vector<Pli::RowId> inserted_rows;
-  inserted_rows.reserve(insert_count);
-  for (const NetDelta& d : net) {
-    const Tuple& now = (*rows_)[d.row];
-    if (d.is_insert) {
-      inserted_rows.push_back(d.row);
-      for (const auto& [attr, value] : now.fields()) {
-        per_attr[attr].push_back({d.row, &value});
-      }
-    } else {
-      for (AttrId a : d.changed_attrs) {
-        per_attr[a].push_back({d.row, now.Get(a)});
-      }
-    }
-  }
-  std::sort(inserted_rows.begin(), inserted_rows.end());
-
   // Classify the cached partitions. Multi-attribute entries whose cluster
   // count the burst saturates are dropped for lazy re-intersection from
   // the patched bases (one intersection pass beats 2b seed scans then);
   // sparser bursts keep the entry and group-patch it in two phases around
-  // the column splice. This is the burst-size-vs-cluster-count arm of the
-  // adaptive policy.
+  // the column splice.
   struct Work {
-    AttrSet attrs;
+    const AttrSet* attrs;  // entries_ key; nodes stay put until the end
     Pli* pli;
-    bool alive = true;
+    bool alive;
     // Partner-scan allowance across both phases: one re-intersection's
     // worth of row touches. Overdrawing it means rebuilding is cheaper.
-    size_t scan_budget = 0;
+    size_t scan_budget;
   };
-  std::vector<Work> multi;
-  std::unordered_map<AttrId, Pli*> single;
+  static thread_local std::vector<Work> multi;
+  static thread_local std::vector<std::pair<AttrId, Pli*>> single;
+  multi.clear();
+  single.clear();
   Pli* empty_pli = nullptr;
   for (auto it = entries_.begin(); it != entries_.end();) {
     if (it->second.future.wait_for(0s) != std::future_status::ready) {
+      // A build racing the mutation (a documented data race): shed it.
       ++patch_rebuilds_;
       it = DropEntryLocked(it);
       continue;
@@ -713,7 +541,7 @@ void PliCache::BatchApplyLocked(const std::vector<NetDelta>& net,
       empty_pli = pli;
     } else if (attrs.Intersects(changed)) {
       if (attrs.size() == 1) {
-        single.emplace(attrs.ids().front(), pli);
+        single.push_back({attrs.ids().front(), pli});
       } else if (2 * b >= pli->NumDistinct() ||
                  EstimateMultiPatchScanLocked(attrs, net) >=
                      rows_->size() / 2) {
@@ -723,7 +551,7 @@ void PliCache::BatchApplyLocked(const std::vector<NetDelta>& net,
         it = DropEntryLocked(it);
         continue;
       } else {
-        multi.push_back({attrs, pli, true, rows_->size()});
+        multi.push_back({&attrs, pli, true, rows_->size()});
       }
     }
     ++it;
@@ -731,28 +559,37 @@ void PliCache::BatchApplyLocked(const std::vector<NetDelta>& net,
 
   std::vector<AttrSet> failed;
   // Phase A: detach the leaving rows from the kept multi-attribute
-  // entries, partner sets scanned off the still pre-batch columns.
+  // entries, clusters scanned off the still pre-splice columns.
   for (Work& w : multi) {
-    if (!MultiAttrGroupPatchLocked(w.attrs, w.pli, net, /*erase=*/true,
+    if (!MultiAttrGroupPatchLocked(*w.attrs, w.pli, net, /*erase=*/true,
                                    &w.scan_budget)) {
       w.alive = false;
-      failed.push_back(w.attrs);
+      failed.push_back(*w.attrs);
     }
   }
-  // Splice the columns — every affected bucket rebuilt in one sorted
-  // merge; inserts grow every column, carried or not — and group-apply each
-  // cached single-attribute partition from its column's cluster
-  // replacements: views into the spliced buckets, so ApplyBatch copies
-  // each replacement straight into the arena.
-  const std::vector<CodeColumn::Move> no_moves;
+  // Splice the columns — every affected bucket in place from its lowest
+  // touched row; inserts grow every column, carried or not — and apply
+  // each cached single-attribute partition's patches straight from its
+  // column's views into the spliced buckets.
+  static thread_local std::vector<CodeColumn::Move> moves;
+  static thread_local std::vector<Pli::ClusterPatchView> views;
   for (auto& [attr, column] : code_columns_) {
-    auto moves = per_attr.find(attr);
-    if (moves == per_attr.end() && insert_count == 0) continue;
+    if (insert_count == 0 && !changed.Contains(attr)) continue;
+    // Each row's final value on the attribute, null when removed (an
+    // insert's changed set is exactly the attributes it carries). The
+    // Value pointers reach into rows_, stable for the flush; the old side
+    // is read off the column itself.
+    moves.clear();
+    for (const NetDelta& d : net) {
+      if (d.changed_attrs.Contains(attr)) {
+        moves.push_back({d.row, (*rows_)[d.row].Get(attr)});
+      }
+    }
     const size_t defined_before = column->defined();
-    std::vector<Pli::ClusterPatchView> views = column->ApplyBatch(
-        rows_->size(), moves == per_attr.end() ? no_moves : moves->second);
+    column->ApplyBatch(rows_->size(), moves, &views);
     ++batch_applies_;
-    auto it = single.find(attr);
+    auto it = std::find_if(single.begin(), single.end(),
+                           [&](const auto& s) { return s.first == attr; });
     if (it == single.end()) continue;
     const ptrdiff_t defined_delta =
         static_cast<ptrdiff_t>(column->defined()) -
@@ -762,32 +599,34 @@ void PliCache::BatchApplyLocked(const std::vector<NetDelta>& net,
     } else {
       failed.push_back(AttrSet::Of(attr));
     }
-    single.erase(it);
+    it->second = nullptr;
   }
   // Defensive: a single-attribute entry always has its column pinned.
-  for (const auto& [attr, pli] : single) failed.push_back(AttrSet::Of(attr));
+  for (const auto& [attr, pli] : single) {
+    if (pli != nullptr) failed.push_back(AttrSet::Of(attr));
+  }
   // Phase B: attach the joining rows. The scans run after the splice, so
   // they see every row's final bucket — the stayers anchor the cluster
   // lookups.
   for (Work& w : multi) {
     if (!w.alive) continue;
-    if (!MultiAttrGroupPatchLocked(w.attrs, w.pli, net, /*erase=*/false,
+    if (!MultiAttrGroupPatchLocked(*w.attrs, w.pli, net, /*erase=*/false,
                                    &w.scan_budget)) {
-      failed.push_back(w.attrs);
+      failed.push_back(*w.attrs);
     } else {
       ++batch_applies_;
     }
   }
-  // The ∅-partition: appends only (an update never moves a row out of it).
-  if (empty_pli != nullptr && !inserted_rows.empty()) {
-    bool ok = true;
-    for (Pli::RowId row : inserted_rows) {
-      if (!empty_pli->ApplyInsertAllRows(row)) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) {
+  // The ∅-partition holds every row in one cluster (once there are two),
+  // and an update never moves a row out of it: appends extend it.
+  if (empty_pli != nullptr && insert_count > 0) {
+    static thread_local std::vector<Pli::RowId> appended;
+    const uint32_t old_size = static_cast<uint32_t>(empty_pli->grouped_rows());
+    appended.resize(rows_->size() - old_size);
+    std::iota(appended.begin(), appended.end(), old_size);
+    views.assign(1, {0, old_size, old_size, appended});
+    if (empty_pli->ApplyBatch(views,
+                              static_cast<ptrdiff_t>(insert_count))) {
       ++batch_applies_;
     } else {
       failed.push_back(AttrSet());
@@ -880,7 +719,6 @@ PliCache::StatsSnapshot PliCache::Stats() const {
   s.misses = misses_;
   s.evictions = evictions_;
   s.cached_entries = entries_.size();
-  s.patches = patches_;
   s.patch_rebuilds = patch_rebuilds_;
   s.batch_applies = batch_applies_;
   s.full_drops = full_drops_;

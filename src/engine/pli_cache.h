@@ -23,35 +23,30 @@
 // underlying row vector changes, the owner reports the change through
 // OnInsert/OnUpdate (or their batch forms), which *buffer* the delta; the
 // next read (Get/CodeColumnFor — that includes every evaluator and
-// validator access) flushes the pending buffer with a three-way policy
-// decided by the net burst size b (PliCacheOptions::{batch_threshold,
-// drop_threshold}):
+// validator access) flushes the pending buffer. The flush either splices or
+// drops, decided by the net burst size b:
 //
-//   - b < batch_threshold: per-row patching — only the clusters the mutated
-//     row leaves or joins are touched, O(cluster) integer work per cached
-//     structure per row.
-//   - batch_threshold <= b < max(drop_threshold, rows/2): batched apply —
-//     deltas are grouped by attribute, each affected code bucket is spliced
-//     in one sorted pass (CodeColumn::ApplyBatch), the resulting per-code
-//     cluster replacements group-apply to the single-attribute partitions
+//   - b < max(drop_threshold, rows/2): splice — deltas are grouped by
+//     attribute, each affected code bucket is spliced in place from its
+//     lowest touched row (CodeColumn::ApplyBatch), the resulting per-code
+//     cluster patches land in the single-attribute partitions' slot slack
 //     (Pli::ApplyBatch), and affected multi-attribute partitions are
-//     group-patched around the splice or dropped for lazy re-intersection.
-//     A 64-mutation burst costs one splice instead of 64 cluster surgeries.
+//     group-patched around the splice or dropped for lazy
+//     re-intersection. A one-row change costs O(the clusters it touches),
+//     a 64-mutation burst one splice instead of 64 cluster surgeries.
 //   - b >= max(drop_threshold, rows/2): everything (columns included) is
 //     dropped for lazy from-scratch rebuilds — the burst is so large that
 //     one deferred rebuild beats any patching.
 //
 // Deltas to one row coalesce in the buffer (first old state, final new
 // state), so a row updated 64 times between queries flushes as one move.
-// Both patch arms read partners off the columns *before* patching them, so
-// partner lists describe the pre-delta state the partitions still hold. A
-// multi-attribute entry whose patch (seed-bucket scan + verification) would
-// cost more than re-intersecting its patched sub-partitions is dropped
-// instead and rebuilt lazily on the next Get. PliCacheOptions::incremental
-// = false disables the hooks' use by FlexibleRelation, restoring the
-// drop-everything behavior as the cross-validation oracle; batch_threshold
-// = SIZE_MAX pins the per-row path, the reference the batched one is
-// benchmarked and soak-tested against.
+// Multi-attribute patches read clusters off the columns on both sides of
+// the splice: before it for the rows leaving, after it for the rows
+// joining. A multi-attribute entry whose patch (cluster scans) would cost
+// more than re-intersecting its patched sub-partitions is dropped instead
+// and rebuilt lazily on the next Get. PliCacheOptions::incremental = false
+// disables the hooks' use by FlexibleRelation, restoring the
+// drop-everything behavior as the cross-validation oracle.
 //
 // Concurrency: Get/CodeColumnFor are safe to call from many worker threads
 // over a quiescent instance (parallel discovery's workers do). Every read
@@ -69,7 +64,6 @@
 #define FLEXREL_ENGINE_PLI_CACHE_H_
 
 #include <cstdint>
-#include <functional>
 #include <future>
 #include <list>
 #include <memory>
@@ -151,19 +145,17 @@ class PliCache {
     size_t misses = 0;
     size_t evictions = 0;
     size_t cached_entries = 0;
-    /// Structures patched row-by-row by a flush taking the per-row path.
-    size_t patches = 0;
     /// Cached partitions dropped by a flush because re-intersecting patched
     /// sub-partitions is cheaper than patching them (rebuilt lazily).
     size_t patch_rebuilds = 0;
-    /// Structures group-applied by a flush taking the batched path.
+    /// Structures (columns and partitions) spliced by a flush.
     size_t batch_applies = 0;
     /// Flushes that dropped every cached structure because the burst
     /// crossed max(drop_threshold, rows/2).
     size_t full_drops = 0;
     /// Mutation deltas currently buffered (not yet flushed by a read).
     size_t pending_deltas = 0;
-    /// Flushes that took any arm (per_row + batched + dropped).
+    /// Flushes that took either arm (batched + dropped).
     size_t flushes = 0;
     /// Estimated byte footprints per structure kind, refreshed by the
     /// accounting sweep. All 0 while memory_budget_bytes == 0 (governance
@@ -231,41 +223,35 @@ class PliCache {
   /// bytes_plis_ + bytes_columns_.
   size_t AccountedBytesLocked() const { return bytes_plis_ + bytes_columns_; }
 
-  /// Applies the pending-delta buffer to every cached structure, choosing
-  /// per-row replay, batched apply, or drop-everything by the net burst
-  /// size (see file comment), then gives every patched column its
-  /// staleness check (CodeColumn::MaybeReintern). Requires mu_; every read
-  /// path calls this before touching entries_/code_columns_.
+  /// Applies the pending-delta buffer to every cached structure — one
+  /// splice, or drop-everything past the burst-size bound (see file
+  /// comment) — then gives every patched column its staleness check
+  /// (CodeColumn::MaybeReintern). Requires mu_; every read path calls this
+  /// before touching entries_/code_columns_.
   void FlushPendingLocked();
 
-  /// Per-row replay of one net insert/update: partitions are patched
-  /// against partner lists read off the columns, then the columns take the
-  /// row's new codes. Requires mu_.
-  void ReplayInsertLocked(Pli::RowId row);
-  void ReplayUpdateLocked(Pli::RowId row, const Tuple& old_row,
-                          const AttrSet& changed);
-
-  /// Group-applies net deltas >= batch_threshold: two-phase cluster
-  /// patches for kept multi-attribute entries around one splice of the
-  /// code columns and the single-attribute partitions. Requires mu_.
-  void BatchApplyLocked(const std::vector<NetDelta>& net,
-                        const AttrSet& changed, size_t insert_count);
+  /// The splice: two-phase cluster patches for kept multi-attribute
+  /// entries around one splice of the code columns and the
+  /// single-attribute partitions. Requires mu_.
+  void SpliceLocked(const std::vector<NetDelta>& net, const AttrSet& changed,
+                    size_t insert_count);
 
   /// One phase of the multi-attribute group patch: groups the net-delta
-  /// rows leaving (`erase`, old states against pre-batch columns) or
-  /// joining (final states against post-batch columns) the partition by
-  /// cluster and applies one ClusterPatch per affected cluster via
-  /// Pli::ApplyBatch. `scan_budget` caps the cumulative partner-scan work
-  /// across both phases at one re-intersection's worth. Returns false —
-  /// the caller drops the entry — when the budget runs out, a single seed
-  /// is oversized, or the scans contradict the clusters. Requires mu_.
+  /// rows leaving (`erase`, old states against pre-splice columns) or
+  /// joining (final states against post-splice columns) the partition by
+  /// cluster, scans each affected cluster once, and applies one
+  /// ClusterPatchView per cluster via Pli::ApplyBatch. `scan_budget` caps
+  /// the cumulative scan work across both phases at one re-intersection's
+  /// worth. Returns false — the caller drops the entry — when the budget
+  /// runs out or the scans contradict the clusters. Requires mu_.
   bool MultiAttrGroupPatchLocked(const AttrSet& attrs, Pli* pli,
                                  const std::vector<NetDelta>& net, bool erase,
                                  size_t* scan_budget);
 
   /// Upfront cost of group-patching a multi-attribute entry: the summed
-  /// seed-bucket sizes of both phases' partner scans, computed from cheap
-  /// column lookups before any scanning happens. Requires mu_.
+  /// seed-bucket sizes of both phases' cluster scans (an upper bound),
+  /// computed from cheap column lookups before any scanning happens.
+  /// Requires mu_.
   size_t EstimateMultiPatchScanLocked(const AttrSet& attrs,
                                       const std::vector<NetDelta>& net);
 
@@ -277,40 +263,23 @@ class PliCache {
   /// Requires mu_.
   void CompactPendingLocked();
 
-  /// Ascending rows agreeing with `proj` on `attrs`, excluding
-  /// `exclude_row` (into `out`): the k-way intersection of the attributes'
-  /// code buckets, smallest list seeding, larger ones refined by streaming
-  /// merge or per-survivor binary search (adaptive set intersection). Pure
-  /// column work, so the scan is coherent with whatever intermediate state
-  /// the columns are in mid-flush. A non-null `scan_budget` is decremented
-  /// by the seed size. Returns false — patching would cost more than a
-  /// rebuild — when the seed bucket is oversized or would overdraw the
-  /// budget. Requires mu_; `proj` must be defined on all of `attrs`.
+  /// Ascending rows agreeing with `proj` on `attrs` (into `out`): the
+  /// k-way intersection of the attributes' code buckets, smallest list
+  /// seeding, larger ones refined by streaming merge or per-survivor
+  /// binary search (adaptive set intersection). Pure column work, so the
+  /// scan is coherent with whatever intermediate state the columns are in
+  /// mid-flush. `scan_budget` is decremented by the seed size. Returns
+  /// false — patching would cost more than a rebuild — when the seed would
+  /// overdraw the budget. Requires mu_; `proj` must be defined on all of
+  /// `attrs`.
   bool AgreeingRowsLocked(const AttrSet& attrs, const Tuple& proj,
-                          Pli::RowId exclude_row, Pli::Cluster* out,
-                          size_t* scan_budget);
+                          Pli::Cluster* out, size_t* scan_budget);
 
   using EntryMap = std::unordered_map<AttrSet, Entry, AttrSetHash>;
 
   /// Drops entry `it` (and its LRU slot), returning the next iterator.
   /// Requires mu_.
   EntryMap::iterator DropEntryLocked(EntryMap::iterator it);
-
-  enum class PatchResult {
-    kPatched,    ///< the partition was modified in place
-    kUntouched,  ///< the mutation does not affect this partition
-    kRebuild,    ///< contradicted or cheaper to rebuild: drop the entry
-  };
-
-  /// The flush paths' shared walk over the cached partitions: unready
-  /// entries (a build racing the mutation — a documented data race, shed
-  /// defensively) and entries whose `patch` returns kRebuild are dropped
-  /// for lazy rebuilding and counted in patch_rebuilds_; kPatched counts
-  /// in `*patched_counter` (patches_ or batch_applies_). Callbacks must
-  /// not create entries. Requires mu_.
-  void PatchEntriesLocked(
-      const std::function<PatchResult(const AttrSet&, Pli*)>& patch,
-      size_t* patched_counter);
 
   const std::vector<Tuple>* rows_;
   Options options_;
@@ -327,7 +296,6 @@ class PliCache {
   size_t hits_ = 0;
   size_t misses_ = 0;
   size_t evictions_ = 0;
-  size_t patches_ = 0;
   size_t patch_rebuilds_ = 0;
   size_t batch_applies_ = 0;
   size_t full_drops_ = 0;

@@ -37,33 +37,15 @@ struct PliCacheOptions {
   /// for the incremental path.
   bool incremental = true;
 
-  /// Patch-vs-rebuild crossover for multi-attribute partitions: when the
-  /// smallest code bucket seeding a partner scan exceeds
-  /// max(patch_scan_limit, rows/2), the flush drops the entry for lazy
-  /// re-intersection instead of patching it (counted in
-  /// PliCache::Stats().patch_rebuilds). Tests lower it to force the
-  /// rebuild path on small instances.
-  size_t patch_scan_limit = 2048;
-
-  /// Per-row-patch vs batched-apply crossover. Mutations are buffered as
+  /// Splice vs drop-everything crossover. Mutations are buffered as
   /// pending deltas and flushed on the next read; a flush of fewer than
-  /// batch_threshold net deltas replays them row by row (the PR 3 patch
-  /// path), a larger one group-applies them: code columns and
-  /// single-attribute partitions are spliced in one sorted pass
-  /// (CodeColumn::ApplyBatch / Pli::ApplyBatch) and multi-attribute
-  /// partitions are group-patched or dropped for lazy re-intersection by
-  /// a per-entry scan-cost estimate. The default sits where the splice
-  /// (≈ two copies of every affected cluster) starts beating per-row
-  /// surgery (≈ half a cluster memmove per mutation) on fat clusters.
-  /// SIZE_MAX pins the per-row path — the cross-validation reference for
-  /// the batched one.
-  size_t batch_threshold = 16;
-
-  /// Batched-apply vs drop-everything crossover: a flush of at least
-  /// max(drop_threshold, rows/2) net deltas drops every cached structure
-  /// (code columns included) for lazy from-scratch rebuilds — at that
-  /// burst size one deferred rebuild beats any splicing, which is what the
-  /// incremental = false oracle demonstrates at high mutation ratios.
+  /// max(drop_threshold, rows/2) net deltas splices them into the code
+  /// columns and partitions (CodeColumn::ApplyBatch / Pli::ApplyBatch), a
+  /// larger one drops every cached structure (code columns included) for
+  /// lazy from-scratch rebuilds — at that burst size one deferred rebuild
+  /// beats any splicing, which is what the incremental = false oracle
+  /// demonstrates at high mutation ratios. The floor decides the arm in
+  /// bench_pli's BM_BulkLoadThenQuery/rows:1000.
   size_t drop_threshold = 2048;
 };
 

@@ -5,8 +5,9 @@
 // max_entries bound small enough that LRU evictions race in-flight builds
 // (shared-future dedup, poisoned-slot recovery and eviction all run under
 // contention). Between rounds a single-threaded ApplyBatch phase mutates the
-// relation with a burst sized to take one flush arm — per-row, batched, or
-// drop-everything, in rotation — and the next read flushes it. After every
+// relation with a burst sized for one flush shape — a small splice, a large
+// splice, or drop-everything, in rotation — and the next read flushes it.
+// After every
 // reader round and every mutation phase, each key must equal a from-scratch
 // rebuild and satisfy CheckInvariants.
 //
@@ -89,6 +90,8 @@ void VerifyAgainstRebuild(const FlexibleRelation& rel,
     std::string err;
     ASSERT_TRUE(cached->CheckInvariants(&err))
         << context << " partition " << k.ToString() << ": " << err;
+    ASSERT_LE(cached->ArenaSlackRows(), cached->grouped_rows())
+        << context << " arena slack of " << k.ToString();
     if (k.size() == 1) {
       ASSERT_TRUE(ColumnMatchesPartition(
           *cache->CodeColumnFor(k.ids().front()), *cached))
@@ -136,12 +139,11 @@ void ConcurrentReaderRound(const FlexibleRelation& rel, const Keys& keys,
   for (std::thread& t : readers) t.join();
 }
 
-enum class Arm { kPerRow, kBatched, kDrop };
+enum class Arm { kSmallBatch, kLargeBatch, kDrop };
 
-// One transactional batch sized for `arm` under `options`: net burst
-// b < batch_threshold, batch_threshold <= b < drop_at, or b >= drop_at.
-// Updates write fresh values to distinct rows, so none nets out of the
-// burst.
+// One transactional batch sized for `arm` under `options`: a net burst of
+// 2-3, of 17-20, or of at least drop_at deltas. Updates write fresh values
+// to distinct rows, so none nets out of the burst.
 std::vector<FlexibleRelation::Mutation> BurstFor(
     Arm arm, const FlexibleRelation& rel, const PliCacheOptions& options,
     Rng* rng, int64_t* next_id) {
@@ -149,12 +151,12 @@ std::vector<FlexibleRelation::Mutation> BurstFor(
   size_t updates = 0;
   size_t inserts = 0;
   switch (arm) {
-    case Arm::kPerRow:
-      updates = 1 + rng->Index(options.batch_threshold - 2);
+    case Arm::kSmallBatch:
+      updates = 1 + rng->Index(2);
       inserts = 1;
       break;
-    case Arm::kBatched:
-      updates = options.batch_threshold + rng->Index(4);
+    case Arm::kLargeBatch:
+      updates = 16 + rng->Index(4);
       inserts = 1;
       break;
     case Arm::kDrop:
@@ -200,8 +202,6 @@ TEST(EngineConcurrencySoak, ConcurrentReadersMatchRebuildAcrossFlushArms) {
     PliCacheOptions options;
     options.max_entries = 3;      // well below the 10 composites: evictions
                                   // race the builds of the reader rounds
-    options.batch_threshold = 4;  // batched bursts small enough that the
-                                  // cached pairs are patched, not dropped
     options.drop_threshold = 64;  // reachable drop arm on a small instance
     rel.SetPliCacheOptions(options);
     int64_t next_id = 0;
@@ -234,19 +234,11 @@ TEST(EngineConcurrencySoak, ConcurrentReadersMatchRebuildAcrossFlushArms) {
       const PliCache::StatsSnapshot after = cache->Stats();
       EXPECT_EQ(after.pending_deltas, 0u) << context;
       EXPECT_EQ(after.flushes, before.flushes + 1) << context;
-      switch (arm) {
-        case Arm::kPerRow:
-          EXPECT_GT(after.patches, before.patches) << context;
-          EXPECT_EQ(after.batch_applies, before.batch_applies) << context;
-          EXPECT_EQ(after.full_drops, before.full_drops) << context;
-          break;
-        case Arm::kBatched:
-          EXPECT_GT(after.batch_applies, before.batch_applies) << context;
-          EXPECT_EQ(after.full_drops, before.full_drops) << context;
-          break;
-        case Arm::kDrop:
-          EXPECT_EQ(after.full_drops, before.full_drops + 1) << context;
-          break;
+      if (arm == Arm::kDrop) {
+        EXPECT_EQ(after.full_drops, before.full_drops + 1) << context;
+      } else {
+        EXPECT_GT(after.batch_applies, before.batch_applies) << context;
+        EXPECT_EQ(after.full_drops, before.full_drops) << context;
       }
     }
     EXPECT_GT(cache->Stats().evictions, 0u)

@@ -131,15 +131,16 @@ TEST(CodeColumnTest, DuplicateValuesShareOneCodeAcrossBuildAndMutation) {
 
   // Inserting and updating to already-interned values must reuse the codes
   // and leave the code space untouched.
+  std::vector<Pli::ClusterPatchView> views;
   Tuple t;
   t.Set(a, Value::Str("x"));
   rows.push_back(t);
-  column.ApplyUpdate(3, rows[3].Get(a));  // an append
+  column.ApplyBatch(rows.size(), {{3, rows[3].Get(a)}}, &views);  // append
   EXPECT_EQ(column.codes()[3], x);
   EXPECT_EQ(column.code_bound(), bound);
 
   rows[2].Set(a, Value::Str("x"));
-  column.ApplyUpdate(2, rows[2].Get(a));
+  column.ApplyBatch(rows.size(), {{2, rows[2].Get(a)}}, &views);
   EXPECT_EQ(column.codes()[2], x);
   EXPECT_EQ(column.code_bound(), bound);
   EXPECT_EQ(column.Bucket(x), (std::vector<CodeColumn::RowId>{0, 1, 2, 3}));
@@ -153,7 +154,9 @@ TEST(CodeColumnTest, UpdateToTheSameValueIsANoOp) {
   rows[1].Set(a, Value::Int(9));
   CodeColumn column = CodeColumn::Build(rows, a);
   const uint64_t gen = column.generation();
-  column.ApplyUpdate(0, rows[0].Get(a));
+  std::vector<Pli::ClusterPatchView> views;
+  column.ApplyBatch(rows.size(), {{0, rows[0].Get(a)}}, &views);
+  EXPECT_TRUE(views.empty()) << "a no-op move must not patch a cluster";
   EXPECT_EQ(column.generation(), gen);
   EXPECT_EQ(column.Bucket(column.CodeOf(Value::Int(9))),
             (std::vector<CodeColumn::RowId>{0, 1}));
@@ -178,11 +181,12 @@ TEST(CodeColumnTest, TypeChangingUpdatesReinternAfterChurn) {
   // interning grows the dictionary until it outweighs the live codes 2:1
   // past the slack floor, at which point MaybeReintern must fire, recode
   // densely and bump the generation.
+  std::vector<Pli::ClusterPatchView> views;
   bool reinterned = false;
   for (int64_t v = 100; v < 400 && !reinterned; ++v) {
     Value next = v % 2 == 0 ? Value::Int(v) : Value::Str(StrCat("t", v));
     rows[0].Set(a, next);
-    column.ApplyUpdate(0, rows[0].Get(a));
+    column.ApplyBatch(rows.size(), {{0, rows[0].Get(a)}}, &views);
     reinterned = column.MaybeReintern();
   }
   ASSERT_TRUE(reinterned) << "churn never triggered a re-intern";
@@ -195,7 +199,7 @@ TEST(CodeColumnTest, TypeChangingUpdatesReinternAfterChurn) {
   // A removal (footnote-3 delta dropping the attribute) maps the row to
   // kMissingCode and keeps the space coherent.
   rows[1] = Tuple();
-  column.ApplyUpdate(1, nullptr);
+  column.ApplyBatch(rows.size(), {{1, nullptr}}, &views);
   EXPECT_EQ(column.codes()[1], CodeColumn::kMissingCode);
   VerifyColumnAgainstRows(column, rows, "post-removal");
 }
@@ -233,7 +237,7 @@ TEST(CodeColumnTest, BuildFromCodesMatchesValueBuild) {
 }
 
 // ---------------------------------------------------------------------------
-// The cache-maintained column across batch bursts of every flush arm.
+// The cache-maintained column across batch bursts of several sizes.
 // ---------------------------------------------------------------------------
 
 TEST(CodeColumnTest, CodeSpaceGrowsCoherentlyAcrossBatchBursts) {
@@ -245,10 +249,9 @@ TEST(CodeColumnTest, CodeSpaceGrowsCoherentlyAcrossBatchBursts) {
 
   for (AttrId a : attrs) ASSERT_NE(cache->CodeColumnFor(a), nullptr);
   uint64_t last_bound = 0;
-  // Burst sizes straddling the flush arms: per-row (< batch_threshold=16),
-  // batched, and — relative to the growing instance — large enough early
-  // on to have crossed rows/2 bursts in cache configurations with a lower
-  // drop threshold. Each burst widens the value domain so the code space
+  // Burst sizes from a few rows to — relative to the growing instance —
+  // large enough early on to have crossed rows/2 bursts in cache
+  // configurations with a lower drop threshold. Each burst widens the value domain so the code space
   // genuinely grows burst over burst.
   const size_t bursts[] = {3, 40, 7, 120, 25};
   int64_t domain = 0;

@@ -360,7 +360,7 @@ TEST_F(EngineEvalStatsTest, SelectCountsExactlyAndEngineSkipsPredicates) {
   EXPECT_EQ(naive.join_probes, 0u);
 
   EvalStats engine = EngineStats(plan);
-  EXPECT_EQ(engine.predicate_evals, 0u);  // resolved via the value index
+  EXPECT_EQ(engine.predicate_evals, 0u);  // resolved via a code lookup
   EXPECT_LT(engine.predicate_evals, naive.predicate_evals);
   EXPECT_EQ(engine.tuples_scanned, 1u);   // only the matching cluster
   EXPECT_EQ(engine.tuples_emitted, 1u);
@@ -620,8 +620,8 @@ TEST(EngineExplainTest, IndexedSelectIsAttributed) {
   EXPECT_EQ(report.value().root.op, "select[index]");
   EXPECT_TRUE(report.value().root.index_hit);
   EXPECT_EQ(report.value().root.actual_rows, 1u);
-  // The indexed path never evaluates its scan input — the value index
-  // answers directly — so the report truthfully has no scan child.
+  // The indexed path never evaluates its scan input — the code column's
+  // lookup answers directly — so the report truthfully has no scan child.
   EXPECT_TRUE(report.value().root.children.empty());
 }
 

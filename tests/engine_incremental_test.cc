@@ -1,6 +1,5 @@
 // Mutation soak for incremental PLI maintenance (PliCache::OnInsert /
-// OnUpdate, Pli::ApplyInsert / ApplyErase / ApplyBatch, the code-column
-// splice).
+// OnUpdate, Pli::ApplyBatch, the code-column splice).
 //
 // The contract under test: after ANY interleaving of Insert /
 // InsertUnchecked / Update with Get / CodeColumnFor queries, every cached
@@ -18,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -60,19 +60,27 @@ std::vector<Tuple> RowsWithValues(AttrId attr,
   return rows;
 }
 
+// One patch: the cluster fronted by `old_front` with `old_size` rows keeps
+// its first `keep` rows, then `tail`.
+Pli::ClusterPatchView Patch(Pli::RowId old_front, uint32_t old_size,
+                            uint32_t keep, const Pli::Cluster& tail) {
+  return {old_front, old_size, keep, tail};
+}
+
 TEST(PliPatchTest, InsertSecondCarrierUnstripsTheSingleton) {
   const AttrId a = 3;
   std::vector<Tuple> rows = RowsWithValues(a, {7, 8, 7});
   Pli pli = Pli::Build(rows, a);  // clusters: {0,2}; row 1 stripped
   ASSERT_EQ(pli.num_clusters(), 1u);
 
-  // Row 3 arrives with value 8: row 1 must be un-stripped into {1,3}.
+  // Row 3 arrives with value 8: row 1 must be un-stripped into {1,3}. The
+  // value had one (stripped) carrier, so nothing of it is kept.
   Tuple t;
   t.Set(a, Value::Int(8));
   rows.push_back(t);
   pli.SetNumRows(rows.size());
-  Pli::Cluster partners = {1};
-  ASSERT_TRUE(pli.ApplyInsert(3, partners, /*includes_row=*/false));
+  const Pli::Cluster tail = {1, 3};
+  ASSERT_TRUE(pli.ApplyBatch({Patch(1, 1, 0, tail)}, /*defined_delta=*/1));
   EXPECT_EQ(pli, Pli::Build(rows, a));
   EXPECT_EQ(pli.defined_rows(), 4u);
   EXPECT_EQ(pli.NumDistinct(), 2u);
@@ -85,35 +93,44 @@ TEST(PliPatchTest, EraseDownToOneCarrierDissolvesTheCluster) {
   ASSERT_EQ(pli.num_clusters(), 2u);
 
   // Row 0 leaves value 5 (update away): {0,1} dissolves, row 1 re-strips.
-  Pli::Cluster partners = {1};
-  ASSERT_TRUE(pli.ApplyErase(0, partners, /*includes_row=*/false));
+  const Pli::Cluster remnant = {1};
+  ASSERT_TRUE(pli.ApplyBatch({Patch(0, 2, 0, remnant)}, /*defined_delta=*/
+                             -1));
   rows[0].Set(a, Value::Int(1234));  // value 5 now carried by row 1 alone
   Pli rebuilt = Pli::Build(rows, a);
-  // The erase alone models only the departure; defined_rows drops by one.
+  // The patch alone models only the departure; defined_rows drops by one.
   EXPECT_EQ(pli.num_clusters(), 1u);
   EXPECT_EQ(pli.clusters()[0], (Pli::Cluster{2, 3}));
   EXPECT_EQ(pli.defined_rows(), 3u);
-  // Completing the move (insert under the new value) matches the rebuild.
-  ASSERT_TRUE(pli.ApplyInsert(0, Pli::Cluster{}, /*includes_row=*/false));
+  std::string err;
+  EXPECT_TRUE(pli.CheckInvariants(&err)) << err;
+  // Completing the move (row 0 lands on a fresh, stripped value) patches
+  // no cluster and only counts the row as defined again.
+  ASSERT_TRUE(pli.ApplyBatch({}, /*defined_delta=*/1));
   EXPECT_EQ(pli, rebuilt);
   EXPECT_EQ(pli.defined_rows(), rebuilt.defined_rows());
 }
 
 TEST(PliPatchTest, FrontRowChangesKeepCanonicalClusterOrder) {
   const AttrId a = 0;
-  // Clusters {0,3} (v=1) and {1,2} (v=2): canonical order 0 < 1.
-  std::vector<Tuple> rows = RowsWithValues(a, {1, 2, 2, 1});
+  // Clusters {0,3} (v=1), {1,2} (v=2) and {4,5} (v=3), in that canonical
+  // order.
+  std::vector<Tuple> rows = RowsWithValues(a, {1, 2, 2, 1, 3, 3});
   Pli pli = Pli::Build(rows, a);
-  ASSERT_EQ(pli.clusters().size(), 2u);
+  ASSERT_EQ(pli.clusters().size(), 3u);
 
   // Row 0 leaves cluster {0,3}: the remnant {3} dissolves; then row 0
-  // rejoins value 2's cluster {1,2} as its NEW front — the cluster must
-  // move to the first canonical slot.
-  ASSERT_TRUE(pli.ApplyErase(0, Pli::Cluster{3}, false));
-  ASSERT_TRUE(pli.ApplyInsert(0, Pli::Cluster{1, 2}, false));
+  // rejoins value 2's cluster {1,2} as its NEW front — the re-fronted
+  // cluster must move to the first canonical slot.
+  const Pli::Cluster remnant = {3};
+  ASSERT_TRUE(pli.ApplyBatch({Patch(0, 2, 0, remnant)}, 0));
+  const Pli::Cluster refronted = {0, 1, 2};
+  ASSERT_TRUE(pli.ApplyBatch({Patch(1, 2, 0, refronted)}, 0));
   rows[0].Set(a, Value::Int(2));
   EXPECT_EQ(pli, Pli::Build(rows, a));
   EXPECT_EQ(pli.clusters()[0], (Pli::Cluster{0, 1, 2}));
+  std::string err;
+  EXPECT_TRUE(pli.CheckInvariants(&err)) << err;
 }
 
 TEST(PliPatchTest, InconsistentArgumentsAreRejectedNotApplied) {
@@ -121,17 +138,130 @@ TEST(PliPatchTest, InconsistentArgumentsAreRejectedNotApplied) {
   std::vector<Tuple> rows = RowsWithValues(a, {4, 4, 6});
   Pli pli = Pli::Build(rows, a);
   const Pli before = pli;
-  // Claiming row 2 joins a two-row cluster fronted by row 1 is inconsistent
-  // (row 1's cluster is fronted by row 0): the patch must refuse...
-  EXPECT_FALSE(pli.ApplyInsert(2, Pli::Cluster{1, 0}, false));
-  // ...and refusal must be a true no-op, counters included.
-  EXPECT_EQ(pli, before);
-  EXPECT_EQ(pli.defined_rows(), before.defined_rows());
-  EXPECT_EQ(pli.grouped_rows(), before.grouped_rows());
-  // Same for an erase naming a partner that is not in the row's cluster.
-  EXPECT_FALSE(pli.ApplyErase(0, Pli::Cluster{2}, false));
-  EXPECT_EQ(pli, before);
-  EXPECT_EQ(pli.defined_rows(), before.defined_rows());
+  auto expect_untouched = [&] {
+    EXPECT_EQ(pli, before);
+    EXPECT_EQ(pli.defined_rows(), before.defined_rows());
+    EXPECT_EQ(pli.grouped_rows(), before.grouped_rows());
+  };
+  // Claiming row 2 joins a two-row cluster fronted by row 1 is
+  // inconsistent (row 1's cluster is fronted by row 0): the patch must
+  // refuse, and refusal must be a true no-op, counters included.
+  const Pli::Cluster joiner = {2};
+  EXPECT_FALSE(pli.ApplyBatch({Patch(1, 2, 2, joiner)}, 1));
+  expect_untouched();
+  // Same for a patch keeping more rows than the cluster holds...
+  EXPECT_FALSE(pli.ApplyBatch({Patch(0, 2, 3, {})}, 0));
+  expect_untouched();
+  // ...and for one keeping rows of a value that had no cluster.
+  EXPECT_FALSE(pli.ApplyBatch({Patch(2, 1, 1, joiner)}, 0));
+  expect_untouched();
+}
+
+// Front-keeping patches that fit their slot rewrite only that slot: every
+// other cluster's storage stays where it was.
+TEST(PliPatchTest, FrontKeepingPatchesLandInTheirSlotInPlace) {
+  const AttrId a = 5;
+  std::vector<Tuple> rows = RowsWithValues(a, {1, 1, 1, 1, 2, 2, 3, 3});
+  Pli pli = Pli::Build(rows, a);  // {0,1,2,3}, {4,5}, {6,7}
+  CodeColumn column = CodeColumn::Build(rows, a);
+  ASSERT_EQ(pli.num_clusters(), 3u);
+  auto begins = [&] {
+    std::vector<const Pli::RowId*> out;
+    for (Pli::ClusterView c : pli.clusters()) out.push_back(c.begin());
+    return out;
+  };
+  const std::vector<const Pli::RowId*> before = begins();
+  std::vector<Pli::ClusterPatchView> views;
+
+  // Erase a row from the fat cluster: row 1 moves to a fresh (stripped)
+  // value, so the column keeps {0} and the patch's tail is {2,3}.
+  rows[1].Set(a, Value::Int(9));
+  column.ApplyBatch(rows.size(), {{1, rows[1].Get(a)}}, &views);
+  ASSERT_EQ(views.size(), 1u);
+  EXPECT_EQ(views[0].keep, 1u);
+  ASSERT_TRUE(pli.ApplyBatch(views, 0));
+  EXPECT_EQ(pli, Pli::Build(rows, a));
+  EXPECT_EQ(begins(), before) << "an in-slot erase moved a cluster";
+  EXPECT_EQ(pli.ArenaSlackRows(), 1u);
+
+  // Append a row to the same cluster: it lands in the slack the erase
+  // left, with nothing kept past the old rows.
+  Tuple t;
+  t.Set(a, Value::Int(1));
+  rows.push_back(t);
+  pli.SetNumRows(rows.size());
+  column.ApplyBatch(rows.size(), {{8, rows[8].Get(a)}}, &views);
+  ASSERT_EQ(views.size(), 1u);
+  EXPECT_EQ(views[0].keep, 3u);
+  ASSERT_TRUE(pli.ApplyBatch(views, 1));
+  EXPECT_EQ(pli, Pli::Build(rows, a));
+  EXPECT_EQ(begins(), before) << "an in-slot append moved a cluster";
+  EXPECT_EQ(pli.ArenaSlackRows(), 0u);
+  std::string err;
+  EXPECT_TRUE(pli.CheckInvariants(&err)) << err;
+}
+
+// Random bursts through the column splice and the partition splice, checked
+// against a rebuild after every burst: slots grow, dissolve, re-front and
+// appear mid-arena, and the arena compacts once slack outweighs the rows.
+TEST(PliPatchTest, RandomColumnSplicesMatchRebuilds) {
+  Rng rng(SoakSeed(8));
+  const AttrId a = 0;
+  constexpr int kRounds = 300;
+  std::vector<Tuple> rows;
+  rows.reserve(200 + 2 * kRounds);  // moves point into rows: no realloc
+  auto random_value = [&](Tuple* t) {
+    if (rng.Bernoulli(0.1)) {
+      t->Erase(a);
+    } else {
+      t->Set(a, Value::Int(rng.UniformInt(0, rng.Bernoulli(0.1) ? 999 : 40)));
+    }
+  };
+  for (int i = 0; i < 200; ++i) {
+    Tuple t;
+    random_value(&t);
+    rows.push_back(std::move(t));
+  }
+  Pli pli = Pli::Build(rows, a);
+  CodeColumn column = CodeColumn::Build(rows, a);
+  std::vector<Pli::ClusterPatchView> views;
+  for (int round = 0; round < kRounds; ++round) {
+    std::vector<CodeColumn::Move> moves;
+    std::vector<size_t> updated;
+    const size_t burst = 1 + rng.Index(round % 3 == 0 ? 40 : 4);
+    for (size_t i = 0; i < burst; ++i) {
+      const size_t row = rng.Index(rows.size());
+      if (std::find(updated.begin(), updated.end(), row) != updated.end()) {
+        continue;  // one net move per row, as the flush coalesces them
+      }
+      updated.push_back(row);
+      random_value(&rows[row]);
+      moves.push_back({static_cast<Pli::RowId>(row), rows[row].Get(a)});
+    }
+    for (size_t i = rng.Index(3); i > 0; --i) {
+      Tuple t;
+      random_value(&t);
+      rows.push_back(std::move(t));
+      if (const Value* v = rows.back().Get(a)) {
+        moves.push_back({static_cast<Pli::RowId>(rows.size() - 1), v});
+      }
+    }
+    const size_t defined_before = column.defined();
+    column.ApplyBatch(rows.size(), moves, &views);
+    pli.SetNumRows(rows.size());
+    const std::string context = StrCat("round#", round);
+    ASSERT_TRUE(pli.ApplyBatch(
+        views, static_cast<ptrdiff_t>(column.defined()) -
+                   static_cast<ptrdiff_t>(defined_before)))
+        << context;
+    const Pli fresh = Pli::Build(rows, a);
+    ASSERT_EQ(pli, fresh) << context;
+    ASSERT_EQ(pli.defined_rows(), fresh.defined_rows()) << context;
+    std::string err;
+    ASSERT_TRUE(pli.CheckInvariants(&err)) << context << ": " << err;
+    ASSERT_LE(pli.ArenaSlackRows(), pli.grouped_rows()) << context;
+    ASSERT_TRUE(ColumnMatchesPartition(column, pli)) << context;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -165,6 +295,10 @@ void VerifyAgainstRebuild(const FlexibleRelation& rel, const SoakKeys& keys,
     std::string err;
     ASSERT_TRUE(patched->CheckInvariants(&err))
         << context << " partition " << attrs.ToString() << ": " << err;
+    // Dead slack stays bounded by the live rows (ApplyBatch compacts
+    // before it would outgrow them).
+    ASSERT_LE(patched->ArenaSlackRows(), patched->grouped_rows())
+        << context << " arena slack of " << attrs.ToString();
     // A single-attribute partition's column is the probe every product
     // with the attribute refines by: its buckets must be the clusters.
     if (attrs.size() == 1) {
@@ -232,13 +366,13 @@ TEST(EngineIncrementalSoak, DerivedRelationPatchesMatchRebuilds) {
         rel, keys, StrCat("op#", op, " [", what, "]")));
   }
   // The soak must have exercised the patch path, not silently rebuilt.
-  EXPECT_GT(cache->Stats().patches, 0u);
+  EXPECT_GT(cache->Stats().batch_applies, 0u);
   EXPECT_EQ(cache.get(), rel.pli_cache().get())
       << "incremental mode must keep the attached cache alive";
 }
 
 // ---------------------------------------------------------------------------
-// The patch-vs-rebuild crossover: oversized seed clusters drop the entry.
+// The patch-vs-rebuild crossover: a saturated pair entry is dropped.
 // ---------------------------------------------------------------------------
 
 TEST(EngineIncrementalSoak, OversizedSeedClustersFallBackToLazyRebuild) {
@@ -246,12 +380,9 @@ TEST(EngineIncrementalSoak, OversizedSeedClustersFallBackToLazyRebuild) {
   AttrId a = catalog.Intern("a");
   AttrId b = catalog.Intern("b");
   FlexibleRelation rel = FlexibleRelation::Derived("fat", DependencySet());
-  // Constant values on both attributes: every seed cluster spans the whole
-  // instance, so with patch_scan_limit = 0 any multi-attribute patch
-  // exceeds max(limit, rows/2) and must take the drop-and-rebuild path.
-  PliCacheOptions options;
-  options.patch_scan_limit = 0;
-  rel.SetPliCacheOptions(options);
+  // Constant values on both attributes: the pair partition is one cluster
+  // spanning the whole instance, so any burst saturates it (2b >= its
+  // cluster count) and the flush must take the drop-and-rebuild path.
   for (int i = 0; i < 12; ++i) {
     Tuple t;
     t.Set(a, Value::Int(1));
@@ -276,7 +407,7 @@ TEST(EngineIncrementalSoak, OversizedSeedClustersFallBackToLazyRebuild) {
   PliCache fresh(&rel.rows());
   EXPECT_EQ(*cache->Get(AttrSet{a, b}), *fresh.Get(AttrSet{a, b}));
   EXPECT_GT(cache->Stats().patch_rebuilds, 0u)
-      << "the oversized seed cluster must have dropped the pair entry";
+      << "the saturated pair entry must have been dropped";
   ASSERT_TRUE(rel.Update(0, b, Value::Int(7)).ok());
   PliCache fresh2(&rel.rows());
   EXPECT_EQ(*cache->Get(AttrSet{a, b}), *fresh2.Get(AttrSet{a, b}));
@@ -292,8 +423,8 @@ TEST(EngineIncrementalSoak, ReinternMidStreamKeepsProductsRebuildEqual) {
   // every cluster to a fresh value, each un-strip moves it back and kills
   // those values. Past 2:1 dead-to-live (and the slack floor) the flush
   // re-interns the column — after the last partner read, so the products
-  // that probe by its codes must stay rebuild-equal across the recode, on
-  // the per-row arm (single updates) and the batched arm (UpdateRows).
+  // that probe by its codes must stay rebuild-equal across the recode,
+  // whether the churn arrives as row-at-a-time updates or UpdateRows.
   AttrCatalog catalog;
   const AttrId g = catalog.Intern("g");  // ids ascend with intern order, so
   const AttrId h = catalog.Intern("h");  // {g, h} probes by h's column
@@ -337,8 +468,8 @@ TEST(EngineIncrementalSoak, ReinternMidStreamKeepsProductsRebuildEqual) {
                                   StrCat("strip#", cycle)));
     ASSERT_NO_FATAL_FAILURE(churn(0, batched, StrCat("unstrip#", cycle)));
   }
-  // One re-intern fires mid-way through the second per-row un-strip, one
-  // on the second batched un-strip.
+  // One re-intern fires on the second row-at-a-time un-strip, one on the
+  // second UpdateRows un-strip.
   EXPECT_GE(cache->CodeColumnFor(h)->generation(), generation0 + 2)
       << "the churn never pushed the column past its re-intern threshold";
   EXPECT_LE(cache->CodeColumnFor(h)->code_bound(), 2u * kClusters + 64)
@@ -406,8 +537,8 @@ TEST(EngineIncrementalSoak, IncrementalModeMatchesDropEverythingOracle) {
     }
   }
   // The two modes must have taken the two *different* maintenance paths.
-  EXPECT_GT(incremental.pli_cache()->Stats().patches, 0u);
-  EXPECT_EQ(oracle.pli_cache()->Stats().patches, 0u);
+  EXPECT_GT(incremental.pli_cache()->Stats().batch_applies, 0u);
+  EXPECT_EQ(oracle.pli_cache()->Stats().batch_applies, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -456,7 +587,7 @@ TEST(EngineIncrementalSoak, TypedUpdatesWithTypeChangesPatchCorrectly) {
   }
   ASSERT_NO_FATAL_FAILURE(VerifyAgainstRebuild(rel, keys, "typed final"));
   EXPECT_GT(type_changes, 0) << "soak never exercised a footnote-3 change";
-  EXPECT_GT(cache->Stats().patches, 0u);
+  EXPECT_GT(cache->Stats().batch_applies, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -473,9 +604,9 @@ TEST(PliPatchTest, ApplyBatchSplicesLikeARebuild) {
   // into {0,4}) and row 2 re-valued 2 -> 1 (dissolves {2,3}, forms {1,2}).
   rows[0].Set(a, Value::Int(3));
   rows[2].Set(a, Value::Int(1));
-  std::vector<Pli::ClusterPatchView> views =
-      column.ApplyBatch(rows.size(),
-                        {{0, rows[0].Get(a)}, {2, rows[2].Get(a)}});
+  std::vector<Pli::ClusterPatchView> views;
+  column.ApplyBatch(rows.size(), {{0, rows[0].Get(a)}, {2, rows[2].Get(a)}},
+                    &views);
   ASSERT_FALSE(views.empty());
   ASSERT_TRUE(pli.ApplyBatch(views, /*defined_delta=*/0));
 
@@ -502,9 +633,9 @@ TEST(PliPatchTest, ApplyBatchHandlesInsertBursts) {
   }
   rows.push_back(Tuple());
   const size_t defined_before = column.defined();
-  std::vector<Pli::ClusterPatchView> views =
-      column.ApplyBatch(rows.size(),
-                        {{3, rows[3].Get(a)}, {4, rows[4].Get(a)}});
+  std::vector<Pli::ClusterPatchView> views;
+  column.ApplyBatch(rows.size(), {{3, rows[3].Get(a)}, {4, rows[4].Get(a)}},
+                    &views);
   pli.SetNumRows(rows.size());
   ASSERT_TRUE(pli.ApplyBatch(
       views, static_cast<ptrdiff_t>(column.defined() - defined_before)));
@@ -516,37 +647,31 @@ TEST(PliPatchTest, ApplyBatchHandlesInsertBursts) {
       testutil::ColumnsDecodeEqual(column, CodeColumn::Build(rows, a)));
 }
 
-TEST(PliPatchTest, ViewBasedBatchSpliceMatchesTheOwningOne) {
-  // The zero-copy route (views into the spliced buckets) and the owning
-  // route (the same replacements copied into ClusterPatches first) must
-  // leave the partition in exactly the rebuild's state.
+TEST(PliPatchTest, BatchSpliceDissolvesShrinksGrowsAndAppears) {
+  // One burst whose views into the spliced buckets dissolve, shrink, grow
+  // and create clusters must leave the partition in exactly the rebuild's
+  // state.
   const AttrId a = 6;
   std::vector<Tuple> rows = RowsWithValues(a, {1, 1, 2, 2, 3, 2, 1});
-  Pli by_view = Pli::Build(rows, a);
-  Pli by_copy = by_view;
+  Pli pli = Pli::Build(rows, a);
   CodeColumn column = CodeColumn::Build(rows, a);
   // Burst: row 0 1->3 (un-strips row 4), row 3 2->1, row 5 2->9 (fresh
   // stripped value), so clusters dissolve, shrink, grow, and appear.
   rows[0].Set(a, Value::Int(3));
   rows[3].Set(a, Value::Int(1));
   rows[5].Set(a, Value::Int(9));
-  std::vector<Pli::ClusterPatchView> views = column.ApplyBatch(
+  std::vector<Pli::ClusterPatchView> views;
+  column.ApplyBatch(
       rows.size(),
-      {{0, rows[0].Get(a)}, {3, rows[3].Get(a)}, {5, rows[5].Get(a)}});
+      {{0, rows[0].Get(a)}, {3, rows[3].Get(a)}, {5, rows[5].Get(a)}},
+      &views);
   ASSERT_FALSE(views.empty());
-  std::vector<Pli::ClusterPatch> patches;
-  for (const Pli::ClusterPatchView& v : views) {
-    patches.push_back({v.old_front, v.old_size,
-                       Pli::Cluster(v.new_rows, v.new_rows + v.new_size)});
-  }
-  ASSERT_TRUE(by_view.ApplyBatch(views, /*defined_delta=*/0));
-  ASSERT_TRUE(by_copy.ApplyBatch(patches, /*defined_delta=*/0));
+  ASSERT_TRUE(pli.ApplyBatch(views, /*defined_delta=*/0));
 
-  const Pli fresh = Pli::Build(rows, a);
-  EXPECT_EQ(by_view, fresh);
-  EXPECT_EQ(by_copy, fresh);
+  EXPECT_EQ(pli, Pli::Build(rows, a));
   std::string err;
-  EXPECT_TRUE(by_view.CheckInvariants(&err)) << err;
+  EXPECT_TRUE(pli.CheckInvariants(&err)) << err;
+  EXPECT_LE(pli.ArenaSlackRows(), pli.grouped_rows());
   EXPECT_TRUE(
       testutil::ColumnsDecodeEqual(column, CodeColumn::Build(rows, a)));
 }
@@ -558,7 +683,7 @@ TEST(PliPatchTest, ViewBasedBatchRefusesContradictionsAsANoOp) {
   const Pli before = pli;
   const Pli::RowId bogus[] = {0, 1, 2};
   std::vector<Pli::ClusterPatchView> views;
-  views.push_back({0, 3, bogus, 3});  // cluster {0,1} is size 2, not 3
+  views.push_back({0, 3, 0, bogus});  // cluster {0,1} is size 2, not 3
   EXPECT_FALSE(pli.ApplyBatch(views, 0));
   EXPECT_EQ(pli, before);
   EXPECT_EQ(pli.grouped_rows(), before.grouped_rows());
@@ -569,11 +694,13 @@ TEST(PliPatchTest, ApplyBatchRefusesContradictionsAsANoOp) {
   std::vector<Tuple> rows = RowsWithValues(a, {4, 4, 6, 6});
   Pli pli = Pli::Build(rows, a);
   const Pli before = pli;
-  // A patch claiming a three-row cluster fronted by row 0 contradicts the
-  // actual {0,1}: the whole batch must refuse without touching anything.
-  std::vector<Pli::ClusterPatch> patches;
-  patches.push_back(Pli::ClusterPatch{0, 3, {0, 1, 2}});
-  EXPECT_FALSE(pli.ApplyBatch(patches, 0));
+  // A valid patch ({2,3} gains row 4) followed by one claiming a
+  // three-row cluster fronted by row 0, which contradicts the actual
+  // {0,1}: the whole batch must refuse without touching anything.
+  const Pli::Cluster joiner = {4};
+  const Pli::Cluster bogus = {0, 1, 2};
+  EXPECT_FALSE(
+      pli.ApplyBatch({Patch(2, 2, 2, joiner), Patch(0, 3, 0, bogus)}, 1));
   EXPECT_EQ(pli, before);
   EXPECT_EQ(pli.defined_rows(), before.defined_rows());
   EXPECT_EQ(pli.grouped_rows(), before.grouped_rows());
@@ -763,14 +890,14 @@ TEST(BatchMutationTest, FailedBatchLeavesRelationAndCacheUntouched) {
 // 1/8/64/512 interleaved with single-row ops and reads, every cached
 // structure checked against from-scratch rebuilds after each round. The
 // low drop_threshold makes the 512-row bursts cross the drop-everything
-// arm, so all three flush policies are exercised in one soak.
+// arm, so both flush arms are exercised in one soak.
 // ---------------------------------------------------------------------------
 
 TEST(EngineIncrementalSoak, BatchBurstsMatchRebuildsAcrossAllPolicies) {
   // The soak doubles as the telemetry accounting check: with the plane on,
   // the engine.pli_cache.* counters must balance exactly at the end —
   // every Get takes exactly one hit-or-miss arm, and every counted flush
-  // exactly one per_row/batched/dropped arm.
+  // exactly one batched/dropped arm.
   telemetry::Enable();
   telemetry::Registry::Global().Reset();
   Rng rng(SoakSeed(5));
@@ -864,7 +991,7 @@ TEST(EngineIncrementalSoak, BatchBurstsMatchRebuildsAcrossAllPolicies) {
       }
       what = StrCat("apply-batch(", burst, s.ok() ? ",ok)" : ",dup)");
     } else {
-      // Single-row ops between bursts keep the per-row path in the mix.
+      // Single-row ops between bursts keep one-row splices in the mix.
       size_t row = rng.Index(rel.size());
       auto delta = rel.Update(row, attrs[rng.Index(attrs.size())],
                               RandomSoakValue(&rng));
@@ -875,9 +1002,9 @@ TEST(EngineIncrementalSoak, BatchBurstsMatchRebuildsAcrossAllPolicies) {
     ASSERT_NO_FATAL_FAILURE(VerifyAgainstRebuild(
         rel, keys, StrCat("burst round#", round, " [", what, "]")));
   }
-  // Deterministic closing bursts so all three flush arms are exercised
-  // regardless of the draw sequence above: a single update (per-row), a
-  // mid-size burst (batched window), and an oversized one (drop).
+  // Deterministic closing bursts so both flush arms and both splice sizes
+  // are exercised regardless of the draw sequence above: a single update,
+  // a mid-size burst, and an oversized one (drop).
   ASSERT_TRUE(rel.UpdateRows(random_update_burst(1)).ok());
   warm();
   ASSERT_NO_FATAL_FAILURE(VerifyAgainstRebuild(rel, keys, "final 1 burst"));
@@ -887,8 +1014,7 @@ TEST(EngineIncrementalSoak, BatchBurstsMatchRebuildsAcrossAllPolicies) {
   ASSERT_TRUE(rel.UpdateRows(random_update_burst(512)).ok());
   warm();
   ASSERT_NO_FATAL_FAILURE(VerifyAgainstRebuild(rel, keys, "final 512 burst"));
-  EXPECT_GT(cache->Stats().patches, 0u) << "per-row path never ran";
-  EXPECT_GT(cache->Stats().batch_applies, 0u) << "batched path never ran";
+  EXPECT_GT(cache->Stats().batch_applies, 0u) << "splice path never ran";
   EXPECT_GT(cache->Stats().full_drops, 0u) << "drop-everything path never ran";
   EXPECT_EQ(cache->Stats().pending_deltas, 0u);
   EXPECT_EQ(cache.get(), rel.pli_cache().get())
@@ -906,29 +1032,25 @@ TEST(EngineIncrementalSoak, BatchBurstsMatchRebuildsAcrossAllPolicies) {
   EXPECT_EQ(hits + misses, lookups);
   const uint64_t flushes =
       registry.CounterValue("engine.pli_cache.flushes");
-  const uint64_t per_row =
-      registry.CounterValue("engine.pli_cache.flush.per_row");
   const uint64_t batched =
       registry.CounterValue("engine.pli_cache.flush.batched");
   const uint64_t dropped =
       registry.CounterValue("engine.pli_cache.flush.dropped");
   EXPECT_GT(flushes, 0u);
-  EXPECT_GT(per_row, 0u);
   EXPECT_GT(batched, 0u);
   EXPECT_GT(dropped, 0u);
-  EXPECT_EQ(per_row + batched + dropped, flushes);
+  EXPECT_EQ(batched + dropped, flushes);
   telemetry::Disable();
   registry.Reset();
 }
 
 // ---------------------------------------------------------------------------
-// The adaptive policy against its two pinned references: batch_threshold
-// = SIZE_MAX forces the per-row path, incremental = false the drop-
-// everything oracle. One identical mutation stream, three relations, every
-// tracked structure equal after every burst.
+// The flush policy against the drop-everything oracle (incremental =
+// false): one identical mutation stream, two relations, every tracked
+// structure equal after every burst, bursts of 1/8/64/512.
 // ---------------------------------------------------------------------------
 
-TEST(EngineIncrementalSoak, AdaptivePolicyMatchesPerRowAndDropOracles) {
+TEST(EngineIncrementalSoak, FlushPolicyMatchesDropOracleAcrossBurstSizes) {
   Rng rng(SoakSeed(6));
   AttrCatalog catalog;
   std::vector<AttrId> attrs;
@@ -936,22 +1058,16 @@ TEST(EngineIncrementalSoak, AdaptivePolicyMatchesPerRowAndDropOracles) {
 
   FlexibleRelation adaptive =
       FlexibleRelation::Derived("adaptive", DependencySet());
-  FlexibleRelation per_row =
-      FlexibleRelation::Derived("per-row", DependencySet());
   FlexibleRelation oracle = FlexibleRelation::Derived("ora", DependencySet());
-  // A low drop threshold lets the closing 512-burst cross the drop arm on
-  // a 150-row instance (rows/2 = 75 would otherwise dominate).
+  // A low drop threshold lets the 512-bursts cross the drop arm on a
+  // 150-row instance (rows/2 = 75 would otherwise dominate).
   PliCacheOptions adaptive_options;
   adaptive_options.drop_threshold = 128;
   adaptive.SetPliCacheOptions(adaptive_options);
-  PliCacheOptions pinned;
-  pinned.batch_threshold = SIZE_MAX;
-  pinned.drop_threshold = SIZE_MAX;
-  per_row.SetPliCacheOptions(pinned);
   PliCacheOptions drop_everything;
   drop_everything.incremental = false;
   oracle.SetPliCacheOptions(drop_everything);
-  FlexibleRelation* rels[] = {&adaptive, &per_row, &oracle};
+  FlexibleRelation* rels[] = {&adaptive, &oracle};
 
   SoakKeys keys;
   for (AttrId a : attrs) keys.partitions.push_back(AttrSet::Of(a));
@@ -963,7 +1079,7 @@ TEST(EngineIncrementalSoak, AdaptivePolicyMatchesPerRowAndDropOracles) {
     for (AttrId a : keys.columns) (void)cache->CodeColumnFor(a);
   };
 
-  // Identical instances: one draw per row, applied to all of them.
+  // Identical instances: one draw per row, applied to both.
   for (int i = 0; i < 150; ++i) {
     Tuple t = RandomSoakTuple(attrs, &rng);
     for (FlexibleRelation* rel : rels) rel->InsertUnchecked(t);
@@ -972,22 +1088,18 @@ TEST(EngineIncrementalSoak, AdaptivePolicyMatchesPerRowAndDropOracles) {
 
   auto assert_all_equal = [&](const std::string& context) {
     std::shared_ptr<PliCache> lhs = adaptive.pli_cache();
-    std::shared_ptr<PliCache> mid = per_row.pli_cache();
     std::shared_ptr<PliCache> rhs = oracle.pli_cache();
     for (const AttrSet& k : keys.partitions) {
-      ASSERT_EQ(*lhs->Get(k), *mid->Get(k))
-          << context << " adaptive vs per-row " << k.ToString();
       ASSERT_EQ(*lhs->Get(k), *rhs->Get(k))
           << context << " adaptive vs oracle " << k.ToString();
       ASSERT_EQ(lhs->Get(k)->defined_rows(), rhs->Get(k)->defined_rows())
           << context << " " << k.ToString();
       std::string err;
       ASSERT_TRUE(lhs->Get(k)->CheckInvariants(&err)) << context << err;
+      ASSERT_LE(lhs->Get(k)->ArenaSlackRows(), lhs->Get(k)->grouped_rows())
+          << context << " " << k.ToString();
     }
     for (AttrId a : keys.columns) {
-      ASSERT_TRUE(ColumnsDecodeEqual(*lhs->CodeColumnFor(a),
-                                     *mid->CodeColumnFor(a)))
-          << context;
       ASSERT_TRUE(ColumnsDecodeEqual(*lhs->CodeColumnFor(a),
                                      *rhs->CodeColumnFor(a)))
           << context;
@@ -1008,28 +1120,21 @@ TEST(EngineIncrementalSoak, AdaptivePolicyMatchesPerRowAndDropOracles) {
     ASSERT_NO_FATAL_FAILURE(assert_all_equal(context));
   };
 
-  const size_t kBursts[] = {1, 8, 64};
+  const size_t kBursts[] = {1, 8, 64, 512};
   for (int round = 0; round < 20; ++round) {
-    // The last round always runs the largest random burst, so the batched
-    // arm is exercised (and the batch_applies assertions below hold) for
-    // every seed.
-    size_t burst = round == 19 ? 64 : kBursts[rng.Index(3)];
-    ASSERT_NO_FATAL_FAILURE(run_burst(burst, StrCat("round#", round)));
+    ASSERT_NO_FATAL_FAILURE(
+        run_burst(kBursts[rng.Index(4)], StrCat("round#", round)));
   }
-  // Deterministic closing bursts pin the equality on each of the three
-  // flush arms regardless of the draws above: a single
-  // update (per-row), a mid-size burst (batched window), and one crossing
-  // the lowered drop threshold (drop-everything).
-  ASSERT_NO_FATAL_FAILURE(run_burst(1, "closing per-row burst"));
-  ASSERT_NO_FATAL_FAILURE(run_burst(64, "closing batched burst"));
-  ASSERT_NO_FATAL_FAILURE(run_burst(512, "closing drop burst"));
+  // Deterministic closing bursts pin the equality at every burst size
+  // regardless of the draws above; the 512-burst crosses the lowered drop
+  // threshold.
+  for (size_t burst : kBursts) {
+    ASSERT_NO_FATAL_FAILURE(run_burst(burst, StrCat("closing ", burst)));
+  }
   // The maintenance modes must actually have diverged in mechanism.
   EXPECT_GT(adaptive.pli_cache()->Stats().batch_applies, 0u);
   EXPECT_GT(adaptive.pli_cache()->Stats().full_drops, 0u);
-  EXPECT_GT(adaptive.pli_cache()->Stats().patches, 0u);
-  EXPECT_EQ(per_row.pli_cache()->Stats().batch_applies, 0u);
-  EXPECT_GT(per_row.pli_cache()->Stats().patches, 0u);
-  EXPECT_EQ(oracle.pli_cache()->Stats().patches, 0u);
+  EXPECT_EQ(oracle.pli_cache()->Stats().batch_applies, 0u);
 }
 
 }  // namespace
