@@ -1,8 +1,9 @@
 // Partition-engine microbenchmarks: stripped-partition construction and
 // intersection throughput, the cache's level-sweep behaviour, and the
-// mutate-then-query sweep comparing incremental cluster patching
-// (PliCache::OnInsert/OnUpdate) against the historical
-// rebuild-after-invalidate mode (PliCacheOptions::incremental = false).
+// mutate-then-query sweep comparing incremental maintenance (the flush
+// splices the code columns and rebuilds the partitions a burst touches from
+// them) against the historical rebuild-after-invalidate mode
+// (PliCacheOptions::incremental = false).
 // These are the primitives whose cost replaces per-candidate instance
 // re-hashing in dependency discovery (see bench_discovery.cc for the
 // end-to-end compare); the sweep's results are recorded in
@@ -172,7 +173,10 @@ BENCHMARK(BM_PliLevelSweep)->Arg(1000)->Arg(10000);
 // Mutate-then-query: the workload incremental maintenance exists for. Each
 // iteration applies `mutations` (state.range(1)) random updates and then
 // runs a query mix over the attached cache — a code-column selection shape
-// plus single- and two-attribute partition reads. Three maintenance modes:
+// plus single- and two-attribute partition reads. Every burst re-values the
+// jobtype or the common attribute, and the two-attribute read spans both,
+// so the partition reads measure a read right after a mutation, served by
+// a rebuild from the spliced columns. Three maintenance modes:
 //
 //   Incremental — row-at-a-time Update() calls under the default policy
 //     (the buffer coalesces the burst, and the next read splices it);
@@ -202,8 +206,12 @@ FlexibleRelation RelationOf(const std::vector<Tuple>& rows,
   return rel;
 }
 
-// The per-round query: touches the structures a selection-plus-join plan
-// reads (algebra/evaluate.cc SelectViaIndex and DistinctOn).
+// The per-round query: the code column a selection reads
+// (algebra/evaluate.cc SelectViaIndex) plus single- and two-attribute
+// partition reads. The evaluator's only partition reads (DistinctOn) go to
+// the caches of freshly materialized join legs, never a mutated base
+// relation, so the partition reads here stand for discovery or a Σ audit
+// run over a live relation right after a burst.
 void QueryCache(FlexibleRelation* rel) {
   std::shared_ptr<PliCache> cache = rel->pli_cache();
   benchmark::DoNotOptimize(cache->CodeColumnFor(kJobtype));
@@ -300,12 +308,11 @@ FLEXREL_MUTATE_SWEEP(BM_MutateThenQueryRebuild);
 
 // The engine-side cost of one batched flush: a 64-update burst staged
 // straight into the cache's delta buffer (OnUpdateBatch) and flushed by the
-// next read — the code-column splices, the group-applies, and the
-// multi-attribute re-intersections, isolated from the transactional
-// validation FlexibleRelation layers above them (BM_MutateThenQueryBatched
-// measures the full round). The dense instance keeps pair/triple
-// partitions cluster-rich, so the burst saturates them and every read pays
-// the re-intersections.
+// next read — the code-column splices and the rebuilds of the partitions
+// the burst touched, isolated from the transactional validation
+// FlexibleRelation layers above them (BM_MutateThenQueryBatched measures
+// the full round). The burst re-values attributes 0-2, so every partition
+// read here is rebuilt from the spliced columns.
 void BM_CacheBatchedFlush(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const int mutations = static_cast<int>(state.range(1));
@@ -403,64 +410,6 @@ void BM_BulkLoadThenQuery(benchmark::State& state) {
                           static_cast<int64_t>(n));
 }
 BENCHMARK(BM_BulkLoadThenQuery)->ArgNames({"rows"})->Arg(1000)->Arg(10000);
-
-// ---------------------------------------------------------------------------
-// Append storm into one fat cluster of a wide arena partition: one-patch
-// Pli::ApplyBatch appends, each keeping the whole cluster and adding one
-// row. A splice that rebuilt the arena would cost O(arena) per append; with
-// per-cluster slack headroom the append lands inside its own slot and the
-// arena suffix (all trailing clusters) moves only on the amortized slot
-// doublings. The timed storm is the steady state the doubling buys —
-// appends landing in open slack — and its ns/append must stay flat as
-// `clusters` (the suffix) grows; the capacity ramp (the doublings
-// themselves) runs untimed, as does partition cloning.
-// ---------------------------------------------------------------------------
-
-void BM_AppendStormFatPartition(benchmark::State& state) {
-  const size_t clusters = static_cast<size_t>(state.range(0));
-  const AttrId attr = 0;
-  std::vector<Tuple> rows;
-  rows.reserve(2 * clusters);
-  for (size_t c = 0; c < clusters; ++c) {
-    for (int j = 0; j < 2; ++j) {
-      Tuple t;
-      t.Set(attr, Value::Int(static_cast<int64_t>(c)));
-      rows.push_back(std::move(t));
-    }
-  }
-  const Pli base = Pli::Build(rows, attr);
-  constexpr int kWarm = 66;   // grows slot 0 to capacity 128 (untimed ramp)
-  constexpr int kStorm = 48;  // timed appends, all landing in open slack
-  std::vector<Pli::ClusterPatchView> patch(1);
-  Pli::RowId appended = 0;
-  // Appends `row` to cluster 0, which holds `size` rows fronted by row 0.
-  auto append = [&](Pli* pli, Pli::RowId row, uint32_t size) {
-    appended = row;
-    patch[0] = {0, size, size, std::span<const Pli::RowId>(&appended, 1)};
-    return pli->ApplyBatch(patch, /*defined_delta=*/1);
-  };
-  for (auto _ : state) {
-    state.PauseTiming();
-    Pli pli = base;
-    pli.SetNumRows(2 * clusters + kWarm + kStorm);
-    for (int k = 0; k < kWarm; ++k) {
-      const Pli::RowId row = static_cast<Pli::RowId>(2 * clusters + k);
-      if (!append(&pli, row, static_cast<uint32_t>(2 + k))) {
-        state.SkipWithError("warm-up append refused");
-        return;
-      }
-    }
-    state.ResumeTiming();
-    for (int k = kWarm; k < kWarm + kStorm; ++k) {
-      const Pli::RowId row = static_cast<Pli::RowId>(2 * clusters + k);
-      benchmark::DoNotOptimize(
-          append(&pli, row, static_cast<uint32_t>(2 + k)));
-    }
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * kStorm);
-}
-BENCHMARK(BM_AppendStormFatPartition)
-    ->ArgNames({"clusters"})->Arg(256)->Arg(4096)->Arg(65536);
 
 }  // namespace
 }  // namespace flexrel

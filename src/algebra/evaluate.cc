@@ -417,7 +417,7 @@ Result<FlexibleRelation> Evaluator::JoinHashedCoded(
 // evaluations, and only the matching rows are ever read. Freshness is the
 // cache's contract (engine/README.md "Concurrency"): this CodeColumnFor
 // flushes any deltas buffered since the last query, so the first
-// evaluation after a burst pays the adaptive batch-apply.
+// evaluation after a burst pays the column splice.
 Result<FlexibleRelation> Evaluator::SelectViaIndex(const Plan& plan,
                                                    ExplainNode* node) {
   const FlexibleRelation* src = plan.inputs()[0]->relation();
@@ -441,17 +441,14 @@ Result<FlexibleRelation> Evaluator::SelectViaIndex(const Plan& plan,
 size_t Evaluator::DistinctOn(const FlexibleRelation& rel,
                              const AttrSet& attrs) {
   if (attrs.empty() || rel.empty()) return 1;
-  if (options_.use_cache) {
-    // These estimates always describe the current instance: each cache
-    // read flushes every prior mutation before it resolves.
-    if (attrs.size() == 1) {
-      // Nonempty buckets are exactly the distinct values (the null cluster
-      // counts, absence does not).
-      return rel.pli_cache()->CodeColumnFor(attrs.ids().front())->live_codes();
-    }
-    return rel.pli_cache()->Get(attrs)->NumDistinct();
+  // The legs are freshly materialized join inputs, so their caches are
+  // built here and never see a mutation.
+  if (attrs.size() == 1) {
+    // Nonempty buckets are exactly the distinct values (the null cluster
+    // counts, absence does not).
+    return rel.pli_cache()->CodeColumnFor(attrs.ids().front())->live_codes();
   }
-  return Pli::Build(rel.rows(), attrs).NumDistinct();
+  return rel.pli_cache()->Get(attrs)->NumDistinct();
 }
 
 // Multiway join with engine ordering: evaluate every leg, then fold
@@ -557,7 +554,7 @@ Result<FlexibleRelation> Evaluator::EvalNode(const PlanPtr& plan,
       return out;
     }
     case PlanKind::kSelect: {
-      if (options_.use_engine && options_.use_cache &&
+      if (options_.use_engine &&
           plan->inputs()[0]->kind() == PlanKind::kScan &&
           plan->inputs()[0]->relation() != nullptr &&
           IsIndexableSelect(*plan->formula())) {

@@ -70,11 +70,6 @@ struct EvalOptions {
   /// joins, estimate-ordered multiway joins). False selects the naive
   /// reference path.
   bool use_engine = true;
-  /// Consult (and lazily build) the scanned relations' attached PliCaches.
-  /// False keeps the engine's join algorithm but skips everything that
-  /// would touch per-relation cache state: equality selections fall back to
-  /// per-tuple evaluation and join-order estimates are computed ad hoc.
-  bool use_cache = true;
   /// Cooperative execution control (util/exec_context.h): deadline and
   /// cancellation for the evaluation. Not owned; must outlive the call.
   /// Polled once per operator and periodically inside join probe loops;

@@ -85,36 +85,13 @@ void FlexibleRelation::InvalidateCache() {
   has_pli_cache_.store(false, std::memory_order_release);
 }
 
-void FlexibleRelation::NotifyInsert() {
-  // Same fast path as InvalidateCache: no cache, no work. The row vector's
-  // *address* is stable across push_back (the cache points at the member),
-  // so the attached cache survives and buffers the delta.
-  if (!has_pli_cache_.load(std::memory_order_acquire)) return;
-  std::lock_guard<std::mutex> lock(pli_mu_);
-  if (pli_cache_ == nullptr) return;
-  if (!pli_options_.incremental) {
-    pli_cache_.reset();
-    has_pli_cache_.store(false, std::memory_order_release);
-    return;
-  }
-  pli_cache_->OnInsert(static_cast<Pli::RowId>(rows_.size() - 1));
-}
-
-void FlexibleRelation::NotifyUpdate(size_t index, Tuple old_row) {
-  if (!has_pli_cache_.load(std::memory_order_acquire)) return;
-  std::lock_guard<std::mutex> lock(pli_mu_);
-  if (pli_cache_ == nullptr) return;
-  if (!pli_options_.incremental) {
-    pli_cache_.reset();
-    has_pli_cache_.store(false, std::memory_order_release);
-    return;
-  }
-  pli_cache_->OnUpdate(static_cast<Pli::RowId>(index), std::move(old_row));
-}
-
 void FlexibleRelation::NotifyBatch(
     size_t first_inserted, size_t insert_count,
-    std::vector<std::pair<size_t, Tuple>> old_rows) {
+    std::span<std::pair<size_t, Tuple>> old_rows) {
+  // No cache, no work: one atomic load, no allocation — the path of every
+  // derived relation an operator materializes row by row. The row vector's
+  // *address* is stable across push_back (the cache points at the
+  // member), so an attached cache survives and buffers the delta.
   if (insert_count == 0 && old_rows.empty()) return;
   if (!has_pli_cache_.load(std::memory_order_acquire)) return;
   std::lock_guard<std::mutex> lock(pli_mu_);
@@ -174,13 +151,13 @@ Status FlexibleRelation::Insert(const Tuple& t) {
         StrCat("duplicate tuple rejected by set semantics of ", name_));
   }
   rows_.push_back(t);
-  NotifyInsert();
+  NotifyBatch(rows_.size() - 1, 1, {});
   return Status::OK();
 }
 
 void FlexibleRelation::InsertUnchecked(Tuple t) {
   rows_.push_back(std::move(t));
-  NotifyInsert();
+  NotifyBatch(rows_.size() - 1, 1, {});
 }
 
 Result<TypeChecker::TypeDelta> FlexibleRelation::PrepareUpdate(
@@ -223,9 +200,9 @@ Result<TypeChecker::TypeDelta> FlexibleRelation::Update(size_t index,
   FLEXREL_ASSIGN_OR_RETURN(
       TypeChecker::TypeDelta delta,
       PrepareUpdate(rows_[index], attr, std::move(value), fill, &updated));
-  Tuple previous = std::move(rows_[index]);
+  std::pair<size_t, Tuple> displaced(index, std::move(rows_[index]));
   rows_[index] = std::move(updated);
-  NotifyUpdate(index, std::move(previous));
+  NotifyBatch(rows_.size(), 0, {&displaced, 1});
   return delta;
 }
 
@@ -345,7 +322,7 @@ Status FlexibleRelation::ApplyBatchImpl(
     old_rows.emplace_back(index, std::move(rows_[index]));
     rows_[index] = std::move(staged);
   }
-  NotifyBatch(base, insert_count, std::move(old_rows));
+  NotifyBatch(base, insert_count, old_rows);
   return Status::OK();
 }
 
@@ -392,7 +369,7 @@ Result<std::vector<TypeChecker::TypeDelta>> FlexibleRelation::UpdateRows(
       old_rows.emplace_back(u.index, rows_[u.index]);
       rows_[u.index].Set(u.attr, std::move(u.value));
     }
-    NotifyBatch(rows_.size(), 0, std::move(old_rows));
+    NotifyBatch(rows_.size(), 0, old_rows);
     return std::vector<TypeChecker::TypeDelta>(updates.size());
   }
   std::vector<Mutation> batch;

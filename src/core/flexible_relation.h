@@ -17,6 +17,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -162,19 +163,17 @@ class FlexibleRelation {
   /// batch) keep the attached cache alive and report their deltas to it —
   /// PliCache buffers them and the next read (Get/CodeColumnFor, i.e. any
   /// evaluator or validator access) flushes the buffer: bursts are spliced
-  /// into every affected structure, touching only the clusters they
-  /// change, and burst sizes past max(drop_threshold, rows/2) drop
-  /// everything for one lazy rebuild (engine/pli_cache.h). The
-  /// per-attribute code columns — the cache's only maintained
-  /// per-attribute structure — are patched by the same flush.
+  /// into the per-attribute code columns, the only structure a flush
+  /// maintains, and every cached partition the burst touches is dropped
+  /// for a lazy rebuild from them; burst sizes past max(drop_threshold,
+  /// rows/2) drop everything for one lazy rebuild (engine/pli_cache.h).
   /// Partition/column pointers obtained before a mutation must be
   /// treated as invalidated by it: until some reader flushes they observe
-  /// the pre-mutation instance, the flush then patches them in place, and
-  /// a partition the flush drops as cheaper-to-rebuild leaves a held
-  /// pointer on the unmaintained object. Re-Get after mutations; copy a
-  /// partition to freeze it. With pli_cache_options().incremental ==
-  /// false the historical behavior is restored: every mutation drops the
-  /// cache wholesale and the next call rebuilds it from scratch (the
+  /// the pre-mutation instance, the flush then splices columns in place,
+  /// and a dropped partition leaves a held pointer on the unmaintained
+  /// object. Re-Get after mutations. With pli_cache_options().incremental
+  /// == false the historical behavior is restored: every mutation drops
+  /// the cache wholesale and the next call rebuilds it from scratch (the
   /// oracle the incremental path is soak-tested against —
   /// tests/engine_incremental_test.cc).
   ///
@@ -207,16 +206,14 @@ class FlexibleRelation {
 
  private:
   void InvalidateCache();
-  /// Mutation fan-out to the attached cache: buffer the delta (incremental
-  /// mode) or drop the cache (fallback mode). Called after rows_ has been
-  /// mutated; NotifyUpdate takes ownership of the displaced old row.
-  void NotifyInsert();
-  void NotifyUpdate(size_t index, Tuple old_row);
-  /// Batch fan-out: `insert_count` rows appended starting at
-  /// `first_inserted`, plus (index, displaced old row) pairs for in-place
-  /// updates — one lock round-trip for the whole delta.
+  /// Mutation fan-out to the attached cache, called after rows_ has been
+  /// mutated by any entry point (single-row or batch): `insert_count` rows
+  /// appended starting at `first_inserted`, plus (index, displaced old
+  /// row) pairs for in-place updates, whose rows it moves out. Buffers the
+  /// delta in one lock round-trip (incremental mode) or drops the cache
+  /// (fallback mode).
   void NotifyBatch(size_t first_inserted, size_t insert_count,
-                   std::vector<std::pair<size_t, Tuple>> old_rows);
+                   std::span<std::pair<size_t, Tuple>> old_rows);
 
   /// The shared validation half of Update/ApplyBatch: computes the updated
   /// state of `current` (footnote-3 delta applied, `fill` consulted,

@@ -59,14 +59,11 @@ const std::vector<CodeColumn::RowId>& CodeColumn::RowsOf(
   return code == kMissingCode ? kNone : buckets_[code];
 }
 
-void CodeColumn::ApplyBatch(size_t num_rows, const std::vector<Move>& moves,
-                            std::vector<Pli::ClusterPatchView>* views) {
-  views->clear();
+void CodeColumn::ApplyBatch(size_t num_rows, const std::vector<Move>& moves) {
   if (codes_.size() < num_rows) codes_.resize(num_rows, kMissingCode);
-  // Re-code every mover first (interning here is the only thing that can
-  // grow buckets_, so the views handed out below stay put), collecting the
-  // (code, row) pairs leaving and joining each bucket. Sorting them groups
-  // the burst by code with rows ascending.
+  // Re-code every mover first, collecting the (code, row) pairs leaving and
+  // joining each bucket. Sorting them groups the burst by code with rows
+  // ascending.
   static thread_local std::vector<std::pair<Code, RowId>> leaving;
   static thread_local std::vector<std::pair<Code, RowId>> joining;
   leaving.clear();
@@ -93,7 +90,6 @@ void CodeColumn::ApplyBatch(size_t num_rows, const std::vector<Move>& moves,
     while (j_end < joining.size() && joining[j_end].first == code) ++j_end;
     std::vector<RowId>& bucket = buckets_[code];
     const size_t old_size = bucket.size();
-    const RowId old_front = old_size == 0 ? 0 : bucket.front();
     // Rows below the lowest touched one are untouched; the splice works in
     // place above it. Leaving rows close up front to back, then joining
     // rows merge in back to front, so an append is a push_back.
@@ -136,14 +132,6 @@ void CodeColumn::ApplyBatch(size_t num_rows, const std::vector<Move>& moves,
     if (old_size == 0 && !bucket.empty()) ++live_codes_;
     if (old_size != 0 && bucket.empty()) --live_codes_;
     defined_ = defined_ + bucket.size() - old_size;
-    // Codes stripped before and after never surface in the partition; a
-    // stripped value had no cluster, so nothing of it is kept.
-    if (old_size >= 2 || bucket.size() >= 2) {
-      const size_t kept = old_size >= 2 ? keep : 0;
-      views->push_back({old_front, static_cast<uint32_t>(old_size),
-                        static_cast<uint32_t>(kept),
-                        std::span<const RowId>(bucket).subspan(kept)});
-    }
   }
 }
 

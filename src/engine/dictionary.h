@@ -9,11 +9,10 @@
 // the engine: partition construction is a counting sort over the column
 // (Pli::BuildFromCodes); the column itself is the probe every intersection
 // refines by (label = code); equality selections are one small-dictionary
-// lookup plus a bucket read; the buckets are the unstripped partner lists
-// the cache's incremental patches consult. The PliCache owns one
-// CodeColumn per attribute any cached partition (or reader) touches
-// (CodeColumnFor) and patches it in the same flush that patches the
-// partitions, so the column is always exactly as fresh as they are.
+// lookup plus a bucket read. The PliCache owns one CodeColumn per attribute
+// any cached partition (or reader) touches (CodeColumnFor) and splices it
+// in the flush that drops the partitions a mutation touches, so the column
+// is always fresh and those partitions rebuild from it.
 //
 // Code space. Code 0 is reserved for the explicit Value::Null (null equals
 // null under the paper's Kleene semantics, so nulls cluster — they need a
@@ -38,7 +37,7 @@
 // counts staleness-triggered re-intern passes.
 //
 // Thread-safety: none of its own — the owning PliCache hands columns out
-// like partitions and patches them in place under its lock, so a column
+// like partitions and splices them in place under its lock, so a column
 // held across a mutation is invalid.
 
 #ifndef FLEXREL_ENGINE_DICTIONARY_H_
@@ -49,7 +48,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "engine/pli.h"
 #include "relational/tuple.h"
 #include "relational/value.h"
 
@@ -107,12 +105,11 @@ class CodeColumn {
   const std::vector<RowId>& Bucket(Code code) const { return buckets_[code]; }
 
   /// The bucket of `value`'s code, or an empty list when it was never
-  /// interned — the value -> rows lookup selections and partner scans use.
+  /// interned — the value -> rows lookup selections use.
   const std::vector<RowId>& RowsOf(const Value& value) const;
 
   // ------------------------------------------------------------------
-  // Incremental maintenance, driven by the PliCache flush in lockstep
-  // with the partition patches.
+  // Incremental maintenance, driven by the PliCache flush.
   // ------------------------------------------------------------------
 
   /// One row's final state in a batched splice: the value it now carries on
@@ -125,15 +122,9 @@ class CodeColumn {
   /// Grows the column to `num_rows` (appended rows start absent), re-codes
   /// every moved row (fresh values intern append-only), and splices each
   /// affected bucket in place from its lowest touched row — a pure append
-  /// is a push_back. Fills `views` with one Pli::ClusterPatchView per
-  /// affected code whose bucket holds >= 2 rows before or after the splice:
-  /// its pre-splice anchor, how many leading rows the splice kept, and a
-  /// borrowed span over the bucket's spliced remainder — which
-  /// Pli::ApplyBatch consumes to apply the same burst to the attribute's
-  /// stripped partition. The views stay valid until the column is next
-  /// modified.
-  void ApplyBatch(size_t num_rows, const std::vector<Move>& moves,
-                  std::vector<Pli::ClusterPatchView>* views);
+  /// is a push_back. Afterwards the column equals a fresh Build over the
+  /// mutated rows up to code numbering. One Move per row at most.
+  void ApplyBatch(size_t num_rows, const std::vector<Move>& moves);
 
   /// Re-interns when value churn has left the dictionary 2x (plus slack)
   /// larger than its live codes: live values are recoded densely in old-

@@ -1,7 +1,6 @@
 #include "engine/pli.h"
 
 #include <algorithm>
-#include <cstring>
 #include <ostream>
 #include <unordered_map>
 
@@ -22,61 +21,6 @@ void SortByFirstRow(std::vector<Pli::Cluster>* clusters) {
             });
 }
 
-constexpr size_t kNoIndex = static_cast<size_t>(-1);
-
-// Replaces v[begin, end) with `with`, moving the elements after it once.
-template <typename T>
-void ReplaceRange(std::vector<T>* v, size_t begin, size_t end,
-                  const std::vector<T>& with) {
-  const size_t length = end - begin;
-  if (with.size() < length) {
-    v->erase(v->begin() + static_cast<ptrdiff_t>(begin + with.size()),
-             v->begin() + static_cast<ptrdiff_t>(end));
-  } else {
-    v->insert(v->begin() + static_cast<ptrdiff_t>(end), with.size() - length,
-              T{});
-  }
-  std::copy(with.begin(), with.end(),
-            v->begin() + static_cast<ptrdiff_t>(begin));
-}
-
-// Per-thread working set of Pli::ApplyBatch. Capacity persists across
-// calls, so a steady stream of small flushes allocates nothing here.
-struct SpliceScratch {
-  enum class Kind : uint8_t {
-    kInPlace,  // front kept, fits the slot: rewrite the changed suffix
-    kGrow,     // front kept, slot full: doubles, shifting what follows
-    kRemove,   // dissolved or re-fronted: the slot's cells become slack
-  };
-  struct Edit {
-    size_t index;  // located slot
-    Kind kind;
-    uint32_t keep;
-    uint32_t new_size;
-    std::span<const Pli::RowId> tail;
-  };
-  // A cluster entering the canonical order (appeared or re-fronted) in
-  // front of slot `index`; its rows are all borrowed.
-  struct Addition {
-    size_t index;
-    std::span<const Pli::RowId> rows;
-  };
-  struct Move {
-    uint32_t src;
-    uint32_t dst;
-    uint32_t len;
-  };
-  struct Write {
-    uint32_t dst;
-    std::span<const Pli::RowId> rows;
-  };
-  std::vector<Edit> edits;
-  std::vector<Addition> additions;
-  std::vector<uint32_t> starts;  // laid-out slot boundaries and sizes
-  std::vector<uint32_t> sizes;
-  std::vector<Move> moves;
-  std::vector<Write> writes;
-};
 }  // namespace
 
 std::ostream& operator<<(std::ostream& os, Pli::ClusterView view) {
@@ -88,29 +32,6 @@ std::ostream& operator<<(std::ostream& os, Pli::ClusterView view) {
   return os << "}";
 }
 
-// ---------------------------------------------------------------------------
-// Binary search over cluster fronts.
-// ---------------------------------------------------------------------------
-
-size_t Pli::ArenaLowerBoundByFront(RowId front) const {
-  size_t lo = 0, hi = num_clusters();
-  while (lo < hi) {
-    size_t mid = lo + (hi - lo) / 2;
-    if (arena_[offsets_[mid]] < front) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
-
-size_t Pli::ArenaFindClusterByFront(RowId front) const {
-  size_t idx = ArenaLowerBoundByFront(front);
-  if (idx == num_clusters() || arena_[offsets_[idx]] != front) return kNoIndex;
-  return idx;
-}
-
 void Pli::AdoptClusters(std::vector<Cluster> clusters) {
   SortByFirstRow(&clusters);
   grouped_rows_ = 0;
@@ -118,14 +39,11 @@ void Pli::AdoptClusters(std::vector<Cluster> clusters) {
   offsets_.clear();
   offsets_.reserve(clusters.size() + 1);
   offsets_.push_back(0);
-  sizes_.clear();
-  sizes_.reserve(clusters.size());
   arena_.clear();
   arena_.reserve(grouped_rows_);
   for (const Cluster& c : clusters) {
     arena_.insert(arena_.end(), c.begin(), c.end());
     offsets_.push_back(static_cast<uint32_t>(arena_.size()));
-    sizes_.push_back(static_cast<uint32_t>(c.size()));
   }
 }
 
@@ -199,7 +117,6 @@ Pli Pli::BuildFromCodes(const std::vector<uint32_t>& codes,
   for (size_t k = 0; k < sizes.size(); ++k) {
     out.offsets_[k + 1] = out.offsets_[k] + sizes[k];
   }
-  out.sizes_ = sizes;
   out.arena_.resize(out.grouped_rows_);
   std::vector<uint32_t> fill(out.offsets_.begin(), out.offsets_.end() - 1);
   for (size_t i = 0; i < codes.size(); ++i) {
@@ -320,14 +237,12 @@ Pli Pli::IntersectArena(std::span<const uint32_t> labels,
   out.arena_.resize(total);
   out.offsets_.reserve(s->descs.size() + 1);
   out.offsets_.push_back(0);
-  out.sizes_.reserve(s->descs.size());
   RowId* dst = out.arena_.data();
   for (const IntersectScratch::Desc& d : s->descs) {
     std::copy(s->emitted.begin() + d.begin,
               s->emitted.begin() + d.begin + d.size, dst);
     dst += d.size;
     out.offsets_.push_back(static_cast<uint32_t>(dst - out.arena_.data()));
-    out.sizes_.push_back(d.size);
   }
   out.grouped_rows_ = total;
   // Stripped singletons of the operands are unrecoverable here, so the
@@ -336,236 +251,8 @@ Pli Pli::IntersectArena(std::span<const uint32_t> labels,
   return out;
 }
 
-// ---------------------------------------------------------------------------
-// The batched splice. Validation precedes every mutation, so a false return
-// is a true no-op.
-// ---------------------------------------------------------------------------
-
-bool Pli::ApplyBatch(const std::vector<ClusterPatchView>& patches,
-                     ptrdiff_t defined_delta) {
-  auto count_defined = [&] {
-    if (exact_defined_) {
-      defined_rows_ = static_cast<size_t>(
-          static_cast<ptrdiff_t>(defined_rows_) + defined_delta);
-    } else {
-      defined_rows_ = grouped_rows_;
-    }
-  };
-  if (patches.empty()) {
-    count_defined();
-    return true;
-  }
-  using Kind = SpliceScratch::Kind;
-  static thread_local SpliceScratch s;
-  s.edits.clear();
-  s.additions.clear();
-  // Pass 1 validates and classifies every patch against the current
-  // structure before mutating anything.
-  const size_t n = num_clusters();
-  size_t first = n;  // first slot that must move or make way
-  ptrdiff_t grouped_delta = 0;
-  for (const ClusterPatchView& patch : patches) {
-    const size_t new_size = patch.keep + patch.tail.size();
-    const bool has_new = new_size >= 2;
-    if (patch.old_size < 2) {
-      if (patch.keep != 0) return false;
-    } else {
-      const size_t index = ArenaFindClusterByFront(patch.old_front);
-      if (index == kNoIndex || sizes_[index] != patch.old_size ||
-          patch.keep > patch.old_size) {
-        return false;
-      }
-      grouped_delta -= static_cast<ptrdiff_t>(patch.old_size);
-      const bool keeps_front = has_new && patch.keep > 0;
-      Kind kind = Kind::kRemove;
-      if (keeps_front) {
-        kind = new_size <= offsets_[index + 1] - offsets_[index]
-                   ? Kind::kInPlace
-                   : Kind::kGrow;
-      }
-      if (kind != Kind::kInPlace) first = std::min(first, index);
-      s.edits.push_back({index, kind, patch.keep,
-                         static_cast<uint32_t>(new_size), patch.tail});
-      if (keeps_front) {
-        grouped_delta += static_cast<ptrdiff_t>(new_size);
-        continue;
-      }
-    }
-    if (has_new) {
-      // keep == 0 here: the whole new cluster is the tail.
-      const size_t index = ArenaLowerBoundByFront(patch.tail[0]);
-      s.additions.push_back({index, patch.tail});
-      first = std::min(first, index);
-      grouped_delta += static_cast<ptrdiff_t>(new_size);
-    }
-  }
-  const size_t grouped = static_cast<size_t>(
-      static_cast<ptrdiff_t>(grouped_rows_) + grouped_delta);
-
-  // Lays out slots first..n-1 plus the additions in canonical order,
-  // recording the arena moves and tail writes that realize the layout.
-  // Surviving slots keep their capacity (a grown one doubles), a removed
-  // slot's cells extend the slot before it, and additions land tight. In
-  // `tight` mode every slot is laid out at its live size instead. The
-  // untouched run of slots tail_from..n-1 after the last change keeps its
-  // bookkeeping entries, shifted by `shift`; the slots before it are
-  // collected in s.starts / s.sizes.
-  size_t tail_from = n;
-  uint32_t shift = 0;
-  auto layout = [&](size_t from, bool tight) {
-    s.starts.clear();
-    s.sizes.clear();
-    s.moves.clear();
-    s.writes.clear();
-    tail_from = n;
-    uint32_t cursor = from < n ? offsets_[from] : static_cast<uint32_t>(
-                                                      arena_.size());
-    bool has_prev = from > 0;
-    auto move = [&](uint32_t src, uint32_t len) {
-      if (len == 0) return;
-      if (!s.moves.empty()) {
-        SpliceScratch::Move& last = s.moves.back();
-        if (last.src + last.len == src && last.dst + last.len == cursor) {
-          last.len += len;
-          return;
-        }
-      }
-      s.moves.push_back({src, cursor, len});
-    };
-    auto emit = [&](uint32_t size, uint32_t capacity) {
-      s.starts.push_back(cursor);
-      s.sizes.push_back(size);
-      cursor += capacity;
-      has_prev = true;
-    };
-    size_t e = static_cast<size_t>(
-        std::lower_bound(s.edits.begin(), s.edits.end(), from,
-                         [](const SpliceScratch::Edit& edit, size_t i) {
-                           return edit.index < i;
-                         }) -
-        s.edits.begin());
-    size_t a = 0;
-    for (size_t i = from;;) {
-      // Slots i..next-1 are untouched: outside `tight` they keep their
-      // capacity and shift as one block.
-      const size_t next =
-          std::min(e < s.edits.size() ? s.edits[e].index : n,
-                   a < s.additions.size() ? s.additions[a].index : n);
-      if (tight) {
-        for (size_t j = i; j < next; ++j) {
-          move(offsets_[j], sizes_[j]);
-          emit(sizes_[j], sizes_[j]);
-        }
-      } else if (next > i) {
-        const uint32_t length = offsets_[next] - offsets_[i];
-        move(offsets_[i], length);
-        if (next == n && a == s.additions.size()) {
-          tail_from = i;
-          shift = cursor - offsets_[i];  // modular: may shift left
-        } else {
-          const size_t at = s.starts.size();
-          s.starts.resize(at + (next - i));
-          for (size_t j = i; j < next; ++j) {
-            s.starts[at + (j - i)] = offsets_[j] - offsets_[i] + cursor;
-          }
-          s.sizes.insert(s.sizes.end(), sizes_.begin() + i,
-                         sizes_.begin() + next);
-        }
-        cursor += length;
-        has_prev = true;
-      }
-      i = next;
-      for (; a < s.additions.size() && s.additions[a].index == i; ++a) {
-        const std::span<const RowId> rows = s.additions[a].rows;
-        s.writes.push_back({cursor, rows});
-        emit(static_cast<uint32_t>(rows.size()),
-             static_cast<uint32_t>(rows.size()));
-      }
-      if (i == n) break;
-      if (e == s.edits.size() || s.edits[e].index != i) continue;
-      const SpliceScratch::Edit& edit = s.edits[e++];
-      const uint32_t capacity = offsets_[i + 1] - offsets_[i];
-      if (edit.kind == Kind::kRemove) {
-        if (!tight && has_prev) cursor += capacity;
-      } else {
-        uint32_t new_capacity = capacity;
-        if (tight) {
-          new_capacity = edit.new_size;
-        } else if (edit.kind == Kind::kGrow) {
-          new_capacity = std::max(2 * capacity, edit.new_size);
-        }
-        move(offsets_[i], tight ? edit.keep : capacity);
-        s.writes.push_back({cursor + edit.keep, edit.tail});
-        emit(edit.new_size, new_capacity);
-      }
-      ++i;
-    }
-    return static_cast<size_t>(cursor);
-  };
-
-  std::sort(s.edits.begin(), s.edits.end(),
-            [](const SpliceScratch::Edit& x, const SpliceScratch::Edit& y) {
-              return x.index < y.index;
-            });
-  std::sort(s.additions.begin(), s.additions.end(),
-            [](const SpliceScratch::Addition& x,
-               const SpliceScratch::Addition& y) {
-              return x.rows[0] < y.rows[0];
-            });
-  bool tight = false;
-  size_t total = first < n || !s.additions.empty() ? layout(first, false)
-                                                   : arena_.size();
-  if (total - grouped > grouped) {
-    // Dead slack would outweigh the live rows: compact the whole arena.
-    tight = true;
-    first = 0;
-    total = layout(0, true);
-  }
-  if (!tight) {
-    // Front-keeping patches before the laid-out suffix stay where they
-    // are and rewrite only their changed rows.
-    for (const SpliceScratch::Edit& edit : s.edits) {
-      if (edit.index >= first) break;
-      std::copy(edit.tail.begin(), edit.tail.end(),
-                arena_.begin() + offsets_[edit.index] + edit.keep);
-      sizes_[edit.index] = edit.new_size;
-    }
-  }
-  if (first < n || !s.additions.empty() || tight) {
-    if (total > arena_.size()) arena_.resize(total);
-    // Slots keep their relative order, so moving the left-shifting blocks
-    // front to back and then the right-shifting ones back to front never
-    // overwrites a block before it has moved. Tails land last.
-    RowId* data = arena_.data();
-    for (const SpliceScratch::Move& m : s.moves) {
-      if (m.dst < m.src) std::memmove(data + m.dst, data + m.src,
-                                      m.len * sizeof(RowId));
-    }
-    for (auto m = s.moves.rbegin(); m != s.moves.rend(); ++m) {
-      if (m->dst > m->src) std::memmove(data + m->dst, data + m->src,
-                                        m->len * sizeof(RowId));
-    }
-    for (const SpliceScratch::Write& w : s.writes) {
-      std::copy(w.rows.begin(), w.rows.end(), data + w.dst);
-    }
-    arena_.resize(total);
-    if (offsets_.empty()) offsets_.push_back(0);
-    ReplaceRange(&sizes_, first, tail_from, s.sizes);
-    ReplaceRange(&offsets_, first, tail_from, s.starts);
-    for (size_t j = first + s.starts.size(); j + 1 < offsets_.size(); ++j) {
-      offsets_[j] += shift;
-    }
-    offsets_.back() = static_cast<uint32_t>(total);
-  }
-  grouped_rows_ = grouped;
-  count_defined();
-  return true;
-}
-
 bool Pli::operator==(const Pli& other) const {
-  // Cluster-wise comparison: equality is over the partition's live rows,
-  // never the arena layout, so two arenas with different slack compare by
-  // content.
+  // Cluster-wise comparison over the partition's rows.
   if (num_rows_ != other.num_rows_) return false;
   const size_t n = num_clusters();
   if (n != other.num_clusters()) return false;
@@ -577,8 +264,7 @@ bool Pli::operator==(const Pli& other) const {
 
 size_t Pli::MemoryBytes() const {
   return sizeof(Pli) + arena_.capacity() * sizeof(RowId) +
-         offsets_.capacity() * sizeof(uint32_t) +
-         sizes_.capacity() * sizeof(uint32_t);
+         offsets_.capacity() * sizeof(uint32_t);
 }
 
 bool Pli::CheckInvariants(std::string* error) const {
@@ -590,25 +276,16 @@ bool Pli::CheckInvariants(std::string* error) const {
   if (!offsets_.empty() && offsets_.front() != 0) {
     return fail("arena offsets must start at 0");
   }
-  if (sizes_.size() != n) {
-    return fail(StrCat("arena sizes count ", sizes_.size(),
-                       " != num_clusters ", n));
-  }
   for (size_t c = 0; c < n; ++c) {
     if (offsets_[c + 1] < offsets_[c] + 2) {
-      return fail(StrCat("slot boundaries not monotone with >=2-capacity "
-                         "slots at ",
+      return fail(StrCat("cluster boundaries not monotone with >=2-row "
+                         "clusters at ",
                          c, ": ", offsets_[c], " -> ", offsets_[c + 1]));
-    }
-    if (sizes_[c] > offsets_[c + 1] - offsets_[c]) {
-      return fail(StrCat("cluster ", c, " live size ", sizes_[c],
-                         " exceeds slot capacity ",
-                         offsets_[c + 1] - offsets_[c]));
     }
   }
   if (!offsets_.empty() && offsets_.back() != arena_.size()) {
     return fail(StrCat("arena size ", arena_.size(),
-                       " != last slot boundary ", offsets_.back()));
+                       " != last cluster boundary ", offsets_.back()));
   }
   size_t grouped = 0;
   RowId prev_front = 0;

@@ -19,15 +19,11 @@
 // level-wise dependency discovery scale (see pli_cache.h).
 //
 // Storage: clusters live in a CSR-style arena — one contiguous rows array
-// plus a monotone offsets array — so intersections, validator scans, and
-// batched splices stream over one allocation instead of chasing one heap
-// vector per cluster (the layout mature PLI engines converge on). The
-// arena is *slack-aware*: offsets_ marks per-cluster storage slots
-// (capacities), sizes_ the live row count inside each slot, so a patch
-// rewrites rows only within its own cluster's slot instead of memmoving
-// the whole arena suffix; a full slot grows by amortized doubling, a
-// dissolved slot becomes its neighbour's slack, and the arena is compacted
-// only once dead slack would outweigh the live rows.
+// plus a monotone offsets array — so intersections and validator scans
+// stream over one allocation instead of chasing one heap vector per cluster
+// (the layout mature PLI engines converge on). A partition is immutable once
+// built: the cache drops the partitions a mutation touches and rebuilds them
+// from its spliced code columns (pli_cache.h).
 
 #ifndef FLEXREL_ENGINE_PLI_H_
 #define FLEXREL_ENGINE_PLI_H_
@@ -69,7 +65,7 @@ class Pli {
   static constexpr uint32_t kNoCluster = UINT32_MAX;
 
   /// A borrowed, read-only span over one cluster's ascending row ids.
-  /// Valid until the owning Pli is mutated or destroyed.
+  /// Valid until the owning Pli is destroyed.
   class ClusterView {
    public:
     using value_type = RowId;
@@ -186,62 +182,10 @@ class Pli {
                          uint32_t label_bound,
                          IntersectScratch* scratch = nullptr) const;
 
-  // ------------------------------------------------------------------
-  // Incremental maintenance (driven by PliCache's flush — see
-  // pli_cache.h). A stripped partition alone cannot patch itself: when a
-  // second row arrives for a value that so far had one (stripped) carrier,
-  // the partition does not know *which* row to un-strip. The cache
-  // therefore computes each affected cluster's new membership from its code
-  // columns' unstripped buckets and hands it down here as a patch.
-  // ------------------------------------------------------------------
-
-  /// One cluster replacement: the cluster that held `old_size` rows and was
-  /// fronted by `old_front` (ignored when old_size < 2 — a stripped value
-  /// has no cluster) becomes its first `keep` rows followed by `tail`
-  /// (ascending; dropped when the result would be stripped). `keep` is how
-  /// much of the old cluster the change left alone — 0 when old_size < 2 —
-  /// so a front-keeping patch rewrites only the cluster's changed suffix.
-  /// The tail is borrowed (a span into an already-spliced code-column
-  /// bucket, CodeColumn::ApplyBatch, or the cache's multi-attribute patch
-  /// scratch) and must stay valid until ApplyBatch returns.
-  struct ClusterPatchView {
-    RowId old_front = 0;
-    uint32_t old_size = 0;
-    uint32_t keep = 0;
-    std::span<const RowId> tail;
-  };
-
-  /// Applies every patch in one pass. Every patch is validated first (an
-  /// old cluster's front + size must match, so a contradicted partition
-  /// refuses before any mutation). A front-keeping patch that fits its slot rewrites only the
-  /// changed suffix in place; a full slot grows by doubling; a dissolved
-  /// slot becomes its neighbour's slack. Only clusters that must appear or
-  /// move (re-fronted, or shifted by a grown slot) are laid out by a sorted
-  /// pass, which runs over the arena suffix from the first of them; the
-  /// whole arena is compacted only when dead slack would exceed the live
-  /// rows. `defined_delta` is the net change in rows defined on the
-  /// partition attributes (exact mode only; intersection products keep the
-  /// grouped-rows lower bound). Returns false — a true no-op — when any
-  /// patch contradicts the current cluster structure; the cache then drops
-  /// the partition for a lazy rebuild.
-  bool ApplyBatch(const std::vector<ClusterPatchView>& patches,
-                  ptrdiff_t defined_delta);
-
-  /// Row-count bookkeeping for appends: BuildProbe sizing and operator==
-  /// depend on num_rows; the cache bumps every cached partition when the
-  /// instance grows, whether or not the new row enters its clusters.
-  void SetNumRows(size_t num_rows) { num_rows_ = num_rows; }
-
-  /// True when defined_rows() is exact (Build output); false when it is the
-  /// grouped-rows lower bound (intersection products). ApplyBatch
-  /// preserves the mode.
-  bool exact_defined() const { return exact_defined_; }
-
-  /// The i-th cluster in canonical order, as a borrowed span. Live rows
-  /// sit at the front of the cluster's arena slot; trailing slack (if any)
-  /// is never exposed.
+  /// The i-th cluster in canonical order, as a borrowed span.
   ClusterView cluster(size_t i) const {
-    return ClusterView(arena_.data() + offsets_[i], sizes_[i]);
+    return ClusterView(arena_.data() + offsets_[i],
+                       offsets_[i + 1] - offsets_[i]);
   }
 
   ClusterRange clusters() const { return ClusterRange(this); }
@@ -272,13 +216,6 @@ class Pli {
 
   bool empty() const { return num_clusters() == 0; }
 
-  /// Arena slots not currently holding a live row (dead headroom from
-  /// per-cluster slack growth, shrunk and dissolved clusters). 0 right
-  /// after a build; ApplyBatch keeps it at most grouped_rows() by
-  /// compacting when a patch would push it past. Exposed for tests and the
-  /// memory accounting bench.
-  size_t ArenaSlackRows() const { return arena_.size() - grouped_rows_; }
-
   /// Inverse mapping with canonical labels (label == cluster index,
   /// label_bound == num_clusters). O(num_rows).
   PliProbe BuildProbe() const;
@@ -287,9 +224,9 @@ class Pli {
   /// cache's byte-budget accounting (PliCacheOptions::memory_budget_bytes).
   size_t MemoryBytes() const;
 
-  /// Structural self-check for tests and debugging: monotone arena slot
-  /// boundaries with every slot's live size in [2, capacity], arena size
-  /// == last boundary, rows strictly ascending within clusters and
+  /// Structural self-check for tests and debugging: monotone cluster
+  /// boundaries with every cluster of >= 2 rows, arena size == last
+  /// boundary, rows strictly ascending within clusters and
   /// < num_rows, canonical cluster order, and defined_rows consistent with
   /// grouped_rows for the partition's defined mode. On failure fills `error`
   /// (when non-null) and returns false.
@@ -307,15 +244,8 @@ class Pli {
   Pli IntersectArena(std::span<const uint32_t> labels, uint32_t label_bound,
                      IntersectScratch* scratch) const;
 
-  // Binary searches over cluster fronts (see pli.cc).
-  size_t ArenaLowerBoundByFront(RowId front) const;
-  size_t ArenaFindClusterByFront(RowId front) const;
-
-  std::vector<RowId> arena_;       // cluster slots (rows + slack)
-  std::vector<uint32_t> offsets_;  // num_clusters + 1 monotone slot
-                                   // boundaries; slot i capacity is
-                                   // offsets_[i+1] - offsets_[i]
-  std::vector<uint32_t> sizes_;    // live rows in slot i (<= capacity)
+  std::vector<RowId> arena_;       // every cluster's rows, in order
+  std::vector<uint32_t> offsets_;  // num_clusters + 1 monotone boundaries
   size_t num_rows_ = 0;
   size_t grouped_rows_ = 0;
   size_t defined_rows_ = 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <numeric>
 #include <string>
 #include <utility>
 
@@ -144,57 +143,6 @@ std::shared_ptr<const CodeColumn> PliCache::CodeColumnFor(AttrId attr) {
   return code_columns_.emplace(attr, std::move(column)).first->second;
 }
 
-bool PliCache::AgreeingRowsLocked(const AttrSet& attrs, const Tuple& proj,
-                                  Pli::Cluster* out, size_t* scan_budget) {
-  out->clear();
-  // The cluster is exactly the k-way intersection of the attributes' code
-  // buckets: pure sorted-integer work against the columns' current state
-  // (mid-flush the row vector is already ahead of the structures, so
-  // touching tuples here would observe not-yet-applied states).
-  static thread_local std::vector<const Pli::Cluster*> lists;
-  lists.clear();
-  for (AttrId a : attrs) {
-    auto column = code_columns_.find(a);
-    if (column == code_columns_.end()) return false;  // defensive: pinned
-    const Pli::Cluster& rows = column->second->RowsOf(*proj.Get(a));
-    if (rows.empty()) return true;  // value uncarried -> no cluster
-    lists.push_back(&rows);
-  }
-  std::sort(lists.begin(), lists.end(),
-            [](const Pli::Cluster* a, const Pli::Cluster* b) {
-              return a->size() < b->size();
-            });
-  const Pli::Cluster* seed = lists.front();
-  // A burst whose cumulative scans overdraw the budget costs more than one
-  // intersection pass over the patched sub-partitions; tell the caller to
-  // drop and re-intersect instead.
-  if (seed->size() > *scan_budget) return false;
-  *scan_budget -= seed->size();
-  out->assign(seed->begin(), seed->end());
-  // Refine by each larger list: stream it when the sizes are comparable,
-  // binary-search per survivor when it dwarfs them (adaptive set
-  // intersection — fat clusters cost log, not a full scan).
-  for (size_t l = 1; l < lists.size() && !out->empty(); ++l) {
-    const Pli::Cluster& other = *lists[l];
-    size_t kept = 0;
-    if (other.size() / out->size() >= 16) {
-      for (Pli::RowId r : *out) {
-        if (std::binary_search(other.begin(), other.end(), r)) {
-          (*out)[kept++] = r;
-        }
-      }
-    } else {
-      size_t j = 0;
-      for (Pli::RowId r : *out) {
-        while (j < other.size() && other[j] < r) ++j;
-        if (j < other.size() && other[j] == r) (*out)[kept++] = r;
-      }
-    }
-    out->resize(kept);
-  }
-  return true;
-}
-
 PliCache::EntryMap::iterator PliCache::DropEntryLocked(
     EntryMap::iterator it) {
   if (it->second.evictable) lru_.erase(it->second.lru_pos);
@@ -202,34 +150,25 @@ PliCache::EntryMap::iterator PliCache::DropEntryLocked(
 }
 
 // ---------------------------------------------------------------------------
-// Mutation hooks: append to the pending buffer, O(1) per row. All patching
+// Mutation hooks: append to the pending buffer, O(1) per row. All splicing
 // is deferred to the next read's flush.
 // ---------------------------------------------------------------------------
 
-void PliCache::OnInsert(Pli::RowId row) {
-  std::lock_guard<std::mutex> lock(mu_);
-  pending_.push_back({row, /*is_insert=*/true, Tuple()});
-}
-
 void PliCache::OnInsertBatch(Pli::RowId first_row, size_t count) {
+  // No reserve here or below: one-row calls from Insert/Update would
+  // reserve exactly one more slot each time, defeating the vector's
+  // geometric growth and turning a read-free row-at-a-time storm
+  // quadratic.
   std::lock_guard<std::mutex> lock(mu_);
-  pending_.reserve(pending_.size() + count);
   for (size_t i = 0; i < count; ++i) {
     pending_.push_back(
         {static_cast<Pli::RowId>(first_row + i), /*is_insert=*/true, Tuple()});
   }
 }
 
-void PliCache::OnUpdate(Pli::RowId row, Tuple old_row) {
-  std::lock_guard<std::mutex> lock(mu_);
-  pending_.push_back({row, /*is_insert=*/false, std::move(old_row)});
-  if (pending_.size() >= pending_compact_at_) CompactPendingLocked();
-}
-
 void PliCache::OnUpdateBatch(
     std::vector<std::pair<Pli::RowId, Tuple>> old_rows) {
   std::lock_guard<std::mutex> lock(mu_);
-  pending_.reserve(pending_.size() + old_rows.size());
   for (auto& [row, old_row] : old_rows) {
     pending_.push_back({row, /*is_insert=*/false, std::move(old_row)});
   }
@@ -256,8 +195,8 @@ void PliCache::CompactPendingLocked() {
 }
 
 // ---------------------------------------------------------------------------
-// The flush: coalesce the buffer to net per-row deltas, then patch per row,
-// group-apply, or drop everything by the net burst size.
+// The flush: coalesce the buffer to net per-row deltas, then splice or drop
+// everything by the net burst size.
 // ---------------------------------------------------------------------------
 
 void PliCache::FlushPendingLocked() {
@@ -337,8 +276,8 @@ void PliCache::FlushPendingLocked() {
     return;
   }
   // Failure atomicity: the splice allocates (bucket growth, interned
-  // values, arena growth), and a throw mid-patch would otherwise leave live
-  // structures half-patched. The recovery is the strong guarantee at cache
+  // values), and a throw mid-splice would otherwise leave live columns
+  // half-spliced. The recovery is the strong guarantee at cache
   // granularity: drop every cached structure (the row vector is the source
   // of truth; reads rebuild lazily), so no reader can ever observe a
   // partially applied flush. The recovery path traverses no injection
@@ -351,12 +290,6 @@ void PliCache::FlushPendingLocked() {
                            " est=drop_at:" + std::to_string(drop_at));
     }
     SpliceLocked(net, changed, insert_count);
-    // Re-interning recodes a column, so it waits until the splice is done
-    // reading clusters off the codes; only the columns this flush patched
-    // are checked.
-    for (auto& [attr, column] : code_columns_) {
-      if (insert_count > 0 || changed.Contains(attr)) column->MaybeReintern();
-    }
     FLEXREL_FAULT_INJECT("pli_cache.flush.commit");
   } catch (...) {
     ++flush_aborts_;
@@ -390,189 +323,27 @@ void PliCache::DropAllLocked() {
   ++full_drops_;
 }
 
-size_t PliCache::EstimateMultiPatchScanLocked(
-    const AttrSet& attrs, const std::vector<NetDelta>& net) {
-  // Σ of the seed-bucket sizes both phases would scan, one per mover — an
-  // upper bound, since movers sharing a cluster share one scan (post-state
-  // seeds approximated by the pre-splice buckets — a burst barely moves
-  // them).
-  // Comparing this against the instance size is the entry's patch-vs-drop
-  // call: the re-intersection a drop defers costs one O(rows) pass.
-  auto seed_size = [&](const Tuple& proj) -> size_t {
-    size_t seed = SIZE_MAX;
-    for (AttrId a : attrs) {
-      auto column = code_columns_.find(a);
-      if (column == code_columns_.end()) return 0;
-      seed = std::min(seed, column->second->RowsOf(*proj.Get(a)).size());
-    }
-    return seed;
-  };
-  size_t total = 0;
-  for (const NetDelta& d : net) {
-    if (!d.changed_attrs.Intersects(attrs)) continue;  // projection sits still
-    const Tuple& now = (*rows_)[d.row];
-    if (!d.is_insert && d.old_row->DefinedOn(attrs)) {
-      total += seed_size(*d.old_row);
-    }
-    if (now.DefinedOn(attrs)) total += seed_size(now);
-  }
-  return total;
-}
-
-bool PliCache::MultiAttrGroupPatchLocked(const AttrSet& attrs, Pli* pli,
-                                         const std::vector<NetDelta>& net,
-                                         bool erase, size_t* scan_budget) {
-  // The rows this phase moves, ascending: leaving rows were defined on
-  // `attrs` before the burst, joining rows are after; rows whose projection
-  // did not change sit still (they are stayers, not movers).
-  static thread_local std::vector<std::pair<Pli::RowId, const Tuple*>> moving;
-  moving.clear();
-  for (const NetDelta& d : net) {
-    if (!d.changed_attrs.Intersects(attrs)) continue;  // projection sits still
-    const Tuple* proj = erase ? d.old_row : &(*rows_)[d.row];
-    if (proj == nullptr || !proj->DefinedOn(attrs)) continue;
-    moving.push_back({d.row, proj});
-  }
-  if (moving.empty()) return true;
-  std::sort(moving.begin(), moving.end(),
-            [](const auto& x, const auto& y) { return x.first < y.first; });
-  // One patch per affected cluster, scanned once off the columns: before
-  // the splice (erase) the scan yields the cluster its movers leave, after
-  // it (join) the cluster they enter. Either way the rows before the first
-  // mover are the kept prefix. Tails gather in one buffer and are viewed
-  // once it stops growing.
-  struct Pending {
-    Pli::RowId old_front;
-    uint32_t old_size;
-    uint32_t keep;
-    size_t begin;
-    size_t end;
-  };
-  static thread_local std::vector<char> done;
-  static thread_local std::vector<Pending> pending;
-  static thread_local std::vector<Pli::RowId> tails;
-  static thread_local Pli::Cluster cluster;
-  done.assign(moving.size(), 0);
-  pending.clear();
-  tails.clear();
-  for (size_t m = 0; m < moving.size(); ++m) {
-    if (done[m] != 0) continue;
-    if (!AgreeingRowsLocked(attrs, *moving[m].second, &cluster,
-                            scan_budget)) {
-      return false;
-    }
-    const size_t n = cluster.size();
-    Pending patch{0, 0, 0, tails.size(), 0};
-    size_t first_mover = n;
-    uint32_t stayers = 0;
-    for (size_t i = 0; i < n; ++i) {
-      const Pli::RowId row = cluster[i];
-      auto it = std::lower_bound(
-          moving.begin(), moving.end(), row,
-          [](const auto& x, Pli::RowId r) { return x.first < r; });
-      if (it != moving.end() && it->first == row) {
-        done[static_cast<size_t>(it - moving.begin())] = 1;
-        if (first_mover == n) first_mover = i;
-        continue;
-      }
-      if (stayers++ == 0) patch.old_front = row;
-      if (erase && first_mover != n) tails.push_back(row);
-    }
-    if (done[m] == 0) return false;  // the scan must find its own mover
-    if (n < 2) continue;  // stripped on this side: no cluster either way
-    if (erase) {
-      patch.old_front = cluster.front();
-      patch.old_size = static_cast<uint32_t>(n);
-      patch.keep = static_cast<uint32_t>(first_mover);
-    } else {
-      patch.old_size = stayers;
-      patch.keep = stayers >= 2 ? static_cast<uint32_t>(first_mover) : 0;
-      tails.insert(tails.end(), cluster.begin() + patch.keep, cluster.end());
-    }
-    patch.end = tails.size();
-    pending.push_back(patch);
-  }
-  if (pending.empty()) return true;
-  static thread_local std::vector<Pli::ClusterPatchView> views;
-  views.clear();
-  for (const Pending& p : pending) {
-    views.push_back({p.old_front, p.old_size, p.keep,
-                     std::span<const Pli::RowId>(tails).subspan(
-                         p.begin, p.end - p.begin)});
-  }
-  // Cache-built multi-attribute partitions are intersection products, so
-  // defined_rows tracks grouped_rows and the delta argument is moot.
-  return pli->ApplyBatch(views, /*defined_delta=*/0);
-}
-
 void PliCache::SpliceLocked(const std::vector<NetDelta>& net,
                             const AttrSet& changed, size_t insert_count) {
   using namespace std::chrono_literals;
-  const size_t b = net.size();
-  // Classify the cached partitions. Multi-attribute entries whose cluster
-  // count the burst saturates are dropped for lazy re-intersection from
-  // the patched bases (one intersection pass beats 2b seed scans then);
-  // sparser bursts keep the entry and group-patch it in two phases around
-  // the column splice.
-  struct Work {
-    const AttrSet* attrs;  // entries_ key; nodes stay put until the end
-    Pli* pli;
-    bool alive;
-    // Partner-scan allowance across both phases: one re-intersection's
-    // worth of row touches. Overdrawing it means rebuilding is cheaper.
-    size_t scan_budget;
-  };
-  static thread_local std::vector<Work> multi;
-  static thread_local std::vector<std::pair<AttrId, Pli*>> single;
-  multi.clear();
-  single.clear();
-  Pli* empty_pli = nullptr;
+  // Drop every partition the burst touches: all of them when it appends
+  // rows (every partition's row count moves), else those over a changed
+  // attribute. A build racing the mutation (a documented data race) is
+  // shed too. The next Get rebuilds a dropped partition from the spliced
+  // columns; every other partition stays exactly as built.
   for (auto it = entries_.begin(); it != entries_.end();) {
-    if (it->second.future.wait_for(0s) != std::future_status::ready) {
-      // A build racing the mutation (a documented data race): shed it.
+    if (insert_count > 0 || it->first.Intersects(changed) ||
+        it->second.future.wait_for(0s) != std::future_status::ready) {
       ++patch_rebuilds_;
       it = DropEntryLocked(it);
-      continue;
-    }
-    Pli* pli = it->second.future.get().get();
-    if (insert_count > 0) pli->SetNumRows(rows_->size());
-    const AttrSet& attrs = it->first;
-    if (attrs.empty()) {
-      empty_pli = pli;
-    } else if (attrs.Intersects(changed)) {
-      if (attrs.size() == 1) {
-        single.push_back({attrs.ids().front(), pli});
-      } else if (2 * b >= pli->NumDistinct() ||
-                 EstimateMultiPatchScanLocked(attrs, net) >=
-                     rows_->size() / 2) {
-        // The burst saturates the entry's clusters, or the partner scans
-        // alone would cost as much as the re-intersection a drop defers.
-        ++patch_rebuilds_;
-        it = DropEntryLocked(it);
-        continue;
-      } else {
-        multi.push_back({&attrs, pli, true, rows_->size()});
-      }
-    }
-    ++it;
-  }
-
-  std::vector<AttrSet> failed;
-  // Phase A: detach the leaving rows from the kept multi-attribute
-  // entries, clusters scanned off the still pre-splice columns.
-  for (Work& w : multi) {
-    if (!MultiAttrGroupPatchLocked(*w.attrs, w.pli, net, /*erase=*/true,
-                                   &w.scan_budget)) {
-      w.alive = false;
-      failed.push_back(*w.attrs);
+    } else {
+      ++it;
     }
   }
   // Splice the columns — every affected bucket in place from its lowest
-  // touched row; inserts grow every column, carried or not — and apply
-  // each cached single-attribute partition's patches straight from its
-  // column's views into the spliced buckets.
+  // touched row; inserts grow every column, carried or not — and give each
+  // spliced column its staleness check.
   static thread_local std::vector<CodeColumn::Move> moves;
-  static thread_local std::vector<Pli::ClusterPatchView> views;
   for (auto& [attr, column] : code_columns_) {
     if (insert_count == 0 && !changed.Contains(attr)) continue;
     // Each row's final value on the attribute, null when removed (an
@@ -585,59 +356,9 @@ void PliCache::SpliceLocked(const std::vector<NetDelta>& net,
         moves.push_back({d.row, (*rows_)[d.row].Get(attr)});
       }
     }
-    const size_t defined_before = column->defined();
-    column->ApplyBatch(rows_->size(), moves, &views);
+    column->ApplyBatch(rows_->size(), moves);
+    column->MaybeReintern();
     ++batch_applies_;
-    auto it = std::find_if(single.begin(), single.end(),
-                           [&](const auto& s) { return s.first == attr; });
-    if (it == single.end()) continue;
-    const ptrdiff_t defined_delta =
-        static_cast<ptrdiff_t>(column->defined()) -
-        static_cast<ptrdiff_t>(defined_before);
-    if (it->second->ApplyBatch(views, defined_delta)) {
-      ++batch_applies_;
-    } else {
-      failed.push_back(AttrSet::Of(attr));
-    }
-    it->second = nullptr;
-  }
-  // Defensive: a single-attribute entry always has its column pinned.
-  for (const auto& [attr, pli] : single) {
-    if (pli != nullptr) failed.push_back(AttrSet::Of(attr));
-  }
-  // Phase B: attach the joining rows. The scans run after the splice, so
-  // they see every row's final bucket — the stayers anchor the cluster
-  // lookups.
-  for (Work& w : multi) {
-    if (!w.alive) continue;
-    if (!MultiAttrGroupPatchLocked(*w.attrs, w.pli, net, /*erase=*/false,
-                                   &w.scan_budget)) {
-      failed.push_back(*w.attrs);
-    } else {
-      ++batch_applies_;
-    }
-  }
-  // The ∅-partition holds every row in one cluster (once there are two),
-  // and an update never moves a row out of it: appends extend it.
-  if (empty_pli != nullptr && insert_count > 0) {
-    static thread_local std::vector<Pli::RowId> appended;
-    const uint32_t old_size = static_cast<uint32_t>(empty_pli->grouped_rows());
-    appended.resize(rows_->size() - old_size);
-    std::iota(appended.begin(), appended.end(), old_size);
-    views.assign(1, {0, old_size, old_size, appended});
-    if (empty_pli->ApplyBatch(views,
-                              static_cast<ptrdiff_t>(insert_count))) {
-      ++batch_applies_;
-    } else {
-      failed.push_back(AttrSet());
-    }
-  }
-  for (const AttrSet& attrs : failed) {
-    auto it = entries_.find(attrs);
-    if (it != entries_.end()) {
-      ++patch_rebuilds_;
-      DropEntryLocked(it);
-    }
   }
 }
 

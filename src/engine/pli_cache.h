@@ -6,47 +6,45 @@
 // instead builds the partition of X = {a1 < ... < ak} as
 //     Get({a1..a(k-1)}) ∩ column(ak),
 // recursing down to single-attribute partitions. The base of everything is
-// the per-attribute CodeColumn (engine/dictionary.h), the cache's only
-// maintained per-attribute structure: a single-attribute partition is a
-// counting sort over it (Pli::BuildFromCodes), its code array is the probe
-// every product refines by (label = code — singleton codes drop out of a
-// product on their own), and its code -> ascending rows buckets are the
-// unstripped partner lists incremental maintenance consults. Columns and
-// single-attribute partitions are pinned; because candidates of one lattice
-// level share (k-1)-prefixes, almost every multi-attribute request reduces
-// to a single integer-valued intersection over already cached operands.
-// Invariant: every attribute of a cached partition has a pinned column (the
-// builds fetch them; only the drop-everything paths drop columns, and they
-// drop the partitions with them).
+// the per-attribute CodeColumn (engine/dictionary.h), the only structure a
+// flush maintains: a single-attribute partition is a counting sort over it
+// (Pli::BuildFromCodes), and its code array is the probe every product
+// refines by (label = code — singleton codes drop out of a product on their
+// own). Columns and single-attribute partitions are pinned; because
+// candidates of one lattice level share (k-1)-prefixes, almost every
+// multi-attribute request reduces to a single integer-valued intersection
+// over already cached operands. Invariant: every attribute of a cached
+// partition has a pinned column (the builds fetch them; only the
+// drop-everything paths drop columns, and they drop the partitions with
+// them).
 //
 // Mutations: the cache is not bound to an immutable instance. When the
 // underlying row vector changes, the owner reports the change through
-// OnInsert/OnUpdate (or their batch forms), which *buffer* the delta; the
-// next read (Get/CodeColumnFor — that includes every evaluator and
-// validator access) flushes the pending buffer. The flush either splices or
-// drops, decided by the net burst size b:
+// OnInsertBatch/OnUpdateBatch, which *buffer* the delta; the next read
+// (Get/CodeColumnFor — that includes every evaluator and validator access)
+// flushes the pending buffer. The flush either splices or drops, decided by
+// the net burst size b:
 //
 //   - b < max(drop_threshold, rows/2): splice — deltas are grouped by
-//     attribute, each affected code bucket is spliced in place from its
-//     lowest touched row (CodeColumn::ApplyBatch), the resulting per-code
-//     cluster patches land in the single-attribute partitions' slot slack
-//     (Pli::ApplyBatch), and affected multi-attribute partitions are
-//     group-patched around the splice or dropped for lazy
-//     re-intersection. A one-row change costs O(the clusters it touches),
-//     a 64-mutation burst one splice instead of 64 cluster surgeries.
+//     attribute and each affected code bucket is spliced in place from its
+//     lowest touched row (CodeColumn::ApplyBatch). Every cached partition
+//     the burst touches is dropped: those over a changed attribute, or all
+//     of them when the burst appends rows. The next Get rebuilds a dropped
+//     partition from the spliced columns (a counting sort, then one
+//     intersection per further attribute); partitions over untouched
+//     attributes stay as built. Partitions are never patched: the live
+//     read paths (selections, join-order estimates) read the columns, and
+//     discovery and Σ audits run over a freshly loaded instance, so no
+//     caller re-reads a partition of a relation it has just mutated.
 //   - b >= max(drop_threshold, rows/2): everything (columns included) is
 //     dropped for lazy from-scratch rebuilds — the burst is so large that
-//     one deferred rebuild beats any patching.
+//     one deferred rebuild beats splicing every column.
 //
 // Deltas to one row coalesce in the buffer (first old state, final new
 // state), so a row updated 64 times between queries flushes as one move.
-// Multi-attribute patches read clusters off the columns on both sides of
-// the splice: before it for the rows leaving, after it for the rows
-// joining. A multi-attribute entry whose patch (cluster scans) would cost
-// more than re-intersecting its patched sub-partitions is dropped instead
-// and rebuilt lazily on the next Get. PliCacheOptions::incremental = false
-// disables the hooks' use by FlexibleRelation, restoring the
-// drop-everything behavior as the cross-validation oracle.
+// PliCacheOptions::incremental = false disables the hooks' use by
+// FlexibleRelation, restoring the drop-everything behavior as the
+// cross-validation oracle.
 //
 // Concurrency: Get/CodeColumnFor are safe to call from many worker threads
 // over a quiescent instance (parallel discovery's workers do). Every read
@@ -56,8 +54,8 @@
 // block on the future instead of duplicating the work. Eviction is LRU over
 // completed multi-attribute entries only — single-attribute partitions are
 // the base of every product and stay resident. Mutations (and their hooks)
-// must be serialized against readers by the caller: a flush patches live
-// structures in place, so a pointer held across a mutation is invalid. See
+// must be serialized against readers by the caller: a flush splices live
+// columns in place, so a pointer held across a mutation is invalid. See
 // src/engine/README.md, "Concurrency".
 
 #ifndef FLEXREL_ENGINE_PLI_CACHE_H_
@@ -81,8 +79,8 @@ namespace flexrel {
 
 /// Thread-safe partition cache over one instance. The referenced rows must
 /// outlive the cache; every mutation of the rows must be reported through
-/// OnInsert/OnUpdate (or the batch hooks, or the cache discarded) before
-/// the next read.
+/// OnInsertBatch/OnUpdateBatch (or the cache discarded) before the next
+/// read.
 class PliCache {
  public:
   using Options = PliCacheOptions;
@@ -100,38 +98,33 @@ class PliCache {
   /// The dictionary code column of `attr` (engine/dictionary.h): values
   /// interned into dense uint32_t codes, held columnar, with per-code row
   /// buckets — the base of the partition builds, intersections and
-  /// selections. Built once per attribute, pinned, and patched by the same
-  /// flush that patches the partitions, so a fetched column is always
-  /// exactly as fresh as a Get() from the same quiescent point. Flushes
-  /// pending deltas first; never returns null; safe from many threads; same
-  /// holding contract as Get results (do not hold it across mutations).
+  /// selections. Built once per attribute, pinned, and spliced by the same
+  /// flush that drops the partitions it touches, so a fetched column is
+  /// always exactly as fresh as a Get() from the same quiescent point.
+  /// Flushes pending deltas first; never returns null; safe from many
+  /// threads; same holding contract as Get results (do not hold it across
+  /// mutations).
   std::shared_ptr<const CodeColumn> CodeColumnFor(AttrId attr);
 
   // ------------------------------------------------------------------
   // Incremental maintenance hooks. FlexibleRelation calls these *after*
   // mutating its row vector. The hooks only append to the pending-delta
   // buffer (O(1) per row — inserts record nothing but the row id, updates
-  // take ownership of the displaced old tuple); all patching is deferred
-  // to the next read. Structures handed out by earlier Get/CodeColumnFor
-  // calls are shared — a holder may observe the pre-flush instance until
-  // some reader flushes, which is exactly the documented contract: do not
-  // hold partition pointers across mutations; re-Get after mutating.
+  // take ownership of the displaced old tuple); all maintenance is
+  // deferred to the next read. Structures handed out by earlier
+  // Get/CodeColumnFor calls are shared — a holder may observe the
+  // pre-flush instance until some reader flushes, which is exactly the
+  // documented contract: do not hold partition pointers across mutations;
+  // re-Get after mutating.
   // ------------------------------------------------------------------
-
-  /// The row at index `row` == rows().size() - 1 was just appended.
-  void OnInsert(Pli::RowId row);
 
   /// Rows first_row .. first_row + count - 1 were just appended.
   void OnInsertBatch(Pli::RowId first_row, size_t count);
 
-  /// The row at index `row` changed from `old_row` to its current state in
-  /// rows(). Attribute additions and removals are handled, so footnote-3
-  /// type changes (an Update whose TypeDelta adds/drops variant
-  /// attributes) arrive as one multi-attribute delta.
-  void OnUpdate(Pli::RowId row, Tuple old_row);
-
-  /// Batch form of OnUpdate: every (row, pre-mutation state) of one
-  /// already-applied transactional batch, buffered under a single lock.
+  /// Every (row, pre-mutation state) of one already-applied mutation, its
+  /// current state being in rows(). Attribute additions and removals are
+  /// handled, so footnote-3 type changes (an update whose TypeDelta
+  /// adds/drops variant attributes) arrive as one multi-attribute delta.
   void OnUpdateBatch(std::vector<std::pair<Pli::RowId, Tuple>> old_rows);
 
   const std::vector<Tuple>& rows() const { return *rows_; }
@@ -145,10 +138,11 @@ class PliCache {
     size_t misses = 0;
     size_t evictions = 0;
     size_t cached_entries = 0;
-    /// Cached partitions dropped by a flush because re-intersecting patched
-    /// sub-partitions is cheaper than patching them (rebuilt lazily).
+    /// Cached partitions a splicing flush dropped because the burst touched
+    /// them (or because their build raced the mutation); each is rebuilt
+    /// lazily from the spliced columns by the next Get.
     size_t patch_rebuilds = 0;
-    /// Structures (columns and partitions) spliced by a flush.
+    /// Code columns spliced by a flush.
     size_t batch_applies = 0;
     /// Flushes that dropped every cached structure because the burst
     /// crossed max(drop_threshold, rows/2).
@@ -168,15 +162,15 @@ class PliCache {
     /// Multi-attribute Gets served by building without caching because the
     /// cache could not get under budget by evicting.
     size_t uncached_serves = 0;
-    /// Flushes that failed mid-patch (allocation failure or injected
+    /// Flushes that failed mid-splice (allocation failure or injected
     /// fault) and recovered by dropping every cached structure instead of
-    /// keeping a half-patched one.
+    /// keeping a half-spliced one.
     size_t flush_aborts = 0;
   };
   StatsSnapshot Stats() const;
 
  private:
-  using PliPtr = std::shared_ptr<Pli>;
+  using PliPtr = std::shared_ptr<const Pli>;  // immutable once built
   struct Entry {
     std::shared_future<PliPtr> future;
     /// Position in lru_; only meaningful when evictable.
@@ -197,7 +191,7 @@ class PliCache {
   /// state (or "inserted"), its final state being rows()[row], and the
   /// attributes whose value or presence the net move changes — diffed once
   /// here, consumed by every flush stage (a no-op update diffs to ∅ and is
-  /// dropped before any patching).
+  /// dropped before any splicing).
   struct NetDelta {
     Pli::RowId row;
     bool is_insert;
@@ -225,35 +219,15 @@ class PliCache {
 
   /// Applies the pending-delta buffer to every cached structure — one
   /// splice, or drop-everything past the burst-size bound (see file
-  /// comment) — then gives every patched column its staleness check
-  /// (CodeColumn::MaybeReintern). Requires mu_; every read path calls this
-  /// before touching entries_/code_columns_.
+  /// comment). Requires mu_; every read path calls this before touching
+  /// entries_/code_columns_.
   void FlushPendingLocked();
 
-  /// The splice: two-phase cluster patches for kept multi-attribute
-  /// entries around one splice of the code columns and the
-  /// single-attribute partitions. Requires mu_.
+  /// The splice: drops every cached partition the burst touches, then
+  /// splices each affected code column and gives it its staleness check
+  /// (CodeColumn::MaybeReintern). Requires mu_.
   void SpliceLocked(const std::vector<NetDelta>& net, const AttrSet& changed,
                     size_t insert_count);
-
-  /// One phase of the multi-attribute group patch: groups the net-delta
-  /// rows leaving (`erase`, old states against pre-splice columns) or
-  /// joining (final states against post-splice columns) the partition by
-  /// cluster, scans each affected cluster once, and applies one
-  /// ClusterPatchView per cluster via Pli::ApplyBatch. `scan_budget` caps
-  /// the cumulative scan work across both phases at one re-intersection's
-  /// worth. Returns false — the caller drops the entry — when the budget
-  /// runs out or the scans contradict the clusters. Requires mu_.
-  bool MultiAttrGroupPatchLocked(const AttrSet& attrs, Pli* pli,
-                                 const std::vector<NetDelta>& net, bool erase,
-                                 size_t* scan_budget);
-
-  /// Upfront cost of group-patching a multi-attribute entry: the summed
-  /// seed-bucket sizes of both phases' cluster scans (an upper bound),
-  /// computed from cheap column lookups before any scanning happens.
-  /// Requires mu_.
-  size_t EstimateMultiPatchScanLocked(const AttrSet& attrs,
-                                      const std::vector<NetDelta>& net);
 
   /// Drops every cached structure for lazy rebuilds. Requires mu_.
   void DropAllLocked();
@@ -262,18 +236,6 @@ class PliCache {
   /// read-free mutation storm cannot grow it past the touched-row count.
   /// Requires mu_.
   void CompactPendingLocked();
-
-  /// Ascending rows agreeing with `proj` on `attrs` (into `out`): the
-  /// k-way intersection of the attributes' code buckets, smallest list
-  /// seeding, larger ones refined by streaming merge or per-survivor
-  /// binary search (adaptive set intersection). Pure column work, so the
-  /// scan is coherent with whatever intermediate state the columns are in
-  /// mid-flush. `scan_budget` is decremented by the seed size. Returns
-  /// false — patching would cost more than a rebuild — when the seed would
-  /// overdraw the budget. Requires mu_; `proj` must be defined on all of
-  /// `attrs`.
-  bool AgreeingRowsLocked(const AttrSet& attrs, const Tuple& proj,
-                          Pli::Cluster* out, size_t* scan_budget);
 
   using EntryMap = std::unordered_map<AttrSet, Entry, AttrSetHash>;
 
@@ -289,7 +251,7 @@ class PliCache {
   mutable std::mutex mu_;
   EntryMap entries_;
   std::unordered_map<AttrId, std::shared_ptr<CodeColumn>>
-      code_columns_;  // pinned and patched; the per-attribute base
+      code_columns_;  // pinned and spliced; the per-attribute base
   std::list<AttrSet> lru_;  // front = most recently used, evictable keys only
   std::vector<PendingDelta> pending_;  // buffered mutations, oldest first
   size_t pending_compact_at_;  // next buffer size that triggers compaction

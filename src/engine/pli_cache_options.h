@@ -29,19 +29,19 @@ struct PliCacheOptions {
   /// growing without bound.
   size_t memory_budget_bytes = 0;
 
-  /// Maintain cached partitions and code columns incrementally across
-  /// instance mutations (PliCache::OnInsert/OnUpdate patch the affected
-  /// clusters in place). False restores the pre-incremental behavior:
-  /// FlexibleRelation drops the whole cache on every mutation and the next
-  /// query rebuilds it from scratch — kept as the cross-validation oracle
-  /// for the incremental path.
+  /// Maintain the cache incrementally across instance mutations (the
+  /// PliCache hooks buffer each delta; the next read splices the code
+  /// columns and drops the partitions it touches). False restores the
+  /// pre-incremental behavior: FlexibleRelation drops the whole cache on
+  /// every mutation and the next query rebuilds it from scratch — kept as
+  /// the cross-validation oracle for the incremental path.
   bool incremental = true;
 
   /// Splice vs drop-everything crossover. Mutations are buffered as
   /// pending deltas and flushed on the next read; a flush of fewer than
   /// max(drop_threshold, rows/2) net deltas splices them into the code
-  /// columns and partitions (CodeColumn::ApplyBatch / Pli::ApplyBatch), a
-  /// larger one drops every cached structure (code columns included) for
+  /// columns (CodeColumn::ApplyBatch) and drops the partitions they touch,
+  /// a larger one drops every cached structure (code columns included) for
   /// lazy from-scratch rebuilds — at that burst size one deferred rebuild
   /// beats any splicing, which is what the incremental = false oracle
   /// demonstrates at high mutation ratios. The floor decides the arm in

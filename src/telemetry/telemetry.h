@@ -3,13 +3,13 @@
 // into a bounded in-memory ring, with one JSON serializer for both.
 //
 // Every cost-based decision the engine makes — the partition cache's
-// three-arm flush policy, the multi-patch drop-vs-patch estimates, the
-// evaluator's greedy join ordering — is invisible without per-decision
-// attribution and timings. This subsystem is the single substrate all of
-// them report through: `PliCache`, `Pli` intersections, the validator,
-// `parallel_discovery`, the algebra evaluator, and `FlexibleRelation`'s
-// batch mutation paths all increment named metrics and open spans here,
-// and benches / `scripts/perf_smoke.py` dump the result as one JSON
+// splice-or-drop flush policy, the evaluator's greedy join ordering — is
+// invisible without per-decision attribution and timings. This subsystem
+// is the single substrate all of them report through: `PliCache`, `Pli`
+// intersections, the validator, `parallel_discovery`, the algebra
+// evaluator, and `FlexibleRelation`'s batch mutation paths all increment
+// named metrics and open spans here, and benches / `scripts/perf_smoke.py`
+// dump the result as one JSON
 // document (the unified stats channel that replaced bench_pli's hand-rolled
 // counter printing).
 //

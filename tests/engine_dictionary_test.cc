@@ -131,16 +131,15 @@ TEST(CodeColumnTest, DuplicateValuesShareOneCodeAcrossBuildAndMutation) {
 
   // Inserting and updating to already-interned values must reuse the codes
   // and leave the code space untouched.
-  std::vector<Pli::ClusterPatchView> views;
   Tuple t;
   t.Set(a, Value::Str("x"));
   rows.push_back(t);
-  column.ApplyBatch(rows.size(), {{3, rows[3].Get(a)}}, &views);  // append
+  column.ApplyBatch(rows.size(), {{3, rows[3].Get(a)}});  // append
   EXPECT_EQ(column.codes()[3], x);
   EXPECT_EQ(column.code_bound(), bound);
 
   rows[2].Set(a, Value::Str("x"));
-  column.ApplyBatch(rows.size(), {{2, rows[2].Get(a)}}, &views);
+  column.ApplyBatch(rows.size(), {{2, rows[2].Get(a)}});
   EXPECT_EQ(column.codes()[2], x);
   EXPECT_EQ(column.code_bound(), bound);
   EXPECT_EQ(column.Bucket(x), (std::vector<CodeColumn::RowId>{0, 1, 2, 3}));
@@ -154,10 +153,11 @@ TEST(CodeColumnTest, UpdateToTheSameValueIsANoOp) {
   rows[1].Set(a, Value::Int(9));
   CodeColumn column = CodeColumn::Build(rows, a);
   const uint64_t gen = column.generation();
-  std::vector<Pli::ClusterPatchView> views;
-  column.ApplyBatch(rows.size(), {{0, rows[0].Get(a)}}, &views);
-  EXPECT_TRUE(views.empty()) << "a no-op move must not patch a cluster";
+  const CodeColumn::Code bound = column.code_bound();
+  column.ApplyBatch(rows.size(), {{0, rows[0].Get(a)}});
   EXPECT_EQ(column.generation(), gen);
+  EXPECT_EQ(column.code_bound(), bound);
+  EXPECT_EQ(column.live_codes(), 1u);
   EXPECT_EQ(column.Bucket(column.CodeOf(Value::Int(9))),
             (std::vector<CodeColumn::RowId>{0, 1}));
   VerifyColumnAgainstRows(column, rows, "same-value update");
@@ -181,12 +181,11 @@ TEST(CodeColumnTest, TypeChangingUpdatesReinternAfterChurn) {
   // interning grows the dictionary until it outweighs the live codes 2:1
   // past the slack floor, at which point MaybeReintern must fire, recode
   // densely and bump the generation.
-  std::vector<Pli::ClusterPatchView> views;
   bool reinterned = false;
   for (int64_t v = 100; v < 400 && !reinterned; ++v) {
     Value next = v % 2 == 0 ? Value::Int(v) : Value::Str(StrCat("t", v));
     rows[0].Set(a, next);
-    column.ApplyBatch(rows.size(), {{0, rows[0].Get(a)}}, &views);
+    column.ApplyBatch(rows.size(), {{0, rows[0].Get(a)}});
     reinterned = column.MaybeReintern();
   }
   ASSERT_TRUE(reinterned) << "churn never triggered a re-intern";
@@ -199,7 +198,7 @@ TEST(CodeColumnTest, TypeChangingUpdatesReinternAfterChurn) {
   // A removal (footnote-3 delta dropping the attribute) maps the row to
   // kMissingCode and keeps the space coherent.
   rows[1] = Tuple();
-  column.ApplyBatch(rows.size(), {{1, nullptr}}, &views);
+  column.ApplyBatch(rows.size(), {{1, nullptr}});
   EXPECT_EQ(column.codes()[1], CodeColumn::kMissingCode);
   VerifyColumnAgainstRows(column, rows, "post-removal");
 }
@@ -233,6 +232,169 @@ TEST(CodeColumnTest, BuildFromCodesMatchesValueBuild) {
     // reproduce the hash build bit for bit.
     EXPECT_EQ(Pli::BuildFromCodes(column.codes(), column.code_bound()),
               Pli::Build(rows, a));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The batched splice against a fresh build: CodeColumn::ApplyBatch is the
+// only incremental maintenance the cache does, and every partition it
+// rebuilds afterwards is a counting sort over the spliced column.
+// ---------------------------------------------------------------------------
+
+std::vector<Tuple> RowsWithValues(AttrId attr,
+                                  const std::vector<int64_t>& values) {
+  std::vector<Tuple> rows;
+  for (int64_t v : values) {
+    Tuple t;
+    t.Set(attr, Value::Int(v));
+    rows.push_back(std::move(t));
+  }
+  return rows;
+}
+
+// The spliced column describes `rows` as a fresh build does, and the
+// partition counted off it equals the hash-built one.
+::testing::AssertionResult SplicedColumnMatchesBuild(
+    const CodeColumn& column, const std::vector<Tuple>& rows) {
+  if (::testing::AssertionResult decoded =
+          ColumnsDecodeEqual(column, CodeColumn::Build(rows, column.attr()));
+      !decoded) {
+    return decoded;
+  }
+  if (Pli::BuildFromCodes(column.codes(), column.code_bound()) !=
+      Pli::Build(rows, column.attr())) {
+    return ::testing::AssertionFailure()
+           << "counting sort over the spliced column differs from Pli::Build";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// The bucket of `value`, as a plain vector for comparisons.
+std::vector<CodeColumn::RowId> BucketOf(const CodeColumn& column,
+                                        int64_t value) {
+  return column.RowsOf(Value::Int(value));
+}
+
+TEST(CodeColumnTest, BatchSpliceCoversEveryBucketTransition) {
+  using Rows = std::vector<CodeColumn::RowId>;
+  {
+    // One burst dissolves {0,1} and {2,3} and un-strips row 4: row 0
+    // moves 1 -> 3, row 2 moves 2 -> 1.
+    const AttrId a = 4;
+    std::vector<Tuple> rows = RowsWithValues(a, {1, 1, 2, 2, 3});
+    CodeColumn column = CodeColumn::Build(rows, a);
+    rows[0].Set(a, Value::Int(3));
+    rows[2].Set(a, Value::Int(1));
+    column.ApplyBatch(rows.size(), {{0, rows[0].Get(a)}, {2, rows[2].Get(a)}});
+    EXPECT_TRUE(SplicedColumnMatchesBuild(column, rows));
+    EXPECT_EQ(BucketOf(column, 1), (Rows{1, 2}));
+    EXPECT_EQ(BucketOf(column, 2), (Rows{3}));
+    EXPECT_EQ(BucketOf(column, 3), (Rows{0, 4}));
+    EXPECT_EQ(column.defined(), 5u);
+  }
+  {
+    // One burst dissolves, shrinks, grows and creates buckets: row 0
+    // 1 -> 3 (un-strips row 4), row 3 2 -> 1, row 5 2 -> 9 (a fresh value).
+    const AttrId a = 6;
+    std::vector<Tuple> rows = RowsWithValues(a, {1, 1, 2, 2, 3, 2, 1});
+    CodeColumn column = CodeColumn::Build(rows, a);
+    rows[0].Set(a, Value::Int(3));
+    rows[3].Set(a, Value::Int(1));
+    rows[5].Set(a, Value::Int(9));
+    column.ApplyBatch(rows.size(), {{0, rows[0].Get(a)},
+                                    {3, rows[3].Get(a)},
+                                    {5, rows[5].Get(a)}});
+    EXPECT_TRUE(SplicedColumnMatchesBuild(column, rows));
+    EXPECT_EQ(BucketOf(column, 1), (Rows{1, 3, 6}));
+    EXPECT_EQ(BucketOf(column, 2), (Rows{2}));
+    EXPECT_EQ(BucketOf(column, 3), (Rows{0, 4}));
+    EXPECT_EQ(BucketOf(column, 9), (Rows{5}));
+  }
+  {
+    // An insert burst: row 3 joins value 6 (un-strips row 1), row 4 a new
+    // value 9, and row 5 arrives without the attribute.
+    const AttrId a = 7;
+    std::vector<Tuple> rows = RowsWithValues(a, {5, 6, 5});
+    CodeColumn column = CodeColumn::Build(rows, a);
+    for (int64_t v : {6, 9}) {
+      Tuple t;
+      t.Set(a, Value::Int(v));
+      rows.push_back(std::move(t));
+    }
+    rows.push_back(Tuple());
+    column.ApplyBatch(rows.size(), {{3, rows[3].Get(a)}, {4, rows[4].Get(a)}});
+    EXPECT_TRUE(SplicedColumnMatchesBuild(column, rows));
+    EXPECT_EQ(column.codes()[5], CodeColumn::kMissingCode);
+    EXPECT_EQ(BucketOf(column, 6), (Rows{1, 3}));
+    EXPECT_EQ(BucketOf(column, 9), (Rows{4}));
+    EXPECT_EQ(column.defined(), 5u);
+  }
+  {
+    // A fat bucket loses a middle row, then an appended row lands at its
+    // back.
+    const AttrId a = 5;
+    std::vector<Tuple> rows = RowsWithValues(a, {1, 1, 1, 1, 2, 2, 3, 3});
+    CodeColumn column = CodeColumn::Build(rows, a);
+    rows[1].Set(a, Value::Int(9));
+    column.ApplyBatch(rows.size(), {{1, rows[1].Get(a)}});
+    EXPECT_TRUE(SplicedColumnMatchesBuild(column, rows));
+    EXPECT_EQ(BucketOf(column, 1), (Rows{0, 2, 3}));
+    Tuple t;
+    t.Set(a, Value::Int(1));
+    rows.push_back(t);
+    column.ApplyBatch(rows.size(), {{8, rows[8].Get(a)}});
+    EXPECT_TRUE(SplicedColumnMatchesBuild(column, rows));
+    EXPECT_EQ(BucketOf(column, 1), (Rows{0, 2, 3, 8}));
+  }
+}
+
+// Random bursts of updates, removals and appends, each checked against a
+// fresh build: buckets shrink, dissolve, grow and appear anywhere in the
+// row order, and the partition counted off the column must equal the
+// hash-built one after every burst.
+TEST(CodeColumnTest, RandomBatchSplicesMatchRebuilds) {
+  Rng rng(SoakSeed(8));
+  const AttrId a = 0;
+  constexpr int kRounds = 300;
+  std::vector<Tuple> rows;
+  rows.reserve(200 + 2 * kRounds);  // moves point into rows: no realloc
+  auto random_value = [&](Tuple* t) {
+    if (rng.Bernoulli(0.1)) {
+      t->Erase(a);
+    } else {
+      t->Set(a, Value::Int(rng.UniformInt(0, rng.Bernoulli(0.1) ? 999 : 40)));
+    }
+  };
+  for (int i = 0; i < 200; ++i) {
+    Tuple t;
+    random_value(&t);
+    rows.push_back(std::move(t));
+  }
+  CodeColumn column = CodeColumn::Build(rows, a);
+  for (int round = 0; round < kRounds; ++round) {
+    std::vector<CodeColumn::Move> moves;
+    std::vector<size_t> updated;
+    const size_t burst = 1 + rng.Index(round % 3 == 0 ? 40 : 4);
+    for (size_t i = 0; i < burst; ++i) {
+      const size_t row = rng.Index(rows.size());
+      if (std::find(updated.begin(), updated.end(), row) != updated.end()) {
+        continue;  // one net move per row, as the flush coalesces them
+      }
+      updated.push_back(row);
+      random_value(&rows[row]);
+      moves.push_back({static_cast<CodeColumn::RowId>(row), rows[row].Get(a)});
+    }
+    for (size_t i = rng.Index(3); i > 0; --i) {
+      Tuple t;
+      random_value(&t);
+      rows.push_back(std::move(t));
+      if (const Value* v = rows.back().Get(a)) {
+        moves.push_back({static_cast<CodeColumn::RowId>(rows.size() - 1), v});
+      }
+    }
+    column.ApplyBatch(rows.size(), moves);
+    ASSERT_TRUE(SplicedColumnMatchesBuild(column, rows))
+        << "round#" << round;
   }
 }
 

@@ -141,8 +141,8 @@ TEST(EngineDiscoverySoak, SurvivesMutationsBetweenDiscoveries) {
     }
 
     // Re-discover through the relation's long-lived cache after every
-    // mutation burst: round r validates against partitions and columns
-    // the flush arms have patched r times.
+    // mutation burst: round r validates against columns the flush arms
+    // have spliced r times and partitions rebuilt from them.
     for (int round = 0; round < 4; ++round) {
       std::shared_ptr<PliCache> cache = rel.pli_cache();
       DependencyValidator validator(cache.get());

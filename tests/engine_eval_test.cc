@@ -38,44 +38,31 @@ EvalOptions NaiveOptions() {
   return options;
 }
 
-EvalOptions EngineNoCacheOptions() {
-  EvalOptions options;
-  options.use_cache = false;
-  return options;
-}
-
 std::vector<Tuple> SortedRows(const FlexibleRelation& rel) {
   std::vector<Tuple> rows = rel.rows();
   std::sort(rows.begin(), rows.end());
   return rows;
 }
 
-// Evaluates `plan` on the naive, engine, and engine-without-cache paths and
-// asserts they are observationally identical; returns the number of checked
-// instances (1) for the property-test counter.
+// Evaluates `plan` on the naive and engine paths and asserts they are
+// observationally identical.
 void CrossValidate(const PlanPtr& plan, const std::string& context) {
-  EvalStats naive_stats, engine_stats, nocache_stats;
+  EvalStats naive_stats, engine_stats;
   auto naive = Evaluate(plan, NaiveOptions(), &naive_stats);
   auto engine = Evaluate(plan, EvalOptions(), &engine_stats);
-  auto nocache = Evaluate(plan, EngineNoCacheOptions(), &nocache_stats);
 
   ASSERT_EQ(naive.ok(), engine.ok()) << context;
-  ASSERT_EQ(naive.ok(), nocache.ok()) << context;
   if (!naive.ok()) {
     EXPECT_EQ(naive.status().code(), engine.status().code()) << context;
-    EXPECT_EQ(naive.status().code(), nocache.status().code()) << context;
     return;
   }
 
   // Set-equal rows...
   EXPECT_EQ(SortedRows(naive.value()), SortedRows(engine.value())) << context;
-  EXPECT_EQ(SortedRows(naive.value()), SortedRows(nocache.value())) << context;
   // ...and identical propagated dependency sets (same propagation code must
   // run in the same order on both paths).
   EXPECT_EQ(naive.value().deps().ads(), engine.value().deps().ads()) << context;
   EXPECT_EQ(naive.value().deps().fds(), engine.value().deps().fds()) << context;
-  EXPECT_EQ(naive.value().deps().ads(), nocache.value().deps().ads())
-      << context;
 
   // Selection work can only shrink: the indexed path evaluates nothing and
   // the generic path evaluates exactly what the oracle does. (join_probes
@@ -235,11 +222,11 @@ TEST(EngineEvalCrossValidation, RandomPlansAgreeWithNaiveOracle) {
 // ---------------------------------------------------------------------------
 // Mutate-between-evaluations: the accelerated path must stay observationally
 // identical to the naive oracle while the scanned relations' attached caches
-// are patched in place by interleaved mutations (PliCache::OnInsert /
-// OnUpdate) — including the use_cache=false configuration, which bypasses
-// the patched state entirely. Unlike the 240-plan test above (fixed seeds:
-// it pins instance counts), this phase honors FLEXREL_TEST_SEED so CI's
-// seed-diversity step soaks a fresh mutation interleaving per run.
+// are maintained across interleaved mutations (the hooks buffer them, the
+// next read splices the code columns). Unlike the 240-plan test above
+// (fixed seeds: it pins instance counts), this phase honors
+// FLEXREL_TEST_SEED so CI's seed-diversity step soaks a fresh mutation
+// interleaving per run.
 // ---------------------------------------------------------------------------
 
 TEST(EngineEvalCrossValidation, RandomPlansAgreeAcrossCachePatches) {
@@ -277,7 +264,7 @@ TEST(EngineEvalCrossValidation, RandomPlansAgreeAcrossCachePatches) {
     pool.values.push_back(Value::Null());
 
     // A fixed plan set, re-cross-validated after every mutation burst: the
-    // engine path of round r reads caches patched r times.
+    // engine path of round r reads caches maintained across r bursts.
     std::vector<PlanPtr> plans;
     for (int p = 0; p < 4; ++p) plans.push_back(RandomPlan(pool, &rng, 3));
     for (int round = 0; round < 4; ++round) {
@@ -494,7 +481,7 @@ TEST(EngineEvalIndexTest, NullLiteralsAndNullValuesFollowKleeneSemantics) {
 }
 
 // Mutations must be visible to the next evaluation — historically by
-// dropping the cache, now by patching it in place (the soak in
+// dropping the cache, now by splicing its code columns (the soak in
 // engine_incremental_test.cc covers the structural details).
 TEST(EngineEvalIndexTest, InsertAndUpdateKeepTheAttachedCacheCoherent) {
   FlexibleRelation rel = FlexibleRelation::Derived("r", DependencySet());

@@ -1,5 +1,7 @@
-// Mutation soak for incremental PLI maintenance (PliCache::OnInsert /
-// OnUpdate, Pli::ApplyBatch, the code-column splice).
+// Mutation soak for incremental cache maintenance: the PliCache hooks
+// buffer each mutation, and the next read splices the code columns
+// (CodeColumn::ApplyBatch) and drops the partitions the burst touches,
+// which the next Get rebuilds from the spliced columns.
 //
 // The contract under test: after ANY interleaving of Insert /
 // InsertUnchecked / Update with Get / CodeColumnFor queries, every cached
@@ -46,225 +48,6 @@ uint64_t SoakSeed(uint64_t salt) {
 }
 
 // ---------------------------------------------------------------------------
-// Pli patch primitives: the cluster transitions, pinned one by one.
-// ---------------------------------------------------------------------------
-
-std::vector<Tuple> RowsWithValues(AttrId attr,
-                                  const std::vector<int64_t>& values) {
-  std::vector<Tuple> rows;
-  for (int64_t v : values) {
-    Tuple t;
-    t.Set(attr, Value::Int(v));
-    rows.push_back(std::move(t));
-  }
-  return rows;
-}
-
-// One patch: the cluster fronted by `old_front` with `old_size` rows keeps
-// its first `keep` rows, then `tail`.
-Pli::ClusterPatchView Patch(Pli::RowId old_front, uint32_t old_size,
-                            uint32_t keep, const Pli::Cluster& tail) {
-  return {old_front, old_size, keep, tail};
-}
-
-TEST(PliPatchTest, InsertSecondCarrierUnstripsTheSingleton) {
-  const AttrId a = 3;
-  std::vector<Tuple> rows = RowsWithValues(a, {7, 8, 7});
-  Pli pli = Pli::Build(rows, a);  // clusters: {0,2}; row 1 stripped
-  ASSERT_EQ(pli.num_clusters(), 1u);
-
-  // Row 3 arrives with value 8: row 1 must be un-stripped into {1,3}. The
-  // value had one (stripped) carrier, so nothing of it is kept.
-  Tuple t;
-  t.Set(a, Value::Int(8));
-  rows.push_back(t);
-  pli.SetNumRows(rows.size());
-  const Pli::Cluster tail = {1, 3};
-  ASSERT_TRUE(pli.ApplyBatch({Patch(1, 1, 0, tail)}, /*defined_delta=*/1));
-  EXPECT_EQ(pli, Pli::Build(rows, a));
-  EXPECT_EQ(pli.defined_rows(), 4u);
-  EXPECT_EQ(pli.NumDistinct(), 2u);
-}
-
-TEST(PliPatchTest, EraseDownToOneCarrierDissolvesTheCluster) {
-  const AttrId a = 1;
-  std::vector<Tuple> rows = RowsWithValues(a, {5, 5, 9, 9});
-  Pli pli = Pli::Build(rows, a);
-  ASSERT_EQ(pli.num_clusters(), 2u);
-
-  // Row 0 leaves value 5 (update away): {0,1} dissolves, row 1 re-strips.
-  const Pli::Cluster remnant = {1};
-  ASSERT_TRUE(pli.ApplyBatch({Patch(0, 2, 0, remnant)}, /*defined_delta=*/
-                             -1));
-  rows[0].Set(a, Value::Int(1234));  // value 5 now carried by row 1 alone
-  Pli rebuilt = Pli::Build(rows, a);
-  // The patch alone models only the departure; defined_rows drops by one.
-  EXPECT_EQ(pli.num_clusters(), 1u);
-  EXPECT_EQ(pli.clusters()[0], (Pli::Cluster{2, 3}));
-  EXPECT_EQ(pli.defined_rows(), 3u);
-  std::string err;
-  EXPECT_TRUE(pli.CheckInvariants(&err)) << err;
-  // Completing the move (row 0 lands on a fresh, stripped value) patches
-  // no cluster and only counts the row as defined again.
-  ASSERT_TRUE(pli.ApplyBatch({}, /*defined_delta=*/1));
-  EXPECT_EQ(pli, rebuilt);
-  EXPECT_EQ(pli.defined_rows(), rebuilt.defined_rows());
-}
-
-TEST(PliPatchTest, FrontRowChangesKeepCanonicalClusterOrder) {
-  const AttrId a = 0;
-  // Clusters {0,3} (v=1), {1,2} (v=2) and {4,5} (v=3), in that canonical
-  // order.
-  std::vector<Tuple> rows = RowsWithValues(a, {1, 2, 2, 1, 3, 3});
-  Pli pli = Pli::Build(rows, a);
-  ASSERT_EQ(pli.clusters().size(), 3u);
-
-  // Row 0 leaves cluster {0,3}: the remnant {3} dissolves; then row 0
-  // rejoins value 2's cluster {1,2} as its NEW front — the re-fronted
-  // cluster must move to the first canonical slot.
-  const Pli::Cluster remnant = {3};
-  ASSERT_TRUE(pli.ApplyBatch({Patch(0, 2, 0, remnant)}, 0));
-  const Pli::Cluster refronted = {0, 1, 2};
-  ASSERT_TRUE(pli.ApplyBatch({Patch(1, 2, 0, refronted)}, 0));
-  rows[0].Set(a, Value::Int(2));
-  EXPECT_EQ(pli, Pli::Build(rows, a));
-  EXPECT_EQ(pli.clusters()[0], (Pli::Cluster{0, 1, 2}));
-  std::string err;
-  EXPECT_TRUE(pli.CheckInvariants(&err)) << err;
-}
-
-TEST(PliPatchTest, InconsistentArgumentsAreRejectedNotApplied) {
-  const AttrId a = 2;
-  std::vector<Tuple> rows = RowsWithValues(a, {4, 4, 6});
-  Pli pli = Pli::Build(rows, a);
-  const Pli before = pli;
-  auto expect_untouched = [&] {
-    EXPECT_EQ(pli, before);
-    EXPECT_EQ(pli.defined_rows(), before.defined_rows());
-    EXPECT_EQ(pli.grouped_rows(), before.grouped_rows());
-  };
-  // Claiming row 2 joins a two-row cluster fronted by row 1 is
-  // inconsistent (row 1's cluster is fronted by row 0): the patch must
-  // refuse, and refusal must be a true no-op, counters included.
-  const Pli::Cluster joiner = {2};
-  EXPECT_FALSE(pli.ApplyBatch({Patch(1, 2, 2, joiner)}, 1));
-  expect_untouched();
-  // Same for a patch keeping more rows than the cluster holds...
-  EXPECT_FALSE(pli.ApplyBatch({Patch(0, 2, 3, {})}, 0));
-  expect_untouched();
-  // ...and for one keeping rows of a value that had no cluster.
-  EXPECT_FALSE(pli.ApplyBatch({Patch(2, 1, 1, joiner)}, 0));
-  expect_untouched();
-}
-
-// Front-keeping patches that fit their slot rewrite only that slot: every
-// other cluster's storage stays where it was.
-TEST(PliPatchTest, FrontKeepingPatchesLandInTheirSlotInPlace) {
-  const AttrId a = 5;
-  std::vector<Tuple> rows = RowsWithValues(a, {1, 1, 1, 1, 2, 2, 3, 3});
-  Pli pli = Pli::Build(rows, a);  // {0,1,2,3}, {4,5}, {6,7}
-  CodeColumn column = CodeColumn::Build(rows, a);
-  ASSERT_EQ(pli.num_clusters(), 3u);
-  auto begins = [&] {
-    std::vector<const Pli::RowId*> out;
-    for (Pli::ClusterView c : pli.clusters()) out.push_back(c.begin());
-    return out;
-  };
-  const std::vector<const Pli::RowId*> before = begins();
-  std::vector<Pli::ClusterPatchView> views;
-
-  // Erase a row from the fat cluster: row 1 moves to a fresh (stripped)
-  // value, so the column keeps {0} and the patch's tail is {2,3}.
-  rows[1].Set(a, Value::Int(9));
-  column.ApplyBatch(rows.size(), {{1, rows[1].Get(a)}}, &views);
-  ASSERT_EQ(views.size(), 1u);
-  EXPECT_EQ(views[0].keep, 1u);
-  ASSERT_TRUE(pli.ApplyBatch(views, 0));
-  EXPECT_EQ(pli, Pli::Build(rows, a));
-  EXPECT_EQ(begins(), before) << "an in-slot erase moved a cluster";
-  EXPECT_EQ(pli.ArenaSlackRows(), 1u);
-
-  // Append a row to the same cluster: it lands in the slack the erase
-  // left, with nothing kept past the old rows.
-  Tuple t;
-  t.Set(a, Value::Int(1));
-  rows.push_back(t);
-  pli.SetNumRows(rows.size());
-  column.ApplyBatch(rows.size(), {{8, rows[8].Get(a)}}, &views);
-  ASSERT_EQ(views.size(), 1u);
-  EXPECT_EQ(views[0].keep, 3u);
-  ASSERT_TRUE(pli.ApplyBatch(views, 1));
-  EXPECT_EQ(pli, Pli::Build(rows, a));
-  EXPECT_EQ(begins(), before) << "an in-slot append moved a cluster";
-  EXPECT_EQ(pli.ArenaSlackRows(), 0u);
-  std::string err;
-  EXPECT_TRUE(pli.CheckInvariants(&err)) << err;
-}
-
-// Random bursts through the column splice and the partition splice, checked
-// against a rebuild after every burst: slots grow, dissolve, re-front and
-// appear mid-arena, and the arena compacts once slack outweighs the rows.
-TEST(PliPatchTest, RandomColumnSplicesMatchRebuilds) {
-  Rng rng(SoakSeed(8));
-  const AttrId a = 0;
-  constexpr int kRounds = 300;
-  std::vector<Tuple> rows;
-  rows.reserve(200 + 2 * kRounds);  // moves point into rows: no realloc
-  auto random_value = [&](Tuple* t) {
-    if (rng.Bernoulli(0.1)) {
-      t->Erase(a);
-    } else {
-      t->Set(a, Value::Int(rng.UniformInt(0, rng.Bernoulli(0.1) ? 999 : 40)));
-    }
-  };
-  for (int i = 0; i < 200; ++i) {
-    Tuple t;
-    random_value(&t);
-    rows.push_back(std::move(t));
-  }
-  Pli pli = Pli::Build(rows, a);
-  CodeColumn column = CodeColumn::Build(rows, a);
-  std::vector<Pli::ClusterPatchView> views;
-  for (int round = 0; round < kRounds; ++round) {
-    std::vector<CodeColumn::Move> moves;
-    std::vector<size_t> updated;
-    const size_t burst = 1 + rng.Index(round % 3 == 0 ? 40 : 4);
-    for (size_t i = 0; i < burst; ++i) {
-      const size_t row = rng.Index(rows.size());
-      if (std::find(updated.begin(), updated.end(), row) != updated.end()) {
-        continue;  // one net move per row, as the flush coalesces them
-      }
-      updated.push_back(row);
-      random_value(&rows[row]);
-      moves.push_back({static_cast<Pli::RowId>(row), rows[row].Get(a)});
-    }
-    for (size_t i = rng.Index(3); i > 0; --i) {
-      Tuple t;
-      random_value(&t);
-      rows.push_back(std::move(t));
-      if (const Value* v = rows.back().Get(a)) {
-        moves.push_back({static_cast<Pli::RowId>(rows.size() - 1), v});
-      }
-    }
-    const size_t defined_before = column.defined();
-    column.ApplyBatch(rows.size(), moves, &views);
-    pli.SetNumRows(rows.size());
-    const std::string context = StrCat("round#", round);
-    ASSERT_TRUE(pli.ApplyBatch(
-        views, static_cast<ptrdiff_t>(column.defined()) -
-                   static_cast<ptrdiff_t>(defined_before)))
-        << context;
-    const Pli fresh = Pli::Build(rows, a);
-    ASSERT_EQ(pli, fresh) << context;
-    ASSERT_EQ(pli.defined_rows(), fresh.defined_rows()) << context;
-    std::string err;
-    ASSERT_TRUE(pli.CheckInvariants(&err)) << context << ": " << err;
-    ASSERT_LE(pli.ArenaSlackRows(), pli.grouped_rows()) << context;
-    ASSERT_TRUE(ColumnMatchesPartition(column, pli)) << context;
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Randomized mutation soak over an untyped (derived) relation.
 // ---------------------------------------------------------------------------
 
@@ -282,28 +65,24 @@ void VerifyAgainstRebuild(const FlexibleRelation& rel, const SoakKeys& keys,
   std::shared_ptr<PliCache> cache = rel.pli_cache();
   PliCache rebuild(&rel.rows());
   for (const AttrSet& attrs : keys.partitions) {
-    std::shared_ptr<const Pli> patched = cache->Get(attrs);
+    std::shared_ptr<const Pli> cached = cache->Get(attrs);
     std::shared_ptr<const Pli> fresh = rebuild.Get(attrs);
-    ASSERT_EQ(*patched, *fresh)
+    ASSERT_EQ(*cached, *fresh)
         << context << " partition " << attrs.ToString() << " diverged";
-    EXPECT_EQ(patched->defined_rows(), fresh->defined_rows())
+    EXPECT_EQ(cached->defined_rows(), fresh->defined_rows())
         << context << " defined_rows of " << attrs.ToString();
-    EXPECT_EQ(patched->grouped_rows(), fresh->grouped_rows())
+    EXPECT_EQ(cached->grouped_rows(), fresh->grouped_rows())
         << context << " grouped_rows of " << attrs.ToString();
-    EXPECT_EQ(patched->NumDistinct(), fresh->NumDistinct())
+    EXPECT_EQ(cached->NumDistinct(), fresh->NumDistinct())
         << context << " NumDistinct of " << attrs.ToString();
     std::string err;
-    ASSERT_TRUE(patched->CheckInvariants(&err))
+    ASSERT_TRUE(cached->CheckInvariants(&err))
         << context << " partition " << attrs.ToString() << ": " << err;
-    // Dead slack stays bounded by the live rows (ApplyBatch compacts
-    // before it would outgrow them).
-    ASSERT_LE(patched->ArenaSlackRows(), patched->grouped_rows())
-        << context << " arena slack of " << attrs.ToString();
     // A single-attribute partition's column is the probe every product
     // with the attribute refines by: its buckets must be the clusters.
     if (attrs.size() == 1) {
       ASSERT_TRUE(ColumnMatchesPartition(
-          *cache->CodeColumnFor(attrs.ids().front()), *patched))
+          *cache->CodeColumnFor(attrs.ids().front()), *cached))
           << context << " column of " << attrs.ToString();
     }
   }
@@ -355,7 +134,7 @@ TEST(EngineIncrementalSoak, DerivedRelationPatchesMatchRebuilds) {
       what = StrCat("update(row=", row, ",attr=", attr, ")");
     }
     // Grow the tracked key set mid-soak: new partitions assemble out of
-    // *patched* bases and join the checked set from then on.
+    // *spliced* columns and join the checked set from then on.
     if (op % 40 == 17) {
       AttrSet fresh_key{attrs[rng.Index(attrs.size())],
                         attrs[rng.Index(attrs.size())]};
@@ -365,53 +144,105 @@ TEST(EngineIncrementalSoak, DerivedRelationPatchesMatchRebuilds) {
     ASSERT_NO_FATAL_FAILURE(VerifyAgainstRebuild(
         rel, keys, StrCat("op#", op, " [", what, "]")));
   }
-  // The soak must have exercised the patch path, not silently rebuilt.
+  // The soak must have exercised the splice, not silently rebuilt.
   EXPECT_GT(cache->Stats().batch_applies, 0u);
   EXPECT_EQ(cache.get(), rel.pli_cache().get())
       << "incremental mode must keep the attached cache alive";
 }
 
 // ---------------------------------------------------------------------------
-// The patch-vs-rebuild crossover: a saturated pair entry is dropped.
+// What a flush keeps: the spliced columns and the untouched partitions.
 // ---------------------------------------------------------------------------
 
-TEST(EngineIncrementalSoak, OversizedSeedClustersFallBackToLazyRebuild) {
+// An update of attribute a drops exactly the partitions over a: {a} and
+// {a, b} are misses rebuilt from the spliced column, while {c} is a hit on
+// the very object built before the update.
+TEST(PliCacheFlushTest, UpdateDropsOnlyTheTouchedPartitions) {
   AttrCatalog catalog;
-  AttrId a = catalog.Intern("a");
-  AttrId b = catalog.Intern("b");
+  const AttrId a = catalog.Intern("a");
+  const AttrId b = catalog.Intern("b");
+  const AttrId c = catalog.Intern("c");
+  FlexibleRelation rel = FlexibleRelation::Derived("touch", DependencySet());
+  for (int i = 0; i < 12; ++i) {
+    Tuple t;
+    t.Set(a, Value::Int(i % 3));
+    t.Set(b, Value::Int(i % 2));
+    t.Set(c, Value::Int(i % 4));
+    rel.InsertUnchecked(t);
+  }
+  std::shared_ptr<PliCache> cache = rel.pli_cache();
+  const AttrSet key_a = AttrSet::Of(a);
+  const AttrSet key_ab{a, b};
+  const AttrSet key_c = AttrSet::Of(c);
+  const std::shared_ptr<const Pli> before_a = cache->Get(key_a);
+  const std::shared_ptr<const Pli> before_ab = cache->Get(key_ab);
+  const std::shared_ptr<const Pli> before_c = cache->Get(key_c);
+
+  ASSERT_TRUE(rel.Update(0, a, Value::Int(2)).ok());
+  const PliCache::StatsSnapshot before = cache->Stats();
+  for (const auto& [key, held] :
+       {std::pair{key_a, before_a}, std::pair{key_ab, before_ab}}) {
+    const size_t misses = cache->Stats().misses;
+    const std::shared_ptr<const Pli> after = cache->Get(key);
+    EXPECT_EQ(cache->Stats().misses, misses + 1)
+        << key.ToString() << " must be rebuilt";
+    EXPECT_NE(after.get(), held.get()) << key.ToString();
+    EXPECT_EQ(*after, Pli::Build(rel.rows(), key)) << key.ToString();
+  }
+  const size_t hits = cache->Stats().hits;
+  const std::shared_ptr<const Pli> after_c = cache->Get(key_c);
+  EXPECT_EQ(cache->Stats().hits, hits + 1);
+  EXPECT_EQ(after_c.get(), before_c.get())
+      << "a partition the burst did not touch must survive the flush";
+  EXPECT_EQ(*after_c, Pli::Build(rel.rows(), key_c));
+  const PliCache::StatsSnapshot after = cache->Stats();
+  EXPECT_EQ(after.patch_rebuilds, before.patch_rebuilds + 2);
+  EXPECT_EQ(after.batch_applies, before.batch_applies + 1)
+      << "only a's column is spliced";
+}
+
+// An append moves every partition's row count, so the flush drops them
+// all — the ∅-partition and the partition over an attribute the new row
+// lacks included — and each rebuild from the spliced columns equals a
+// fresh cache's, through a later update too.
+TEST(PliCacheFlushTest, InsertDropsEveryCachedPartition) {
+  AttrCatalog catalog;
+  const AttrId a = catalog.Intern("a");
+  const AttrId b = catalog.Intern("b");
+  const AttrId uniq = catalog.Intern("uniq");
   FlexibleRelation rel = FlexibleRelation::Derived("fat", DependencySet());
-  // Constant values on both attributes: the pair partition is one cluster
-  // spanning the whole instance, so any burst saturates it (2b >= its
-  // cluster count) and the flush must take the drop-and-rebuild path.
   for (int i = 0; i < 12; ++i) {
     Tuple t;
     t.Set(a, Value::Int(1));
     t.Set(b, Value::Int(2));
-    t.Set(catalog.Intern("uniq"), Value::Int(i));  // keeps tuples distinct
+    t.Set(uniq, Value::Int(i));  // keeps tuples distinct
     rel.InsertUnchecked(t);
   }
   std::shared_ptr<PliCache> cache = rel.pli_cache();
-  (void)cache->Get(AttrSet{a, b});
-  ASSERT_EQ(cache->Stats().patch_rebuilds, 0u);
+  const std::vector<AttrSet> keys = {AttrSet::Of(a), AttrSet{a, b},
+                                     AttrSet::Of(uniq), AttrSet()};
+  for (const AttrSet& k : keys) (void)cache->Get(k);
+  const PliCache::StatsSnapshot before = cache->Stats();
+  ASSERT_EQ(before.cached_entries, keys.size());
 
   Tuple t;
   t.Set(a, Value::Int(1));
   t.Set(b, Value::Int(2));
-  t.Set(catalog.Intern("uniq"), Value::Int(99));
   rel.InsertUnchecked(t);
-
-  // The lazily re-intersected entry (built from the *patched* bases) must
-  // equal a from-scratch rebuild, and patching must keep working after it.
-  // The Get is also what flushes the buffered delta (deltas are deferred to
-  // the next read), so the patch_rebuilds assertion comes after it.
   PliCache fresh(&rel.rows());
-  EXPECT_EQ(*cache->Get(AttrSet{a, b}), *fresh.Get(AttrSet{a, b}));
-  EXPECT_GT(cache->Stats().patch_rebuilds, 0u)
-      << "the saturated pair entry must have been dropped";
+  for (const AttrSet& k : keys) {
+    EXPECT_EQ(*cache->Get(k), *fresh.Get(k)) << k.ToString();
+  }
+  EXPECT_EQ(cache->Stats().patch_rebuilds,
+            before.patch_rebuilds + keys.size());
+  EXPECT_TRUE(ColumnsDecodeEqual(*cache->CodeColumnFor(uniq),
+                                 *fresh.CodeColumnFor(uniq)));
+
   ASSERT_TRUE(rel.Update(0, b, Value::Int(7)).ok());
   PliCache fresh2(&rel.rows());
-  EXPECT_EQ(*cache->Get(AttrSet{a, b}), *fresh2.Get(AttrSet{a, b}));
-  EXPECT_EQ(*cache->Get(AttrSet::Of(b)), *fresh2.Get(AttrSet::Of(b)));
+  for (const AttrSet& k : keys) {
+    EXPECT_EQ(*cache->Get(k), *fresh2.Get(k)) << k.ToString();
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -588,122 +419,6 @@ TEST(EngineIncrementalSoak, TypedUpdatesWithTypeChangesPatchCorrectly) {
   ASSERT_NO_FATAL_FAILURE(VerifyAgainstRebuild(rel, keys, "typed final"));
   EXPECT_GT(type_changes, 0) << "soak never exercised a footnote-3 change";
   EXPECT_GT(cache->Stats().batch_applies, 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Group-apply primitives: the batched splice, pinned against rebuilds.
-// ---------------------------------------------------------------------------
-
-TEST(PliPatchTest, ApplyBatchSplicesLikeARebuild) {
-  const AttrId a = 4;
-  std::vector<Tuple> rows = RowsWithValues(a, {1, 1, 2, 2, 3});
-  Pli pli = Pli::Build(rows, a);  // clusters {0,1}, {2,3}; row 4 stripped
-  CodeColumn column = CodeColumn::Build(rows, a);
-
-  // One burst: row 0 re-valued 1 -> 3 (dissolves {0,1}, un-strips row 4
-  // into {0,4}) and row 2 re-valued 2 -> 1 (dissolves {2,3}, forms {1,2}).
-  rows[0].Set(a, Value::Int(3));
-  rows[2].Set(a, Value::Int(1));
-  std::vector<Pli::ClusterPatchView> views;
-  column.ApplyBatch(rows.size(), {{0, rows[0].Get(a)}, {2, rows[2].Get(a)}},
-                    &views);
-  ASSERT_FALSE(views.empty());
-  ASSERT_TRUE(pli.ApplyBatch(views, /*defined_delta=*/0));
-
-  EXPECT_EQ(pli, Pli::Build(rows, a));
-  EXPECT_EQ(pli.defined_rows(), 5u);
-  // The spliced column must describe the instance a fresh build does.
-  EXPECT_TRUE(
-      testutil::ColumnsDecodeEqual(column, CodeColumn::Build(rows, a)));
-  EXPECT_TRUE(ColumnMatchesPartition(column, pli));
-}
-
-TEST(PliPatchTest, ApplyBatchHandlesInsertBursts) {
-  const AttrId a = 7;
-  std::vector<Tuple> rows = RowsWithValues(a, {5, 6, 5});
-  Pli pli = Pli::Build(rows, a);
-  CodeColumn column = CodeColumn::Build(rows, a);
-
-  // Rows 3 and 4 appended: one joins value 6 (un-strips row 1), one a new
-  // value 9 (stays stripped); row 5 arrives without the attribute.
-  for (int64_t v : {6, 9}) {
-    Tuple t;
-    t.Set(a, Value::Int(v));
-    rows.push_back(std::move(t));
-  }
-  rows.push_back(Tuple());
-  const size_t defined_before = column.defined();
-  std::vector<Pli::ClusterPatchView> views;
-  column.ApplyBatch(rows.size(), {{3, rows[3].Get(a)}, {4, rows[4].Get(a)}},
-                    &views);
-  pli.SetNumRows(rows.size());
-  ASSERT_TRUE(pli.ApplyBatch(
-      views, static_cast<ptrdiff_t>(column.defined() - defined_before)));
-  EXPECT_EQ(pli, Pli::Build(rows, a));
-  EXPECT_EQ(pli.defined_rows(), 5u);
-  EXPECT_EQ(pli.NumDistinct(), 3u);
-  EXPECT_EQ(column.codes()[5], CodeColumn::kMissingCode);
-  EXPECT_TRUE(
-      testutil::ColumnsDecodeEqual(column, CodeColumn::Build(rows, a)));
-}
-
-TEST(PliPatchTest, BatchSpliceDissolvesShrinksGrowsAndAppears) {
-  // One burst whose views into the spliced buckets dissolve, shrink, grow
-  // and create clusters must leave the partition in exactly the rebuild's
-  // state.
-  const AttrId a = 6;
-  std::vector<Tuple> rows = RowsWithValues(a, {1, 1, 2, 2, 3, 2, 1});
-  Pli pli = Pli::Build(rows, a);
-  CodeColumn column = CodeColumn::Build(rows, a);
-  // Burst: row 0 1->3 (un-strips row 4), row 3 2->1, row 5 2->9 (fresh
-  // stripped value), so clusters dissolve, shrink, grow, and appear.
-  rows[0].Set(a, Value::Int(3));
-  rows[3].Set(a, Value::Int(1));
-  rows[5].Set(a, Value::Int(9));
-  std::vector<Pli::ClusterPatchView> views;
-  column.ApplyBatch(
-      rows.size(),
-      {{0, rows[0].Get(a)}, {3, rows[3].Get(a)}, {5, rows[5].Get(a)}},
-      &views);
-  ASSERT_FALSE(views.empty());
-  ASSERT_TRUE(pli.ApplyBatch(views, /*defined_delta=*/0));
-
-  EXPECT_EQ(pli, Pli::Build(rows, a));
-  std::string err;
-  EXPECT_TRUE(pli.CheckInvariants(&err)) << err;
-  EXPECT_LE(pli.ArenaSlackRows(), pli.grouped_rows());
-  EXPECT_TRUE(
-      testutil::ColumnsDecodeEqual(column, CodeColumn::Build(rows, a)));
-}
-
-TEST(PliPatchTest, ViewBasedBatchRefusesContradictionsAsANoOp) {
-  const AttrId a = 2;
-  std::vector<Tuple> rows = RowsWithValues(a, {4, 4, 6, 6});
-  Pli pli = Pli::Build(rows, a);
-  const Pli before = pli;
-  const Pli::RowId bogus[] = {0, 1, 2};
-  std::vector<Pli::ClusterPatchView> views;
-  views.push_back({0, 3, 0, bogus});  // cluster {0,1} is size 2, not 3
-  EXPECT_FALSE(pli.ApplyBatch(views, 0));
-  EXPECT_EQ(pli, before);
-  EXPECT_EQ(pli.grouped_rows(), before.grouped_rows());
-}
-
-TEST(PliPatchTest, ApplyBatchRefusesContradictionsAsANoOp) {
-  const AttrId a = 2;
-  std::vector<Tuple> rows = RowsWithValues(a, {4, 4, 6, 6});
-  Pli pli = Pli::Build(rows, a);
-  const Pli before = pli;
-  // A valid patch ({2,3} gains row 4) followed by one claiming a
-  // three-row cluster fronted by row 0, which contradicts the actual
-  // {0,1}: the whole batch must refuse without touching anything.
-  const Pli::Cluster joiner = {4};
-  const Pli::Cluster bogus = {0, 1, 2};
-  EXPECT_FALSE(
-      pli.ApplyBatch({Patch(2, 2, 2, joiner), Patch(0, 3, 0, bogus)}, 1));
-  EXPECT_EQ(pli, before);
-  EXPECT_EQ(pli.defined_rows(), before.defined_rows());
-  EXPECT_EQ(pli.grouped_rows(), before.grouped_rows());
 }
 
 // ---------------------------------------------------------------------------
@@ -1096,8 +811,6 @@ TEST(EngineIncrementalSoak, FlushPolicyMatchesDropOracleAcrossBurstSizes) {
           << context << " " << k.ToString();
       std::string err;
       ASSERT_TRUE(lhs->Get(k)->CheckInvariants(&err)) << context << err;
-      ASSERT_LE(lhs->Get(k)->ArenaSlackRows(), lhs->Get(k)->grouped_rows())
-          << context << " " << k.ToString();
     }
     for (AttrId a : keys.columns) {
       ASSERT_TRUE(ColumnsDecodeEqual(*lhs->CodeColumnFor(a),

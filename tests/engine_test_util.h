@@ -18,6 +18,7 @@
 
 #include "core/dependency_set.h"
 #include "engine/dictionary.h"
+#include "engine/pli.h"
 #include "relational/tuple.h"
 #include "util/rng.h"
 #include "util/status.h"
