@@ -78,7 +78,7 @@ BENCHMARK(BM_DiscoveryBruteForceLhs3)->Arg(10000)
 void BM_DiscoveryArenaStorage(benchmark::State& state) {
   std::vector<Tuple> rows = MakeRows(static_cast<size_t>(state.range(0)), 9);
   AttrSet universe = UniverseOf(rows);
-  EngineDiscoveryOptions options;
+  DiscoveryOptions options;
   options.max_lhs_size = 3;
   for (auto _ : state) {
     DependencySet deps = EngineDiscoverDependencies(rows, universe, options);
@@ -134,7 +134,7 @@ void BM_DiscoveryArenaStorageWide(benchmark::State& state) {
   AttrSet universe;
   std::vector<Tuple> rows =
       MakeWidePlanted(static_cast<AttrId>(state.range(0)), 2048, &universe);
-  EngineDiscoveryOptions options;
+  DiscoveryOptions options;
   options.max_lhs_size = 2;
   for (auto _ : state) {
     DependencySet deps = EngineDiscoverDependencies(rows, universe, options);

@@ -2,8 +2,8 @@
 // intersection throughput, the cache's level-sweep behaviour, and the
 // mutate-then-query sweep comparing incremental maintenance (the flush
 // splices the code columns and rebuilds the partitions a burst touches from
-// them) against the historical rebuild-after-invalidate mode
-// (PliCacheOptions::incremental = false).
+// them) against a rebuild oracle that reads through a fresh cache after
+// every mutation.
 // These are the primitives whose cost replaces per-candidate instance
 // re-hashing in dependency discovery (see bench_discovery.cc for the
 // end-to-end compare); the sweep's results are recorded in
@@ -181,7 +181,8 @@ BENCHMARK(BM_PliLevelSweep)->Arg(1000)->Arg(10000);
 //   Incremental — row-at-a-time Update() calls under the default policy
 //     (the buffer coalesces the burst, and the next read splices it);
 //   Batched     — the same burst staged through one UpdateRows() call;
-//   Rebuild     — incremental = false, the drop-everything oracle.
+//   Rebuild     — no cache attached to the relation; every query reads
+//     through a fresh PliCache over its rows, the drop-everything oracle.
 //
 // Updates only (no growth), so all modes benchmark the same instance size
 // regardless of iteration count.
@@ -191,16 +192,12 @@ constexpr AttrId kJobtype = 1;  // few fat clusters (the selective attribute)
 constexpr AttrId kCommon = 2;   // common attribute, medium clusters
 
 enum class MaintenanceMode {
-  kAdaptive,  // default options: splice or drop by burst size
-  kRebuild,   // incremental = false: drop the cache on every mutation
+  kAdaptive,  // the attached cache: splice or drop by burst size
+  kRebuild,   // a fresh cache per query, the from-scratch oracle
 };
 
-FlexibleRelation RelationOf(const std::vector<Tuple>& rows,
-                            MaintenanceMode mode) {
+FlexibleRelation RelationOf(const std::vector<Tuple>& rows) {
   FlexibleRelation rel = FlexibleRelation::Derived("bench", DependencySet());
-  PliCacheOptions options;
-  if (mode == MaintenanceMode::kRebuild) options.incremental = false;
-  rel.SetPliCacheOptions(options);
   std::vector<Tuple> copy = rows;
   rel.InsertRowsUnchecked(std::move(copy));
   return rel;
@@ -212,11 +209,22 @@ FlexibleRelation RelationOf(const std::vector<Tuple>& rows,
 // the caches of freshly materialized join legs, never a mutated base
 // relation, so the partition reads here stand for discovery or a Σ audit
 // run over a live relation right after a burst.
-void QueryCache(FlexibleRelation* rel) {
-  std::shared_ptr<PliCache> cache = rel->pli_cache();
+void QueryCache(PliCache* cache) {
   benchmark::DoNotOptimize(cache->CodeColumnFor(kJobtype));
   benchmark::DoNotOptimize(cache->Get(AttrSet::Of(kJobtype)));
   benchmark::DoNotOptimize(cache->Get(AttrSet{kJobtype, kCommon}));
+}
+
+// The query through the relation's attached cache, or — in Rebuild mode,
+// where no cache is ever attached — through a fresh cache over its rows:
+// the from-scratch work a cache dropped on every mutation would redo.
+void QueryRelation(FlexibleRelation* rel, MaintenanceMode mode) {
+  if (mode == MaintenanceMode::kRebuild) {
+    PliCache fresh(&rel->rows());
+    QueryCache(&fresh);
+  } else {
+    QueryCache(rel->pli_cache().get());
+  }
 }
 
 void MutateThenQuery(benchmark::State& state, MaintenanceMode mode,
@@ -234,8 +242,8 @@ void MutateThenQuery(benchmark::State& state, MaintenanceMode mode,
       }
     }
   }
-  FlexibleRelation rel = RelationOf(rows, mode);
-  QueryCache(&rel);  // attach and warm the cache
+  FlexibleRelation rel = RelationOf(rows);
+  QueryRelation(&rel, mode);  // warm: attaches the cache unless Rebuild
   Rng rng(99);
   std::vector<FlexibleRelation::UpdateSpec> burst;
   burst.reserve(static_cast<size_t>(mutations));
@@ -275,7 +283,7 @@ void MutateThenQuery(benchmark::State& state, MaintenanceMode mode,
       state.SkipWithError("update failed");
       return;
     }
-    QueryCache(&rel);
+    QueryRelation(&rel, mode);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           mutations);
@@ -358,17 +366,17 @@ void AppendThenQuery(benchmark::State& state, MaintenanceMode mode) {
   std::vector<Tuple> rows = MakeRows(n, 5);
   std::vector<Tuple> extra = MakeRows(n, 6);
   size_t next = 0;
-  FlexibleRelation rel = RelationOf(rows, mode);
-  QueryCache(&rel);
+  FlexibleRelation rel = RelationOf(rows);
+  QueryRelation(&rel, mode);
   for (auto _ : state) {
     if (rel.size() >= 2 * n) {
       state.PauseTiming();
-      rel = RelationOf(rows, mode);
-      QueryCache(&rel);
+      rel = RelationOf(rows);
+      QueryRelation(&rel, mode);
       state.ResumeTiming();
     }
     rel.InsertUnchecked(extra[next++ % extra.size()]);
-    QueryCache(&rel);
+    QueryRelation(&rel, mode);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
@@ -398,13 +406,14 @@ void BM_BulkLoadThenQuery(benchmark::State& state) {
   for (auto _ : state) {
     FlexibleRelation rel =
         FlexibleRelation::Derived("bulk", DependencySet());
-    QueryCache(&rel);  // attach the cache first so the load goes through it
+    // Attach the cache first so the load goes through it.
+    QueryRelation(&rel, MaintenanceMode::kAdaptive);
     std::vector<Tuple> copy = rows;
     if (!rel.InsertRows(std::move(copy)).ok()) {
       state.SkipWithError("bulk load failed");
       return;
     }
-    QueryCache(&rel);
+    QueryRelation(&rel, MaintenanceMode::kAdaptive);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(n));

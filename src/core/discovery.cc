@@ -102,7 +102,7 @@ std::vector<AttrDep> DiscoverAttrDeps(const std::vector<Tuple>& rows,
                                       const AttrSet& universe,
                                       const DiscoveryOptions& options) {
   if (options.use_engine) {
-    return EngineDiscoverAttrDeps(rows, universe, ToEngineOptions(options));
+    return EngineDiscoverAttrDeps(rows, universe, options);
   }
   std::vector<AttrDep> out;
   DependencySet found;
@@ -124,7 +124,7 @@ std::vector<FuncDep> DiscoverFuncDeps(const std::vector<Tuple>& rows,
                                       const AttrSet& universe,
                                       const DiscoveryOptions& options) {
   if (options.use_engine) {
-    return EngineDiscoverFuncDeps(rows, universe, ToEngineOptions(options));
+    return EngineDiscoverFuncDeps(rows, universe, options);
   }
   std::vector<FuncDep> out;
   DependencySet found;
@@ -143,7 +143,7 @@ DependencySet DiscoverDependencies(const std::vector<Tuple>& rows,
                                    const AttrSet& universe,
                                    const DiscoveryOptions& options) {
   if (options.use_engine) {
-    return EngineDiscoverDependencies(rows, universe, ToEngineOptions(options));
+    return EngineDiscoverDependencies(rows, universe, options);
   }
   DependencySet out;
   for (FuncDep& fd : DiscoverFuncDeps(rows, universe, options)) {

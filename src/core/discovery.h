@@ -18,7 +18,10 @@
 
 namespace flexrel {
 
-/// Bounds for the discovery enumeration.
+class ExecContext;
+
+/// Bounds for the discovery enumeration. The one options struct of both
+/// paths: the engine entry points (engine/parallel_discovery.h) take it too.
 struct DiscoveryOptions {
   /// Maximal determinant size explored (the lattice grows as |U|^k).
   size_t max_lhs_size = 2;
@@ -29,10 +32,18 @@ struct DiscoveryOptions {
   /// stripped partitions intersected up the lattice, parallel per level.
   /// False keeps the original hash-grouping reference path; both produce
   /// identical results (cross-validated by tests/engine_discovery_test.cc).
+  /// Read only by the entry points below; the engine's own ignore it.
   bool use_engine = true;
   /// Worker threads for the engine path; 0 = hardware concurrency. Ignored
   /// by the reference path.
   size_t num_threads = 0;
+  /// Cooperative execution control (util/exec_context.h): deadline and
+  /// cancellation token for the run. Not owned; must outlive the call.
+  /// Null (the default) means unbounded. Polled by the engine path only,
+  /// at level, candidate and cluster-batch boundaries; a tripped run
+  /// returns the verified level prefix. Only the engine entry points'
+  /// DiscoveryRunInfo tells such a prefix from a complete result.
+  const ExecContext* exec = nullptr;
 };
 
 /// All non-trivial ADs X --attr--> Y with |X| <= max_lhs_size satisfied by

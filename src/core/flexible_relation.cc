@@ -1,6 +1,7 @@
 #include "core/flexible_relation.h"
 
 #include <algorithm>
+#include <memory_resource>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
@@ -20,15 +21,13 @@ FlexibleRelation::FlexibleRelation(const FlexibleRelation& other)
     : name_(other.name_),
       checker_(other.checker_),
       deps_(other.deps_),
-      rows_(other.rows_),
-      pli_options_(other.pli_options_) {}
+      rows_(other.rows_) {}
 
 FlexibleRelation::FlexibleRelation(FlexibleRelation&& other) noexcept
     : name_(std::move(other.name_)),
       checker_(std::move(other.checker_)),
       deps_(std::move(other.deps_)),
-      rows_(std::move(other.rows_)),
-      pli_options_(other.pli_options_) {
+      rows_(std::move(other.rows_)) {
   other.InvalidateCache();
 }
 
@@ -38,7 +37,6 @@ FlexibleRelation& FlexibleRelation::operator=(const FlexibleRelation& other) {
     checker_ = other.checker_;
     deps_ = other.deps_;
     rows_ = other.rows_;
-    pli_options_ = other.pli_options_;
     InvalidateCache();
   }
   return *this;
@@ -51,7 +49,6 @@ FlexibleRelation& FlexibleRelation::operator=(
     checker_ = std::move(other.checker_);
     deps_ = std::move(other.deps_);
     rows_ = std::move(other.rows_);
-    pli_options_ = other.pli_options_;
     InvalidateCache();
     other.InvalidateCache();
   }
@@ -63,15 +60,10 @@ FlexibleRelation::~FlexibleRelation() = default;
 std::shared_ptr<PliCache> FlexibleRelation::pli_cache() const {
   std::lock_guard<std::mutex> lock(pli_mu_);
   if (pli_cache_ == nullptr) {
-    pli_cache_ = std::make_shared<PliCache>(&rows_, pli_options_);
+    pli_cache_ = std::make_shared<PliCache>(&rows_);
     has_pli_cache_.store(true, std::memory_order_release);
   }
   return pli_cache_;
-}
-
-void FlexibleRelation::SetPliCacheOptions(const PliCacheOptions& options) {
-  InvalidateCache();
-  pli_options_ = options;
 }
 
 void FlexibleRelation::InvalidateCache() {
@@ -96,11 +88,6 @@ void FlexibleRelation::NotifyBatch(
   if (!has_pli_cache_.load(std::memory_order_acquire)) return;
   std::lock_guard<std::mutex> lock(pli_mu_);
   if (pli_cache_ == nullptr) return;
-  if (!pli_options_.incremental) {
-    pli_cache_.reset();
-    has_pli_cache_.store(false, std::memory_order_release);
-    return;
-  }
   if (insert_count > 0) {
     pli_cache_->OnInsertBatch(static_cast<Pli::RowId>(first_inserted),
                               insert_count);
@@ -222,10 +209,16 @@ Status FlexibleRelation::ApplyBatchImpl(
   std::vector<Tuple> staged_inserts;
   // Reserving for every possible insert keeps the staged tuples' addresses
   // stable, which the pointer-keyed membership set below relies on.
-  staged_inserts.reserve(static_cast<size_t>(
+  const size_t max_inserts = static_cast<size_t>(
       std::count_if(batch.begin(), batch.end(),
-                    [](const Mutation& m) { return m.is_insert; })));
-  std::unordered_map<size_t, Tuple> staged_updates;  // existing-row overlays
+                    [](const Mutation& m) { return m.is_insert; }));
+  staged_inserts.reserve(max_inserts);
+  // Existing-row overlays. Their nodes come from a pool freed with the
+  // batch: one node per updated row would otherwise cost an allocation and
+  // a free each, a visible share of staging a small update batch.
+  std::pmr::monotonic_buffer_resource overlay_pool;
+  std::pmr::unordered_map<size_t, Tuple> staged_updates(&overlay_pool);
+  staged_updates.reserve(batch.size() - max_inserts);
   auto effective = [&](size_t index) -> const Tuple& {
     if (index >= base) return staged_inserts[index - base];
     auto it = staged_updates.find(index);
@@ -274,12 +267,25 @@ Status FlexibleRelation::ApplyBatchImpl(
         return Status::OutOfRange(
             StrCat("batch op#", i, ": row index ", u.index, " out of range"));
       }
-      // A reference suffices: `before` is consumed by the calls below,
-      // all of which complete before the staged slot is overwritten.
-      const Tuple& before = effective(u.index);
+      // The op's staged slot and the state it updates: a row inserted
+      // earlier in the batch, an overlay staged by an earlier update of the
+      // same row, or — on the row's first update — the committed row. One
+      // map lookup serves both.
+      Tuple* slot;
+      const Tuple* before;
+      if (u.index >= base) {
+        slot = &staged_inserts[u.index - base];
+        before = slot;
+      } else {
+        auto [it, first_update] = staged_updates.try_emplace(u.index);
+        slot = &it->second;
+        before = first_update ? &rows_[u.index] : slot;
+      }
+      // `before` is consumed by the calls below, all of which complete
+      // before the slot is overwritten.
       Tuple after;
       auto delta =
-          PrepareUpdate(before, u.attr, std::move(u.value), u.fill, &after);
+          PrepareUpdate(*before, u.attr, std::move(u.value), u.fill, &after);
       if (!delta.ok()) {
         return delta.status().WithContext(StrCat("batch op#", i));
       }
@@ -290,24 +296,16 @@ Status FlexibleRelation::ApplyBatchImpl(
         // find() could pick a twin and leave `before`'s own pointer in the
         // set while its slot is overwritten below — a live hash key
         // mutating under the container.
-        auto [lo, hi] = instance->equal_range(&before);
+        auto [lo, hi] = instance->equal_range(before);
         for (auto it = lo; it != hi; ++it) {
-          if (*it == &before) {
+          if (*it == before) {
             instance->erase(it);
             break;
           }
         }
       }
-      if (u.index >= base) {
-        Tuple& slot = staged_inserts[u.index - base];
-        slot = std::move(after);
-        if (instance.has_value()) instance->insert(&slot);
-      } else {
-        Tuple& slot =
-            staged_updates.insert_or_assign(u.index, std::move(after))
-                .first->second;
-        if (instance.has_value()) instance->insert(&slot);
-      }
+      *slot = std::move(after);
+      if (instance.has_value()) instance->insert(slot);
     }
   }
   // Stage 2: commit — nothing below can fail. Append the staged inserts,
@@ -349,29 +347,6 @@ void FlexibleRelation::InsertRowsUnchecked(std::vector<Tuple> rows) {
 
 Result<std::vector<TypeChecker::TypeDelta>> FlexibleRelation::UpdateRows(
     std::vector<UpdateSpec> updates) {
-  if (checker_ == nullptr) {
-    // Checker-less (derived) relations cannot fail past the bounds check —
-    // no type deltas, no fills, no re-checks — so the whole batch
-    // validates up front and then applies in place, skipping the staging
-    // overlay. The displaced old rows feed the cache buffer directly.
-    for (size_t i = 0; i < updates.size(); ++i) {
-      if (updates[i].index >= rows_.size()) {
-        return Status::OutOfRange(StrCat("batch op#", i, ": row index ",
-                                         updates[i].index, " out of range"));
-      }
-    }
-    FLEXREL_TELEMETRY_LATENCY(batch_timer, "core.relation.batch_ns");
-    FLEXREL_TELEMETRY_COUNT("core.relation.batches", 1);
-    FLEXREL_TELEMETRY_COUNT("core.relation.batch_ops", updates.size());
-    std::vector<std::pair<size_t, Tuple>> old_rows;
-    old_rows.reserve(updates.size());
-    for (UpdateSpec& u : updates) {
-      old_rows.emplace_back(u.index, rows_[u.index]);
-      rows_[u.index].Set(u.attr, std::move(u.value));
-    }
-    NotifyBatch(rows_.size(), 0, old_rows);
-    return std::vector<TypeChecker::TypeDelta>(updates.size());
-  }
   std::vector<Mutation> batch;
   batch.reserve(updates.size());
   for (UpdateSpec& u : updates) {

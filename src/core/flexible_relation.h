@@ -24,7 +24,6 @@
 
 #include "core/dependency_set.h"
 #include "core/type_check.h"
-#include "engine/pli_cache_options.h"
 
 namespace flexrel {
 
@@ -165,17 +164,15 @@ class FlexibleRelation {
   /// evaluator or validator access) flushes the buffer: bursts are spliced
   /// into the per-attribute code columns, the only structure a flush
   /// maintains, and every cached partition the burst touches is dropped
-  /// for a lazy rebuild from them; burst sizes past max(drop_threshold,
-  /// rows/2) drop everything for one lazy rebuild (engine/pli_cache.h).
+  /// for a lazy rebuild from them; burst sizes past max(2048, rows/2) drop
+  /// everything for one lazy rebuild (engine/pli_cache.h).
   /// Partition/column pointers obtained before a mutation must be
   /// treated as invalidated by it: until some reader flushes they observe
   /// the pre-mutation instance, the flush then splices columns in place,
   /// and a dropped partition leaves a held pointer on the unmaintained
-  /// object. Re-Get after mutations. With pli_cache_options().incremental
-  /// == false the historical behavior is restored: every mutation drops
-  /// the cache wholesale and the next call rebuilds it from scratch (the
-  /// oracle the incremental path is soak-tested against —
-  /// tests/engine_incremental_test.cc).
+  /// object. Re-Get after mutations. The oracle the incremental path is
+  /// soak-tested against is a fresh PliCache over rows()
+  /// (tests/engine_incremental_test.cc).
   ///
   /// Concurrency (engine/README.md "Concurrency" for the full rules): many
   /// threads may read the cache of a quiescent relation at once (parallel
@@ -196,12 +193,6 @@ class FlexibleRelation {
   /// relation/cache state they produce.
   std::shared_ptr<PliCache> pli_cache() const;
 
-  /// Replaces the options the lazily built cache is created with (and the
-  /// mutation-maintenance mode above). Drops any existing cache; the next
-  /// pli_cache() call rebuilds under the new options.
-  void SetPliCacheOptions(const PliCacheOptions& options);
-  const PliCacheOptions& pli_cache_options() const { return pli_options_; }
-
   std::string ToString(const AttrCatalog& catalog) const;
 
  private:
@@ -210,8 +201,7 @@ class FlexibleRelation {
   /// mutated by any entry point (single-row or batch): `insert_count` rows
   /// appended starting at `first_inserted`, plus (index, displaced old
   /// row) pairs for in-place updates, whose rows it moves out. Buffers the
-  /// delta in one lock round-trip (incremental mode) or drops the cache
-  /// (fallback mode).
+  /// delta in one lock round-trip.
   void NotifyBatch(size_t first_inserted, size_t insert_count,
                    std::span<std::pair<size_t, Tuple>> old_rows);
 
@@ -232,7 +222,6 @@ class FlexibleRelation {
   std::shared_ptr<const TypeChecker> checker_;  // null for derived relations
   DependencySet deps_;
   std::vector<Tuple> rows_;
-  PliCacheOptions pli_options_;
   mutable std::mutex pli_mu_;  // guards lazy creation of pli_cache_
   mutable std::shared_ptr<PliCache> pli_cache_;
   // Fast-path flag so the per-tuple InsertUnchecked loop skips the mutex

@@ -169,20 +169,6 @@ bool CodeColumn::MaybeReintern() {
   return true;
 }
 
-size_t CodeColumn::MemoryBytes() const {
-  size_t bytes = codes_.capacity() * sizeof(Code);
-  bytes += buckets_.capacity() * sizeof(std::vector<RowId>);
-  for (const std::vector<RowId>& bucket : buckets_) {
-    bytes += bucket.capacity() * sizeof(RowId);
-  }
-  // Dictionary sides: one interned Value plus one hash slot per code. A
-  // Value's payload is opaque here; charge a flat estimate per entry.
-  constexpr size_t kPerValueEstimate = 48;
-  bytes += values_.capacity() * (sizeof(Value) + kPerValueEstimate);
-  bytes += interned_.size() * (sizeof(Value) + sizeof(Code) + 16);
-  return bytes;
-}
-
 bool CodeColumn::CheckInvariants(std::string* error) const {
   auto fail = [&](std::string msg) {
     if (error != nullptr) *error = std::move(msg);

@@ -136,11 +136,6 @@ class CodeColumn {
   /// ascending buckets, exact defined/live counts, the reserved null code.
   bool CheckInvariants(std::string* error = nullptr) const;
 
-  /// Approximate heap footprint (code column, buckets, dictionary) — the
-  /// cache's memory-budget accounting input. Values are estimated at a
-  /// flat per-entry size; the budget is advisory, not an allocator.
-  size_t MemoryBytes() const;
-
  private:
   Code Intern(const Value& value);
 

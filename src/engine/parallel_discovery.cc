@@ -16,19 +16,6 @@ namespace flexrel {
 
 namespace {
 
-// Translates the discovery knobs into partition-cache options (LRU bound +
-// memory budget) for the rows-based entry points.
-PliCache::Options CacheOptionsOf(const EngineDiscoveryOptions& options) {
-  PliCache::Options out;
-  out.max_entries = options.cache_max_entries;
-  // A job-scoped memory budget governs the cache the job owns; the
-  // validator-based entry points leave their caller's cache untouched.
-  if (options.exec != nullptr) {
-    out.memory_budget_bytes = options.exec->memory_budget_bytes();
-  }
-  return out;
-}
-
 // Worker count for `work_items` independent tasks: the requested count, or
 // hardware concurrency when 0, never more workers than items.
 size_t ResolveThreads(size_t requested, size_t work_items) {
@@ -95,7 +82,7 @@ void ResetDiscoveryRunGauges() {
 // dependencies already emitted, so its order is semantics-bearing).
 template <typename Dep, typename RhsFn, typename PrunedFn, typename EmitFn>
 std::vector<Dep> LevelWise(const AttrSet& universe,
-                           const EngineDiscoveryOptions& options,
+                           const DiscoveryOptions& options,
                            size_t num_rows, const RhsFn& maximal_rhs,
                            const PrunedFn& pruned, const EmitFn& emit,
                            DiscoveryRunInfo* info) {
@@ -194,14 +181,6 @@ std::vector<Dep> LevelWise(const AttrSet& universe,
 
 }  // namespace
 
-EngineDiscoveryOptions ToEngineOptions(const DiscoveryOptions& options) {
-  EngineDiscoveryOptions out;
-  out.max_lhs_size = options.max_lhs_size;
-  out.minimal_only = options.minimal_only;
-  out.num_threads = options.num_threads;
-  return out;
-}
-
 std::vector<AttrSet> LatticeLevel(const AttrSet& universe, size_t k) {
   const std::vector<AttrId>& ids = universe.ids();
   std::vector<AttrSet> out;
@@ -227,7 +206,7 @@ std::vector<AttrSet> LatticeLevel(const AttrSet& universe, size_t k) {
 
 std::vector<AttrDep> EngineDiscoverAttrDeps(
     DependencyValidator* validator, const AttrSet& universe,
-    const EngineDiscoveryOptions& options, DiscoveryRunInfo* info) {
+    const DiscoveryOptions& options, DiscoveryRunInfo* info) {
   // The validator polls the context inside its cluster scans, so a trip
   // lands mid-candidate instead of waiting out a fat partition.
   validator->set_exec(options.exec);
@@ -245,7 +224,7 @@ std::vector<AttrDep> EngineDiscoverAttrDeps(
 
 std::vector<FuncDep> EngineDiscoverFuncDeps(
     DependencyValidator* validator, const AttrSet& universe,
-    const EngineDiscoveryOptions& options, DiscoveryRunInfo* info) {
+    const DiscoveryOptions& options, DiscoveryRunInfo* info) {
   validator->set_exec(options.exec);
   return LevelWise<FuncDep>(
       universe, options, validator->row_attrs().size(),
@@ -261,23 +240,23 @@ std::vector<FuncDep> EngineDiscoverFuncDeps(
 
 std::vector<AttrDep> EngineDiscoverAttrDeps(
     const std::vector<Tuple>& rows, const AttrSet& universe,
-    const EngineDiscoveryOptions& options, DiscoveryRunInfo* info) {
-  PliCache cache(&rows, CacheOptionsOf(options));
+    const DiscoveryOptions& options, DiscoveryRunInfo* info) {
+  PliCache cache(&rows);
   DependencyValidator validator(&cache);
   return EngineDiscoverAttrDeps(&validator, universe, options, info);
 }
 
 std::vector<FuncDep> EngineDiscoverFuncDeps(
     const std::vector<Tuple>& rows, const AttrSet& universe,
-    const EngineDiscoveryOptions& options, DiscoveryRunInfo* info) {
-  PliCache cache(&rows, CacheOptionsOf(options));
+    const DiscoveryOptions& options, DiscoveryRunInfo* info) {
+  PliCache cache(&rows);
   DependencyValidator validator(&cache);
   return EngineDiscoverFuncDeps(&validator, universe, options, info);
 }
 
 DependencySet EngineDiscoverDependencies(DependencyValidator* validator,
                                          const AttrSet& universe,
-                                         const EngineDiscoveryOptions& options,
+                                         const DiscoveryOptions& options,
                                          DiscoveryRunInfo* info) {
   DependencySet out;
   DiscoveryRunInfo fd_info;
@@ -306,13 +285,13 @@ DependencySet EngineDiscoverDependencies(DependencyValidator* validator,
 
 DependencySet EngineDiscoverDependencies(const std::vector<Tuple>& rows,
                                          const AttrSet& universe,
-                                         const EngineDiscoveryOptions& options,
+                                         const DiscoveryOptions& options,
                                          DiscoveryRunInfo* info) {
   // One cache serves both passes: the FD pass leaves every candidate
   // partition warm for the AD pass. The worker pool shares it — a warm
   // candidate read holds the cache lock for one lookup, and cold builds
   // run outside it, deduplicated by the slot's shared future.
-  PliCache cache(&rows, CacheOptionsOf(options));
+  PliCache cache(&rows);
   DependencyValidator validator(&cache);
   return EngineDiscoverDependencies(&validator, universe, options, info);
 }

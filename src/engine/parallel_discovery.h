@@ -22,28 +22,6 @@
 
 namespace flexrel {
 
-/// Knobs of the engine traversal. Mirrors core's DiscoveryOptions plus the
-/// engine-specific resources; core/discovery.cc translates between the two.
-struct EngineDiscoveryOptions {
-  /// Maximal determinant size explored.
-  size_t max_lhs_size = 2;
-  /// Report generators only (prune candidates implied by earlier results).
-  bool minimal_only = true;
-  /// Worker threads per level; 0 picks std::thread::hardware_concurrency().
-  size_t num_threads = 0;
-  /// LRU bound of the partition cache (multi-attribute entries).
-  size_t cache_max_entries = 1024;
-  /// Cooperative execution control (util/exec_context.h): deadline,
-  /// cancellation token, and memory budget for the run. Not owned; must
-  /// outlive the call. Null (the default) means unbounded. The run polls
-  /// at level and candidate boundaries and unwinds with the verified-
-  /// so-far level prefix — see DiscoveryRunInfo for the contract. The
-  /// context's memory budget seeds the partition cache's
-  /// memory_budget_bytes on the rows-based entry points (which own their
-  /// cache); validator-based callers configure their own cache.
-  const ExecContext* exec = nullptr;
-};
-
 /// Outcome report of one discovery run, for callers that set an
 /// ExecContext. `status` is OK for a run that completed, kCancelled /
 /// kDeadlineExceeded when the context tripped. The partial-result
@@ -61,11 +39,6 @@ struct DiscoveryRunInfo {
   bool partial = false;
 };
 
-/// The single point translating core's DiscoveryOptions into engine knobs —
-/// every delegating caller (core/discovery.cc, workload/generator.cc) goes
-/// through here so the two option structs cannot drift.
-EngineDiscoveryOptions ToEngineOptions(const DiscoveryOptions& options);
-
 /// All determinant candidates of size `k` over `universe`, in the canonical
 /// combination order shared with the brute-force enumerator. Exposed for
 /// tests.
@@ -73,39 +46,41 @@ std::vector<AttrSet> LatticeLevel(const AttrSet& universe, size_t k);
 
 /// Engine-backed counterparts of core's DiscoverAttrDeps / DiscoverFuncDeps
 /// / DiscoverDependencies; identical results, partition-based validation.
-/// A non-null `info` receives the run outcome (status / completed levels /
-/// partial flag) — the only way to distinguish a complete result from the
-/// verified prefix of a cancelled or deadline-exceeded run.
+/// They read every DiscoveryOptions field but use_engine, which only core's
+/// front door reads. A non-null `info` receives the run outcome (status /
+/// completed levels / partial flag) — the only way to distinguish a
+/// complete result from the verified prefix of a cancelled or
+/// deadline-exceeded run.
 std::vector<AttrDep> EngineDiscoverAttrDeps(
     const std::vector<Tuple>& rows, const AttrSet& universe,
-    const EngineDiscoveryOptions& options = {},
+    const DiscoveryOptions& options = {},
     DiscoveryRunInfo* info = nullptr);
 
 std::vector<FuncDep> EngineDiscoverFuncDeps(
     const std::vector<Tuple>& rows, const AttrSet& universe,
-    const EngineDiscoveryOptions& options = {},
+    const DiscoveryOptions& options = {},
     DiscoveryRunInfo* info = nullptr);
 
 DependencySet EngineDiscoverDependencies(
     const std::vector<Tuple>& rows, const AttrSet& universe,
-    const EngineDiscoveryOptions& options = {},
+    const DiscoveryOptions& options = {},
     DiscoveryRunInfo* info = nullptr);
 
 /// Variants over a caller-provided validator, letting several discovery
 /// passes (and instance-level audits) share one partition cache.
 std::vector<AttrDep> EngineDiscoverAttrDeps(
     DependencyValidator* validator, const AttrSet& universe,
-    const EngineDiscoveryOptions& options = {},
+    const DiscoveryOptions& options = {},
     DiscoveryRunInfo* info = nullptr);
 
 std::vector<FuncDep> EngineDiscoverFuncDeps(
     DependencyValidator* validator, const AttrSet& universe,
-    const EngineDiscoveryOptions& options = {},
+    const DiscoveryOptions& options = {},
     DiscoveryRunInfo* info = nullptr);
 
 DependencySet EngineDiscoverDependencies(
     DependencyValidator* validator, const AttrSet& universe,
-    const EngineDiscoveryOptions& options = {},
+    const DiscoveryOptions& options = {},
     DiscoveryRunInfo* info = nullptr);
 
 }  // namespace flexrel

@@ -220,8 +220,7 @@ class Pli {
   /// label_bound == num_clusters). O(num_rows).
   PliProbe BuildProbe() const;
 
-  /// Approximate heap footprint — reported by bench_pli and charged by the
-  /// cache's byte-budget accounting (PliCacheOptions::memory_budget_bytes).
+  /// Approximate heap footprint — bench_pli reports it as partition_bytes.
   size_t MemoryBytes() const;
 
   /// Structural self-check for tests and debugging: monotone cluster

@@ -18,20 +18,21 @@ namespace {
 // storm runs without interleaved reads.
 constexpr size_t kPendingCompactThreshold = 4096;
 
-// Flat bookkeeping charge per map entry for the memory-budget accounting
-// sweep: hash slot, future/control block, LRU node. The budget is advisory
-// — this keeps the estimate honest without sizeof-walking every node type.
-constexpr size_t kPerEntryOverhead = 160;
+// LRU bound on cached multi-attribute partitions (single-attribute ones are
+// pinned and not counted). bench_discovery's BM_DiscoveryArenaStorageWide/64
+// (2016 pairs) is the only bench cell that evicts.
+constexpr size_t kMaxEntries = 1024;
+
+// Splice vs drop-everything crossover: a flush of b >= max(kDropFloor,
+// rows/2) net deltas drops every cached structure instead of splicing.
+// bench_pli's BM_BulkLoadThenQuery/rows:10000 is the only bench cell that
+// drops; the floor keeps its rows:1000 twin on the splice.
+constexpr size_t kDropFloor = 2048;
 
 }  // namespace
 
 PliCache::PliCache(const std::vector<Tuple>* rows)
-    : PliCache(rows, Options()) {}
-
-PliCache::PliCache(const std::vector<Tuple>* rows, Options options)
-    : rows_(rows),
-      options_(options),
-      pending_compact_at_(kPendingCompactThreshold) {}
+    : rows_(rows), pending_compact_at_(kPendingCompactThreshold) {}
 
 std::shared_ptr<const Pli> PliCache::Get(const AttrSet& attrs) {
   // Nested lookups (BuildFor's prefix recursion) each count —
@@ -59,18 +60,6 @@ std::shared_ptr<const Pli> PliCache::Get(const AttrSet& attrs) {
     }
     ++misses_;
     FLEXREL_TELEMETRY_COUNT("engine.pli_cache.misses", 1);
-    if (options_.memory_budget_bytes != 0 && attrs.size() > 1) {
-      EvictLocked();
-      if (AccountedBytesLocked() > options_.memory_budget_bytes) {
-        // Nothing evictable is left and the pinned bases alone exceed the
-        // budget: degrade gracefully to the uncached oracle path — build
-        // and serve this partition without caching it.
-        ++uncached_serves_;
-        FLEXREL_TELEMETRY_COUNT("engine.cache.uncached_serves", 1);
-        lock.unlock();
-        return BuildFor(attrs);
-      }
-    }
     Entry entry;
     entry.future = future = promise.get_future().share();
     entry.evictable = attrs.size() > 1;
@@ -84,13 +73,7 @@ std::shared_ptr<const Pli> PliCache::Get(const AttrSet& attrs) {
   // Build outside the lock; concurrent requesters for the same key block on
   // the shared future instead of rebuilding.
   try {
-    PliPtr pli = BuildFor(attrs);
-    promise.set_value(std::move(pli));
-    if (options_.memory_budget_bytes != 0) {
-      std::lock_guard<std::mutex> lock(mu_);
-      AccountMemoryLocked();
-      EvictLocked();
-    }
+    promise.set_value(BuildFor(attrs));
   } catch (...) {
     // Un-poison the slot before publishing the failure: requesters already
     // waiting see this exception, but the next Get() rebuilds instead of
@@ -262,7 +245,7 @@ void PliCache::FlushPendingLocked() {
   ++flushes_;
   FLEXREL_TELEMETRY_COUNT("engine.pli_cache.flushes", 1);
   FLEXREL_TELEMETRY_HIST("engine.pli_cache.flush.burst", b);
-  const size_t drop_at = std::max(options_.drop_threshold, rows_->size() / 2);
+  const size_t drop_at = std::max(kDropFloor, rows_->size() / 2);
   if (b >= drop_at) {
     FLEXREL_TELEMETRY_COUNT("engine.pli_cache.flush.dropped", 1);
     if (flush_span.active()) {
@@ -272,7 +255,6 @@ void PliCache::FlushPendingLocked() {
     DropAllLocked();
     pending_.clear();
     pending_compact_at_ = kPendingCompactThreshold;
-    if (options_.memory_budget_bytes != 0) AccountMemoryLocked();
     return;
   }
   // Failure atomicity: the splice allocates (bucket growth, interned
@@ -300,17 +282,12 @@ void PliCache::FlushPendingLocked() {
     DropAllLocked();
     pending_.clear();
     pending_compact_at_ = kPendingCompactThreshold;
-    if (options_.memory_budget_bytes != 0) AccountMemoryLocked();
     // Swallowed: the flush recovered to a consistent (empty) cache, and
     // the mutation itself already succeeded against the row vector.
     return;
   }
   pending_.clear();
   pending_compact_at_ = kPendingCompactThreshold;
-  if (options_.memory_budget_bytes != 0) {
-    AccountMemoryLocked();
-    EvictLocked();  // the flush may have grown structures past the budget
-  }
 }
 
 void PliCache::DropAllLocked() {
@@ -364,7 +341,7 @@ void PliCache::SpliceLocked(const std::vector<NetDelta>& net,
 
 void PliCache::EvictLocked() {
   using namespace std::chrono_literals;
-  while (lru_.size() > options_.max_entries) {
+  while (lru_.size() > kMaxEntries) {
     bool erased = false;
     // Oldest-first; entries still being built (future not ready) survive.
     for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
@@ -380,57 +357,8 @@ void PliCache::EvictLocked() {
       erased = true;
       break;
     }
-    if (!erased) break;  // everything over budget is still building
+    if (!erased) break;  // everything over the bound is still building
   }
-  if (options_.memory_budget_bytes == 0) return;
-  // Byte-budget pass: keep shedding the least recently used completed
-  // entries until the accounted footprint fits. Cost-aware in the LRU
-  // sense — the entries least likely to be re-asked-for pay first — and
-  // bounded: once only pinned bases (or in-flight builds) remain, Get's
-  // miss path degrades to uncached serves instead.
-  while (AccountedBytesLocked() > options_.memory_budget_bytes &&
-         !lru_.empty()) {
-    bool erased = false;
-    for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
-      auto entry = entries_.find(*it);
-      if (entry == entries_.end()) continue;
-      if (entry->second.future.wait_for(0s) != std::future_status::ready) {
-        continue;
-      }
-      const size_t bytes =
-          entry->second.future.get()->MemoryBytes() + kPerEntryOverhead;
-      bytes_plis_ -= std::min(bytes_plis_, bytes);
-      entries_.erase(entry);
-      lru_.erase(std::next(it).base());
-      ++evictions_;
-      ++budget_evictions_;
-      FLEXREL_TELEMETRY_COUNT("engine.pli_cache.evictions", 1);
-      FLEXREL_TELEMETRY_COUNT("engine.cache.budget_evictions", 1);
-      erased = true;
-      break;
-    }
-    if (!erased) break;  // only unready entries left
-  }
-}
-
-void PliCache::AccountMemoryLocked() {
-  using namespace std::chrono_literals;
-  size_t plis = 0;
-  for (const auto& [attrs, entry] : entries_) {
-    (void)attrs;
-    // In-flight builds are charged on their completion sweep.
-    if (entry.future.wait_for(0s) != std::future_status::ready) continue;
-    plis += entry.future.get()->MemoryBytes() + kPerEntryOverhead;
-  }
-  size_t columns = 0;
-  for (const auto& [attr, column] : code_columns_) {
-    (void)attr;
-    columns += column->MemoryBytes() + kPerEntryOverhead;
-  }
-  bytes_plis_ = plis;
-  bytes_columns_ = columns;
-  FLEXREL_TELEMETRY_GAUGE_SET("engine.cache.bytes_plis", plis);
-  FLEXREL_TELEMETRY_GAUGE_SET("engine.cache.bytes_columns", columns);
 }
 
 PliCache::StatsSnapshot PliCache::Stats() const {
@@ -445,10 +373,6 @@ PliCache::StatsSnapshot PliCache::Stats() const {
   s.full_drops = full_drops_;
   s.pending_deltas = pending_.size();
   s.flushes = flushes_;
-  s.bytes_plis = bytes_plis_;
-  s.bytes_columns = bytes_columns_;
-  s.budget_evictions = budget_evictions_;
-  s.uncached_serves = uncached_serves_;
   s.flush_aborts = flush_aborts_;
   return s;
 }

@@ -25,9 +25,9 @@
 // flushes the pending buffer. The flush either splices or drops, decided by
 // the net burst size b:
 //
-//   - b < max(drop_threshold, rows/2): splice — deltas are grouped by
-//     attribute and each affected code bucket is spliced in place from its
-//     lowest touched row (CodeColumn::ApplyBatch). Every cached partition
+//   - b < max(2048, rows/2): splice — deltas are grouped by attribute and
+//     each affected code bucket is spliced in place from its lowest
+//     touched row (CodeColumn::ApplyBatch). Every cached partition
 //     the burst touches is dropped: those over a changed attribute, or all
 //     of them when the burst appends rows. The next Get rebuilds a dropped
 //     partition from the spliced columns (a counting sort, then one
@@ -36,15 +36,15 @@
 //     read paths (selections, join-order estimates) read the columns, and
 //     discovery and Σ audits run over a freshly loaded instance, so no
 //     caller re-reads a partition of a relation it has just mutated.
-//   - b >= max(drop_threshold, rows/2): everything (columns included) is
-//     dropped for lazy from-scratch rebuilds — the burst is so large that
-//     one deferred rebuild beats splicing every column.
+//   - b >= max(2048, rows/2): everything (columns included) is dropped for
+//     lazy from-scratch rebuilds — the burst is so large that one deferred
+//     rebuild beats splicing every column (bench_pli's
+//     BM_BulkLoadThenQuery/rows:10000 takes this arm).
 //
 // Deltas to one row coalesce in the buffer (first old state, final new
 // state), so a row updated 64 times between queries flushes as one move.
-// PliCacheOptions::incremental = false disables the hooks' use by
-// FlexibleRelation, restoring the drop-everything behavior as the
-// cross-validation oracle.
+// The cross-validation oracle is a fresh PliCache over the same rows: the
+// from-scratch rebuild every soak compares against.
 //
 // Concurrency: Get/CodeColumnFor are safe to call from many worker threads
 // over a quiescent instance (parallel discovery's workers do). Every read
@@ -52,11 +52,11 @@
 // slot holds a shared_future, so the first requester of a key builds the
 // partition outside the lock and fulfils the promise, and later requesters
 // block on the future instead of duplicating the work. Eviction is LRU over
-// completed multi-attribute entries only — single-attribute partitions are
-// the base of every product and stay resident. Mutations (and their hooks)
-// must be serialized against readers by the caller: a flush splices live
-// columns in place, so a pointer held across a mutation is invalid. See
-// src/engine/README.md, "Concurrency".
+// completed multi-attribute entries beyond 1024 of them — single-attribute
+// partitions are the base of every product and stay resident. Mutations
+// (and their hooks) must be serialized against readers by the caller: a
+// flush splices live columns in place, so a pointer held across a mutation
+// is invalid. See src/engine/README.md, "Concurrency".
 
 #ifndef FLEXREL_ENGINE_PLI_CACHE_H_
 #define FLEXREL_ENGINE_PLI_CACHE_H_
@@ -73,7 +73,6 @@
 
 #include "engine/dictionary.h"
 #include "engine/pli.h"
-#include "engine/pli_cache_options.h"
 
 namespace flexrel {
 
@@ -83,10 +82,7 @@ namespace flexrel {
 /// read.
 class PliCache {
  public:
-  using Options = PliCacheOptions;
-
   explicit PliCache(const std::vector<Tuple>* rows);
-  PliCache(const std::vector<Tuple>* rows, Options options);
 
   PliCache(const PliCache&) = delete;
   PliCache& operator=(const PliCache&) = delete;
@@ -128,7 +124,6 @@ class PliCache {
   void OnUpdateBatch(std::vector<std::pair<Pli::RowId, Tuple>> old_rows);
 
   const std::vector<Tuple>& rows() const { return *rows_; }
-  const Options& options() const { return options_; }
 
   /// One coherent snapshot of every cache statistic, taken under a single
   /// lock — the ad-hoc per-counter accessors this replaces could tear
@@ -145,23 +140,12 @@ class PliCache {
     /// Code columns spliced by a flush.
     size_t batch_applies = 0;
     /// Flushes that dropped every cached structure because the burst
-    /// crossed max(drop_threshold, rows/2).
+    /// crossed max(2048, rows/2).
     size_t full_drops = 0;
     /// Mutation deltas currently buffered (not yet flushed by a read).
     size_t pending_deltas = 0;
     /// Flushes that took either arm (batched + dropped).
     size_t flushes = 0;
-    /// Estimated byte footprints per structure kind, refreshed by the
-    /// accounting sweep. All 0 while memory_budget_bytes == 0 (governance
-    /// off — nothing is ever accounted).
-    size_t bytes_plis = 0;
-    size_t bytes_columns = 0;
-    /// Entries evicted because the byte budget (not max_entries) was
-    /// exceeded. Identity: 0 while governance is off.
-    size_t budget_evictions = 0;
-    /// Multi-attribute Gets served by building without caching because the
-    /// cache could not get under budget by evicting.
-    size_t uncached_serves = 0;
     /// Flushes that failed mid-splice (allocation failure or injected
     /// fault) and recovered by dropping every cached structure instead of
     /// keeping a half-spliced one.
@@ -202,20 +186,9 @@ class PliCache {
   /// Builds the partition for `attrs` from cached sub-partitions.
   PliPtr BuildFor(const AttrSet& attrs);
 
-  /// Drops completed evictable entries beyond max_entries, then — when a
-  /// memory budget is configured — keeps evicting least recently used
-  /// evictable entries until the accounted footprint fits the budget.
-  /// Requires mu_.
+  /// Drops the least recently used completed evictable entries beyond the
+  /// LRU bound. Requires mu_.
   void EvictLocked();
-
-  /// Full accounting sweep over the live maps: per-kind estimated byte
-  /// footprints into bytes_* (and the engine.cache.bytes_* gauges). Only
-  /// called when options_.memory_budget_bytes != 0 — governance off means
-  /// zero accounting work. Requires mu_.
-  void AccountMemoryLocked();
-
-  /// bytes_plis_ + bytes_columns_.
-  size_t AccountedBytesLocked() const { return bytes_plis_ + bytes_columns_; }
 
   /// Applies the pending-delta buffer to every cached structure — one
   /// splice, or drop-everything past the burst-size bound (see file
@@ -244,7 +217,6 @@ class PliCache {
   EntryMap::iterator DropEntryLocked(EntryMap::iterator it);
 
   const std::vector<Tuple>* rows_;
-  Options options_;
 
   /// Guards every member below; held by every read and hook, never across
   /// a partition or column build.
@@ -262,12 +234,6 @@ class PliCache {
   size_t batch_applies_ = 0;
   size_t full_drops_ = 0;
   size_t flushes_ = 0;
-  // Memory-governance state, all meaningful only while
-  // options_.memory_budget_bytes != 0 (zero otherwise).
-  size_t bytes_plis_ = 0;
-  size_t bytes_columns_ = 0;
-  size_t budget_evictions_ = 0;
-  size_t uncached_serves_ = 0;
   size_t flush_aborts_ = 0;
 };
 

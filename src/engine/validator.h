@@ -71,7 +71,7 @@ class DependencyValidator {
   /// Attaches cooperative execution control: MaximalAdRhs/MaximalFdRhs
   /// poll it at cluster-batch boundaries and bail early (empty result)
   /// once it trips. Not owned; null (the default) disables polling.
-  /// Discovery sets this from EngineDiscoveryOptions::exec per run.
+  /// Discovery sets this from DiscoveryOptions::exec per run.
   void set_exec(const ExecContext* exec) { exec_ = exec; }
   const ExecContext* exec() const { return exec_; }
 

@@ -216,7 +216,7 @@ GuardRewrite EliminateRedundantGuardsFromInstance(
   // preserving the eliminations the remaining attributes support.
   PliCache cache(&rows);
   DependencyValidator validator(&cache);
-  EngineDiscoveryOptions options;
+  DiscoveryOptions options;
   options.max_lhs_size = 1;
   // Key-like determinants would mine one variant per row — and variant
   // construction validates disjointness pairwise — while an EAD that fine

@@ -15,6 +15,9 @@ namespace {
 
 std::atomic<bool> g_enabled{false};
 
+// Bound of the span ring Enable() resets to.
+constexpr size_t kTraceCapacity = 4096;
+
 // Process-start anchor for NowNs(); initialized on first use, which is
 // early enough — spans only need a shared monotonic origin.
 std::chrono::steady_clock::time_point ProcessStart() {
@@ -141,7 +144,7 @@ struct Registry::Impl {
 
   // Span ring: fixed capacity, oldest overwritten.
   std::vector<SpanRecord> ring;
-  size_t ring_capacity = TelemetryOptions().trace_capacity;
+  size_t ring_capacity = kTraceCapacity;
   size_t ring_next = 0;     // next slot to write
   size_t spans_total = 0;   // all spans ever recorded
 };
@@ -306,8 +309,8 @@ std::string Registry::ToJson() const {
 // Enable/Disable
 // ---------------------------------------------------------------------------
 
-void Enable(const TelemetryOptions& options) {
-  Registry::Global().SetTraceCapacity(options.trace_capacity);
+void Enable() {
+  Registry::Global().SetTraceCapacity(kTraceCapacity);
   g_enabled.store(true, std::memory_order_relaxed);
 }
 

@@ -51,20 +51,16 @@
 namespace flexrel {
 namespace telemetry {
 
-/// Runtime knobs, applied by Enable(). Telemetry is compiled in
-/// unconditionally; this is the off-by-default switch.
-struct TelemetryOptions {
-  /// Bound of the in-memory span ring: once full, the oldest span records
-  /// are overwritten (the dump reports how many were dropped).
-  size_t trace_capacity = 4096;
-};
-
 /// The global on/off guard — one relaxed atomic load, the only cost every
-/// instrumentation site pays when telemetry is off.
+/// instrumentation site pays when telemetry is off. Telemetry is compiled
+/// in unconditionally; Enable() is the off-by-default switch.
 bool Enabled();
 
-/// Turns the plane on (idempotent; re-applying options resizes the ring).
-void Enable(const TelemetryOptions& options = {});
+/// Turns the plane on and clears the span ring back to its 4096-record
+/// bound: once full, the oldest span records are overwritten (the dump
+/// reports how many were dropped). bench/e2e relies on the clear to keep
+/// only its last block's spans.
+void Enable();
 
 /// Turns it off. Metric values are retained (dumpable post-run); only new
 /// updates stop.

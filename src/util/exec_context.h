@@ -1,6 +1,6 @@
-// Cooperative execution control for long-running engine jobs: a deadline,
-// a cancellation token, and a per-job memory budget, carried as one
-// `ExecContext` that discovery, validation, and evaluation thread through.
+// Cooperative execution control for long-running engine jobs: a deadline
+// and a cancellation token, carried as one `ExecContext` that discovery,
+// validation, and evaluation thread through.
 //
 // The model is cooperative, in the style of Desbordante's interruptible
 // algorithm harness and gRPC deadlines: the engine never kills a thread.
@@ -21,7 +21,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstddef>
 #include <cstdint>
 
 #include "util/status.h"
@@ -67,9 +66,9 @@ class CancellationToken {
 };
 
 /// Per-job execution context: optional cancellation token, optional
-/// deadline, optional memory budget. Plain value semantics for the
-/// configuration; the token is referenced, not owned, so one controller
-/// can cancel many jobs. A default-constructed ExecContext never trips.
+/// deadline. Plain value semantics for the configuration; the token is
+/// referenced, not owned, so one controller can cancel many jobs. A
+/// default-constructed ExecContext never trips.
 class ExecContext {
  public:
   using Clock = std::chrono::steady_clock;
@@ -96,12 +95,6 @@ class ExecContext {
   bool has_deadline() const { return has_deadline_; }
   Clock::time_point deadline() const { return deadline_; }
 
-  /// Advisory per-job memory budget in bytes; 0 means unlimited. Consumed
-  /// by structures that account their footprint (PliCacheOptions inherits
-  /// it as the cache budget when the job owns the cache).
-  void set_memory_budget_bytes(size_t bytes) { memory_budget_bytes_ = bytes; }
-  size_t memory_budget_bytes() const { return memory_budget_bytes_; }
-
   /// The poll: OK while the job may continue, else kCancelled /
   /// kDeadlineExceeded. Cancellation wins ties. The first trip bumps the
   /// engine.exec.{cancelled,deadline_exceeded} telemetry counter exactly
@@ -113,7 +106,6 @@ class ExecContext {
   const CancellationToken* cancel_ = nullptr;
   bool has_deadline_ = false;
   Clock::time_point deadline_{};
-  size_t memory_budget_bytes_ = 0;
   // Whether this context already counted its trip in telemetry.
   mutable std::atomic<bool> counted_{false};
 };

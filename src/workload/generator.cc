@@ -285,8 +285,7 @@ Status InstallDiscoveredDeps(FlexibleRelation* relation,
   DependencyValidator validator(&cache);
   DependencySet discovered =
       options.use_engine
-          ? EngineDiscoverDependencies(&validator, universe,
-                                       ToEngineOptions(options))
+          ? EngineDiscoverDependencies(&validator, universe, options)
           : DiscoverDependencies(rows, universe, options);
   if (!validator.ValidatesAll(discovered)) {
     return Status::FailedPrecondition(

@@ -1,7 +1,7 @@
-// Fault-tolerance soak for the execution plane (ISSUE: deadlines,
-// cancellation, cache memory governance, deterministic fault injection).
+// Fault-tolerance soak for the execution plane: deadlines, cancellation
+// and deterministic fault injection.
 //
-// Three contracts under test:
+// Two contracts under test:
 //
 //  1. Chaos: with seeded fault injection armed (util/fault.h), any
 //     interleaving of mutations, cache reads, and discovery runs either
@@ -13,11 +13,6 @@
 //     discovery return exactly the verified level prefix (flagged partial
 //     with kCancelled / kDeadlineExceeded) and evaluation return the error
 //     — with the per-run worker gauges reset.
-//  3. Memory governance: a byte budget on the PliCache keeps accounted
-//     bytes bounded via cost-aware eviction and uncached degradation,
-//     without ever changing a query answer; budget off keeps every
-//     governance counter at zero (the ≤1% overhead contract's counter
-//     face).
 //
 // Randomized tests take their seed from FLEXREL_TEST_SEED (tests/
 // seeded_suites.txt registers the soak for CI's fresh-seed rerun; the
@@ -164,7 +159,7 @@ TEST(EngineChaosSoak, SurvivedFaultsLeaveCacheRebuildEquivalent) {
         } else {
           // Discovery under fire: the run owns its cache; faults at level
           // boundaries and partition builds surface here.
-          EngineDiscoveryOptions options;
+          DiscoveryOptions options;
           options.max_lhs_size = 2;
           options.num_threads = 1;
           faulted = AbsorbFaults(
@@ -258,7 +253,7 @@ TEST(EngineChaosSoak, FaultSiteCatalogueCoversTheExecutionPlane) {
       (void)rel.Update(rng.Index(rel.size()), attrs[rng.Index(attrs.size())],
                        RandomSoakValue(&rng));
     });
-    EngineDiscoveryOptions options;
+    DiscoveryOptions options;
     options.max_lhs_size = 1;
     options.num_threads = 1;
     (void)AbsorbFaults(
@@ -295,7 +290,7 @@ std::vector<FuncDep> PrefixOf(const std::vector<FuncDep>& full,
 TEST(ExecControlTest, CancelledDiscoveryReturnsExactVerifiedPrefix) {
   Rng rng(0xD15C0B3Bull);
   auto instance = MakePlantedFdInstance(&rng, 200, 12, 3, 8, 0.15);
-  EngineDiscoveryOptions options;
+  DiscoveryOptions options;
   options.max_lhs_size = 3;
   options.num_threads = 2;
 
@@ -315,7 +310,7 @@ TEST(ExecControlTest, CancelledDiscoveryReturnsExactVerifiedPrefix) {
     token.CancelAfterChecks(n);
     ExecContext ctx;
     ctx.set_cancellation_token(&token);
-    EngineDiscoveryOptions cancelled = options;
+    DiscoveryOptions cancelled = options;
     cancelled.exec = &ctx;
     DiscoveryRunInfo info;
     std::vector<FuncDep> got = EngineDiscoverFuncDeps(
@@ -337,7 +332,7 @@ TEST(ExecControlTest, ExpiredDeadlineStopsBeforeAnyLevel) {
   auto instance = MakePlantedFdInstance(&rng, 100, 9, 2);
   ExecContext ctx;
   ctx.set_deadline(ExecContext::Clock::now() - std::chrono::seconds(1));
-  EngineDiscoveryOptions options;
+  DiscoveryOptions options;
   options.max_lhs_size = 2;
   options.exec = &ctx;
   DiscoveryRunInfo info;
@@ -371,7 +366,7 @@ TEST(ExecControlTest, CancellationResetsRunGauges) {
   token.CancelAfterChecks(5);  // mid-run: past the first level's poll
   ExecContext ctx;
   ctx.set_cancellation_token(&token);
-  EngineDiscoveryOptions options;
+  DiscoveryOptions options;
   options.max_lhs_size = 3;
   options.num_threads = 2;
   options.exec = &ctx;
@@ -436,76 +431,6 @@ TEST(ExecControlTest, EvaluationSurfacesCancellationAndDeadline) {
   auto expired = Evaluate(plan, deadline_options);
   ASSERT_FALSE(expired.ok());
   EXPECT_EQ(expired.status().code(), StatusCode::kDeadlineExceeded);
-}
-
-// ---------------------------------------------------------------------------
-// 3. Memory governance: budget evicts and degrades, never changes answers.
-// ---------------------------------------------------------------------------
-
-TEST(MemoryBudgetTest, BudgetEvictsAndDegradesWithoutChangingAnswers) {
-  Rng rng(ChaosSeed(4));
-  std::vector<Tuple> rows = testutil::RandomInstance(&rng, 400, 8, 0.8, 12);
-  PliCacheOptions budgeted_options;
-  budgeted_options.memory_budget_bytes = 64 * 1024;  // deliberately tight
-  PliCache budgeted(&rows, budgeted_options);
-  PliCache oracle(&rows);
-
-  std::vector<AttrSet> keys;
-  for (AttrId a = 0; a < 8; ++a) {
-    for (AttrId b = static_cast<AttrId>(a + 1); b < 8; ++b) {
-      keys.push_back(AttrSet{a, b});
-    }
-  }
-  for (AttrId a = 0; a < 6; ++a) {
-    keys.push_back(AttrSet{a, static_cast<AttrId>(a + 1),
-                           static_cast<AttrId>(a + 2)});
-  }
-  for (int pass = 0; pass < 2; ++pass) {
-    for (const AttrSet& k : keys) {
-      std::shared_ptr<const Pli> got = budgeted.Get(k);
-      std::shared_ptr<const Pli> want = oracle.Get(k);
-      ASSERT_EQ(*got, *want)
-          << "budgeted answer diverged for " << k.ToString();
-    }
-  }
-  PliCache::StatsSnapshot stats = budgeted.Stats();
-  // The budget actually governed: evictions or uncached serves happened,
-  // and the accounted footprint respects the ceiling (uncached serves are
-  // what absorb the overflow when only pinned bases remain).
-  EXPECT_GT(stats.budget_evictions + stats.uncached_serves, 0u)
-      << "a 64 KiB budget over 28 pair partitions never triggered "
-         "governance";
-  EXPECT_GT(stats.bytes_plis + stats.bytes_columns, 0u);
-
-  // Budget off: every governance counter stays zero (the counter face of
-  // the ≤1% overhead contract perf_smoke checks in CI).
-  PliCache::StatsSnapshot oracle_stats = oracle.Stats();
-  EXPECT_EQ(oracle_stats.budget_evictions, 0u);
-  EXPECT_EQ(oracle_stats.uncached_serves, 0u);
-  EXPECT_EQ(oracle_stats.bytes_plis, 0u);
-  EXPECT_EQ(oracle_stats.bytes_columns, 0u);
-}
-
-TEST(MemoryBudgetTest, ExecContextBudgetSeedsDiscoveryCaches) {
-  Rng rng(ChaosSeed(5));
-  auto instance = MakePlantedFdInstance(&rng, 150, 9, 2);
-  EngineDiscoveryOptions plain;
-  plain.max_lhs_size = 2;
-  std::vector<FuncDep> want =
-      EngineDiscoverFuncDeps(instance.rows, instance.universe, plain);
-
-  ExecContext ctx;
-  ctx.set_memory_budget_bytes(32 * 1024);
-  EngineDiscoveryOptions governed = plain;
-  governed.exec = &ctx;
-  DiscoveryRunInfo info;
-  std::vector<FuncDep> got = EngineDiscoverFuncDeps(
-      instance.rows, instance.universe, governed, &info);
-  // Governance degrades performance, never results: the run completes with
-  // identical output.
-  EXPECT_TRUE(info.status.ok()) << info.status;
-  EXPECT_FALSE(info.partial);
-  EXPECT_EQ(got, want);
 }
 
 }  // namespace

@@ -1,16 +1,16 @@
 // Concurrency soak for the PliCache's locked contract: many threads may read
 // one cache over a quiescent relation, and mutations are serialized against
 // every reader by the caller. Each round, N reader threads cold-populate and
-// hit overlapping partition keys and code columns at once, under a
-// max_entries bound small enough that LRU evictions race in-flight builds
-// (shared-future dedup, poisoned-slot recovery and eviction all run under
-// contention). Between rounds a single-threaded ApplyBatch phase mutates the
-// relation with a burst sized for one flush shape — a small update-only
-// splice (which keeps the partitions it does not touch), a large splice
-// with an append (which drops every partition), or drop-everything, in
-// rotation — and the next read flushes it. After every reader round and
-// every mutation phase, each key must equal a from-scratch rebuild and
-// satisfy CheckInvariants.
+// hit overlapping partition keys and code columns at once (shared-future
+// dedup runs under contention). Between rounds a single-threaded ApplyBatch
+// phase mutates the relation with a burst sized for one flush shape — a
+// small update-only splice (which keeps the partitions it does not touch),
+// a large splice with an append (which drops every partition), or an
+// append past the drop-everything bound, in rotation — and the next read
+// flushes it. After every reader round and every mutation phase, each key
+// must equal a from-scratch rebuild and satisfy CheckInvariants. A second
+// case races LRU evictions against in-flight builds: readers walk every
+// pair of a 46-attribute instance, more pairs than the cache's LRU bound.
 //
 // This is the suite the CI TSan job runs: a reader touching cache state
 // outside mu_, or a flush racing a reader, is a data-race report, not just
@@ -64,9 +64,8 @@ Keys MakeKeys() {
     keys.columns.push_back(a);
   }
   // Composites sharing prefixes, so concurrent builds recurse into (and
-  // wait on) each other's sub-partitions. Pairs come last: a walk over the
-  // keys leaves them cached, so a small splice keeps the pairs it does not
-  // touch.
+  // wait on) each other's sub-partitions; a small splice keeps those it
+  // does not touch.
   for (AttrSet k : {AttrSet{0, 1, 2, 3}, AttrSet{0, 1, 2}, AttrSet{0, 2, 4},
                     AttrSet{1, 3, 5}, AttrSet{0, 1}, AttrSet{0, 2},
                     AttrSet{1, 2}, AttrSet{2, 3}, AttrSet{3, 4},
@@ -77,14 +76,11 @@ Keys MakeKeys() {
   return keys;
 }
 
-// Walks `partitions` in the given order, so a caller can check the entries
-// a flush just kept before the walk's own misses evict them.
-void VerifyAgainstRebuild(const FlexibleRelation& rel,
-                          const std::vector<AttrSet>& partitions,
-                          const Keys& keys, const std::string& context) {
+void VerifyAgainstRebuild(const FlexibleRelation& rel, const Keys& keys,
+                          const std::string& context) {
   std::shared_ptr<PliCache> cache = rel.pli_cache();
   PliCache rebuild(&rel.rows());
-  for (const AttrSet& k : partitions) {
+  for (const AttrSet& k : keys.partitions) {
     std::shared_ptr<const Pli> cached = cache->Get(k);
     ASSERT_EQ(*cached, *rebuild.Get(k))
         << context << " partition " << k.ToString() << " diverged";
@@ -140,14 +136,13 @@ void ConcurrentReaderRound(const FlexibleRelation& rel, const Keys& keys,
 
 enum class Arm { kSmallBatch, kLargeBatch, kDrop };
 
-// One transactional batch sized for `arm` under `options`: a net burst of
-// 1-2 updates, of 16-19 updates plus one append, or of at least drop_at
-// updates. Updates write fresh values to distinct rows, so none nets out of
-// the burst.
-std::vector<FlexibleRelation::Mutation> BurstFor(
-    Arm arm, const FlexibleRelation& rel, const PliCacheOptions& options,
-    Rng* rng, int64_t* next_id) {
-  const size_t drop_at = std::max(options.drop_threshold, rel.size() / 2);
+// One transactional batch sized for `arm`: a net burst of 1-2 updates, of
+// 16-19 updates plus one append, or of max(2048, rows) appends, which
+// crosses the drop-everything bound max(2048, rows/2). Updates write fresh
+// values to distinct rows, so none nets out of the burst.
+std::vector<FlexibleRelation::Mutation> BurstFor(Arm arm,
+                                                 const FlexibleRelation& rel,
+                                                 Rng* rng, int64_t* next_id) {
   size_t updates = 0;
   size_t inserts = 0;
   switch (arm) {
@@ -159,7 +154,7 @@ std::vector<FlexibleRelation::Mutation> BurstFor(
       inserts = 1;
       break;
     case Arm::kDrop:
-      updates = drop_at;
+      inserts = std::max<size_t>(2048, rel.size());
       break;
   }
   std::vector<size_t> rows(rel.size());
@@ -198,11 +193,6 @@ TEST(EngineConcurrencySoak, ConcurrentReadersMatchRebuildAcrossFlushArms) {
     std::iota(attrs.begin(), attrs.end(), AttrId{0});
 
     FlexibleRelation rel = FlexibleRelation::Derived("cc", DependencySet());
-    PliCacheOptions options;
-    options.max_entries = 3;      // well below the 10 composites: evictions
-                                  // race the builds of the reader rounds
-    options.drop_threshold = 64;  // reachable drop arm on a small instance
-    rel.SetPliCacheOptions(options);
     int64_t next_id = 0;
     for (int i = 0; i < 400; ++i) {
       Tuple t = RandomSoakTuple(attrs, &rng);
@@ -214,22 +204,17 @@ TEST(EngineConcurrencySoak, ConcurrentReadersMatchRebuildAcrossFlushArms) {
     for (int round = 0; round < 6; ++round) {
       const std::string context = StrCat("seed#", s, " round ", round);
       ConcurrentReaderRound(rel, keys, seed + static_cast<uint64_t>(round));
-      ASSERT_NO_FATAL_FAILURE(VerifyAgainstRebuild(
-          rel, keys.partitions, keys, StrCat(context, " readers")));
+      ASSERT_NO_FATAL_FAILURE(
+          VerifyAgainstRebuild(rel, keys, StrCat(context, " readers")));
 
       const Arm arm = static_cast<Arm>(round % 3);
       const PliCache::StatsSnapshot before = cache->Stats();
-      ASSERT_TRUE(
-          rel.ApplyBatch(BurstFor(arm, rel, options, &rng, &next_id)).ok())
+      ASSERT_TRUE(rel.ApplyBatch(BurstFor(arm, rel, &rng, &next_id)).ok())
           << context;
       EXPECT_GT(cache->Stats().pending_deltas, 0u)
           << context << " hooks must only buffer";
-      // The walk above left its last composites — the pairs — cached, so a
-      // small splice keeps those it does not touch; check them first,
-      // before this walk's own misses evict them.
-      ASSERT_NO_FATAL_FAILURE(VerifyAgainstRebuild(
-          rel, {keys.partitions.rbegin(), keys.partitions.rend()}, keys,
-          StrCat(context, " batch")));
+      ASSERT_NO_FATAL_FAILURE(
+          VerifyAgainstRebuild(rel, keys, StrCat(context, " batch")));
       const PliCache::StatsSnapshot after = cache->Stats();
       EXPECT_EQ(after.pending_deltas, 0u) << context;
       EXPECT_EQ(after.flushes, before.flushes + 1) << context;
@@ -240,9 +225,50 @@ TEST(EngineConcurrencySoak, ConcurrentReadersMatchRebuildAcrossFlushArms) {
         EXPECT_EQ(after.full_drops, before.full_drops) << context;
       }
     }
-    EXPECT_GT(cache->Stats().evictions, 0u)
-        << "seed#" << s << ": max_entries never forced an eviction";
   }
+}
+
+// Four readers Get every pair of a 46-attribute instance from one cache,
+// each in its own shuffled order. C(46, 2) = 1035 pairs overflow the LRU
+// bound of 1024, so evictions run while other readers' builds are in
+// flight; every partition must still equal Pli::Build.
+TEST(EngineConcurrencySoak, EvictionsRaceInFlightBuildsOnAWideInstance) {
+  constexpr AttrId kAttrs = 46;
+  constexpr int kReaders = 4;
+  const uint64_t seed = ConcurrencySeed(2);
+  Rng rng(seed);
+  std::vector<AttrId> attrs(kAttrs);
+  std::iota(attrs.begin(), attrs.end(), AttrId{0});
+  std::vector<Tuple> rows;
+  for (int i = 0; i < 200; ++i) rows.push_back(RandomSoakTuple(attrs, &rng));
+  std::vector<AttrSet> pairs;
+  std::vector<Pli> expected;
+  for (AttrId a = 0; a < kAttrs; ++a) {
+    for (AttrId b = a + 1; b < kAttrs; ++b) {
+      pairs.push_back(AttrSet{a, b});
+      expected.push_back(Pli::Build(rows, pairs.back()));
+    }
+  }
+
+  PliCache cache(&rows);
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      Rng order_rng(seed ^ (0x5EEDu + static_cast<uint64_t>(r) * 104729));
+      std::vector<size_t> order(pairs.size());
+      std::iota(order.begin(), order.end(), size_t{0});
+      for (size_t i = order.size(); i > 1; --i) {
+        std::swap(order[i - 1], order[order_rng.Index(i)]);
+      }
+      for (size_t i : order) {
+        EXPECT_EQ(*cache.Get(pairs[i]), expected[i])
+            << "reader " << r << " partition " << pairs[i].ToString();
+      }
+    });
+  }
+  for (std::thread& t : readers) t.join();
+  EXPECT_GT(cache.Stats().evictions, 0u)
+      << "1035 pairs never overflowed the LRU bound";
 }
 
 }  // namespace

@@ -207,10 +207,10 @@ TEST(EngineDiscoveryTest, ThreadCountDoesNotChangeResults) {
   Rng rng(77);
   std::vector<Tuple> rows = RandomInstance(&rng, 80, 5, 0.7, 2);
   AttrSet universe = FullUniverse(5);
-  EngineDiscoveryOptions sequential;
+  DiscoveryOptions sequential;
   sequential.num_threads = 1;
   sequential.max_lhs_size = 3;
-  EngineDiscoveryOptions parallel = sequential;
+  DiscoveryOptions parallel = sequential;
   parallel.num_threads = 4;
   EXPECT_EQ(EngineDiscoverAttrDeps(rows, universe, sequential),
             EngineDiscoverAttrDeps(rows, universe, parallel));
@@ -219,18 +219,24 @@ TEST(EngineDiscoveryTest, ThreadCountDoesNotChangeResults) {
 }
 
 TEST(EngineDiscoveryTest, TinyCacheStillProducesIdenticalResults) {
-  // Eviction pressure must never change answers, only cost.
+  // Eviction pressure must never change answers, only cost. 20 attributes
+  // at |X| <= 3 ask for C(20,2) + C(20,3) = 1330 composites, past the
+  // cache's LRU bound of 1024, so both passes run under eviction.
+  constexpr AttrId kAttrs = 20;
   Rng rng(123);
-  std::vector<Tuple> rows = RandomInstance(&rng, 60, 6, 0.8, 2);
-  AttrSet universe = FullUniverse(6);
-  EngineDiscoveryOptions roomy;
-  roomy.max_lhs_size = 3;
-  EngineDiscoveryOptions cramped = roomy;
-  cramped.cache_max_entries = 1;
-  EXPECT_EQ(EngineDiscoverAttrDeps(rows, universe, roomy),
-            EngineDiscoverAttrDeps(rows, universe, cramped));
-  EXPECT_EQ(EngineDiscoverFuncDeps(rows, universe, roomy),
-            EngineDiscoverFuncDeps(rows, universe, cramped));
+  std::vector<Tuple> rows = RandomInstance(&rng, 60, kAttrs, 0.8, 2);
+  AttrSet universe = FullUniverse(kAttrs);
+  DiscoveryOptions options;
+  options.max_lhs_size = 3;
+  DiscoveryOptions brute = options;
+  brute.use_engine = false;
+  PliCache cache(&rows);
+  DependencyValidator validator(&cache);
+  EXPECT_EQ(EngineDiscoverFuncDeps(&validator, universe, options),
+            DiscoverFuncDeps(rows, universe, brute));
+  EXPECT_EQ(EngineDiscoverAttrDeps(&validator, universe, options),
+            DiscoverAttrDeps(rows, universe, brute));
+  EXPECT_GT(cache.Stats().evictions, 0u);
 }
 
 TEST(EngineDiscoveryTest, BundledDiscoveryMatchesBruteForce) {

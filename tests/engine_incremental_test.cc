@@ -8,10 +8,9 @@
 // partition and code column describes the same instance as a from-scratch
 // rebuild over the mutated rows — clusters (canonical form, so
 // Pli::operator== is exact), defined_rows, grouped_rows and NumDistinct all
-// agree, columns decode to the same value -> rows map — and the
-// incremental mode is observationally identical to the
-// PliCacheOptions::incremental = false fallback, which drops the cache
-// wholesale on every mutation and therefore *is* the from-scratch oracle.
+// agree, columns decode to the same value -> rows map. The oracle is a fresh
+// PliCache over the same rows: it builds every structure from scratch, which
+// is all a drop-everything cache would do on its next read.
 //
 // Randomized tests take their seed from the FLEXREL_TEST_SEED environment
 // variable when set (CI's seed-diversity step passes the run id) and print
@@ -308,7 +307,8 @@ TEST(EngineIncrementalSoak, ReinternMidStreamKeepsProductsRebuildEqual) {
 }
 
 // ---------------------------------------------------------------------------
-// The same soak, incremental vs the drop-everything oracle, side by side.
+// Reads interleaved with every mutation, each checked against the
+// drop-everything oracle: a fresh cache over the same rows.
 // ---------------------------------------------------------------------------
 
 TEST(EngineIncrementalSoak, IncrementalModeMatchesDropEverythingOracle) {
@@ -317,59 +317,28 @@ TEST(EngineIncrementalSoak, IncrementalModeMatchesDropEverythingOracle) {
   std::vector<AttrId> attrs;
   for (int i = 0; i < 5; ++i) attrs.push_back(catalog.Intern(StrCat("b", i)));
 
-  FlexibleRelation incremental =
-      FlexibleRelation::Derived("inc", DependencySet());
-  FlexibleRelation oracle = FlexibleRelation::Derived("ora", DependencySet());
-  PliCacheOptions drop_everything;
-  drop_everything.incremental = false;
-  oracle.SetPliCacheOptions(drop_everything);
-
+  FlexibleRelation rel = FlexibleRelation::Derived("inc", DependencySet());
   SoakKeys keys;
   for (AttrId a : attrs) keys.partitions.push_back(AttrSet::Of(a));
   keys.partitions.push_back(AttrSet{attrs[0], attrs[3]});
   keys.partitions.push_back(AttrSet{attrs[1], attrs[2], attrs[4]});
   keys.columns = {attrs[0], attrs[2], attrs[4]};
-
-  auto touch = [&](FlexibleRelation* rel) {
-    std::shared_ptr<PliCache> cache = rel->pli_cache();
-    for (const AttrSet& k : keys.partitions) (void)cache->Get(k);
-    for (AttrId a : keys.columns) (void)cache->CodeColumnFor(a);
-  };
+  std::shared_ptr<PliCache> cache = rel.pli_cache();
 
   for (int op = 0; op < 250; ++op) {
-    // Identical mutation on both relations (one rng draw, applied twice).
-    if (rng.Bernoulli(0.5) || incremental.empty()) {
-      Tuple t = RandomSoakTuple(attrs, &rng);
-      incremental.InsertUnchecked(t);
-      oracle.InsertUnchecked(std::move(t));
+    if (rng.Bernoulli(0.5) || rel.empty()) {
+      rel.InsertUnchecked(RandomSoakTuple(attrs, &rng));
     } else {
-      size_t row = rng.Index(incremental.size());
+      size_t row = rng.Index(rel.size());
       AttrId attr = attrs[rng.Index(attrs.size())];
-      Value v = RandomSoakValue(&rng);
-      ASSERT_TRUE(incremental.Update(row, attr, v).ok());
-      ASSERT_TRUE(oracle.Update(row, attr, v).ok());
+      ASSERT_TRUE(rel.Update(row, attr, RandomSoakValue(&rng)).ok());
     }
-    touch(&incremental);  // queries interleaved with mutations on both modes
-    touch(&oracle);
-    if (op % 10 == 9) {
-      std::shared_ptr<PliCache> lhs = incremental.pli_cache();
-      std::shared_ptr<PliCache> rhs = oracle.pli_cache();
-      for (const AttrSet& k : keys.partitions) {
-        ASSERT_EQ(*lhs->Get(k), *rhs->Get(k))
-            << "op#" << op << " partition " << k.ToString();
-        ASSERT_EQ(lhs->Get(k)->defined_rows(), rhs->Get(k)->defined_rows())
-            << "op#" << op << " partition " << k.ToString();
-      }
-      for (AttrId a : keys.columns) {
-        ASSERT_TRUE(ColumnsDecodeEqual(*lhs->CodeColumnFor(a),
-                                       *rhs->CodeColumnFor(a)))
-            << "op#" << op;
-      }
-    }
+    ASSERT_NO_FATAL_FAILURE(
+        VerifyAgainstRebuild(rel, keys, StrCat("op#", op)));
   }
-  // The two modes must have taken the two *different* maintenance paths.
-  EXPECT_GT(incremental.pli_cache()->Stats().batch_applies, 0u);
-  EXPECT_EQ(oracle.pli_cache()->Stats().batch_applies, 0u);
+  // The attached cache was maintained, not dropped and rebuilt.
+  EXPECT_GT(cache->Stats().batch_applies, 0u);
+  EXPECT_EQ(cache.get(), rel.pli_cache().get());
 }
 
 // ---------------------------------------------------------------------------
@@ -600,12 +569,29 @@ TEST(BatchMutationTest, FailedBatchLeavesRelationAndCacheUntouched) {
   EXPECT_EQ(rel.size(), rows_before.size() + 1);
 }
 
+// A burst appending this many rows to `rel` crosses the drop-everything
+// bound max(2048, rows/2): updates alone never reach 2048 net deltas on the
+// soaks' few-hundred-row instances.
+size_t DropBurstRows(const FlexibleRelation& rel) {
+  return std::max<size_t>(2048, rel.size());
+}
+
+std::vector<Tuple> RandomSoakTuples(const std::vector<AttrId>& attrs,
+                                    size_t count, Rng* rng) {
+  std::vector<Tuple> rows;
+  rows.reserve(count);
+  for (size_t i = 0; i < count; ++i) {
+    rows.push_back(RandomSoakTuple(attrs, rng));
+  }
+  return rows;
+}
+
 // ---------------------------------------------------------------------------
 // Randomized batch soak: InsertRows/UpdateRows/ApplyBatch bursts of sizes
 // 1/8/64/512 interleaved with single-row ops and reads, every cached
-// structure checked against from-scratch rebuilds after each round. The
-// low drop_threshold makes the 512-row bursts cross the drop-everything
-// arm, so both flush arms are exercised in one soak.
+// structure checked against from-scratch rebuilds after each round. A
+// closing append burst crosses the drop-everything bound, so both flush
+// arms are exercised in one soak.
 // ---------------------------------------------------------------------------
 
 TEST(EngineIncrementalSoak, BatchBurstsMatchRebuildsAcrossAllPolicies) {
@@ -621,11 +607,6 @@ TEST(EngineIncrementalSoak, BatchBurstsMatchRebuildsAcrossAllPolicies) {
   for (int i = 0; i < 6; ++i) attrs.push_back(catalog.Intern(StrCat("d", i)));
 
   FlexibleRelation rel = FlexibleRelation::Derived("burst", DependencySet());
-  // Let the 512-bursts hit the drop arm even after coalescing shrinks them
-  // (same-row re-draws and value no-ops net out of the flush).
-  PliCacheOptions options;
-  options.drop_threshold = 128;
-  rel.SetPliCacheOptions(options);
   for (int i = 0; i < 300; ++i) {
     rel.InsertUnchecked(RandomSoakTuple(attrs, &rng));
   }
@@ -719,16 +700,20 @@ TEST(EngineIncrementalSoak, BatchBurstsMatchRebuildsAcrossAllPolicies) {
   }
   // Deterministic closing bursts so both flush arms and both splice sizes
   // are exercised regardless of the draw sequence above: a single update,
-  // a mid-size burst, and an oversized one (drop).
+  // a mid-size burst, an oversized append (drop), and a splice into the
+  // columns rebuilt after the drop.
   ASSERT_TRUE(rel.UpdateRows(random_update_burst(1)).ok());
   warm();
   ASSERT_NO_FATAL_FAILURE(VerifyAgainstRebuild(rel, keys, "final 1 burst"));
   ASSERT_TRUE(rel.UpdateRows(random_update_burst(48)).ok());
   warm();
   ASSERT_NO_FATAL_FAILURE(VerifyAgainstRebuild(rel, keys, "final 48 burst"));
-  ASSERT_TRUE(rel.UpdateRows(random_update_burst(512)).ok());
+  rel.InsertRowsUnchecked(RandomSoakTuples(attrs, DropBurstRows(rel), &rng));
   warm();
-  ASSERT_NO_FATAL_FAILURE(VerifyAgainstRebuild(rel, keys, "final 512 burst"));
+  ASSERT_NO_FATAL_FAILURE(VerifyAgainstRebuild(rel, keys, "final append"));
+  ASSERT_TRUE(rel.UpdateRows(random_update_burst(8)).ok());
+  warm();
+  ASSERT_NO_FATAL_FAILURE(VerifyAgainstRebuild(rel, keys, "final 8 burst"));
   EXPECT_GT(cache->Stats().batch_applies, 0u) << "splice path never ran";
   EXPECT_GT(cache->Stats().full_drops, 0u) << "drop-everything path never ran";
   EXPECT_EQ(cache->Stats().pending_deltas, 0u);
@@ -760,9 +745,9 @@ TEST(EngineIncrementalSoak, BatchBurstsMatchRebuildsAcrossAllPolicies) {
 }
 
 // ---------------------------------------------------------------------------
-// The flush policy against the drop-everything oracle (incremental =
-// false): one identical mutation stream, two relations, every tracked
-// structure equal after every burst, bursts of 1/8/64/512.
+// The flush policy against the drop-everything oracle (a fresh cache over
+// the same rows): every tracked structure equal after every burst, update
+// bursts of 1/8/64/512 and an append burst past the drop bound.
 // ---------------------------------------------------------------------------
 
 TEST(EngineIncrementalSoak, FlushPolicyMatchesDropOracleAcrossBurstSizes) {
@@ -771,66 +756,26 @@ TEST(EngineIncrementalSoak, FlushPolicyMatchesDropOracleAcrossBurstSizes) {
   std::vector<AttrId> attrs;
   for (int i = 0; i < 5; ++i) attrs.push_back(catalog.Intern(StrCat("e", i)));
 
-  FlexibleRelation adaptive =
-      FlexibleRelation::Derived("adaptive", DependencySet());
-  FlexibleRelation oracle = FlexibleRelation::Derived("ora", DependencySet());
-  // A low drop threshold lets the 512-bursts cross the drop arm on a
-  // 150-row instance (rows/2 = 75 would otherwise dominate).
-  PliCacheOptions adaptive_options;
-  adaptive_options.drop_threshold = 128;
-  adaptive.SetPliCacheOptions(adaptive_options);
-  PliCacheOptions drop_everything;
-  drop_everything.incremental = false;
-  oracle.SetPliCacheOptions(drop_everything);
-  FlexibleRelation* rels[] = {&adaptive, &oracle};
-
+  FlexibleRelation rel = FlexibleRelation::Derived("adaptive", DependencySet());
   SoakKeys keys;
   for (AttrId a : attrs) keys.partitions.push_back(AttrSet::Of(a));
   keys.partitions.push_back(AttrSet{attrs[0], attrs[2]});
   keys.columns = {attrs[1], attrs[3]};
-  auto touch = [&](FlexibleRelation* rel) {
-    std::shared_ptr<PliCache> cache = rel->pli_cache();
-    for (const AttrSet& k : keys.partitions) (void)cache->Get(k);
-    for (AttrId a : keys.columns) (void)cache->CodeColumnFor(a);
-  };
-
-  // Identical instances: one draw per row, applied to both.
   for (int i = 0; i < 150; ++i) {
-    Tuple t = RandomSoakTuple(attrs, &rng);
-    for (FlexibleRelation* rel : rels) rel->InsertUnchecked(t);
+    rel.InsertUnchecked(RandomSoakTuple(attrs, &rng));
   }
-  for (FlexibleRelation* rel : rels) touch(rel);
+  std::shared_ptr<PliCache> cache = rel.pli_cache();
+  ASSERT_NO_FATAL_FAILURE(VerifyAgainstRebuild(rel, keys, "warm"));
 
-  auto assert_all_equal = [&](const std::string& context) {
-    std::shared_ptr<PliCache> lhs = adaptive.pli_cache();
-    std::shared_ptr<PliCache> rhs = oracle.pli_cache();
-    for (const AttrSet& k : keys.partitions) {
-      ASSERT_EQ(*lhs->Get(k), *rhs->Get(k))
-          << context << " adaptive vs oracle " << k.ToString();
-      ASSERT_EQ(lhs->Get(k)->defined_rows(), rhs->Get(k)->defined_rows())
-          << context << " " << k.ToString();
-      std::string err;
-      ASSERT_TRUE(lhs->Get(k)->CheckInvariants(&err)) << context << err;
-    }
-    for (AttrId a : keys.columns) {
-      ASSERT_TRUE(ColumnsDecodeEqual(*lhs->CodeColumnFor(a),
-                                     *rhs->CodeColumnFor(a)))
-          << context;
-    }
-  };
   auto run_burst = [&](size_t burst, const std::string& context) {
     std::vector<FlexibleRelation::UpdateSpec> updates;
     for (size_t i = 0; i < burst; ++i) {
-      updates.push_back({rng.Index(adaptive.size()),
+      updates.push_back({rng.Index(rel.size()),
                          attrs[rng.Index(attrs.size())],
                          RandomSoakValue(&rng), Tuple()});
     }
-    for (FlexibleRelation* rel : rels) {
-      auto copy = updates;
-      ASSERT_TRUE(rel->UpdateRows(std::move(copy)).ok());
-      touch(rel);
-    }
-    ASSERT_NO_FATAL_FAILURE(assert_all_equal(context));
+    ASSERT_TRUE(rel.UpdateRows(std::move(updates)).ok());
+    ASSERT_NO_FATAL_FAILURE(VerifyAgainstRebuild(rel, keys, context));
   };
 
   const size_t kBursts[] = {1, 8, 64, 512};
@@ -839,15 +784,18 @@ TEST(EngineIncrementalSoak, FlushPolicyMatchesDropOracleAcrossBurstSizes) {
         run_burst(kBursts[rng.Index(4)], StrCat("round#", round)));
   }
   // Deterministic closing bursts pin the equality at every burst size
-  // regardless of the draws above; the 512-burst crosses the lowered drop
-  // threshold.
+  // regardless of the draws above, then an append crosses the drop bound
+  // and a last burst splices the columns rebuilt after it.
   for (size_t burst : kBursts) {
     ASSERT_NO_FATAL_FAILURE(run_burst(burst, StrCat("closing ", burst)));
   }
-  // The maintenance modes must actually have diverged in mechanism.
-  EXPECT_GT(adaptive.pli_cache()->Stats().batch_applies, 0u);
-  EXPECT_GT(adaptive.pli_cache()->Stats().full_drops, 0u);
-  EXPECT_EQ(oracle.pli_cache()->Stats().batch_applies, 0u);
+  rel.InsertRowsUnchecked(RandomSoakTuples(attrs, DropBurstRows(rel), &rng));
+  ASSERT_NO_FATAL_FAILURE(VerifyAgainstRebuild(rel, keys, "closing append"));
+  ASSERT_NO_FATAL_FAILURE(run_burst(64, "after the drop"));
+  // Both flush arms ran on the one attached cache.
+  EXPECT_GT(cache->Stats().batch_applies, 0u);
+  EXPECT_GT(cache->Stats().full_drops, 0u);
+  EXPECT_EQ(cache.get(), rel.pli_cache().get());
 }
 
 }  // namespace

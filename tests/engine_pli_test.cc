@@ -232,19 +232,24 @@ TEST(PliCacheTest, RepeatLookupsHitTheCache) {
 }
 
 TEST(PliCacheTest, LruBoundEvictsMultiAttributeEntries) {
+  // C(46, 2) = 1035 pairs overflow the cache's LRU bound of 1024
+  // multi-attribute entries.
+  constexpr AttrId kAttrs = 46;
+  constexpr size_t kLruBound = 1024;
   Rng rng(11);
-  std::vector<Tuple> rows = RandomRows(&rng, 60, 6, 0.8, 2);
-  PliCache::Options options;
-  options.max_entries = 2;
-  PliCache cache(&rows, options);
-  for (AttrId a = 0; a < 6; ++a) {
-    for (AttrId b = a + 1; b < 6; ++b) cache.Get(AttrSet{a, b});
+  std::vector<Tuple> rows = RandomRows(&rng, 60, kAttrs, 0.8, 2);
+  PliCache cache(&rows);
+  size_t pairs = 0;
+  for (AttrId a = 0; a < kAttrs; ++a) {
+    for (AttrId b = a + 1; b < kAttrs; ++b, ++pairs) cache.Get(AttrSet{a, b});
   }
-  EXPECT_GT(cache.Stats().evictions, 0u);
-  // 6 pinned singletons + at most max_entries evictable pairs.
-  EXPECT_LE(cache.Stats().cached_entries, 6u + options.max_entries);
-  // Evicted partitions rebuild correctly.
+  const PliCache::StatsSnapshot stats = cache.Stats();
+  EXPECT_EQ(stats.evictions, pairs - kLruBound);
+  // Pinned singletons + at most kLruBound evictable pairs.
+  EXPECT_LE(stats.cached_entries, kAttrs + kLruBound);
+  // The least recently used pair was evicted, and rebuilds correctly.
   EXPECT_EQ(*cache.Get(AttrSet{0, 1}), Pli::Build(rows, AttrSet{0, 1}));
+  EXPECT_EQ(cache.Stats().misses, stats.misses + 1);
 }
 
 TEST(PliCacheTest, ConcurrentGetsProduceConsistentPartitions) {
