@@ -35,14 +35,17 @@ AttrSet UniverseOf(const std::vector<Tuple>& rows) {
   return u;
 }
 
-void RunDiscovery(benchmark::State& state, bool use_engine, size_t max_lhs) {
+// `engine` picks EngineDiscoverDependencies, else the brute-force
+// reference of core/discovery.h.
+void RunDiscovery(benchmark::State& state, bool engine, size_t max_lhs) {
   std::vector<Tuple> rows = MakeRows(static_cast<size_t>(state.range(0)), 9);
   AttrSet universe = UniverseOf(rows);
   DiscoveryOptions options;
   options.max_lhs_size = max_lhs;
-  options.use_engine = use_engine;
   for (auto _ : state) {
-    DependencySet deps = DiscoverDependencies(rows, universe, options);
+    DependencySet deps =
+        engine ? EngineDiscoverDependencies(rows, universe, options)
+               : DiscoverDependencies(rows, universe, options);
     benchmark::DoNotOptimize(deps);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
@@ -50,24 +53,24 @@ void RunDiscovery(benchmark::State& state, bool use_engine, size_t max_lhs) {
 }
 
 void BM_DiscoveryEngine(benchmark::State& state) {
-  RunDiscovery(state, /*use_engine=*/true, /*max_lhs=*/2);
+  RunDiscovery(state, /*engine=*/true, /*max_lhs=*/2);
 }
 BENCHMARK(BM_DiscoveryEngine)->Arg(1000)->Arg(10000)->Arg(100000)
     ->Unit(benchmark::kMillisecond);
 
 void BM_DiscoveryBruteForce(benchmark::State& state) {
-  RunDiscovery(state, /*use_engine=*/false, /*max_lhs=*/2);
+  RunDiscovery(state, /*engine=*/false, /*max_lhs=*/2);
 }
 BENCHMARK(BM_DiscoveryBruteForce)->Arg(1000)->Arg(10000)->Arg(100000)
     ->Unit(benchmark::kMillisecond);
 
 void BM_DiscoveryEngineLhs3(benchmark::State& state) {
-  RunDiscovery(state, /*use_engine=*/true, /*max_lhs=*/3);
+  RunDiscovery(state, /*engine=*/true, /*max_lhs=*/3);
 }
 BENCHMARK(BM_DiscoveryEngineLhs3)->Arg(10000)->Unit(benchmark::kMillisecond);
 
 void BM_DiscoveryBruteForceLhs3(benchmark::State& state) {
-  RunDiscovery(state, /*use_engine=*/false, /*max_lhs=*/3);
+  RunDiscovery(state, /*engine=*/false, /*max_lhs=*/3);
 }
 BENCHMARK(BM_DiscoveryBruteForceLhs3)->Arg(10000)
     ->Unit(benchmark::kMillisecond);

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """CI perf smoke: the engine paths must still beat their oracles.
 
-Runs bench_pli's mutate-then-query sweep and bench_join_prune's pair join
-at reduced sizes, writes the raw google-benchmark JSON next to the results
+Runs bench_pli's mutate-then-query sweep, bench_join_prune's pair join and
+bench_discovery's engine-vs-brute-force pair at reduced sizes, writes the
+raw google-benchmark JSON next to the results
 (uploaded as a workflow artifact beside the checked-in BENCH_*.json), and
 hard-fails on any inversion:
 
@@ -11,7 +12,9 @@ hard-fails on any inversion:
   * the PLI-backed pair join slower than the naive nested-loop join;
   * the counting-sort partition build over a code column
     (BM_PliBuildSingleAttrCoded, the cache's build) slower than the hashed
-    from-scratch build it replaces (BM_PliBuildSingleAttr).
+    from-scratch build it replaces (BM_PliBuildSingleAttr);
+  * engine discovery (BM_DiscoveryEngine/1000) slower than the brute-force
+    reference of core/discovery.h (BM_DiscoveryBruteForce/1000).
 
 Each run also enables the engine telemetry plane (--metrics_json=PATH, see
 src/telemetry/) and writes the per-binary metrics dump into the out dir
@@ -42,8 +45,9 @@ Bench-trajectory regression gate
 --------------------------------
 
 Beyond the pairwise inversions above, the run is diffed against the
-committed baselines BENCH_incremental.json (a full bench_pli recording)
-and BENCH_eval.json (a full bench_join_prune recording): every benchmark
+committed baselines BENCH_incremental.json (a full bench_pli recording),
+BENCH_eval.json (a full bench_join_prune recording) and
+BENCH_discovery.json (a full bench_discovery recording): every benchmark
 whose exact name/shape appears in both this run's medians and a baseline
 is compared as fresh_median / baseline_median (a baseline recorded
 without repetitions contributes its single time instead). The CI runner and the
@@ -67,9 +71,10 @@ command against a Release build tree:
     python3 scripts/perf_smoke.py --build-dir build-rel \
         --out-dir /tmp/perf --record-baselines
 
-which re-runs the two full suites (three repetitions, aggregates only,
+which re-runs the three full suites (three repetitions, aggregates only,
 google-benchmark defaults otherwise) and overwrites BENCH_incremental.json
-/ BENCH_eval.json in the repo root (--baseline-dir to redirect), so both
+/ BENCH_eval.json / BENCH_discovery.json in the repo root (--baseline-dir
+to redirect), so both
 sides of the gate are medians of three. Commit the refreshed files with a
 note of what moved and why.
 """
@@ -85,9 +90,9 @@ PLI_METRICS = "perf_smoke_pli_metrics.json"
 JOIN_METRICS = "perf_smoke_join_metrics.json"
 
 # (benchmark binary, filter, output file, metrics file). Reduced sizes: 10k
-# rows for the mutation sweep, the 10000-row arg for the join — big enough
-# that the engine's asymptotic edge dominates noise, small enough for a
-# smoke job.
+# rows for the mutation sweep, the 10000-row arg for the join, 1000 rows
+# for discovery — big enough that the engine's asymptotic edge dominates
+# noise, small enough for a smoke job.
 RUNS = [
     (
         "bench_pli",
@@ -105,6 +110,12 @@ RUNS = [
         "perf_smoke_join.json",
         JOIN_METRICS,
     ),
+    (
+        "bench_discovery",
+        "BM_Discovery(Engine|BruteForce)/1000$",
+        "perf_smoke_discovery.json",
+        "perf_smoke_discovery_metrics.json",
+    ),
 ]
 
 # Hard wall-clock ceiling per benchmark invocation, enforced twice: the
@@ -117,7 +128,8 @@ RUN_TIMEOUT_S = 600
 
 # Committed full-suite baselines the trajectory gate diffs against, and the
 # normalized wall-time ratio past which a shared entry fails the run.
-BASELINES = ["BENCH_incremental.json", "BENCH_eval.json"]
+BASELINES = ["BENCH_incremental.json", "BENCH_eval.json",
+             "BENCH_discovery.json"]
 TRAJECTORY_TOLERANCE = 1.25
 # Below this many shared entries the fleet-median normalization has nothing
 # to anchor on — treat it as a harness bug rather than silently passing.
@@ -317,11 +329,12 @@ def check_trajectory(times, baseline_dir, failures):
 
 
 def record_baselines(build_dir, out_dir, baseline_dir):
-    """--record-baselines: re-run the two full suites and overwrite the
+    """--record-baselines: re-run the three full suites and overwrite the
     committed BENCH_*.json (three repetitions, aggregates only — the
     medians the trajectory gate compares against)."""
     for binary, out_name in (("bench_pli", "BENCH_incremental.json"),
-                             ("bench_join_prune", "BENCH_eval.json")):
+                             ("bench_join_prune", "BENCH_eval.json"),
+                             ("bench_discovery", "BENCH_discovery.json")):
         out_path = baseline_dir / out_name
         cmd = [
             str(build_dir / binary),
@@ -381,6 +394,9 @@ def main():
         "BM_PliBuildSingleAttr/10000",
         failures,
     )
+    print("engine discovery vs brute force (1000 rows):")
+    expect_faster(times, "BM_DiscoveryEngine/1000",
+                  "BM_DiscoveryBruteForce/1000", failures)
 
     check_metric_invariants(args.out_dir, failures)
     check_trajectory(times, args.baseline_dir, failures)

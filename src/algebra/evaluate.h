@@ -63,8 +63,8 @@ struct EvalStats {
   EvalStats& operator+=(const EvalStats& other);
 };
 
-/// Evaluation knobs, mirroring DiscoveryOptions::use_engine: the engine path
-/// is the default, the naive path stays available as the reference oracle.
+/// Evaluation knobs: the engine path is the default, the naive path stays
+/// available as the reference oracle (bench/e2e's answer check selects it).
 struct EvalOptions {
   /// Evaluate through the partition engine (PLI-backed selections, hash/PLI
   /// joins, estimate-ordered multiway joins). False selects the naive

@@ -101,9 +101,6 @@ AttrSet MaximalFdRhs(const std::vector<Tuple>& rows, const AttrSet& lhs,
 std::vector<AttrDep> DiscoverAttrDeps(const std::vector<Tuple>& rows,
                                       const AttrSet& universe,
                                       const DiscoveryOptions& options) {
-  if (options.use_engine) {
-    return EngineDiscoverAttrDeps(rows, universe, options);
-  }
   std::vector<AttrDep> out;
   DependencySet found;
   ForEachLhs(universe, options.max_lhs_size, [&](const AttrSet& lhs) {
@@ -123,9 +120,6 @@ std::vector<AttrDep> DiscoverAttrDeps(const std::vector<Tuple>& rows,
 std::vector<FuncDep> DiscoverFuncDeps(const std::vector<Tuple>& rows,
                                       const AttrSet& universe,
                                       const DiscoveryOptions& options) {
-  if (options.use_engine) {
-    return EngineDiscoverFuncDeps(rows, universe, options);
-  }
   std::vector<FuncDep> out;
   DependencySet found;
   ForEachLhs(universe, options.max_lhs_size, [&](const AttrSet& lhs) {
@@ -142,9 +136,6 @@ std::vector<FuncDep> DiscoverFuncDeps(const std::vector<Tuple>& rows,
 DependencySet DiscoverDependencies(const std::vector<Tuple>& rows,
                                    const AttrSet& universe,
                                    const DiscoveryOptions& options) {
-  if (options.use_engine) {
-    return EngineDiscoverDependencies(rows, universe, options);
-  }
   DependencySet out;
   for (FuncDep& fd : DiscoverFuncDeps(rows, universe, options)) {
     out.AddFd(std::move(fd));

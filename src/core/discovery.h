@@ -8,6 +8,11 @@
 // satisfied by the instance (Definitions 4.1 / 4.2 semantics). Results are
 // sound and complete w.r.t. the instance for the explored LHS sizes; as with
 // all dependency mining they are hypotheses about the domain, not proofs.
+//
+// This file is the brute-force reference: it hash-groups the rows by every
+// candidate determinant. The partition engine (engine/parallel_discovery.h,
+// EngineDiscover*) returns identical results far faster and is what every
+// caller under src/ uses; this path stays as its oracle.
 
 #ifndef FLEXREL_CORE_DISCOVERY_H_
 #define FLEXREL_CORE_DISCOVERY_H_
@@ -28,12 +33,6 @@ struct DiscoveryOptions {
   /// Skip dependencies already implied (via the axiom systems) by ones
   /// discovered at smaller determinants — reports generators only.
   bool minimal_only = true;
-  /// Validate candidates through the partition engine (src/engine/): cached
-  /// stripped partitions intersected up the lattice, parallel per level.
-  /// False keeps the original hash-grouping reference path; both produce
-  /// identical results (cross-validated by tests/engine_discovery_test.cc).
-  /// Read only by the entry points below; the engine's own ignore it.
-  bool use_engine = true;
   /// Worker threads for the engine path; 0 = hardware concurrency. Ignored
   /// by the reference path.
   size_t num_threads = 0;

@@ -360,9 +360,7 @@ Result<std::vector<TypeChecker::TypeDelta>> FlexibleRelation::UpdateRows(
 
 bool FlexibleRelation::AuditDeclaredDeps() const {
   if (deps_.empty()) return true;
-  std::shared_ptr<PliCache> cache = pli_cache();
-  DependencyValidator validator(cache.get());
-  return validator.ValidatesAll(deps_);
+  return ValidatesAll(pli_cache().get(), deps_);
 }
 
 AttrSet FlexibleRelation::ActiveAttrs() const {

@@ -148,10 +148,11 @@ class FlexibleRelation {
   /// (instance-level audit; per-tuple EAD checks happen on insert).
   bool SatisfiesDeclaredDeps() const { return deps_.SatisfiedBy(rows_); }
 
-  /// Engine-backed counterpart of SatisfiesDeclaredDeps: validates Σ
-  /// through the attached partition cache (engine/validator.h) instead of
-  /// re-hashing the instance once per dependency — the audit the
-  /// storage/serialization load path runs over declared dependencies.
+  /// Engine-backed counterpart of SatisfiesDeclaredDeps: scans the
+  /// attached cache's partitions over its code columns (engine/validator.h)
+  /// instead of re-hashing the instance once per dependency — the audit the
+  /// storage/serialization load path runs over declared dependencies. It
+  /// reads the cache as it stands, so it answers for the rows held now.
   bool AuditDeclaredDeps() const;
 
   /// The relation's partition cache over the current instance, built lazily

@@ -3,7 +3,9 @@
 #include <atomic>
 #include <exception>
 #include <functional>
+#include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 
@@ -15,6 +17,8 @@
 namespace flexrel {
 
 namespace {
+
+using ColumnSpan = std::span<const std::shared_ptr<const CodeColumn>>;
 
 // Worker count for `work_items` independent tasks: the requested count, or
 // hardware concurrency when 0, never more workers than items.
@@ -80,17 +84,20 @@ void ResetDiscoveryRunGauges() {
 // Shared traversal: per level, fan the maximal-RHS computations out, then
 // prune and emit sequentially in enumeration order (pruning consults the
 // dependencies already emitted, so its order is semantics-bearing).
+// `maximal_rhs(lhs, columns)` is one candidate's scan over the universe's
+// code columns, which the pass fetches once at level 1 and drops on return.
 template <typename Dep, typename RhsFn, typename PrunedFn, typename EmitFn>
-std::vector<Dep> LevelWise(const AttrSet& universe,
+std::vector<Dep> LevelWise(PliCache* cache, const AttrSet& universe,
                            const DiscoveryOptions& options,
-                           size_t num_rows, const RhsFn& maximal_rhs,
-                           const PrunedFn& pruned, const EmitFn& emit,
-                           DiscoveryRunInfo* info) {
+                           const RhsFn& maximal_rhs, const PrunedFn& pruned,
+                           const EmitFn& emit, DiscoveryRunInfo* info) {
   ResetDiscoveryRunGauges();
   const ExecContext* exec = options.exec;
+  const size_t num_rows = cache->rows().size();
   DiscoveryRunInfo run;
   std::vector<Dep> out;
   DependencySet found;
+  std::vector<std::shared_ptr<const CodeColumn>> columns(universe.size());
   for (size_t k = 1; k <= options.max_lhs_size && k <= universe.size(); ++k) {
     if (Status st = CheckExec(exec); !st.ok()) {
       run.status = std::move(st);
@@ -108,10 +115,26 @@ std::vector<Dep> LevelWise(const AttrSet& universe,
         num_rows * candidates.size() < kMinWorkForAutoThreads) {
       threads = 1;
     }
-    // Σ of per-candidate validation time across workers; against the
-    // level's wall time and worker count it yields utilization — how much
-    // of the fan-out the shared-counter pull actually kept busy.
+    // Σ of per-worker busy time (column fetches and candidate scans);
+    // against the level's wall time and worker count it yields utilization
+    // — how much of the fan-out the shared-counter pull actually kept busy.
     std::atomic<uint64_t> busy_ns{0};
+    auto timed = [&](auto&& work) {
+      const uint64_t t0 = traced ? telemetry::NowNs() : 0;
+      work();
+      if (traced) {
+        busy_ns.fetch_add(telemetry::NowNs() - t0, std::memory_order_relaxed);
+      }
+    };
+    if (k == 1) {
+      // Level 1's candidates are the universe's attributes, so its thread
+      // count fits the fetch too: one column build per worker at a time,
+      // none built twice, and every later Get over the universe finds its
+      // columns pinned.
+      ParallelFor(universe.size(), threads, [&](size_t i) {
+        timed([&] { columns[i] = cache->CodeColumnFor(universe.ids()[i]); });
+      });
+    }
     // Mid-level trip: workers poll the context at candidate boundaries and
     // raise the shared stop flag, so the whole pool drains within one
     // candidate each instead of finishing the level.
@@ -122,14 +145,7 @@ std::vector<Dep> LevelWise(const AttrSet& universe,
         stop.store(true, std::memory_order_relaxed);
         return;
       }
-      if (traced) {
-        const uint64_t t0 = telemetry::NowNs();
-        rhss[i] = maximal_rhs(candidates[i]);
-        busy_ns.fetch_add(telemetry::NowNs() - t0,
-                          std::memory_order_relaxed);
-      } else {
-        rhss[i] = maximal_rhs(candidates[i]);
-      }
+      timed([&] { rhss[i] = maximal_rhs(candidates[i], columns); });
     });
     // A trip mid-fan-out leaves this level partially validated; the
     // context is sticky, so re-checking here discards the in-flight level
@@ -204,16 +220,16 @@ std::vector<AttrSet> LatticeLevel(const AttrSet& universe, size_t k) {
   return out;
 }
 
-std::vector<AttrDep> EngineDiscoverAttrDeps(
-    DependencyValidator* validator, const AttrSet& universe,
-    const DiscoveryOptions& options, DiscoveryRunInfo* info) {
-  // The validator polls the context inside its cluster scans, so a trip
-  // lands mid-candidate instead of waiting out a fat partition.
-  validator->set_exec(options.exec);
+std::vector<AttrDep> EngineDiscoverAttrDeps(PliCache* cache,
+                                            const AttrSet& universe,
+                                            const DiscoveryOptions& options,
+                                            DiscoveryRunInfo* info) {
+  // The scans poll the context inside their cluster walks, so a trip lands
+  // mid-candidate instead of waiting out a fat partition.
   return LevelWise<AttrDep>(
-      universe, options, validator->row_attrs().size(),
-      [&](const AttrSet& lhs) {
-        return validator->MaximalAdRhs(lhs, universe);
+      cache, universe, options,
+      [&](const AttrSet& lhs, const ColumnSpan columns) {
+        return MaximalAdRhs(cache, lhs, universe, columns, options.exec);
       },
       [](const DependencySet& found, const AttrDep& candidate) {
         return Implies(found, candidate, AxiomSystem::kAdOnly);
@@ -222,14 +238,14 @@ std::vector<AttrDep> EngineDiscoverAttrDeps(
       info);
 }
 
-std::vector<FuncDep> EngineDiscoverFuncDeps(
-    DependencyValidator* validator, const AttrSet& universe,
-    const DiscoveryOptions& options, DiscoveryRunInfo* info) {
-  validator->set_exec(options.exec);
+std::vector<FuncDep> EngineDiscoverFuncDeps(PliCache* cache,
+                                            const AttrSet& universe,
+                                            const DiscoveryOptions& options,
+                                            DiscoveryRunInfo* info) {
   return LevelWise<FuncDep>(
-      universe, options, validator->row_attrs().size(),
-      [&](const AttrSet& lhs) {
-        return validator->MaximalFdRhs(lhs, universe);
+      cache, universe, options,
+      [&](const AttrSet& lhs, const ColumnSpan columns) {
+        return MaximalFdRhs(cache, lhs, universe, columns, options.exec);
       },
       [](const DependencySet& found, const FuncDep& candidate) {
         return Implies(found, candidate);
@@ -242,19 +258,17 @@ std::vector<AttrDep> EngineDiscoverAttrDeps(
     const std::vector<Tuple>& rows, const AttrSet& universe,
     const DiscoveryOptions& options, DiscoveryRunInfo* info) {
   PliCache cache(&rows);
-  DependencyValidator validator(&cache);
-  return EngineDiscoverAttrDeps(&validator, universe, options, info);
+  return EngineDiscoverAttrDeps(&cache, universe, options, info);
 }
 
 std::vector<FuncDep> EngineDiscoverFuncDeps(
     const std::vector<Tuple>& rows, const AttrSet& universe,
     const DiscoveryOptions& options, DiscoveryRunInfo* info) {
   PliCache cache(&rows);
-  DependencyValidator validator(&cache);
-  return EngineDiscoverFuncDeps(&validator, universe, options, info);
+  return EngineDiscoverFuncDeps(&cache, universe, options, info);
 }
 
-DependencySet EngineDiscoverDependencies(DependencyValidator* validator,
+DependencySet EngineDiscoverDependencies(PliCache* cache,
                                          const AttrSet& universe,
                                          const DiscoveryOptions& options,
                                          DiscoveryRunInfo* info) {
@@ -262,11 +276,11 @@ DependencySet EngineDiscoverDependencies(DependencyValidator* validator,
   DiscoveryRunInfo fd_info;
   DiscoveryRunInfo ad_info;
   for (FuncDep& fd :
-       EngineDiscoverFuncDeps(validator, universe, options, &fd_info)) {
+       EngineDiscoverFuncDeps(cache, universe, options, &fd_info)) {
     out.AddFd(std::move(fd));
   }
   for (AttrDep& ad :
-       EngineDiscoverAttrDeps(validator, universe, options, &ad_info)) {
+       EngineDiscoverAttrDeps(cache, universe, options, &ad_info)) {
     out.AddAd(std::move(ad));
   }
   if (info != nullptr) {
@@ -288,12 +302,11 @@ DependencySet EngineDiscoverDependencies(const std::vector<Tuple>& rows,
                                          const DiscoveryOptions& options,
                                          DiscoveryRunInfo* info) {
   // One cache serves both passes: the FD pass leaves every candidate
-  // partition warm for the AD pass. The worker pool shares it — a warm
-  // candidate read holds the cache lock for one lookup, and cold builds
-  // run outside it, deduplicated by the slot's shared future.
+  // partition and column warm for the AD pass. The worker pool shares it —
+  // a warm candidate read holds the cache lock for one lookup, and cold
+  // builds run outside it, deduplicated by the slot's shared future.
   PliCache cache(&rows);
-  DependencyValidator validator(&cache);
-  return EngineDiscoverDependencies(&validator, universe, options, info);
+  return EngineDiscoverDependencies(&cache, universe, options, info);
 }
 
 }  // namespace flexrel

@@ -2,9 +2,11 @@
 //
 // The candidate space is the lattice of determinant sets, explored level by
 // level (|X| = 1, 2, ...). Per level all candidate maximal-RHS computations
-// are independent — each reads the instance through the shared PliCache —
-// so they fan out across a small worker pool. Minimality pruning via the
-// axiom systems (core/closure.h) is order-dependent and runs as a cheap
+// are independent — each scans its determinant's cached partition over the
+// universe's code columns (engine/validator.h), which a pass fetches once,
+// one attribute per worker, and holds no longer than the pass — so they
+// fan out across a small worker pool. Minimality pruning via the axiom
+// systems (core/closure.h) is order-dependent and runs as a cheap
 // sequential pass per level, in the exact enumeration order of the
 // brute-force path, so engine results are bit-identical to
 // core/discovery.cc's reference implementation.
@@ -44,13 +46,12 @@ struct DiscoveryRunInfo {
 /// tests.
 std::vector<AttrSet> LatticeLevel(const AttrSet& universe, size_t k);
 
-/// Engine-backed counterparts of core's DiscoverAttrDeps / DiscoverFuncDeps
-/// / DiscoverDependencies; identical results, partition-based validation.
-/// They read every DiscoveryOptions field but use_engine, which only core's
-/// front door reads. A non-null `info` receives the run outcome (status /
-/// completed levels / partial flag) — the only way to distinguish a
-/// complete result from the verified prefix of a cancelled or
-/// deadline-exceeded run.
+/// Engine-backed counterparts of core's brute-force DiscoverAttrDeps /
+/// DiscoverFuncDeps / DiscoverDependencies; identical results,
+/// partition-based validation. A non-null `info` receives the run outcome
+/// (status / completed levels / partial flag) — the only way to
+/// distinguish a complete result from the verified prefix of a cancelled
+/// or deadline-exceeded run.
 std::vector<AttrDep> EngineDiscoverAttrDeps(
     const std::vector<Tuple>& rows, const AttrSet& universe,
     const DiscoveryOptions& options = {},
@@ -66,20 +67,21 @@ DependencySet EngineDiscoverDependencies(
     const DiscoveryOptions& options = {},
     DiscoveryRunInfo* info = nullptr);
 
-/// Variants over a caller-provided validator, letting several discovery
-/// passes (and instance-level audits) share one partition cache.
+/// Variants over a caller-provided cache, letting several discovery passes
+/// (and instance-level audits, validator.h) share its partitions and
+/// columns. Each pass reads the cache as it stands when the pass starts.
 std::vector<AttrDep> EngineDiscoverAttrDeps(
-    DependencyValidator* validator, const AttrSet& universe,
+    PliCache* cache, const AttrSet& universe,
     const DiscoveryOptions& options = {},
     DiscoveryRunInfo* info = nullptr);
 
 std::vector<FuncDep> EngineDiscoverFuncDeps(
-    DependencyValidator* validator, const AttrSet& universe,
+    PliCache* cache, const AttrSet& universe,
     const DiscoveryOptions& options = {},
     DiscoveryRunInfo* info = nullptr);
 
 DependencySet EngineDiscoverDependencies(
-    DependencyValidator* validator, const AttrSet& universe,
+    PliCache* cache, const AttrSet& universe,
     const DiscoveryOptions& options = {},
     DiscoveryRunInfo* info = nullptr);
 

@@ -128,22 +128,6 @@ Pli Pli::BuildFromCodes(const std::vector<uint32_t>& codes,
   return out;
 }
 
-PliProbe Pli::BuildProbe() const {
-  PliProbe probe;
-  probe.labels.assign(num_rows_, kNoCluster);
-  const size_t n = num_clusters();
-  probe.label_bound = static_cast<uint32_t>(n);
-  for (size_t c = 0; c < n; ++c) {
-    for (RowId row : cluster(c)) probe.labels[row] = static_cast<uint32_t>(c);
-  }
-  return probe;
-}
-
-Pli Pli::Intersect(const Pli& other) const {
-  const PliProbe probe = other.BuildProbe();
-  return IntersectWithProbe(probe.labels, probe.label_bound);
-}
-
 Pli Pli::IntersectWithProbe(std::span<const uint32_t> labels,
                             uint32_t label_bound,
                             IntersectScratch* scratch) const {

@@ -12,11 +12,12 @@
 // null-valued rows cluster together. This is the absence-vs-null split the
 // paper's flexible model is built on.
 //
-// The payoff is the product construction: the partition by X ∪ Y is the
-// cluster-wise refinement of the partition by X with the partition by Y.
-// Intersecting two cached partitions costs O(rows in clusters) integer
-// work — no value hashing, no tuple projection — which is what makes
-// level-wise dependency discovery scale (see pli_cache.h).
+// The payoff is the product construction: the partition by X ∪ {a} is the
+// cluster-wise refinement of the partition by X by a's dictionary code
+// column (engine/dictionary.h). Refining a cached partition costs O(rows in
+// clusters) integer work — no value hashing, no tuple projection — which is
+// what makes level-wise dependency discovery scale (see pli_cache.h). The
+// validator (validator.h) reads the same columns over the clusters.
 //
 // Storage: clusters live in a CSR-style arena — one contiguous rows array
 // plus a monotone offsets array — so intersections and validator scans
@@ -39,19 +40,6 @@
 
 namespace flexrel {
 
-/// Inverse view of a partition: row index -> cluster *label*, any label
-/// >= label_bound (Pli::kNoCluster from BuildProbe) for rows outside every
-/// cluster. Intersection needs only that rows agree iff their labels are
-/// equal and below the bound: labels of a fresh BuildProbe are the
-/// canonical cluster indices, and a dictionary code column
-/// (engine/dictionary.h) is a probe as it stands — label = code, bound =
-/// code_bound(), absent rows = kMissingCode. Singleton codes need no
-/// stripping: their sub-clusters have size 1 and drop out of any product.
-struct PliProbe {
-  std::vector<uint32_t> labels;
-  uint32_t label_bound = 0;  ///< labels below it name clusters
-};
-
 /// A stripped partition: clusters of row indices, each cluster the rows
 /// agreeing on the partition's attribute set, singleton clusters removed.
 /// Canonical form — rows ascending within a cluster, clusters ordered by
@@ -60,9 +48,6 @@ class Pli {
  public:
   using RowId = uint32_t;
   using Cluster = std::vector<RowId>;
-
-  /// Marker for rows outside every cluster in PliProbe::labels.
-  static constexpr uint32_t kNoCluster = UINT32_MAX;
 
   /// A borrowed, read-only span over one cluster's ascending row ids.
   /// Valid until the owning Pli is destroyed.
@@ -167,17 +152,15 @@ class Pli {
   static Pli BuildFromCodes(const std::vector<uint32_t>& codes,
                             uint32_t code_bound);
 
-  /// The product partition: clusters of `this` refined by the clusters of
-  /// `other`. Equals Build(rows, X ∪ Y) when the operands are the
-  /// partitions by X and Y over the same instance.
-  Pli Intersect(const Pli& other) const;
-
-  /// Intersect against a precomputed label array (see PliProbe: a
-  /// BuildProbe() result, or a code column's codes with its code_bound())
-  /// — lets a caller that intersects many partitions against the same
-  /// operand skip the O(num_rows) probe build per call. Refines through
-  /// `scratch` (thread-local default, arrays sized by `label_bound`) and
-  /// allocates only the exact-size output.
+  /// The product partition: clusters of `this` refined by a label array.
+  /// Rows agree iff their labels are equal and below `label_bound`; a
+  /// dictionary code column (engine/dictionary.h) is such an array as it
+  /// stands — label = code, bound = code_bound(), absent rows =
+  /// kMissingCode — and singleton codes need no stripping: their
+  /// sub-clusters have size 1 and drop out of the product. Refining the
+  /// partition by X with the column of a equals Build(rows, X ∪ {a}).
+  /// Refines through `scratch` (thread-local default, arrays sized by
+  /// `label_bound`) and allocates only the exact-size output.
   Pli IntersectWithProbe(std::span<const uint32_t> labels,
                          uint32_t label_bound,
                          IntersectScratch* scratch = nullptr) const;
@@ -215,10 +198,6 @@ class Pli {
   }
 
   bool empty() const { return num_clusters() == 0; }
-
-  /// Inverse mapping with canonical labels (label == cluster index,
-  /// label_bound == num_clusters). O(num_rows).
-  PliProbe BuildProbe() const;
 
   /// Approximate heap footprint — bench_pli reports it as partition_bytes.
   size_t MemoryBytes() const;

@@ -9,133 +9,111 @@ namespace flexrel {
 
 namespace {
 
-// The existence-pattern scan both Definition-4.1 readers share: attributes
-// every cluster member carries vs. attributes any member carries. Keeping
-// it in one place keeps discovery and EAD mining agreeing on the reading.
-struct ClusterPresence {
-  AttrSet present;
-  AttrSet seen_any;
-};
+using ColumnPtr = std::shared_ptr<const CodeColumn>;
+using Code = CodeColumn::Code;
+constexpr Code kMissing = CodeColumn::kMissingCode;
 
-ClusterPresence ScanClusterPresence(Pli::ClusterView cluster,
-                                    const std::vector<AttrSet>& row_attrs) {
-  ClusterPresence out;
-  out.present = row_attrs[cluster.front()];
-  out.seen_any = out.present;
-  for (size_t i = 1; i < cluster.size(); ++i) {
-    const AttrSet& attrs = row_attrs[cluster[i]];
-    out.present = out.present.Intersect(attrs);
-    out.seen_any = out.seen_any.Union(attrs);
+enum class Reading { kAttr, kFunc };
+
+// The per-code question, the only difference between the readings: a
+// member agrees with its cluster's first row on the same presence (AD) or
+// on the same non-missing code (FD).
+bool Agrees(Reading reading, Code front, Code code) {
+  return reading == Reading::kAttr
+             ? (code == kMissing) == (front == kMissing)
+             : code == front && code != kMissing;
+}
+
+// The one scan behind both readings: the attributes of `attrs` outside
+// `lhs` on which every cluster of `pli` agrees with its first row.
+// `columns[j]` is the code column of attrs.ids()[j].
+AttrSet AgreeingAttrs(const Pli& pli, Reading reading, const AttrSet& lhs,
+                      const AttrSet& attrs, std::span<const ColumnPtr> columns,
+                      const ExecContext* exec) {
+  std::vector<AttrId> agreeing;
+  size_t scanned = 0;
+  for (size_t j = 0; j < attrs.size(); ++j) {
+    const AttrId a = attrs.ids()[j];
+    if (lhs.Contains(a)) continue;
+    const Code* codes = columns[j]->codes().data();
+    bool agrees = true;
+    for (Pli::ClusterView cluster : pli.clusters()) {
+      if (exec != nullptr && (++scanned & 63) == 0 && !exec->Check().ok()) {
+        return AttrSet();  // unwinding; the cancelling run discards this
+      }
+      const Code front = codes[cluster.front()];
+      for (size_t i = 1; i < cluster.size() && agrees; ++i) {
+        agrees = Agrees(reading, front, codes[cluster[i]]);
+      }
+      if (!agrees) break;
+    }
+    if (agrees) agreeing.push_back(a);
   }
-  return out;
+  return AttrSet::FromIds(std::move(agreeing));
+}
+
+std::vector<ColumnPtr> FetchColumns(PliCache* cache, const AttrSet& attrs) {
+  std::vector<ColumnPtr> columns;
+  columns.reserve(attrs.size());
+  for (AttrId a : attrs) columns.push_back(cache->CodeColumnFor(a));
+  return columns;
+}
+
+// Validates lhs --reading--> rhs over the cache as it stands.
+bool Validates(PliCache* cache, Reading reading, const AttrSet& lhs,
+               const AttrSet& rhs) {
+  const AttrSet target = rhs.Minus(lhs);
+  if (target.empty()) return true;  // trivial (reflexivity)
+  std::shared_ptr<const Pli> pli = cache->Get(lhs);
+  return AgreeingAttrs(*pli, reading, lhs, target, FetchColumns(cache, target),
+                       nullptr) == target;
+}
+
+AttrSet MaximalRhs(PliCache* cache, Reading reading, const AttrSet& lhs,
+                   const AttrSet& universe, std::span<const ColumnPtr> columns,
+                   const ExecContext* exec) {
+  FLEXREL_TELEMETRY_COUNT("engine.validator.maximal_rhs", 1);
+  FLEXREL_TELEMETRY_LATENCY(rhs_timer, "engine.validator.maximal_rhs_ns");
+  std::shared_ptr<const Pli> pli = cache->Get(lhs);
+  return AgreeingAttrs(*pli, reading, lhs, universe, columns, exec);
 }
 
 }  // namespace
 
-std::vector<AttrSet> ComputeRowAttrs(const std::vector<Tuple>& rows) {
-  std::vector<AttrSet> out;
-  out.reserve(rows.size());
-  for (const Tuple& t : rows) out.push_back(t.attrs());
-  return out;
+AttrSet MaximalAdRhs(PliCache* cache, const AttrSet& lhs,
+                     const AttrSet& universe,
+                     std::span<const ColumnPtr> columns,
+                     const ExecContext* exec) {
+  return MaximalRhs(cache, Reading::kAttr, lhs, universe, columns, exec);
 }
 
-AttrSet PartitionAdRhs(const Pli& pli, const std::vector<AttrSet>& row_attrs,
-                       const AttrSet& lhs, const AttrSet& universe,
-                       const ExecContext* exec) {
-  AttrSet rhs = universe;
-  size_t scanned = 0;
-  for (Pli::ClusterView cluster : pli.clusters()) {
-    if (exec != nullptr && (++scanned & 63) == 0 && !exec->Check().ok()) {
-      return AttrSet();  // unwinding; the cancelling run discards this
-    }
-    ClusterPresence scan = ScanClusterPresence(cluster, row_attrs);
-    // Attributes some but not all cluster members carry break the
-    // existence pattern.
-    rhs = rhs.Minus(scan.seen_any.Minus(scan.present));
-    if (rhs.IsSubsetOf(lhs)) break;  // nothing non-trivial can survive
-  }
-  return rhs.Minus(lhs);
+AttrSet MaximalFdRhs(PliCache* cache, const AttrSet& lhs,
+                     const AttrSet& universe,
+                     std::span<const ColumnPtr> columns,
+                     const ExecContext* exec) {
+  return MaximalRhs(cache, Reading::kFunc, lhs, universe, columns, exec);
 }
 
-AttrSet PartitionFdRhs(const Pli& pli, const std::vector<Tuple>& rows,
-                       const AttrSet& lhs, const AttrSet& universe,
-                       const ExecContext* exec) {
-  AttrSet rhs = universe;
-  size_t scanned = 0;
-  for (Pli::ClusterView cluster : pli.clusters()) {
-    if (exec != nullptr && (++scanned & 63) == 0 && !exec->Check().ok()) {
-      return AttrSet();
-    }
-    const Tuple& ref = rows[cluster.front()];
-    AttrSet agreeing = ref.attrs();
-    for (size_t i = 1; i < cluster.size() && !agreeing.empty(); ++i) {
-      const Tuple& t = rows[cluster[i]];
-      AttrSet still;
-      for (AttrId a : agreeing) {
-        const Value* v0 = ref.Get(a);
-        const Value* v = t.Get(a);
-        if (v0 != nullptr && v != nullptr && *v0 == *v) still.Insert(a);
-      }
-      agreeing = std::move(still);
-    }
-    rhs = rhs.Intersect(agreeing.Union(lhs));
-    if (rhs.IsSubsetOf(lhs)) break;
-  }
-  return rhs.Minus(lhs);
-}
-
-DependencyValidator::DependencyValidator(PliCache* cache)
-    : cache_(cache), row_attrs_(ComputeRowAttrs(cache->rows())) {}
-
-bool DependencyValidator::ValidatesAd(const AttrDep& ad) {
+bool ValidatesAd(PliCache* cache, const AttrDep& ad) {
   FLEXREL_TELEMETRY_COUNT("engine.validator.ad_checks", 1);
   FLEXREL_TELEMETRY_LATENCY(check_timer, "engine.validator.check_ns");
-  AttrSet target = ad.rhs.Minus(ad.lhs);
-  if (target.empty()) return true;  // trivial (reflexivity)
-  // Validators on concurrent threads (parallel discovery's workers) share
-  // the cache; a warm Get holds its mutex only for the lookup. The
-  // partition and the rows()/row_attrs_ reads below need the caller to
-  // hold the rows stable (the engine/README.md "Concurrency" contract) —
-  // concurrent *reads* need nothing.
-  std::shared_ptr<const Pli> pli = cache_->Get(ad.lhs);
-  return target.IsSubsetOf(
-      PartitionAdRhs(*pli, row_attrs_, ad.lhs, target.Union(ad.lhs)));
+  return Validates(cache, Reading::kAttr, ad.lhs, ad.rhs);
 }
 
-bool DependencyValidator::ValidatesFd(const FuncDep& fd) {
+bool ValidatesFd(PliCache* cache, const FuncDep& fd) {
   FLEXREL_TELEMETRY_COUNT("engine.validator.fd_checks", 1);
   FLEXREL_TELEMETRY_LATENCY(check_timer, "engine.validator.check_ns");
-  AttrSet target = fd.rhs.Minus(fd.lhs);
-  if (target.empty()) return true;
-  std::shared_ptr<const Pli> pli = cache_->Get(fd.lhs);
-  return target.IsSubsetOf(
-      PartitionFdRhs(*pli, cache_->rows(), fd.lhs, target.Union(fd.lhs)));
+  return Validates(cache, Reading::kFunc, fd.lhs, fd.rhs);
 }
 
-bool DependencyValidator::ValidatesAll(const DependencySet& sigma) {
+bool ValidatesAll(PliCache* cache, const DependencySet& sigma) {
   for (const FuncDep& fd : sigma.fds()) {
-    if (!ValidatesFd(fd)) return false;
+    if (!ValidatesFd(cache, fd)) return false;
   }
   for (const AttrDep& ad : sigma.ads()) {
-    if (!ValidatesAd(ad)) return false;
+    if (!ValidatesAd(cache, ad)) return false;
   }
   return true;
-}
-
-AttrSet DependencyValidator::MaximalAdRhs(const AttrSet& lhs,
-                                          const AttrSet& universe) {
-  FLEXREL_TELEMETRY_COUNT("engine.validator.maximal_rhs", 1);
-  FLEXREL_TELEMETRY_LATENCY(rhs_timer, "engine.validator.maximal_rhs_ns");
-  std::shared_ptr<const Pli> pli = cache_->Get(lhs);
-  return PartitionAdRhs(*pli, row_attrs_, lhs, universe, exec_);
-}
-
-AttrSet DependencyValidator::MaximalFdRhs(const AttrSet& lhs,
-                                          const AttrSet& universe) {
-  FLEXREL_TELEMETRY_COUNT("engine.validator.maximal_rhs", 1);
-  FLEXREL_TELEMETRY_LATENCY(rhs_timer, "engine.validator.maximal_rhs_ns");
-  std::shared_ptr<const Pli> pli = cache_->Get(lhs);
-  return PartitionFdRhs(*pli, cache_->rows(), lhs, universe, exec_);
 }
 
 AttrSet ExplicitlyMinableRhs(const std::vector<Tuple>& rows,
@@ -151,20 +129,29 @@ AttrSet ExplicitlyMinableRhs(const std::vector<Tuple>& rows,
 
 Result<ExplicitAD> MineExplicitAd(PliCache* cache, const AttrSet& determinant,
                                   const AttrSet& determined,
-                                  const std::vector<AttrSet>* row_attrs,
                                   size_t max_variants) {
   const std::vector<Tuple>& rows = cache->rows();
-  std::vector<AttrSet> computed;
-  if (row_attrs == nullptr) {
-    computed = ComputeRowAttrs(rows);
-    row_attrs = &computed;
-  }
-  AttrSet y = determined.Minus(determinant);
+  const AttrSet y = determined.Minus(determinant);
   std::shared_ptr<const Pli> pli = cache->Get(determinant);
-  PliProbe probe = pli->BuildProbe();
+  const std::vector<ColumnPtr> columns = FetchColumns(cache, y);
+  // The attributes of Y row `row` carries, read off Y's columns.
+  auto carried = [&](size_t row) {
+    std::vector<AttrId> out;
+    for (size_t j = 0; j < columns.size(); ++j) {
+      if (columns[j]->codes()[row] != kMissing) out.push_back(y.ids()[j]);
+    }
+    return AttrSet::FromIds(std::move(out));
+  };
 
   // Clusters: members must agree on presence within Y (otherwise no EAD
-  // with this determinant exists over the instance).
+  // with this determinant exists over the instance) — the AD scan itself.
+  if (AgreeingAttrs(*pli, Reading::kAttr, determinant, y, columns, nullptr) !=
+      y) {
+    return Status::InvalidArgument(
+        StrCat("instance violates ", determinant.ToString(), " --attr--> ",
+               y.ToString(), ": a determinant value group disagrees on "
+               "attribute presence"));
+  }
   std::vector<EadVariant> variants;
   auto over_budget = [&variants, max_variants] {
     return max_variants != 0 && variants.size() > max_variants;
@@ -174,15 +161,10 @@ Result<ExplicitAD> MineExplicitAd(PliCache* cache, const AttrSet& determinant,
         StrCat("mining ", determinant.ToString(),
                " exceeds the variant budget of ", max_variants));
   };
+  std::vector<bool> clustered(rows.size(), false);
   for (Pli::ClusterView cluster : pli->clusters()) {
-    ClusterPresence scan = ScanClusterPresence(cluster, *row_attrs);
-    if (scan.seen_any.Minus(scan.present).Intersects(y)) {
-      return Status::InvalidArgument(
-          StrCat("instance violates ", determinant.ToString(), " --attr--> ",
-                 y.ToString(), ": a determinant value group disagrees on "
-                 "attribute presence"));
-    }
-    AttrSet then = scan.present.Intersect(y);
+    for (Pli::RowId row : cluster) clustered[row] = true;
+    AttrSet then = carried(cluster.front());
     if (then.empty()) continue;  // covered by the EAD's "otherwise ∅" clause
     auto when = ConditionSet::Make(determinant,
                                    {rows[cluster.front()].Project(determinant)});
@@ -191,17 +173,10 @@ Result<ExplicitAD> MineExplicitAd(PliCache* cache, const AttrSet& determinant,
     if (over_budget()) return budget_error();
   }
   for (size_t i = 0; i < rows.size(); ++i) {
-    if (rows[i].DefinedOn(determinant)) {
-      if (probe.labels[i] != Pli::kNoCluster) continue;  // handled as a cluster
-      // Partnerless row: its value defines a variant of its own.
-      AttrSet then = (*row_attrs)[i].Intersect(y);
-      if (then.empty()) continue;
-      auto when =
-          ConditionSet::Make(determinant, {rows[i].Project(determinant)});
-      if (!when.ok()) return when.status();
-      variants.push_back(EadVariant{std::move(when).value(), std::move(then)});
-      if (over_budget()) return budget_error();
-    } else if ((*row_attrs)[i].Intersects(y)) {
+    if (clustered[i]) continue;  // handled as a cluster
+    AttrSet then = carried(i);
+    if (then.empty()) continue;
+    if (!rows[i].DefinedOn(determinant)) {
       // Definition 2.1: a tuple matching no variant (which includes tuples
       // not defined on the determinant) must carry none of Y.
       return Status::InvalidArgument(
@@ -210,6 +185,11 @@ Result<ExplicitAD> MineExplicitAd(PliCache* cache, const AttrSet& determinant,
                  ": a row lacking the determinant carries determined "
                  "attributes"));
     }
+    // Partnerless row: its value defines a variant of its own.
+    auto when = ConditionSet::Make(determinant, {rows[i].Project(determinant)});
+    if (!when.ok()) return when.status();
+    variants.push_back(EadVariant{std::move(when).value(), std::move(then)});
+    if (over_budget()) return budget_error();
   }
   return ExplicitAD::Make(determinant, y, std::move(variants));
 }

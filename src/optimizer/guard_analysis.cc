@@ -215,7 +215,6 @@ GuardRewrite EliminateRedundantGuardsFromInstance(
   // rather than poisoning the whole EAD, keeping the rewrite sound while
   // preserving the eliminations the remaining attributes support.
   PliCache cache(&rows);
-  DependencyValidator validator(&cache);
   DiscoveryOptions options;
   options.max_lhs_size = 1;
   // Key-like determinants would mine one variant per row — and variant
@@ -224,13 +223,11 @@ GuardRewrite EliminateRedundantGuardsFromInstance(
   // away.
   constexpr size_t kMaxMinedVariants = 256;
   std::vector<ExplicitAD> eads;
-  for (const AttrDep& ad : EngineDiscoverAttrDeps(&validator, universe,
-                                                  options)) {
+  for (const AttrDep& ad : EngineDiscoverAttrDeps(&cache, universe, options)) {
     AttrSet minable = ExplicitlyMinableRhs(rows, ad.lhs, ad.rhs);
     if (minable.empty()) continue;
     Result<ExplicitAD> mined =
-        MineExplicitAd(&cache, ad.lhs, minable, &validator.row_attrs(),
-                       kMaxMinedVariants);
+        MineExplicitAd(&cache, ad.lhs, minable, kMaxMinedVariants);
     if (mined.ok()) eads.push_back(std::move(mined).value());
   }
   return EliminateRedundantGuards(formula, eads);

@@ -451,9 +451,9 @@ Result<std::unique_ptr<FlexDb>> ReadFlexDb(const std::string& text) {
   // Engine-backed instance audit (ROADMAP item): the declared Σ — the
   // EAD-derived ADs plus any persisted extra dependencies — must hold over
   // the loaded instance. Per-tuple type checks on insert cannot see
-  // cross-tuple violations of an installed Σ; the DependencyValidator reads
-  // them off cached partitions instead of re-hashing the instance once per
-  // dependency.
+  // cross-tuple violations of an installed Σ; the validator reads them off
+  // cached partitions and code columns instead of re-hashing the instance
+  // once per dependency.
   if (!db->relation.AuditDeclaredDeps()) {
     return Status::ConstraintViolation(
         StrCat("loaded instance of '", db->relation.name(),

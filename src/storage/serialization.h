@@ -8,9 +8,10 @@
 // Strings are %-escaped so arbitrary values survive; loading re-validates
 // every tuple through the TypeChecker, so a corrupted or hand-edited file
 // cannot smuggle ill-typed data in, and then audits the declared Σ against
-// the loaded instance through the partition engine's DependencyValidator —
-// a corrupt Σ (dependencies the instance does not satisfy) fails the load
-// with kConstraintViolation instead of poisoning downstream optimizers.
+// the loaded instance through the partition engine's validator
+// (engine/validator.h) — a corrupt Σ (dependencies the instance does not
+// satisfy) fails the load with kConstraintViolation instead of poisoning
+// downstream optimizers.
 
 #ifndef FLEXREL_STORAGE_SERIALIZATION_H_
 #define FLEXREL_STORAGE_SERIALIZATION_H_

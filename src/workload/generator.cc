@@ -278,16 +278,13 @@ Status InstallDiscoveredDeps(FlexibleRelation* relation,
   const std::vector<Tuple>& rows = relation->rows();
   AttrSet universe = relation->ActiveAttrs();
   // One partition cache serves discovery and the pre-install audit: the
-  // audit's lookups all hit partitions discovery just built. (A dependency
-  // set the instance does not satisfy must never become declared Σ — the
-  // audit is cheap insurance against divergence between the paths.)
+  // audit's lookups hit the partitions and columns discovery just built.
+  // (A dependency set the instance does not satisfy must never become
+  // declared Σ — the audit is cheap insurance against a discovery bug.)
   PliCache cache(&rows);
-  DependencyValidator validator(&cache);
   DependencySet discovered =
-      options.use_engine
-          ? EngineDiscoverDependencies(&validator, universe, options)
-          : DiscoverDependencies(rows, universe, options);
-  if (!validator.ValidatesAll(discovered)) {
+      EngineDiscoverDependencies(&cache, universe, options);
+  if (!ValidatesAll(&cache, discovered)) {
     return Status::FailedPrecondition(
         "discovered dependency set fails engine validation against the "
         "instance");

@@ -86,9 +86,9 @@ DependencySet RandomDependencies(const AttrSet& universe, Rng* rng,
 Tuple RandomEmployee(const EmployeeWorkload& workload, Rng* rng,
                      int force_variant = -1);
 
-/// Mines the dependency set the instance satisfies (through the partition
-/// engine by default; `options` selects path and bounds), audits it against
-/// the instance with the engine's validator, and installs it as the
+/// Mines the dependency set the instance satisfies through the partition
+/// engine (`options` sets the bounds), audits it against the instance with
+/// the engine's validator over the same cache, and installs it as the
 /// relation's declared Σ, replacing what was there. This is how generated
 /// and migrated relations come to carry engine-validated dependency sets
 /// that the optimizer and propagation layers can trust.

@@ -360,7 +360,6 @@ TEST(ExecControlTest, CancellationResetsRunGauges) {
   Rng rng(0x9A00F3ull);
   auto instance = MakePlantedFdInstance(&rng, 150, 10, 2);
   PliCache cache(&instance.rows);
-  DependencyValidator validator(&cache);
 
   CancellationToken token;
   token.CancelAfterChecks(5);  // mid-run: past the first level's poll
@@ -371,7 +370,7 @@ TEST(ExecControlTest, CancellationResetsRunGauges) {
   options.num_threads = 2;
   options.exec = &ctx;
   DiscoveryRunInfo info;
-  (void)EngineDiscoverFuncDeps(&validator, instance.universe, options, &info);
+  (void)EngineDiscoverFuncDeps(&cache, instance.universe, options, &info);
   EXPECT_TRUE(info.partial);
 
   // The per-run worker gauges were reset on the abort path, so a cancelled

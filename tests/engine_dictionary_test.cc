@@ -10,7 +10,7 @@
 // maintained column decodes like a fresh CodeColumn::Build, coded
 // selections return the rows per-tuple evaluation accepts, and everything
 // downstream (the evaluator, level-wise discovery) equals the naive
-// reference paths (use_engine = false).
+// reference paths (EvalOptions::use_engine = false, core/discovery.h).
 //
 // Randomized suites take their seed from FLEXREL_TEST_SEED when set (the
 // CI seed-diversity step passes the run id) and print it, so failures are
@@ -26,6 +26,7 @@
 #include "algebra/evaluate.h"
 #include "core/discovery.h"
 #include "engine/dictionary.h"
+#include "engine/parallel_discovery.h"
 #include "engine/pli_cache.h"
 #include "engine_test_util.h"
 #include "test_seed.h"
@@ -489,7 +490,8 @@ TEST(CodeColumnTest, CodedMatchesEqualsPerTupleSelection) {
 // stream must end observationally equal to the from-scratch oracles at
 // every layer: cached partitions (Pli::Build) and columns
 // (CodeColumn::Build), evaluator output (use_engine = false), and
-// level-wise discovery results (the hash-grouping reference).
+// level-wise discovery over the relation's maintained cache (the
+// hash-grouping reference).
 void RunColumnVsRebuildOracleSoak(uint64_t seed) {
   const std::string context = StrCat("seed ", seed);
   auto workload = MakeEmployeeWorkload(SoakEmployeeConfig(seed, 48));
@@ -546,13 +548,12 @@ void RunColumnVsRebuildOracleSoak(uint64_t seed) {
     EXPECT_EQ(sorted(engine.value()), sorted(naive.value())) << context;
   }
 
-  // Layer 3: discovery — level-wise over code-built partitions and
-  // code-labelled probes, equal to the hash-grouping reference.
+  // Layer 3: discovery — level-wise over the relation's spliced columns
+  // and the partitions rebuilt from them, equal to the hash-grouping
+  // reference.
   AttrSet universe = w.relation.ActiveAttrs();
-  DiscoveryOptions brute;
-  brute.use_engine = false;
-  DependencySet reference = DiscoverDependencies(rows, universe, brute);
-  DependencySet found = DiscoverDependencies(rows, universe, DiscoveryOptions());
+  DependencySet reference = DiscoverDependencies(rows, universe);
+  DependencySet found = EngineDiscoverDependencies(cache.get(), universe);
   EXPECT_EQ(found.fds(), reference.fds()) << context;
   EXPECT_EQ(found.ads(), reference.ads()) << context;
 }

@@ -11,8 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "core/closure.h"
+#include "core/dependency.h"
 #include "core/discovery.h"
 #include "core/flexible_relation.h"
 #include "engine_test_util.h"
@@ -38,19 +40,16 @@ using testutil::RandomSoakTuple;
 void ExpectIdenticalDiscovery(const std::vector<Tuple>& rows,
                               const AttrSet& universe, size_t max_lhs,
                               bool minimal_only, const char* label) {
-  DiscoveryOptions engine;
-  engine.max_lhs_size = max_lhs;
-  engine.minimal_only = minimal_only;
-  engine.use_engine = true;
-  DiscoveryOptions brute = engine;
-  brute.use_engine = false;
+  DiscoveryOptions options;
+  options.max_lhs_size = max_lhs;
+  options.minimal_only = minimal_only;
 
-  EXPECT_EQ(DiscoverAttrDeps(rows, universe, engine),
-            DiscoverAttrDeps(rows, universe, brute))
+  EXPECT_EQ(EngineDiscoverAttrDeps(rows, universe, options),
+            DiscoverAttrDeps(rows, universe, options))
       << label << " (ADs, max_lhs=" << max_lhs << " minimal=" << minimal_only
       << ")";
-  EXPECT_EQ(DiscoverFuncDeps(rows, universe, engine),
-            DiscoverFuncDeps(rows, universe, brute))
+  EXPECT_EQ(EngineDiscoverFuncDeps(rows, universe, options),
+            DiscoverFuncDeps(rows, universe, options))
       << label << " (FDs, max_lhs=" << max_lhs << " minimal=" << minimal_only
       << ")";
 }
@@ -145,14 +144,11 @@ TEST(EngineDiscoverySoak, SurvivesMutationsBetweenDiscoveries) {
     // have spliced r times and partitions rebuilt from them.
     for (int round = 0; round < 4; ++round) {
       std::shared_ptr<PliCache> cache = rel.pli_cache();
-      DependencyValidator validator(cache.get());
-      DiscoveryOptions brute;
-      brute.use_engine = false;
-      EXPECT_EQ(EngineDiscoverFuncDeps(&validator, universe),
-                DiscoverFuncDeps(rel.rows(), universe, brute))
+      EXPECT_EQ(EngineDiscoverFuncDeps(cache.get(), universe),
+                DiscoverFuncDeps(rel.rows(), universe))
           << "round " << round;
-      EXPECT_EQ(EngineDiscoverAttrDeps(&validator, universe),
-                DiscoverAttrDeps(rel.rows(), universe, brute))
+      EXPECT_EQ(EngineDiscoverAttrDeps(cache.get(), universe),
+                DiscoverAttrDeps(rel.rows(), universe))
           << "round " << round;
 
       for (int m = 0; m < 8; ++m) {
@@ -228,14 +224,11 @@ TEST(EngineDiscoveryTest, TinyCacheStillProducesIdenticalResults) {
   AttrSet universe = FullUniverse(kAttrs);
   DiscoveryOptions options;
   options.max_lhs_size = 3;
-  DiscoveryOptions brute = options;
-  brute.use_engine = false;
   PliCache cache(&rows);
-  DependencyValidator validator(&cache);
-  EXPECT_EQ(EngineDiscoverFuncDeps(&validator, universe, options),
-            DiscoverFuncDeps(rows, universe, brute));
-  EXPECT_EQ(EngineDiscoverAttrDeps(&validator, universe, options),
-            DiscoverAttrDeps(rows, universe, brute));
+  EXPECT_EQ(EngineDiscoverFuncDeps(&cache, universe, options),
+            DiscoverFuncDeps(rows, universe, options));
+  EXPECT_EQ(EngineDiscoverAttrDeps(&cache, universe, options),
+            DiscoverAttrDeps(rows, universe, options));
   EXPECT_GT(cache.Stats().evictions, 0u);
 }
 
@@ -243,15 +236,86 @@ TEST(EngineDiscoveryTest, BundledDiscoveryMatchesBruteForce) {
   auto ex = MakeJobtypeExample();
   ASSERT_TRUE(ex.ok());
   AttrSet universe = FullUniverse(ex.value()->catalog.size());
-  DiscoveryOptions engine;
-  DiscoveryOptions brute;
-  brute.use_engine = false;
   DependencySet via_engine =
-      DiscoverDependencies(ex.value()->relation.rows(), universe, engine);
+      EngineDiscoverDependencies(ex.value()->relation.rows(), universe);
   DependencySet via_brute =
-      DiscoverDependencies(ex.value()->relation.rows(), universe, brute);
+      DiscoverDependencies(ex.value()->relation.rows(), universe);
   EXPECT_EQ(via_engine.fds(), via_brute.fds());
   EXPECT_EQ(via_engine.ads(), via_brute.ads());
+}
+
+// Validation and discovery over `cache` must answer for the rows the
+// relation holds now: every single-attribute AD and FD like the pairwise
+// checkers, and both discovery passes like the brute-force reference.
+void ExpectAnswersForRowsHeldNow(const FlexibleRelation& rel,
+                                 PliCache* cache, const AttrSet& universe,
+                                 const std::string& label) {
+  const std::vector<Tuple>& rows = rel.rows();
+  for (AttrId x : universe) {
+    for (AttrId y : universe) {
+      if (x == y) continue;
+      const AttrDep ad{AttrSet::Of(x), AttrSet::Of(y)};
+      const FuncDep fd{AttrSet::Of(x), AttrSet::Of(y)};
+      EXPECT_EQ(ValidatesAd(cache, ad), SatisfiesAttrDep(rows, ad))
+          << label << ": " << x << " --attr--> " << y;
+      EXPECT_EQ(ValidatesFd(cache, fd), SatisfiesFuncDep(rows, fd))
+          << label << ": " << x << " --func--> " << y;
+    }
+  }
+  DependencySet found = EngineDiscoverDependencies(cache, universe);
+  DependencySet reference = DiscoverDependencies(rows, universe);
+  EXPECT_EQ(found.fds(), reference.fds()) << label;
+  EXPECT_EQ(found.ads(), reference.ads()) << label;
+}
+
+TEST(EngineDiscoveryTest, LongLivedCacheAnswersForTheRowsHeldNow) {
+  // A relation's cache outlives its mutations. An append of rows lacking
+  // an attribute grows the partitions past the rows validation first saw,
+  // and a footnote-3 update changes a row's presence; validation and
+  // discovery through the same cache must follow both.
+  auto ex = MakeJobtypeExample();
+  ASSERT_TRUE(ex.ok());
+  JobtypeExample& world = *ex.value();
+  FlexibleRelation& rel = world.relation;
+  const AttrSet universe = FullUniverse(world.catalog.size());
+  PliCache* cache = rel.pli_cache().get();
+  // The secretary is paid 4800, and no one else is yet.
+  const AttrDep salary_speed_ad{AttrSet::Of(world.salary),
+                                AttrSet::Of(world.typing_speed)};
+  const FuncDep salary_speed_fd{AttrSet::Of(world.salary),
+                                AttrSet::Of(world.typing_speed)};
+  ASSERT_NO_FATAL_FAILURE(
+      ExpectAnswersForRowsHeldNow(rel, cache, universe, "loaded"));
+  EXPECT_TRUE(ValidatesAd(cache, salary_speed_ad));
+
+  // Appended engineers lack typing-speed; one shares the secretary's
+  // salary, so the salary cluster now disagrees on its presence.
+  ASSERT_TRUE(rel.InsertRows({world.MakeEngineer(4800, 5),
+                              world.MakeEngineer(7000, 1),
+                              world.MakeSalesman(7000, 3)})
+                  .ok());
+  ASSERT_EQ(cache, rel.pli_cache().get());
+  ASSERT_NO_FATAL_FAILURE(
+      ExpectAnswersForRowsHeldNow(rel, cache, universe, "appended"));
+  EXPECT_FALSE(ValidatesAd(cache, salary_speed_ad));
+
+  // Footnote 3: flipping the 4800 engineer to a secretary drops products
+  // and programming-languages and adds the secretary attributes, with a
+  // typing-speed of its own.
+  Tuple fill;
+  fill.Set(world.typing_speed, Value::Int(300));
+  fill.Set(world.foreign_languages, Value::Str("french, russian"));
+  const size_t flipped = rel.size() - 3;
+  ASSERT_EQ(rel.row(flipped), world.MakeEngineer(4800, 5));
+  auto delta =
+      rel.Update(flipped, world.jobtype, Value::Str("secretary"), fill);
+  ASSERT_TRUE(delta.ok()) << delta.status();
+  ASSERT_FALSE(delta.value().IsNoop());
+  ASSERT_EQ(cache, rel.pli_cache().get());
+  ASSERT_NO_FATAL_FAILURE(
+      ExpectAnswersForRowsHeldNow(rel, cache, universe, "type changed"));
+  EXPECT_TRUE(ValidatesAd(cache, salary_speed_ad));
+  EXPECT_FALSE(ValidatesFd(cache, salary_speed_fd));
 }
 
 TEST(EngineConsumerTest, MinedEadMatchesTheDeclaredOne) {

@@ -9,6 +9,7 @@
 #include "engine/pli_cache.h"
 #include "engine/validator.h"
 #include "util/rng.h"
+#include "util/string_util.h"
 
 namespace flexrel {
 namespace {
@@ -84,44 +85,32 @@ TEST(PliTest, EmptyAttrSetGroupsAllRows) {
   EXPECT_EQ(pli.clusters()[0], (Pli::Cluster{0, 1, 2}));
 }
 
-TEST(PliTest, ProbeTableInvertsClusters) {
-  Rng rng(3);
-  std::vector<Tuple> rows = RandomRows(&rng, 50, 3, 0.7, 4);
-  Pli pli = Pli::Build(rows, AttrId{1});
-  PliProbe probe = pli.BuildProbe();
-  ASSERT_EQ(probe.labels.size(), rows.size());
-  EXPECT_EQ(probe.label_bound, static_cast<uint32_t>(pli.num_clusters()));
-  size_t in_clusters = 0;
-  for (size_t i = 0; i < probe.labels.size(); ++i) {
-    if (probe.labels[i] == Pli::kNoCluster) continue;
-    ++in_clusters;
-    Pli::ClusterView c = pli.clusters()[static_cast<size_t>(probe.labels[i])];
-    EXPECT_NE(std::find(c.begin(), c.end(), static_cast<uint32_t>(i)),
-              c.end());
-  }
-  EXPECT_EQ(in_clusters, pli.grouped_rows());
-}
-
 TEST(PliTest, IntersectionEqualsDirectBuild) {
-  // The algebraic core: partition(X) ∩ partition(Y) == partition(X ∪ Y),
-  // over many random heterogeneous (and null-bearing) instances.
+  // The algebraic core: partition(X) refined by a's code column ==
+  // partition(X ∪ {a}), over many random heterogeneous (and null-bearing)
+  // instances.
   for (uint64_t seed = 1; seed <= 12; ++seed) {
     Rng rng(seed);
     std::vector<Tuple> rows = RandomRows(&rng, 80, 4, 0.75, 2, 0.1);
+    std::vector<CodeColumn> columns;
+    for (AttrId a = 0; a < 4; ++a) {
+      columns.push_back(CodeColumn::Build(rows, a));
+    }
+    auto refine = [&](const Pli& pli, AttrId a) {
+      return pli.IntersectWithProbe(columns[a].codes(),
+                                    columns[a].code_bound());
+    };
     for (AttrId a = 0; a < 4; ++a) {
       for (AttrId b = 0; b < 4; ++b) {
         if (a == b) continue;
-        Pli pa = Pli::Build(rows, a);
-        Pli pb = Pli::Build(rows, b);
         Pli direct = Pli::Build(rows, AttrSet{a, b});
-        EXPECT_EQ(pa.Intersect(pb), direct)
+        EXPECT_EQ(refine(Pli::Build(rows, a), b), direct)
             << "seed=" << seed << " a=" << a << " b=" << b;
-        EXPECT_EQ(pb.Intersect(pa), direct) << "commutativity";
+        EXPECT_EQ(refine(Pli::Build(rows, b), a), direct) << "commutativity";
       }
     }
     // Three-way: ((0 ∩ 1) ∩ 2) == direct {0,1,2}.
-    Pli p01 = Pli::Build(rows, AttrId{0}).Intersect(Pli::Build(rows, AttrId{1}));
-    EXPECT_EQ(p01.Intersect(Pli::Build(rows, AttrId{2})),
+    EXPECT_EQ(refine(refine(Pli::Build(rows, AttrId{0}), 1), 2),
               Pli::Build(rows, AttrSet{0, 1, 2}))
         << "seed=" << seed;
   }
@@ -137,17 +126,13 @@ TEST(PliStorageTest, ScratchReuseDoesNotLeakStateAcrossIntersections) {
     Pli pa = Pli::Build(rows, a);
     for (AttrId b = 0; b < 5; ++b) {
       if (a == b) continue;
-      PliProbe probe = Pli::Build(rows, b).BuildProbe();
-      Pli with_scratch =
-          pa.IntersectWithProbe(probe.labels, probe.label_bound, &scratch);
-      Pli fresh = pa.IntersectWithProbe(probe.labels, probe.label_bound);
-      EXPECT_EQ(with_scratch, fresh) << "a=" << a << " b=" << b;
-      EXPECT_EQ(with_scratch, Pli::Build(rows, AttrSet{a, b}));
       // A code column is a probe as it stands (label = code).
       CodeColumn column = CodeColumn::Build(rows, b);
-      EXPECT_EQ(pa.IntersectWithProbe(column.codes(), column.code_bound(),
-                                      &scratch),
-                with_scratch)
+      Pli with_scratch =
+          pa.IntersectWithProbe(column.codes(), column.code_bound(), &scratch);
+      Pli fresh = pa.IntersectWithProbe(column.codes(), column.code_bound());
+      EXPECT_EQ(with_scratch, fresh) << "a=" << a << " b=" << b;
+      EXPECT_EQ(with_scratch, Pli::Build(rows, AttrSet{a, b}))
           << "a=" << a << " b=" << b;
     }
   }
@@ -274,26 +259,51 @@ TEST(PliCacheTest, ConcurrentGetsProduceConsistentPartitions) {
   EXPECT_FALSE(mismatch);
 }
 
+// Every single-attribute AD and FD over `num_attrs` attributes, validated
+// through a fresh cache and through the brute-force satisfaction checkers.
+void ExpectValidatorAgreesWithBruteForce(const std::vector<Tuple>& rows,
+                                         AttrId num_attrs,
+                                         const std::string& label) {
+  PliCache cache(&rows);
+  for (AttrId x = 0; x < num_attrs; ++x) {
+    for (AttrId y = 0; y < num_attrs; ++y) {
+      if (x == y) continue;
+      AttrDep ad{AttrSet{x}, AttrSet{y}};
+      FuncDep fd{AttrSet{x}, AttrSet{y}};
+      EXPECT_EQ(ValidatesAd(&cache, ad), SatisfiesAttrDep(rows, ad))
+          << label << " " << x << "->" << y;
+      EXPECT_EQ(ValidatesFd(&cache, fd), SatisfiesFuncDep(rows, fd))
+          << label << " " << x << "->" << y;
+    }
+  }
+}
+
 TEST(ValidatorTest, AgreesWithBruteForceSatisfaction) {
   for (uint64_t seed = 30; seed < 36; ++seed) {
     Rng rng(seed);
     std::vector<Tuple> rows = RandomRows(&rng, 70, 4, 0.7, 2, 0.05);
     std::sort(rows.begin(), rows.end());
     rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
-    PliCache cache(&rows);
-    DependencyValidator validator(&cache);
-    for (AttrId x = 0; x < 4; ++x) {
-      for (AttrId y = 0; y < 4; ++y) {
-        if (x == y) continue;
-        AttrDep ad{AttrSet{x}, AttrSet{y}};
-        FuncDep fd{AttrSet{x}, AttrSet{y}};
-        EXPECT_EQ(validator.ValidatesAd(ad), SatisfiesAttrDep(rows, ad))
-            << "seed=" << seed << " " << x << "->" << y;
-        EXPECT_EQ(validator.ValidatesFd(fd), SatisfiesFuncDep(rows, fd))
-            << "seed=" << seed << " " << x << "->" << y;
-      }
-    }
+    ExpectValidatorAgreesWithBruteForce(rows, 4, StrCat("seed=", seed));
   }
+
+  // Hand-built: attribute 0's only cluster ({r0, r1}) mixes explicit Null
+  // and absence on attribute 2; attribute 1's only cluster ({r2, r3})
+  // carries two nulls. Null is a value (code 0), absence is kMissingCode:
+  // null vs absent fails both readings, and two nulls agree under both.
+  std::vector<Tuple> rows(4);
+  for (size_t r = 0; r < rows.size(); ++r) {
+    const int64_t i = static_cast<int64_t>(r);
+    rows[r].Set(0, Value::Int(r < 2 ? 1 : i));
+    rows[r].Set(1, Value::Int(r < 2 ? i : 3));
+    if (r != 1) rows[r].Set(2, Value::Null());
+  }
+  ExpectValidatorAgreesWithBruteForce(rows, 3, "null and absence");
+  PliCache cache(&rows);
+  EXPECT_FALSE(ValidatesAd(&cache, AttrDep{AttrSet{0}, AttrSet{2}}));
+  EXPECT_FALSE(ValidatesFd(&cache, FuncDep{AttrSet{0}, AttrSet{2}}));
+  EXPECT_TRUE(ValidatesAd(&cache, AttrDep{AttrSet{1}, AttrSet{2}}));
+  EXPECT_TRUE(ValidatesFd(&cache, FuncDep{AttrSet{1}, AttrSet{2}}));
 }
 
 TEST(ValidatorTest, TrivialDependenciesAlwaysValidate) {
@@ -301,9 +311,8 @@ TEST(ValidatorTest, TrivialDependenciesAlwaysValidate) {
   rows[0].Set(0, Value::Int(1));
   rows[1].Set(0, Value::Int(1));
   PliCache cache(&rows);
-  DependencyValidator validator(&cache);
-  EXPECT_TRUE(validator.ValidatesAd(AttrDep{AttrSet{0, 1}, AttrSet{1}}));
-  EXPECT_TRUE(validator.ValidatesFd(FuncDep{AttrSet{0, 1}, AttrSet{0}}));
+  EXPECT_TRUE(ValidatesAd(&cache, AttrDep{AttrSet{0, 1}, AttrSet{1}}));
+  EXPECT_TRUE(ValidatesFd(&cache, FuncDep{AttrSet{0, 1}, AttrSet{0}}));
 }
 
 }  // namespace
