@@ -106,15 +106,14 @@ class Evaluator {
   // Joins a tuple pair stream; `final_output` routes the result-size counter
   // to tuples_emitted (the operator's real output) vs intermediate_tuples
   // (a multiway join's internal accumulations).
-  Result<FlexibleRelation> JoinPair(const FlexibleRelation& left,
-                                    const FlexibleRelation& right,
-                                    bool final_output);
-  Result<FlexibleRelation> JoinNested(const FlexibleRelation& left,
-                                      const FlexibleRelation& right,
-                                      bool final_output);
-  Result<FlexibleRelation> JoinHashedCoded(const FlexibleRelation& left,
-                                           const FlexibleRelation& right,
-                                           bool final_output);
+  FlexibleRelation JoinPair(const FlexibleRelation& left,
+                            const FlexibleRelation& right, bool final_output);
+  FlexibleRelation JoinNested(const FlexibleRelation& left,
+                              const FlexibleRelation& right,
+                              bool final_output);
+  FlexibleRelation JoinHashedCoded(const FlexibleRelation& left,
+                                   const FlexibleRelation& right,
+                                   bool final_output);
 
   Result<FlexibleRelation> SelectViaIndex(const Plan& plan,
                                           ExplainNode* node);
@@ -176,35 +175,26 @@ class Evaluator {
     }
   }
 
-  // Periodic poll inside join probe loops: one relaxed load per call on
-  // the null/untripped fast path, checked every ~1k probes so a runaway
-  // join notices a trip within microseconds without taxing the hot loop.
-  Status CheckJoinExec(size_t probes) const {
-    if (options_.exec == nullptr || (probes & 1023) != 0) return Status::OK();
-    return options_.exec->Check();
-  }
-
   EvalOptions options_;
   EvalStats* stats_;
 };
 
-Result<FlexibleRelation> Evaluator::JoinPair(const FlexibleRelation& left,
-                                             const FlexibleRelation& right,
-                                             bool final_output) {
+FlexibleRelation Evaluator::JoinPair(const FlexibleRelation& left,
+                                     const FlexibleRelation& right,
+                                     bool final_output) {
   if (!options_.use_engine) return JoinNested(left, right, final_output);
   return JoinHashedCoded(left, right, final_output);
 }
 
-Result<FlexibleRelation> Evaluator::JoinNested(const FlexibleRelation& left,
-                                               const FlexibleRelation& right,
-                                               bool final_output) {
+FlexibleRelation Evaluator::JoinNested(const FlexibleRelation& left,
+                                       const FlexibleRelation& right,
+                                       bool final_output) {
   FlexibleRelation out = FlexibleRelation::Derived("join", DependencySet());
   std::vector<Tuple> rows;
   size_t probes = 0;  // flushed once per join, not per pair
   for (const Tuple& a : left.rows()) {
     for (const Tuple& b : right.rows()) {
       ++probes;
-      if (Status st = CheckJoinExec(probes); !st.ok()) return st;
       Tuple merged;
       if (TryJoin(a, b, &merged)) {
         rows.push_back(std::move(merged));
@@ -260,9 +250,9 @@ struct CodeKeyEq {
 // Value again. Nulls intern as
 // ordinary values, matching TryJoin's Value-equality semantics (natural
 // join has no Kleene rule: null meets null joins).
-Result<FlexibleRelation> Evaluator::JoinHashedCoded(
-    const FlexibleRelation& left, const FlexibleRelation& right,
-    bool final_output) {
+FlexibleRelation Evaluator::JoinHashedCoded(const FlexibleRelation& left,
+                                            const FlexibleRelation& right,
+                                            bool final_output) {
   const bool build_right = right.size() <= left.size();
   const FlexibleRelation& build = build_right ? right : left;
   const FlexibleRelation& probe = build_right ? left : right;
@@ -396,7 +386,6 @@ Result<FlexibleRelation> Evaluator::JoinHashedCoded(
       if (bucket == sub->index.end()) continue;
       for (const Tuple* b : bucket->second) {
         ++probes;
-        if (Status st = CheckJoinExec(probes); !st.ok()) return st;
         Tuple merged;
         // Bucket equality was proven on codes; TryJoin remains the cheap
         // Value-level invariant.
@@ -502,9 +491,8 @@ Result<FlexibleRelation> Evaluator::EvalMultiwayOrdered(const Plan& plan,
     }
     used[best] = true;
     std::string best_name = node != nullptr ? legs[best].name() : "";
-    FLEXREL_ASSIGN_OR_RETURN(
-        acc, JoinPair(acc, legs[best], /*final_output=*/step + 1 ==
-                                           legs.size()));
+    acc = JoinPair(acc, legs[best],
+                   /*final_output=*/step + 1 == legs.size());
     if (node != nullptr) {
       // est is the cost that picked this leg; actual is what the fold
       // really produced — the estimated-vs-actual pair per leg.
@@ -517,10 +505,6 @@ Result<FlexibleRelation> Evaluator::EvalMultiwayOrdered(const Plan& plan,
 
 Result<FlexibleRelation> Evaluator::Eval(const PlanPtr& plan,
                                          ExplainNode* node) {
-  // Once per operator: a tripped context aborts before the node does any
-  // work. Evaluation is strict and materializing, so a trip discards the
-  // whole subtree — there is no partial relation to surface.
-  if (Status st = CheckExec(options_.exec); !st.ok()) return st;
   // The timed wrapper around the operator dispatch: EXPLAIN nodes always
   // get timing and actual rows; with telemetry on, every operator's
   // duration also lands in the shared histogram.
@@ -735,9 +719,8 @@ Result<FlexibleRelation> Evaluator::EvalNode(const PlanPtr& plan,
       for (size_t i = 1; i < plan->inputs().size(); ++i) {
         FLEXREL_ASSIGN_OR_RETURN(FlexibleRelation next,
                                  Eval(plan->inputs()[i], Child(node)));
-        FLEXREL_ASSIGN_OR_RETURN(
-            acc, JoinPair(acc, next,
-                          /*final_output=*/i + 1 == plan->inputs().size()));
+        acc = JoinPair(acc, next,
+                       /*final_output=*/i + 1 == plan->inputs().size());
       }
       return acc;
     }

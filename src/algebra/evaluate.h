@@ -29,7 +29,6 @@
 
 #include "algebra/plan.h"
 #include "engine/pli_cache.h"
-#include "util/exec_context.h"
 #include "util/result.h"
 
 namespace flexrel {
@@ -70,13 +69,6 @@ struct EvalOptions {
   /// joins, estimate-ordered multiway joins). False selects the naive
   /// reference path.
   bool use_engine = true;
-  /// Cooperative execution control (util/exec_context.h): deadline and
-  /// cancellation for the evaluation. Not owned; must outlive the call.
-  /// Polled once per operator and periodically inside join probe loops;
-  /// a trip surfaces as Status kCancelled / kDeadlineExceeded through the
-  /// Result — evaluation is strict and materializing, so there is no
-  /// partial relation to return. Null (the default) means unbounded.
-  const ExecContext* exec = nullptr;
 };
 
 /// Evaluates `plan` with default options; on success the result's deps()

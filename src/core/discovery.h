@@ -23,8 +23,6 @@
 
 namespace flexrel {
 
-class ExecContext;
-
 /// Bounds for the discovery enumeration. The one options struct of both
 /// paths: the engine entry points (engine/parallel_discovery.h) take it too.
 struct DiscoveryOptions {
@@ -36,13 +34,6 @@ struct DiscoveryOptions {
   /// Worker threads for the engine path; 0 = hardware concurrency. Ignored
   /// by the reference path.
   size_t num_threads = 0;
-  /// Cooperative execution control (util/exec_context.h): deadline and
-  /// cancellation token for the run. Not owned; must outlive the call.
-  /// Null (the default) means unbounded. Polled by the engine path only,
-  /// at level, candidate and cluster-batch boundaries; a tripped run
-  /// returns the verified level prefix. Only the engine entry points'
-  /// DiscoveryRunInfo tells such a prefix from a complete result.
-  const ExecContext* exec = nullptr;
 };
 
 /// All non-trivial ADs X --attr--> Y with |X| <= max_lhs_size satisfied by

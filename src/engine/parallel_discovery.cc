@@ -72,7 +72,7 @@ void ParallelFor(size_t n, size_t num_threads,
 
 // Zeroes the per-run worker-utilization gauge. Gauges are last-write-wins
 // and survive across runs in one process, so a run that never reaches the
-// write site (fewer levels, an empty universe, a trip mid-level) would
+// write site (fewer levels, an empty universe, a fault mid-level) would
 // otherwise dump the previous run's watermark as its own.
 void ResetDiscoveryRunGauges() {
   if (!telemetry::Enabled()) return;
@@ -90,20 +90,13 @@ template <typename Dep, typename RhsFn, typename PrunedFn, typename EmitFn>
 std::vector<Dep> LevelWise(PliCache* cache, const AttrSet& universe,
                            const DiscoveryOptions& options,
                            const RhsFn& maximal_rhs, const PrunedFn& pruned,
-                           const EmitFn& emit, DiscoveryRunInfo* info) {
+                           const EmitFn& emit) {
   ResetDiscoveryRunGauges();
-  const ExecContext* exec = options.exec;
   const size_t num_rows = cache->rows().size();
-  DiscoveryRunInfo run;
   std::vector<Dep> out;
   DependencySet found;
   std::vector<std::shared_ptr<const CodeColumn>> columns(universe.size());
   for (size_t k = 1; k <= options.max_lhs_size && k <= universe.size(); ++k) {
-    if (Status st = CheckExec(exec); !st.ok()) {
-      run.status = std::move(st);
-      run.partial = true;
-      break;
-    }
     telemetry::ScopedSpan level_span("discovery.level");
     FLEXREL_FAULT_INJECT("discovery.level");
     const bool traced = telemetry::Enabled();
@@ -135,27 +128,9 @@ std::vector<Dep> LevelWise(PliCache* cache, const AttrSet& universe,
         timed([&] { columns[i] = cache->CodeColumnFor(universe.ids()[i]); });
       });
     }
-    // Mid-level trip: workers poll the context at candidate boundaries and
-    // raise the shared stop flag, so the whole pool drains within one
-    // candidate each instead of finishing the level.
-    std::atomic<bool> stop{false};
     ParallelFor(candidates.size(), threads, [&](size_t i) {
-      if (stop.load(std::memory_order_relaxed)) return;
-      if (exec != nullptr && !exec->Check().ok()) {
-        stop.store(true, std::memory_order_relaxed);
-        return;
-      }
       timed([&] { rhss[i] = maximal_rhs(candidates[i], columns); });
     });
-    // A trip mid-fan-out leaves this level partially validated; the
-    // context is sticky, so re-checking here discards the in-flight level
-    // entirely — the output stays the exact prefix of completed levels.
-    if (Status st = CheckExec(exec); !st.ok()) {
-      run.status = std::move(st);
-      run.partial = true;
-      ResetDiscoveryRunGauges();
-      break;
-    }
     size_t pruned_count = 0;
     size_t emitted_count = 0;
     for (size_t i = 0; i < candidates.size(); ++i) {
@@ -189,9 +164,7 @@ std::vector<Dep> LevelWise(PliCache* cache, const AttrSet& universe,
           " threads=" + std::to_string(threads) +
           " util_pct=" + std::to_string(util_pct));
     }
-    run.completed_levels = k;
   }
-  if (info != nullptr) *info = std::move(run);
   return out;
 }
 
@@ -222,91 +195,68 @@ std::vector<AttrSet> LatticeLevel(const AttrSet& universe, size_t k) {
 
 std::vector<AttrDep> EngineDiscoverAttrDeps(PliCache* cache,
                                             const AttrSet& universe,
-                                            const DiscoveryOptions& options,
-                                            DiscoveryRunInfo* info) {
-  // The scans poll the context inside their cluster walks, so a trip lands
-  // mid-candidate instead of waiting out a fat partition.
+                                            const DiscoveryOptions& options) {
   return LevelWise<AttrDep>(
       cache, universe, options,
       [&](const AttrSet& lhs, const ColumnSpan columns) {
-        return MaximalAdRhs(cache, lhs, universe, columns, options.exec);
+        return MaximalAdRhs(cache, lhs, universe, columns);
       },
       [](const DependencySet& found, const AttrDep& candidate) {
         return Implies(found, candidate, AxiomSystem::kAdOnly);
       },
-      [](DependencySet* found, AttrDep dep) { found->AddAd(std::move(dep)); },
-      info);
+      [](DependencySet* found, AttrDep dep) { found->AddAd(std::move(dep)); });
 }
 
 std::vector<FuncDep> EngineDiscoverFuncDeps(PliCache* cache,
                                             const AttrSet& universe,
-                                            const DiscoveryOptions& options,
-                                            DiscoveryRunInfo* info) {
+                                            const DiscoveryOptions& options) {
   return LevelWise<FuncDep>(
       cache, universe, options,
       [&](const AttrSet& lhs, const ColumnSpan columns) {
-        return MaximalFdRhs(cache, lhs, universe, columns, options.exec);
+        return MaximalFdRhs(cache, lhs, universe, columns);
       },
       [](const DependencySet& found, const FuncDep& candidate) {
         return Implies(found, candidate);
       },
-      [](DependencySet* found, FuncDep dep) { found->AddFd(std::move(dep)); },
-      info);
+      [](DependencySet* found, FuncDep dep) { found->AddFd(std::move(dep)); });
 }
 
-std::vector<AttrDep> EngineDiscoverAttrDeps(
-    const std::vector<Tuple>& rows, const AttrSet& universe,
-    const DiscoveryOptions& options, DiscoveryRunInfo* info) {
+std::vector<AttrDep> EngineDiscoverAttrDeps(const std::vector<Tuple>& rows,
+                                            const AttrSet& universe,
+                                            const DiscoveryOptions& options) {
   PliCache cache(&rows);
-  return EngineDiscoverAttrDeps(&cache, universe, options, info);
+  return EngineDiscoverAttrDeps(&cache, universe, options);
 }
 
-std::vector<FuncDep> EngineDiscoverFuncDeps(
-    const std::vector<Tuple>& rows, const AttrSet& universe,
-    const DiscoveryOptions& options, DiscoveryRunInfo* info) {
+std::vector<FuncDep> EngineDiscoverFuncDeps(const std::vector<Tuple>& rows,
+                                            const AttrSet& universe,
+                                            const DiscoveryOptions& options) {
   PliCache cache(&rows);
-  return EngineDiscoverFuncDeps(&cache, universe, options, info);
+  return EngineDiscoverFuncDeps(&cache, universe, options);
 }
 
 DependencySet EngineDiscoverDependencies(PliCache* cache,
                                          const AttrSet& universe,
-                                         const DiscoveryOptions& options,
-                                         DiscoveryRunInfo* info) {
+                                         const DiscoveryOptions& options) {
   DependencySet out;
-  DiscoveryRunInfo fd_info;
-  DiscoveryRunInfo ad_info;
-  for (FuncDep& fd :
-       EngineDiscoverFuncDeps(cache, universe, options, &fd_info)) {
+  for (FuncDep& fd : EngineDiscoverFuncDeps(cache, universe, options)) {
     out.AddFd(std::move(fd));
   }
-  for (AttrDep& ad :
-       EngineDiscoverAttrDeps(cache, universe, options, &ad_info)) {
+  for (AttrDep& ad : EngineDiscoverAttrDeps(cache, universe, options)) {
     out.AddAd(std::move(ad));
-  }
-  if (info != nullptr) {
-    // A sticky context trips both passes; report the first failure and the
-    // smaller verified prefix so the combined result's contract holds for
-    // every dependency kind at once.
-    info->status =
-        !fd_info.status.ok() ? std::move(fd_info.status)
-                             : std::move(ad_info.status);
-    info->partial = fd_info.partial || ad_info.partial;
-    info->completed_levels =
-        std::min(fd_info.completed_levels, ad_info.completed_levels);
   }
   return out;
 }
 
 DependencySet EngineDiscoverDependencies(const std::vector<Tuple>& rows,
                                          const AttrSet& universe,
-                                         const DiscoveryOptions& options,
-                                         DiscoveryRunInfo* info) {
+                                         const DiscoveryOptions& options) {
   // One cache serves both passes: the FD pass leaves every candidate
   // partition and column warm for the AD pass. The worker pool shares it —
   // a warm candidate read holds the cache lock for one lookup, and cold
   // builds run outside it, deduplicated by the slot's shared future.
   PliCache cache(&rows);
-  return EngineDiscoverDependencies(&cache, universe, options, info);
+  return EngineDiscoverDependencies(&cache, universe, options);
 }
 
 }  // namespace flexrel

@@ -19,27 +19,8 @@
 #include "core/dependency_set.h"
 #include "core/discovery.h"
 #include "engine/validator.h"
-#include "util/exec_context.h"
-#include "util/status.h"
 
 namespace flexrel {
-
-/// Outcome report of one discovery run, for callers that set an
-/// ExecContext. `status` is OK for a run that completed, kCancelled /
-/// kDeadlineExceeded when the context tripped. The partial-result
-/// contract: the returned dependencies are exactly what a full run
-/// restricted to determinants of size <= completed_levels would emit — a
-/// level either completes (validated, pruned, and emitted whole, in
-/// enumeration order) or contributes nothing; a level in flight when the
-/// context trips is discarded entirely.
-struct DiscoveryRunInfo {
-  Status status;
-  /// Lattice levels fully verified and emitted (max determinant size
-  /// covered by the result).
-  size_t completed_levels = 0;
-  /// True iff the run stopped early — `status` then holds why.
-  bool partial = false;
-};
 
 /// All determinant candidates of size `k` over `universe`, in the canonical
 /// combination order shared with the brute-force enumerator. Exposed for
@@ -48,42 +29,35 @@ std::vector<AttrSet> LatticeLevel(const AttrSet& universe, size_t k);
 
 /// Engine-backed counterparts of core's brute-force DiscoverAttrDeps /
 /// DiscoverFuncDeps / DiscoverDependencies; identical results,
-/// partition-based validation. A non-null `info` receives the run outcome
-/// (status / completed levels / partial flag) — the only way to
-/// distinguish a complete result from the verified prefix of a cancelled
-/// or deadline-exceeded run.
+/// partition-based validation. An exception a worker throws (an allocation
+/// failure, an injected fault) surfaces on the calling thread once the
+/// level's pool has drained, and the run returns nothing.
 std::vector<AttrDep> EngineDiscoverAttrDeps(
     const std::vector<Tuple>& rows, const AttrSet& universe,
-    const DiscoveryOptions& options = {},
-    DiscoveryRunInfo* info = nullptr);
+    const DiscoveryOptions& options = {});
 
 std::vector<FuncDep> EngineDiscoverFuncDeps(
     const std::vector<Tuple>& rows, const AttrSet& universe,
-    const DiscoveryOptions& options = {},
-    DiscoveryRunInfo* info = nullptr);
+    const DiscoveryOptions& options = {});
 
 DependencySet EngineDiscoverDependencies(
     const std::vector<Tuple>& rows, const AttrSet& universe,
-    const DiscoveryOptions& options = {},
-    DiscoveryRunInfo* info = nullptr);
+    const DiscoveryOptions& options = {});
 
 /// Variants over a caller-provided cache, letting several discovery passes
 /// (and instance-level audits, validator.h) share its partitions and
 /// columns. Each pass reads the cache as it stands when the pass starts.
 std::vector<AttrDep> EngineDiscoverAttrDeps(
     PliCache* cache, const AttrSet& universe,
-    const DiscoveryOptions& options = {},
-    DiscoveryRunInfo* info = nullptr);
+    const DiscoveryOptions& options = {});
 
 std::vector<FuncDep> EngineDiscoverFuncDeps(
     PliCache* cache, const AttrSet& universe,
-    const DiscoveryOptions& options = {},
-    DiscoveryRunInfo* info = nullptr);
+    const DiscoveryOptions& options = {});
 
 DependencySet EngineDiscoverDependencies(
     PliCache* cache, const AttrSet& universe,
-    const DiscoveryOptions& options = {},
-    DiscoveryRunInfo* info = nullptr);
+    const DiscoveryOptions& options = {});
 
 }  // namespace flexrel
 

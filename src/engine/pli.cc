@@ -21,6 +21,31 @@ void SortByFirstRow(std::vector<Pli::Cluster>* clusters) {
             });
 }
 
+// IntersectWithProbe's flat count/offset/touched arrays plus its emission
+// buffer, one per thread. Capacity persists across calls, so every
+// discovery worker and evaluator thread intersects with zero heap
+// allocations in steady state beyond the exact-size output.
+struct IntersectScratch {
+  std::vector<uint32_t> count;
+  std::vector<uint32_t> offset;
+  std::vector<uint32_t> touched;
+  std::vector<Pli::RowId> emitted;
+  struct Desc {
+    Pli::RowId front;
+    uint32_t begin;
+    uint32_t size;
+  };
+  std::vector<Desc> descs;
+
+  size_t Bytes() const {
+    return count.capacity() * sizeof(uint32_t) +
+           offset.capacity() * sizeof(uint32_t) +
+           touched.capacity() * sizeof(uint32_t) +
+           emitted.capacity() * sizeof(Pli::RowId) +
+           descs.capacity() * sizeof(Desc);
+  }
+};
+
 }  // namespace
 
 std::ostream& operator<<(std::ostream& os, Pli::ClusterView view) {
@@ -129,32 +154,10 @@ Pli Pli::BuildFromCodes(const std::vector<uint32_t>& codes,
 }
 
 Pli Pli::IntersectWithProbe(std::span<const uint32_t> labels,
-                            uint32_t label_bound,
-                            IntersectScratch* scratch) const {
+                            uint32_t label_bound) const {
   FLEXREL_TELEMETRY_COUNT("engine.pli.intersections", 1);
   FLEXREL_TELEMETRY_LATENCY(intersect_timer, "engine.pli.intersect_ns");
-  if (scratch == nullptr) {
-    // Per-thread fallback: every discovery worker and evaluator thread gets
-    // steady-state zero-allocation intersections without plumbing a scratch
-    // through the call chain.
-    static thread_local IntersectScratch tls_scratch;
-    scratch = &tls_scratch;
-  }
-  Pli out = IntersectArena(labels, label_bound, scratch);
-  // High-watermark of the per-thread scratch footprint — the steady-state
-  // memory an intersection-heavy worker pins.
-  FLEXREL_TELEMETRY_GAUGE_MAX(
-      "engine.pli.intersect_scratch_bytes",
-      scratch->count.capacity() * sizeof(uint32_t) +
-          scratch->offset.capacity() * sizeof(uint32_t) +
-          scratch->touched.capacity() * sizeof(uint32_t) +
-          scratch->emitted.capacity() * sizeof(RowId) +
-          scratch->descs.capacity() * sizeof(IntersectScratch::Desc));
-  return out;
-}
-
-Pli Pli::IntersectArena(std::span<const uint32_t> labels,
-                        uint32_t label_bound, IntersectScratch* s) const {
+  static thread_local IntersectScratch s;
   Pli out;
   out.num_rows_ = num_rows_;
   out.exact_defined_ = false;
@@ -173,58 +176,58 @@ Pli Pli::IntersectArena(std::span<const uint32_t> labels,
   // and gathering once into the exact-size output arena — the only
   // allocations of the whole product.
   const size_t bound = label_bound;
-  if (s->count.size() < bound) s->count.resize(bound, 0);  // stays all-zero
-  if (s->offset.size() < bound) s->offset.resize(bound);
-  s->touched.clear();
-  s->emitted.clear();
-  s->descs.clear();
+  if (s.count.size() < bound) s.count.resize(bound, 0);  // stays all-zero
+  if (s.offset.size() < bound) s.offset.resize(bound);
+  s.touched.clear();
+  s.emitted.clear();
+  s.descs.clear();
   for (size_t c = 0; c < num_clusters(); ++c) {
     const ClusterView cluster = this->cluster(c);
-    s->touched.clear();
+    s.touched.clear();
     for (RowId row : cluster) {
       const uint32_t oc = labels[row];
       if (oc >= label_bound) continue;
-      if (s->count[oc]++ == 0) s->touched.push_back(oc);
+      if (s.count[oc]++ == 0) s.touched.push_back(oc);
     }
-    const uint32_t base = static_cast<uint32_t>(s->emitted.size());
+    const uint32_t base = static_cast<uint32_t>(s.emitted.size());
     uint32_t total = 0;
-    for (uint32_t oc : s->touched) {
-      s->offset[oc] = total;
-      total += s->count[oc];
+    for (uint32_t oc : s.touched) {
+      s.offset[oc] = total;
+      total += s.count[oc];
     }
-    if (total == s->touched.size()) {
+    if (total == s.touched.size()) {
       // Every label is carried once: no sub-cluster survives. The common
       // case against a high-cardinality operand, skipped without emitting.
-      for (uint32_t oc : s->touched) s->count[oc] = 0;
+      for (uint32_t oc : s.touched) s.count[oc] = 0;
       continue;
     }
-    s->emitted.resize(base + total);  // capacity persists across calls
+    s.emitted.resize(base + total);  // capacity persists across calls
     for (RowId row : cluster) {
       const uint32_t oc = labels[row];
       if (oc >= label_bound) continue;
-      s->emitted[base + s->offset[oc]++] = row;
+      s.emitted[base + s.offset[oc]++] = row;
     }
-    for (uint32_t oc : s->touched) {
-      const uint32_t n = s->count[oc];
-      const uint32_t end = base + s->offset[oc];
+    for (uint32_t oc : s.touched) {
+      const uint32_t n = s.count[oc];
+      const uint32_t end = base + s.offset[oc];
       if (n >= 2) {
-        s->descs.push_back({s->emitted[end - n], end - n, n});
+        s.descs.push_back({s.emitted[end - n], end - n, n});
       }
-      s->count[oc] = 0;
+      s.count[oc] = 0;
     }
   }
-  std::sort(s->descs.begin(), s->descs.end(),
+  std::sort(s.descs.begin(), s.descs.end(),
             [](const IntersectScratch::Desc& a,
                const IntersectScratch::Desc& b) { return a.front < b.front; });
   uint32_t total = 0;
-  for (const IntersectScratch::Desc& d : s->descs) total += d.size;
+  for (const IntersectScratch::Desc& d : s.descs) total += d.size;
   out.arena_.resize(total);
-  out.offsets_.reserve(s->descs.size() + 1);
+  out.offsets_.reserve(s.descs.size() + 1);
   out.offsets_.push_back(0);
   RowId* dst = out.arena_.data();
-  for (const IntersectScratch::Desc& d : s->descs) {
-    std::copy(s->emitted.begin() + d.begin,
-              s->emitted.begin() + d.begin + d.size, dst);
+  for (const IntersectScratch::Desc& d : s.descs) {
+    std::copy(s.emitted.begin() + d.begin,
+              s.emitted.begin() + d.begin + d.size, dst);
     dst += d.size;
     out.offsets_.push_back(static_cast<uint32_t>(dst - out.arena_.data()));
   }
@@ -232,6 +235,10 @@ Pli Pli::IntersectArena(std::span<const uint32_t> labels,
   // Stripped singletons of the operands are unrecoverable here, so the
   // defined-row count degrades to the grouped-row lower bound.
   out.defined_rows_ = out.grouped_rows_;
+  // High-watermark of the per-thread scratch footprint — the steady-state
+  // memory an intersection-heavy worker pins.
+  FLEXREL_TELEMETRY_GAUGE_MAX("engine.pli.intersect_scratch_bytes",
+                              s.Bytes());
   return out;
 }
 

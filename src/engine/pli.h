@@ -113,25 +113,6 @@ class Pli {
     const Pli* pli_;
   };
 
-  /// Reusable scratch for IntersectWithProbe: the flat count/offset/touched
-  /// arrays plus the emission buffer. Capacity persists across calls, so a
-  /// caller that intersects in a loop (the cache's level sweeps, discovery)
-  /// does zero heap allocations in steady state beyond the exact-size
-  /// output. Passing nullptr falls back to a thread-local instance, which
-  /// gives every worker thread the same reuse for free.
-  struct IntersectScratch {
-    std::vector<uint32_t> count;
-    std::vector<uint32_t> offset;
-    std::vector<uint32_t> touched;
-    std::vector<RowId> emitted;
-    struct Desc {
-      RowId front;
-      uint32_t begin;
-      uint32_t size;
-    };
-    std::vector<Desc> descs;
-  };
-
   Pli() = default;
 
   /// Partition by a single attribute: clusters rows carrying `attr` by its
@@ -159,11 +140,10 @@ class Pli {
   /// kMissingCode — and singleton codes need no stripping: their
   /// sub-clusters have size 1 and drop out of the product. Refining the
   /// partition by X with the column of a equals Build(rows, X ∪ {a}).
-  /// Refines through `scratch` (thread-local default, arrays sized by
-  /// `label_bound`) and allocates only the exact-size output.
+  /// Refines through per-thread scratch arrays sized by `label_bound` and
+  /// allocates only the exact-size output.
   Pli IntersectWithProbe(std::span<const uint32_t> labels,
-                         uint32_t label_bound,
-                         IntersectScratch* scratch = nullptr) const;
+                         uint32_t label_bound) const;
 
   /// The i-th cluster in canonical order, as a borrowed span.
   ClusterView cluster(size_t i) const {
@@ -217,10 +197,6 @@ class Pli {
   /// Takes freshly built clusters (any order, each >= 2 rows, rows
   /// ascending), canonicalizes, and lays them out in the arena.
   void AdoptClusters(std::vector<Cluster> clusters);
-
-  /// The refinement body behind IntersectWithProbe.
-  Pli IntersectArena(std::span<const uint32_t> labels, uint32_t label_bound,
-                     IntersectScratch* scratch) const;
 
   std::vector<RowId> arena_;       // every cluster's rows, in order
   std::vector<uint32_t> offsets_;  // num_clusters + 1 monotone boundaries

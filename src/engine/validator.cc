@@ -28,19 +28,15 @@ bool Agrees(Reading reading, Code front, Code code) {
 // `lhs` on which every cluster of `pli` agrees with its first row.
 // `columns[j]` is the code column of attrs.ids()[j].
 AttrSet AgreeingAttrs(const Pli& pli, Reading reading, const AttrSet& lhs,
-                      const AttrSet& attrs, std::span<const ColumnPtr> columns,
-                      const ExecContext* exec) {
+                      const AttrSet& attrs,
+                      std::span<const ColumnPtr> columns) {
   std::vector<AttrId> agreeing;
-  size_t scanned = 0;
   for (size_t j = 0; j < attrs.size(); ++j) {
     const AttrId a = attrs.ids()[j];
     if (lhs.Contains(a)) continue;
     const Code* codes = columns[j]->codes().data();
     bool agrees = true;
     for (Pli::ClusterView cluster : pli.clusters()) {
-      if (exec != nullptr && (++scanned & 63) == 0 && !exec->Check().ok()) {
-        return AttrSet();  // unwinding; the cancelling run discards this
-      }
       const Code front = codes[cluster.front()];
       for (size_t i = 1; i < cluster.size() && agrees; ++i) {
         agrees = Agrees(reading, front, codes[cluster[i]]);
@@ -65,33 +61,31 @@ bool Validates(PliCache* cache, Reading reading, const AttrSet& lhs,
   const AttrSet target = rhs.Minus(lhs);
   if (target.empty()) return true;  // trivial (reflexivity)
   std::shared_ptr<const Pli> pli = cache->Get(lhs);
-  return AgreeingAttrs(*pli, reading, lhs, target, FetchColumns(cache, target),
-                       nullptr) == target;
+  return AgreeingAttrs(*pli, reading, lhs, target,
+                       FetchColumns(cache, target)) == target;
 }
 
 AttrSet MaximalRhs(PliCache* cache, Reading reading, const AttrSet& lhs,
-                   const AttrSet& universe, std::span<const ColumnPtr> columns,
-                   const ExecContext* exec) {
+                   const AttrSet& universe,
+                   std::span<const ColumnPtr> columns) {
   FLEXREL_TELEMETRY_COUNT("engine.validator.maximal_rhs", 1);
   FLEXREL_TELEMETRY_LATENCY(rhs_timer, "engine.validator.maximal_rhs_ns");
   std::shared_ptr<const Pli> pli = cache->Get(lhs);
-  return AgreeingAttrs(*pli, reading, lhs, universe, columns, exec);
+  return AgreeingAttrs(*pli, reading, lhs, universe, columns);
 }
 
 }  // namespace
 
 AttrSet MaximalAdRhs(PliCache* cache, const AttrSet& lhs,
                      const AttrSet& universe,
-                     std::span<const ColumnPtr> columns,
-                     const ExecContext* exec) {
-  return MaximalRhs(cache, Reading::kAttr, lhs, universe, columns, exec);
+                     std::span<const ColumnPtr> columns) {
+  return MaximalRhs(cache, Reading::kAttr, lhs, universe, columns);
 }
 
 AttrSet MaximalFdRhs(PliCache* cache, const AttrSet& lhs,
                      const AttrSet& universe,
-                     std::span<const ColumnPtr> columns,
-                     const ExecContext* exec) {
-  return MaximalRhs(cache, Reading::kFunc, lhs, universe, columns, exec);
+                     std::span<const ColumnPtr> columns) {
+  return MaximalRhs(cache, Reading::kFunc, lhs, universe, columns);
 }
 
 bool ValidatesAd(PliCache* cache, const AttrDep& ad) {
@@ -145,8 +139,7 @@ Result<ExplicitAD> MineExplicitAd(PliCache* cache, const AttrSet& determinant,
 
   // Clusters: members must agree on presence within Y (otherwise no EAD
   // with this determinant exists over the instance) — the AD scan itself.
-  if (AgreeingAttrs(*pli, Reading::kAttr, determinant, y, columns, nullptr) !=
-      y) {
+  if (AgreeingAttrs(*pli, Reading::kAttr, determinant, y, columns) != y) {
     return Status::InvalidArgument(
         StrCat("instance violates ", determinant.ToString(), " --attr--> ",
                y.ToString(), ": a determinant value group disagrees on "

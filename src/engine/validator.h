@@ -34,7 +34,6 @@
 #include "core/dependency_set.h"
 #include "core/explicit_ad.h"
 #include "engine/pli_cache.h"
-#include "util/exec_context.h"
 #include "util/result.h"
 
 namespace flexrel {
@@ -43,19 +42,15 @@ namespace flexrel {
 /// read off the cached partition of X = `lhs` over `columns`, the code
 /// columns of universe.ids() in order, fetched from `cache` since its rows
 /// last changed. Mirrors the brute-force MaximalAdRhs of core/discovery.cc
-/// exactly. A non-null `exec` is polled every 64 clusters; on a trip the
-/// scan bails with the empty set — the caller is unwinding and discards
-/// the result, so bailing cheap beats finishing a fat partition.
-AttrSet MaximalAdRhs(PliCache* cache, const AttrSet& lhs,
-                     const AttrSet& universe,
-                     std::span<const std::shared_ptr<const CodeColumn>> columns,
-                     const ExecContext* exec = nullptr);
+/// exactly.
+AttrSet MaximalAdRhs(
+    PliCache* cache, const AttrSet& lhs, const AttrSet& universe,
+    std::span<const std::shared_ptr<const CodeColumn>> columns);
 
 /// The FD counterpart: maximal Y with X --func--> Y.
-AttrSet MaximalFdRhs(PliCache* cache, const AttrSet& lhs,
-                     const AttrSet& universe,
-                     std::span<const std::shared_ptr<const CodeColumn>> columns,
-                     const ExecContext* exec = nullptr);
+AttrSet MaximalFdRhs(
+    PliCache* cache, const AttrSet& lhs, const AttrSet& universe,
+    std::span<const std::shared_ptr<const CodeColumn>> columns);
 
 /// Definition 4.1 satisfaction via the cached partition of ad.lhs.
 bool ValidatesAd(PliCache* cache, const AttrDep& ad);
@@ -64,7 +59,8 @@ bool ValidatesAd(PliCache* cache, const AttrDep& ad);
 bool ValidatesFd(PliCache* cache, const FuncDep& fd);
 
 /// True iff the instance satisfies every member of `sigma` — the cheap way
-/// to audit an engine- or user-supplied Σ.
+/// to audit a Σ that did not come from discovery (one read from a file,
+/// say).
 bool ValidatesAll(PliCache* cache, const DependencySet& sigma);
 
 /// Lifts an instance-level AD `determinant --attr--> determined` into an

@@ -31,10 +31,6 @@ const char* StatusCodeName(StatusCode code) {
       return "not-implemented";
     case StatusCode::kInternal:
       return "internal";
-    case StatusCode::kCancelled:
-      return "cancelled";
-    case StatusCode::kDeadlineExceeded:
-      return "deadline-exceeded";
   }
   return "unknown";
 }
@@ -67,12 +63,6 @@ Status Status::NotImplemented(std::string msg) {
 }
 Status Status::Internal(std::string msg) {
   return Status(StatusCode::kInternal, std::move(msg));
-}
-Status Status::Cancelled(std::string msg) {
-  return Status(StatusCode::kCancelled, std::move(msg));
-}
-Status Status::DeadlineExceeded(std::string msg) {
-  return Status(StatusCode::kDeadlineExceeded, std::move(msg));
 }
 
 const std::string& Status::message() const {

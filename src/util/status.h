@@ -34,11 +34,6 @@ enum class StatusCode : int {
   kNotImplemented = 7,
   /// Catch-all for internal invariant breakage; indicates a library bug.
   kInternal = 8,
-  /// The caller cancelled the operation via a CancellationToken; any
-  /// partial result carries an explicit "partial" flag.
-  kCancelled = 9,
-  /// The operation ran past the deadline on its ExecContext.
-  kDeadlineExceeded = 10,
 };
 
 /// Returns the canonical lower-case name of `code` ("ok", "invalid-argument",
@@ -69,8 +64,6 @@ class Status {
   static Status OutOfRange(std::string msg);
   static Status NotImplemented(std::string msg);
   static Status Internal(std::string msg);
-  static Status Cancelled(std::string msg);
-  static Status DeadlineExceeded(std::string msg);
 
   /// True iff the operation succeeded.
   bool ok() const { return rep_ == nullptr; }

@@ -87,11 +87,10 @@ Tuple RandomEmployee(const EmployeeWorkload& workload, Rng* rng,
                      int force_variant = -1);
 
 /// Mines the dependency set the instance satisfies through the partition
-/// engine (`options` sets the bounds), audits it against the instance with
-/// the engine's validator over the same cache, and installs it as the
-/// relation's declared Σ, replacing what was there. This is how generated
-/// and migrated relations come to carry engine-validated dependency sets
-/// that the optimizer and propagation layers can trust.
+/// engine (`options` sets the bounds) and installs it as the relation's
+/// declared Σ, replacing what was there. This is how generated and migrated
+/// relations come to carry instance-satisfied dependency sets that the
+/// optimizer and propagation layers can trust.
 Status InstallDiscoveredDeps(FlexibleRelation* relation,
                              const DiscoveryOptions& options = {});
 

@@ -1,18 +1,13 @@
-// Fault-tolerance soak for the execution plane: deadlines, cancellation
-// and deterministic fault injection.
+// Fault-tolerance soak for the engine: deterministic fault injection.
 //
-// Two contracts under test:
-//
-//  1. Chaos: with seeded fault injection armed (util/fault.h), any
-//     interleaving of mutations, cache reads, and discovery runs either
-//     completes or surfaces std::bad_alloc / fault::InducedAbort — and
-//     after every survived fault the cache is structurally equal to a
-//     from-scratch rebuild over the current rows (the failure-atomic flush
-//     and poisoned-entry recovery guarantees).
-//  2. Cooperative cancellation/deadlines: a tripped ExecContext makes
-//     discovery return exactly the verified level prefix (flagged partial
-//     with kCancelled / kDeadlineExceeded) and evaluation return the error
-//     — with the per-run worker gauges reset.
+// The contract under test: with seeded fault injection armed
+// (util/fault.h), any interleaving of mutations, cache reads and discovery
+// runs either completes with the right answer or surfaces std::bad_alloc /
+// fault::InducedAbort on the calling thread, whichever thread the fault
+// hit. After every surfaced fault the cache still answers correctly: it is
+// structurally equal to a from-scratch rebuild over the current rows (the
+// failure-atomic flush and poisoned-entry recovery guarantees), and a
+// disarmed discovery over it equals the brute-force reference.
 //
 // Randomized tests take their seed from FLEXREL_TEST_SEED (tests/
 // seeded_suites.txt registers the soak for CI's fresh-seed rerun; the
@@ -21,23 +16,18 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <memory>
 #include <new>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
-#include "algebra/evaluate.h"
-#include "algebra/plan.h"
+#include "core/discovery.h"
 #include "core/flexible_relation.h"
 #include "engine/parallel_discovery.h"
 #include "engine/pli_cache.h"
-#include "engine/validator.h"
 #include "engine_test_util.h"
-#include "telemetry/telemetry.h"
 #include "test_seed.h"
-#include "util/exec_context.h"
 #include "util/fault.h"
 #include "util/rng.h"
 #include "util/string_util.h"
@@ -100,10 +90,6 @@ void VerifyCacheAgainstRebuild(const FlexibleRelation& rel,
         << context << " code column of attr " << attr << " diverged";
   }
 }
-
-// ---------------------------------------------------------------------------
-// 1. Seeded chaos soak: survive injected faults, stay rebuild-equivalent.
-// ---------------------------------------------------------------------------
 
 TEST(EngineChaosSoak, SurvivedFaultsLeaveCacheRebuildEquivalent) {
   const uint64_t base = ChaosSeed(1);
@@ -274,162 +260,42 @@ TEST(EngineChaosSoak, FaultSiteCatalogueCoversTheExecutionPlane) {
   EXPECT_GT(hits, 0u);
 }
 
-// ---------------------------------------------------------------------------
-// 2. Cancellation and deadlines: verified-prefix partials, clean unwinds.
-// ---------------------------------------------------------------------------
-
-std::vector<FuncDep> PrefixOf(const std::vector<FuncDep>& full,
-                              size_t max_lhs) {
-  std::vector<FuncDep> out;
-  for (const FuncDep& fd : full) {
-    if (fd.lhs.size() <= max_lhs) out.push_back(fd);
-  }
-  return out;
-}
-
-TEST(ExecControlTest, CancelledDiscoveryReturnsExactVerifiedPrefix) {
-  Rng rng(0xD15C0B3Bull);
-  auto instance = MakePlantedFdInstance(&rng, 200, 12, 3, 8, 0.15);
-  DiscoveryOptions options;
-  options.max_lhs_size = 3;
-  options.num_threads = 2;
-
-  DiscoveryRunInfo full_info;
-  std::vector<FuncDep> full = EngineDiscoverFuncDeps(
-      instance.rows, instance.universe, options, &full_info);
-  ASSERT_TRUE(full_info.status.ok());
-  EXPECT_FALSE(full_info.partial);
-  EXPECT_EQ(full_info.completed_levels, 3u);
-
-  // Sweep the trip point across the whole run: for EVERY n the result must
-  // be the full run restricted to the completed level prefix — a level
-  // either lands whole or not at all, wherever the trip hits (between
-  // levels, mid-candidate-batch, inside a partition scan).
-  for (int64_t n : {0, 1, 2, 3, 7, 20, 100, 1000}) {
-    CancellationToken token;
-    token.CancelAfterChecks(n);
-    ExecContext ctx;
-    ctx.set_cancellation_token(&token);
-    DiscoveryOptions cancelled = options;
-    cancelled.exec = &ctx;
-    DiscoveryRunInfo info;
-    std::vector<FuncDep> got = EngineDiscoverFuncDeps(
-        instance.rows, instance.universe, cancelled, &info);
-    if (!info.partial) {
-      // Trip armed past the run's total poll count: a complete result.
-      EXPECT_EQ(got, full) << "n=" << n;
-      continue;
-    }
-    EXPECT_EQ(info.status.code(), StatusCode::kCancelled) << "n=" << n;
-    EXPECT_LT(info.completed_levels, 3u) << "n=" << n;
-    EXPECT_EQ(got, PrefixOf(full, info.completed_levels))
-        << "n=" << n << ": partial result is not the verified level prefix";
-  }
-}
-
-TEST(ExecControlTest, ExpiredDeadlineStopsBeforeAnyLevel) {
-  Rng rng(0xDEAD11F3ull);
-  auto instance = MakePlantedFdInstance(&rng, 100, 9, 2);
-  ExecContext ctx;
-  ctx.set_deadline(ExecContext::Clock::now() - std::chrono::seconds(1));
+// Worker faults: with four workers, a fault thrown inside any of them (a
+// partition build on a pool thread, a level boundary on the calling one)
+// must reach the caller as the injected exception after the pool drains,
+// never terminate the process or yield a wrong answer, and leave the
+// cache the run used able to answer a disarmed rerun exactly.
+TEST(EngineChaosSoak, WorkerFaultsSurfaceFromParallelDiscovery) {
+  const uint64_t base = ChaosSeed(4);
+  Rng rng(base);
+  auto instance = MakePlantedFdInstance(&rng, 200, 6, 2, 8, 0.1);
   DiscoveryOptions options;
   options.max_lhs_size = 2;
-  options.exec = &ctx;
-  DiscoveryRunInfo info;
-  std::vector<FuncDep> got = EngineDiscoverFuncDeps(
-      instance.rows, instance.universe, options, &info);
-  EXPECT_TRUE(got.empty());
-  EXPECT_TRUE(info.partial);
-  EXPECT_EQ(info.status.code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(info.completed_levels, 0u);
-
-  // The merged entry point reports the min completed level and the first
-  // non-OK status.
-  DiscoveryRunInfo merged;
-  DependencySet sigma = EngineDiscoverDependencies(
-      instance.rows, instance.universe, options, &merged);
-  EXPECT_TRUE(sigma.fds().empty());
-  EXPECT_TRUE(sigma.ads().empty());
-  EXPECT_TRUE(merged.partial);
-  EXPECT_EQ(merged.completed_levels, 0u);
-}
-
-TEST(ExecControlTest, CancellationResetsRunGauges) {
-  telemetry::Enable();
-  telemetry::Registry::Global().Reset();
-  Rng rng(0x9A00F3ull);
-  auto instance = MakePlantedFdInstance(&rng, 150, 10, 2);
-  PliCache cache(&instance.rows);
-
-  CancellationToken token;
-  token.CancelAfterChecks(5);  // mid-run: past the first level's poll
-  ExecContext ctx;
-  ctx.set_cancellation_token(&token);
-  DiscoveryOptions options;
-  options.max_lhs_size = 3;
-  options.num_threads = 2;
-  options.exec = &ctx;
-  DiscoveryRunInfo info;
-  (void)EngineDiscoverFuncDeps(&cache, instance.universe, options, &info);
-  EXPECT_TRUE(info.partial);
-
-  // The per-run worker gauges were reset on the abort path, so a cancelled
-  // run cannot leave a stale utilization number for dashboards to read.
-  EXPECT_EQ(telemetry::Registry::Global()
-                .GetGauge("engine.discovery.worker_utilization_pct")
-                ->value(),
-            0);
-  // The context counted its trip exactly once.
-  EXPECT_EQ(telemetry::Registry::Global()
-                .GetCounter("engine.exec.cancelled")
-                ->value(),
-            1u);
-  telemetry::Registry::Global().Reset();
-  telemetry::Disable();
-}
-
-TEST(ExecControlTest, EvaluationSurfacesCancellationAndDeadline) {
-  Rng rng(0xEBA1ull);
-  std::vector<AttrId> attrs = {0, 1, 2};
-  FlexibleRelation rel = FlexibleRelation::Derived("eval", DependencySet());
-  for (int i = 0; i < 40; ++i) {
-    rel.InsertUnchecked(RandomSoakTuple(attrs, &rng));
+  options.num_threads = 4;
+  const std::vector<FuncDep> reference =
+      DiscoverFuncDeps(instance.rows, instance.universe, options);
+  int surfaced = 0;
+  for (uint64_t run = 0; run < 40; ++run) {
+    const uint64_t run_seed = base ^ (run * 0x9E3779B97F4A7C15ull);
+    PliCache cache(&instance.rows);
+    std::vector<FuncDep> got;
+    bool faulted = false;
+    {
+      FaultArmed armed(run_seed);
+      faulted = AbsorbFaults([&] {
+        got = EngineDiscoverFuncDeps(&cache, instance.universe, options);
+      });
+    }
+    if (faulted) {
+      ++surfaced;
+    } else {
+      EXPECT_EQ(got, reference) << "run " << run << " seed " << run_seed;
+    }
+    EXPECT_EQ(EngineDiscoverFuncDeps(&cache, instance.universe, options),
+              reference)
+        << "disarmed rerun after run " << run << " seed " << run_seed;
   }
-  PlanPtr plan = Plan::NaturalJoin(Plan::Scan(&rel), Plan::Scan(&rel));
-
-  // Sanity: the plan evaluates fine without a context.
-  ASSERT_TRUE(Evaluate(plan).ok());
-
-  CancellationToken token;
-  token.RequestCancel();
-  ExecContext ctx;
-  ctx.set_cancellation_token(&token);
-  EvalOptions options;
-  options.exec = &ctx;
-  auto cancelled = Evaluate(plan, options);
-  ASSERT_FALSE(cancelled.ok());
-  EXPECT_EQ(cancelled.status().code(), StatusCode::kCancelled);
-
-  // Mid-evaluation trip: the first polls pass, a later one trips, and the
-  // error still surfaces as the overall result.
-  CancellationToken late;
-  late.CancelAfterChecks(2);
-  ExecContext late_ctx;
-  late_ctx.set_cancellation_token(&late);
-  EvalOptions late_options;
-  late_options.exec = &late_ctx;
-  auto late_result = Evaluate(plan, late_options);
-  ASSERT_FALSE(late_result.ok());
-  EXPECT_EQ(late_result.status().code(), StatusCode::kCancelled);
-
-  ExecContext deadline_ctx;
-  deadline_ctx.set_deadline(ExecContext::Clock::now() -
-                            std::chrono::milliseconds(1));
-  EvalOptions deadline_options;
-  deadline_options.exec = &deadline_ctx;
-  auto expired = Evaluate(plan, deadline_options);
-  ASSERT_FALSE(expired.ok());
-  EXPECT_EQ(expired.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_GT(surfaced, 0) << "no fault ever surfaced from the worker pool";
 }
 
 }  // namespace

@@ -413,10 +413,15 @@ TEST(EngineConsumerTest, InstallDiscoveredDepsValidatesAndInstalls) {
   options.max_lhs_size = 1;
   ASSERT_TRUE(InstallDiscoveredDeps(relation, options).ok());
   EXPECT_FALSE(relation->deps().empty());
-  // The installed Σ is engine-validated, hence satisfied by the instance.
+  // The installed Σ is satisfied by the instance, and it is exactly what
+  // the brute-force reference mines from the same rows and attributes.
   EXPECT_TRUE(relation->SatisfiesDeclaredDeps());
-  // It must cover the workload's declared EAD abbreviation.
   DependencySet installed = relation->deps();
+  DependencySet reference = DiscoverDependencies(
+      relation->rows(), relation->ActiveAttrs(), options);
+  EXPECT_EQ(installed.fds(), reference.fds());
+  EXPECT_EQ(installed.ads(), reference.ads());
+  // It must cover the workload's declared EAD abbreviation.
   AttrDep abbreviated{w.value()->eads[0].determinant(),
                       w.value()->eads[0].determined()};
   EXPECT_TRUE(Implies(installed, abbreviated, AxiomSystem::kAdOnly));

@@ -117,22 +117,18 @@ TEST(PliTest, IntersectionEqualsDirectBuild) {
 }
 
 TEST(PliStorageTest, ScratchReuseDoesNotLeakStateAcrossIntersections) {
-  // One scratch instance threaded through many differently-shaped products
-  // must yield the same partitions as fresh per-call scratch.
+  // Back-to-back products of many shapes on one thread share its scratch;
+  // each must still equal the direct build.
   Rng rng(77);
   std::vector<Tuple> rows = RandomRows(&rng, 120, 5, 0.8, 3, 0.05);
-  Pli::IntersectScratch scratch;
   for (AttrId a = 0; a < 5; ++a) {
     Pli pa = Pli::Build(rows, a);
     for (AttrId b = 0; b < 5; ++b) {
       if (a == b) continue;
       // A code column is a probe as it stands (label = code).
       CodeColumn column = CodeColumn::Build(rows, b);
-      Pli with_scratch =
-          pa.IntersectWithProbe(column.codes(), column.code_bound(), &scratch);
-      Pli fresh = pa.IntersectWithProbe(column.codes(), column.code_bound());
-      EXPECT_EQ(with_scratch, fresh) << "a=" << a << " b=" << b;
-      EXPECT_EQ(with_scratch, Pli::Build(rows, AttrSet{a, b}))
+      EXPECT_EQ(pa.IntersectWithProbe(column.codes(), column.code_bound()),
+                Pli::Build(rows, AttrSet{a, b}))
           << "a=" << a << " b=" << b;
     }
   }
@@ -167,12 +163,11 @@ TEST(PliStorageTest, CodeLabelledIntersectionOnHighCardinalityAttribute) {
   }
   const CodeColumn column = CodeColumn::Build(rows, hi);
   ASSERT_GT(column.code_bound(), kRows / 2) << "not high-cardinality";
-  Pli::IntersectScratch scratch;
   for (const AttrSet& x : {AttrSet{0}, AttrSet{1}, AttrSet{0, 1}}) {
     const AttrSet with_hi = x.Union(AttrSet::Of(hi));
     const Pli direct = Pli::Build(rows, with_hi);
-    Pli product = Pli::Build(rows, x).IntersectWithProbe(
-        column.codes(), column.code_bound(), &scratch);
+    Pli product = Pli::Build(rows, x).IntersectWithProbe(column.codes(),
+                                                         column.code_bound());
     EXPECT_EQ(product, direct) << with_hi.ToString();
     std::string err;
     EXPECT_TRUE(product.CheckInvariants(&err)) << err;
@@ -182,10 +177,11 @@ TEST(PliStorageTest, CodeLabelledIntersectionOnHighCardinalityAttribute) {
     EXPECT_EQ(*cache.Get(with_hi), direct) << with_hi.ToString();
   }
   // The high-cardinality partition as the outer operand, probed by a
-  // low-cardinality column after the scratch grew to the large bound.
+  // low-cardinality column after this thread's scratch grew to the large
+  // bound.
   const CodeColumn low = CodeColumn::Build(rows, 0);
   EXPECT_EQ(Pli::Build(rows, hi).IntersectWithProbe(low.codes(),
-                                                    low.code_bound(), &scratch),
+                                                    low.code_bound()),
             Pli::Build(rows, AttrSet{0, hi}));
 }
 
